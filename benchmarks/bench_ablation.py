@@ -2,7 +2,7 @@
 
 Not a paper table; these isolate *why* the unnested plans win:
 
-1. physical (hash-based, order-preserving) vs reference (definitional,
+1. default (hash-based, order-preserving) vs reference (definitional,
    nested-loop) execution of the same unnested plan — the engine
    substrate matters even after unnesting;
 2. grouping plan vs group-Ξ plan for q1 — the paper's §5.1 point that
@@ -16,12 +16,12 @@ from __future__ import annotations
 import pytest
 
 from conftest import compiled_plan
-from repro.engine.executor import execute
+from repro.engine.executor import DEFAULT_MODE, execute
 
 BOOKS = 100
 
 
-@pytest.mark.parametrize("mode", ("physical", "reference"))
+@pytest.mark.parametrize("mode", (DEFAULT_MODE, "reference"))
 @pytest.mark.parametrize("plan", ("grouping", "outerjoin"))
 def test_engine_mode(benchmark, plan, mode):
     db, compiled = compiled_plan("q1", plan, books=BOOKS,
@@ -35,14 +35,14 @@ def test_group_xi(benchmark, plan):
     db, compiled = compiled_plan("q1", plan, books=300,
                                  authors_per_book=5)
     benchmark.group = "ablation: grouping vs group-Ξ (q1, 300×5)"
-    benchmark(execute, compiled, db.store, "physical")
+    benchmark(execute, compiled, db.store)
 
 
 @pytest.mark.parametrize("plan", ("semijoin", "grouping"))
 def test_scan_saving(benchmark, plan):
     db, compiled = compiled_plan("q4", plan, books=300)
     benchmark.group = "ablation: Eqv. 6 vs Eqv. 8 (q4, 300 books)"
-    benchmark(execute, compiled, db.store, "physical")
+    benchmark(execute, compiled, db.store)
 
 
 @pytest.mark.parametrize("ranking", ("heuristic", "cost"))

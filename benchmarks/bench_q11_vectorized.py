@@ -1,7 +1,7 @@
 """E11 — vectorized execution: batch-at-a-time scans over arena columns.
 
 Not a paper table: the paper's engine is tuple-at-a-time; this
-benchmark measures what PR 7's third execution strategy buys on the
+benchmark measures what PR 7's batch-at-a-time strategy buys on the
 workload class it targets — selective scan-filter queries where the
 per-tuple interpretation overhead (generator hops, ``Tup`` copies,
 per-row scalar dispatch) dominates.  The vectorized engine instead
@@ -17,10 +17,7 @@ Two queries over the seeded auction documents:
 - ``items-scan`` — items with ``reserveprice >= 450`` (only ~40% of
   items carry a ``reserveprice`` at all, so the pass is NULL-heavy).
 
-The gated ``speedup`` metric is **pure-python** vectorized vs
-pipelined (``use_numpy(False)``), so the number is comparable on
-runners without numpy; when numpy is importable the numpy-kernel
-speedup rides along as the ungated ``speedup_numpy``.  Run directly
+The gated ``speedup`` metric is vectorized vs pipelined.  Run directly
 for the speedup check at scale::
 
     PYTHONPATH=src python benchmarks/bench_q11_vectorized.py \\
@@ -41,7 +38,6 @@ from repro.api import CompiledQuery, Database, compile_query
 from repro.bench.harness import write_json
 from repro.datagen import BIDS_DTD, ITEMS_DTD, generate_bids, \
     generate_items
-from repro.engine.batch import numpy_available, use_numpy
 
 Q11_QUERIES = {
     "bids-scan": '''
@@ -96,8 +92,7 @@ def speedup_at(query: str, items: int, bids: int, repeat: int = 5,
     db, queries = compiled(items, bids, seed=seed)
     plan = queries[query].best().plan
     pipelined_result = db.execute(plan, mode="pipelined")
-    with use_numpy(False):
-        vectorized_result = db.execute(plan, mode="vectorized")
+    vectorized_result = db.execute(plan, mode="vectorized")
     assert vectorized_result.output == pipelined_result.output, \
         "vectorized mode must be byte-identical to pipelined mode"
     assert vectorized_result.rows == pipelined_result.rows, \
@@ -106,11 +101,9 @@ def speedup_at(query: str, items: int, bids: int, repeat: int = 5,
     for _ in range(max(1, repeat)):
         pipelined_s = min(pipelined_s,
                           db.execute(plan, mode="pipelined").elapsed)
-        with use_numpy(False):
-            vectorized_s = min(
-                vectorized_s,
-                db.execute(plan, mode="vectorized").elapsed)
-    record = {
+        vectorized_s = min(vectorized_s,
+                           db.execute(plan, mode="vectorized").elapsed)
+    return {
         "query": query,
         "items": items,
         "bids": bids,
@@ -120,15 +113,6 @@ def speedup_at(query: str, items: int, bids: int, repeat: int = 5,
         "speedup": pipelined_s / vectorized_s if vectorized_s
         else float("inf"),
     }
-    if numpy_available():
-        numpy_s = float("inf")
-        for _ in range(max(1, repeat)):
-            numpy_s = min(numpy_s,
-                          db.execute(plan, mode="vectorized").elapsed)
-        record["numpy_seconds"] = numpy_s
-        record["speedup_numpy"] = pipelined_s / numpy_s if numpy_s \
-            else float("inf")
-    return record
 
 
 def main(argv: list[str]) -> int:
@@ -138,14 +122,10 @@ def main(argv: list[str]) -> int:
                for query in Q11_QUERIES]
     print(f"Q11 (vectorized scans), items={items}, bids={bids}")
     for record in records:
-        extra = ""
-        if "speedup_numpy" in record:
-            extra = (f", {record['speedup_numpy']:.1f}x with numpy "
-                     f"({record['numpy_seconds']:.4f}s)")
         print(f"  {record['query']:10s}: pipelined "
               f"{record['pipelined_seconds']:.4f}s, vectorized "
-              f"{record['vectorized_seconds']:.4f}s pure-python "
-              f"-> {record['speedup']:.1f}x{extra} "
+              f"{record['vectorized_seconds']:.4f}s "
+              f"-> {record['speedup']:.1f}x "
               f"[{record['rows']} rows]")
     if len(argv) > 2:
         write_json(argv[2], {"schema": "repro-bench/1",
@@ -153,7 +133,7 @@ def main(argv: list[str]) -> int:
         print(f"  JSON written to {argv[2]}")
     for record in records:
         assert record["speedup"] >= 5.0, \
-            (f"{record['query']}: expected >=5x pure-python speedup, "
+            (f"{record['query']}: expected >=5x speedup, "
              f"got {record['speedup']:.1f}x")
     return 0
 

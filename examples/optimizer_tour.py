@@ -12,11 +12,10 @@ Three final sections show the other engine axes this repository adds:
   without indexes (every leaf is a document scan) and against one with
   ``index_mode="eager"``, where the cost model swaps the scan for an
   ``IdxScan`` value-index probe — zero document scans at execution time;
-- execution modes — the same exists-query run under ``mode="physical"``
-  and ``mode="pipelined"``, with the scan statistics and per-operator
-  EXPLAIN ANALYZE row counts side by side (the full mode decision
-  table, including ``vectorized`` and ``auto``, lives in
-  ``docs/execution-modes.md``);
+- execution modes — the same exists-query run under the default
+  (materializing) mode and ``mode="pipelined"``, with the scan
+  statistics and per-operator EXPLAIN ANALYZE row counts side by side
+  (the full mode decision table lives in ``docs/execution-modes.md``);
 - arena storage — registered documents are finalized into an
   interval-encoded arena (pre/post/level columns, interned tag names),
   so a ``//tag`` step is a binary search over a contiguous row range;
@@ -212,13 +211,13 @@ return <expensive> { $i1/itemno } </expensive>
 
 
 def show_pipelined_execution() -> None:
-    """The same exists-query executed by the materializing physical
+    """The same exists-query executed by the materializing default
     engine and by the pipelined engine: identical output, but the
     pipelined run stops each inner scan at the first witness — compare
     the node visits and the per-operator row counts."""
     from repro.datagen import BIDS_DTD, ITEMS_DTD, generate_bids, \
         generate_items
-    from repro.engine.executor import analyze_to_string
+    from repro.engine.executor import DEFAULT_MODE, analyze_to_string
 
     query_text = """
 let $d1 := doc("items.xml")
@@ -239,7 +238,7 @@ return <hot-item> { $i1/itemno } </hot-item>
     print(SEPARATOR)
     print("Pipelined execution — first-witness vs. all-tuples cost")
     outputs = {}
-    for mode in ("physical", "pipelined"):
+    for mode in (DEFAULT_MODE, "pipelined"):
         result = db.execute(plan, mode=mode, analyze=True)
         outputs[mode] = result.output
         print(f"  mode={mode!r}: {result.elapsed:.4f}s, "
@@ -248,7 +247,7 @@ return <hot-item> { $i1/itemno } </hot-item>
               f"{sum(result.stats['document_scans'].values())}")
         for line in analyze_to_string(plan, result).splitlines():
             print(f"    {line}")
-    assert outputs["physical"] == outputs["pipelined"]
+    assert outputs[DEFAULT_MODE] == outputs["pipelined"]
     print("  outputs are byte-identical; the pipelined run stopped each"
           " inner bid scan at the first witness.")
     print()
@@ -264,7 +263,7 @@ def show_arena_storage() -> None:
     ``walk`` run disables arena acceleration, which is the legacy
     object-graph behaviour)."""
     from repro.datagen import ITEMS_DTD, generate_items
-    from repro.engine.executor import analyze_to_string
+    from repro.engine.executor import DEFAULT_MODE, analyze_to_string
     from repro.xmldb import arena
 
     db = Database()

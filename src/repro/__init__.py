@@ -10,7 +10,7 @@ README.md for the layer diagram):
   value index — with the store's ``index_mode`` physical-design switch
   (:mod:`repro.index`);
 - NAL, the order-preserving algebra over sequences of tuples
-  (:mod:`repro.nal`), with both definitional and hash-based physical
+  (:mod:`repro.nal`), with both definitional and hash-based
   semantics (:mod:`repro.engine`);
 - the XQuery front end: parser, normalizer, translator
   (:mod:`repro.xquery`);

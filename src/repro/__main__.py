@@ -59,6 +59,7 @@ import urllib.error
 import urllib.request
 
 from repro.api import Database, compile_query
+from repro.engine.executor import DEFAULT_MODE, MODES
 from repro.errors import (
     DTDParseError,
     DuplicateDocumentError,
@@ -138,10 +139,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--analyze", action="store_true",
                         help="print the plan annotated with per-operator "
                              "invocation and row counts (EXPLAIN ANALYZE)")
-    parser.add_argument("--mode",
-                        choices=("physical", "pipelined", "vectorized",
-                                 "reference", "auto", "parallel"),
-                        default="physical",
+    parser.add_argument("--mode", choices=MODES, default=DEFAULT_MODE,
                         help="execution engine ('auto' picks pipelined, "
                              "vectorized or parallel via the cost "
                              "model; see docs/execution-modes.md)")
@@ -290,9 +288,8 @@ def build_trace_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ranking",
                         choices=("heuristic", "cost", "cost-first-tuple"),
                         default="heuristic", help="plan ranking strategy")
-    parser.add_argument("--mode",
-                        choices=("physical", "pipelined", "vectorized"),
-                        default="physical", help="execution engine")
+    parser.add_argument("--mode", choices=("pipelined", "vectorized"),
+                        default=DEFAULT_MODE, help="execution engine")
     parser.add_argument("--out", metavar="PATH",
                         help="also write Chrome trace_event JSON to PATH "
                              "(open in chrome://tracing or Perfetto)")

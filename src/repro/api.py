@@ -16,7 +16,7 @@
 
 from __future__ import annotations
 
-from repro.engine.executor import ExecutionResult, execute
+from repro.engine.executor import DEFAULT_MODE, ExecutionResult, execute
 from repro.nal.algebra import Operator
 from repro.nal.pretty import plan_to_string
 from repro.obs.metrics import MetricsRegistry
@@ -106,20 +106,15 @@ class Database:
         return self.store.snapshot()
 
     # ------------------------------------------------------------------
-    def execute(self, plan: Operator, mode: str = "physical",
+    def execute(self, plan: Operator, mode: str = DEFAULT_MODE,
                 analyze: bool = False,
                 tracer=None, metrics=None,
                 timeout: float | None = None,
                 workers: int | None = None) -> ExecutionResult:
         """Run a plan; returns rows, constructed output and scan stats.
 
-        ``mode`` is ``"physical"`` (materializing hash engine),
-        ``"pipelined"`` (generator-based engine with short-circuit
-        quantifiers), ``"vectorized"`` (batch-at-a-time engine over
-        arena columns), ``"parallel"`` (multi-process scatter/gather
-        over shared-memory arenas, see ``docs/parallelism.md``),
-        ``"auto"`` (pipelined, vectorized or parallel, picked by the
-        cost model) or ``"reference"`` (definitional semantics) — see
+        ``mode`` is one of :data:`~repro.engine.executor.MODES`
+        (default :data:`~repro.engine.executor.DEFAULT_MODE`) — see
         ``docs/execution-modes.md`` for the decision table.
         ``analyze=True`` records per-operator invocation/row counts
         keyed by tree position (EXPLAIN ANALYZE; any mode but
@@ -198,7 +193,7 @@ class CompiledQuery:
         return self.plans()[0]
 
     def run(self, label: str | None = None,
-            mode: str = "physical") -> ExecutionResult:
+            mode: str = DEFAULT_MODE) -> ExecutionResult:
         """Execute the best plan (or the one with the given label)."""
         alt = self.best() if label is None else self.plan_named(label)
         return self.db.execute(alt.plan, mode=mode)
@@ -224,7 +219,7 @@ def compile_query(text: str, db: Database,
     return CompiledQuery(text, db, ranking=ranking, tracer=tracer)
 
 
-def trace_query(text: str, db: Database, mode: str = "physical",
+def trace_query(text: str, db: Database, mode: str = DEFAULT_MODE,
                 label: str | None = None, ranking: str = "heuristic",
                 analyze: bool = False
                 ) -> tuple[RewriteResult, ExecutionResult]:

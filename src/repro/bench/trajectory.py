@@ -11,7 +11,7 @@ failing on a >20% regression.
 Timings on shared CI runners are noisy, so the gate never compares raw
 seconds across runs.  It gates on
 
-* **dimensionless speedup ratios** (scan/index, physical/pipelined,
+* **dimensionless speedup ratios** (scan/index, vectorized/pipelined,
   walk/arena, forced/elided) — both legs of a ratio ride the same
   machine, so the ratio is machine-independent, and
 * **deterministic counters** (node visits, index probes) — the
@@ -49,9 +49,7 @@ GATE_RULES: dict[str, dict[str, str]] = {
     "q9_storage": {"speedup": "higher",
                    "arena_node_visits": "lower"},
     "q10_order": {"speedup": "higher"},
-    # q11's gated speedup is pure-python vectorized vs pipelined
-    # (numpy-kernel speedup rides along ungated as ``speedup_numpy`` —
-    # not every runner has numpy).
+    # q11's gated speedup is vectorized vs pipelined
     "q11_vectorized": {"speedup": "higher"},
     # q12 gates the serving path: prepared (plan-cache warm) vs cold
     # per-request optimization, result-cache hits vs prepared

@@ -23,59 +23,20 @@ Invariants (relied on throughout the vectorized engine):
   the request-scoped :class:`BatchBuffers` pool on the
   :class:`~repro.engine.context.EvalContext`, so concurrent executions
   never contend for them.
-- **numpy is optional.**  The numeric comparison kernel uses numpy when
-  it is importable *and* enabled (:func:`use_numpy`,
-  :func:`numpy_enabled`); the pure-python loop is always available and
-  produces identical results.  Nothing outside this module imports
-  numpy.
 """
 
 from __future__ import annotations
 
 from array import array
-from contextlib import contextmanager
 from typing import Any, Iterator
 
 from repro.nal.values import Tup, general_compare, iter_items
 from repro.xmldb.node import Node, NodeSequence
 
-try:  # pragma: no cover - exercised via both branches in CI matrices
-    import numpy as _numpy
-except ImportError:  # pragma: no cover
-    _numpy = None
-
-#: module switch: numpy kernels are used only when available *and* enabled
-_NUMPY_ENABLED = True
-
-#: ints beyond 2**53 lose exactness as float64 — those columns take the
-#: pure-python comparison loop, which keeps exact int arithmetic
+#: ints beyond 2**53 are not exactly representable as floats; columns
+#: holding them stay out of the numeric lane and take the general
+#: comparison loop
 _EXACT_INT_LIMIT = 2 ** 53
-
-
-def numpy_available() -> bool:
-    """True when the optional numpy dependency is importable."""
-    return _numpy is not None
-
-
-def numpy_enabled() -> bool:
-    """True when numeric kernels will actually use numpy."""
-    return _NUMPY_ENABLED and _numpy is not None
-
-
-@contextmanager
-def use_numpy(enabled: bool) -> Iterator[None]:
-    """Force the numpy fast path on or off for the dynamic extent.
-
-    ``use_numpy(False)`` is how the differential tests and the benchmark
-    exercise the pure-python fallback even when numpy is installed.
-    """
-    global _NUMPY_ENABLED
-    previous = _NUMPY_ENABLED
-    _NUMPY_ENABLED = enabled
-    try:
-        yield
-    finally:
-        _NUMPY_ENABLED = previous
 
 
 def selection_vector(indices: Iterator[int] | list[int]) -> array:
@@ -325,14 +286,14 @@ def compare_columns(left: list, op: str, right: list) -> list[bool]:
 
     Semantically identical to calling
     :func:`~repro.nal.values.general_compare` per row; numeric columns
-    take a tight loop (numpy when enabled) instead.
+    take a tight loop instead.
     """
     left_nums = numeric_column(left)
     right_nums = None if left_nums is None else numeric_column(right)
     if left_nums is not None and right_nums is not None:
-        if numpy_enabled():
-            return _numpy_mask(left_nums, op, right_nums)
-        return _python_mask(left_nums, op, right_nums)
+        compare = _PY_OPS[op]
+        return [False if l is None or r is None else compare(l, r)
+                for l, r in zip(left_nums, right_nums)]
     return [general_compare(l, op, r) for l, r in zip(left, right)]
 
 
@@ -344,23 +305,3 @@ _PY_OPS = {
     ">": lambda a, b: a > b,
     ">=": lambda a, b: a >= b,
 }
-
-
-def _python_mask(left: list, op: str, right: list) -> list[bool]:
-    compare = _PY_OPS[op]
-    return [False if l is None or r is None else compare(l, r)
-            for l, r in zip(left, right)]
-
-
-def _numpy_mask(left: list, op: str, right: list) -> list[bool]:
-    np = _numpy
-    nan = float("nan")
-    l_arr = np.array([nan if v is None else v for v in left],
-                     dtype=np.float64)
-    r_arr = np.array([nan if v is None else v for v in right],
-                     dtype=np.float64)
-    valid = ~(np.array([v is None for v in left])
-              | np.array([v is None for v in right]))
-    with _numpy.errstate(invalid="ignore"):
-        mask = _PY_OPS[op](l_arr, r_arr) & valid
-    return mask.tolist()

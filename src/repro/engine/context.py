@@ -1,4 +1,4 @@
-"""Evaluation context shared by the reference, physical, pipelined and
+"""Evaluation context shared by the reference, pipelined and
 vectorized evaluators.
 
 Invariant: an :class:`EvalContext` is **request-scoped** — one instance
@@ -31,8 +31,7 @@ class EvalContext:
       :func:`~repro.engine.executor.execute` passes a fresh
       request-scoped :class:`~repro.xmldb.document.ScanStats` so two
       interleaved executions cannot cross-contaminate counters; the
-      store's shared instance is only a process-wide cumulative tally
-      (and the explicit opt-in target of ``reset_stats=False``).
+      store's shared instance is only a process-wide cumulative tally.
     - ``tracer`` — a :class:`~repro.obs.trace.Tracer` or ``None``; when
       set, the engines open one span per operator invocation.
     - ``metrics`` — a :class:`~repro.obs.metrics.MetricsRegistry` or
@@ -45,7 +44,7 @@ class EvalContext:
     - ``deadline`` — an absolute :func:`time.monotonic` instant (or
       ``None``) past which the engines abandon the execution with
       :class:`~repro.errors.DeadlineExceededError`.  Checks are
-      *cooperative*: the physical/vectorized engines test it once per
+      *cooperative*: the vectorized engine tests it once per
       operator invocation, the pipelined engine per pulled tuple —
       when no deadline is set the cost is one attribute test, matching
       the tracer/metrics hook discipline.
@@ -67,8 +66,8 @@ class EvalContext:
         self.deadline_budget = deadline_budget
         self.batch_buffers = BatchBuffers()
         self._output: list[str] = []
-        #: when not None, the physical/pipelined/vectorized engines
-        #: record per-operator (invocations, output rows) keyed by tree
+        #: when not None, the pipelined/vectorized engines record
+        #: per-operator (invocations, output rows) keyed by tree
         #: position (the pre-order path of child indices from the plan
         #: root) — the data behind EXPLAIN ANALYZE (see
         #: executor.execute(analyze=True))

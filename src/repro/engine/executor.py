@@ -6,7 +6,7 @@ from __future__ import annotations
 import time
 
 from repro.engine.context import EvalContext
-from repro.engine.physical import ROOT_PATH, run_physical
+from repro.engine.kernels import ROOT_PATH
 from repro.engine.pipeline import run_pipelined
 from repro.engine.vectorized import run_vectorized
 from repro.errors import UnsupportedModeError
@@ -17,8 +17,14 @@ from repro.xmldb.document import DocumentStore, ScanStats
 #: execution modes accepted by :func:`execute` (``"auto"`` resolves to
 #: pipelined or vectorized — or parallel, when workers are enabled and
 #: the cost model's startup-vs-speedup estimate favors it)
-MODES = ("physical", "pipelined", "vectorized", "reference", "auto",
-         "parallel")
+MODES = ("pipelined", "vectorized", "reference", "auto", "parallel")
+
+#: the mode every entry point runs when none is named (``execute``,
+#: ``Database.execute``, ``CompiledQuery.run``, ``trace_query``,
+#: ``Session``, the CLIs, the server): the engine the latency ledger
+#: measured fastest or tied on every workload.  Not ``"auto"``, which
+#: re-estimates cost on every uncached request.
+DEFAULT_MODE = "vectorized"
 
 
 def resolve_workers(workers: int | None,
@@ -39,7 +45,9 @@ def resolve_workers(workers: int | None,
         try:
             return max(1, int(env))
         except ValueError:
-            pass
+            raise UnsupportedModeError(
+                f"{WORKERS_ENV}={env!r} is not a worker count: expected "
+                "an integer") from None
     return DEFAULT_WORKERS if explicit_parallel else None
 
 
@@ -86,8 +94,7 @@ class ExecutionResult:
 
 
 def execute(plan: Operator, store: DocumentStore,
-            mode: str = "physical",
-            reset_stats: bool = True,
+            mode: str = DEFAULT_MODE,
             analyze: bool = False,
             tracer=None, metrics=None,
             timeout: float | None = None,
@@ -100,15 +107,16 @@ def execute(plan: Operator, store: DocumentStore,
     this query keeps reading the versions it pinned (MVCC snapshot
     isolation — see ``docs/updates.md``).
 
-    ``mode="physical"`` uses the hash-based engine (the default; what the
-    benchmarks measure); ``mode="pipelined"`` uses the generator-based
-    engine of :mod:`repro.engine.pipeline` — same algorithms, but
-    operators yield tuples on demand and quantifier subscripts stop at
-    the first witness; ``mode="vectorized"`` uses the batch-at-a-time
-    engine of :mod:`repro.engine.vectorized` — columns move through
-    operators as flat arrays with selection-vector passes over the
-    arena; ``mode="auto"`` resolves to pipelined or vectorized via the
-    cost model's per-batch/per-tuple split
+    ``mode="vectorized"`` (:data:`DEFAULT_MODE`; what the benchmarks
+    measure) uses the batch-at-a-time engine of
+    :mod:`repro.engine.vectorized` — columns move through operators as
+    flat arrays with selection-vector passes over the arena, joins and
+    groupings run the hash kernels of :mod:`repro.engine.kernels`;
+    ``mode="pipelined"`` uses the generator-based engine of
+    :mod:`repro.engine.pipeline` — same kernels, but operators yield
+    tuples on demand and quantifier subscripts stop at the first
+    witness; ``mode="auto"`` resolves to pipelined, vectorized or
+    parallel via the cost model
     (:func:`repro.optimizer.cost.preferred_mode`); ``mode="reference"``
     uses the definitional semantics (useful for differential testing).
     See ``docs/execution-modes.md`` for the full decision table.
@@ -123,13 +131,11 @@ def execute(plan: Operator, store: DocumentStore,
     fresh :class:`~repro.xmldb.document.ScanStats`, so interleaved
     executions against one store cannot cross-contaminate counters.
     The store's shared ``stats`` keeps a cumulative process-wide tally
-    (each request is absorbed into it on completion);
-    ``reset_stats=False`` opts into recording *directly* against those
-    shared counters, accumulating across calls.
+    (each request is absorbed into it on completion).
 
     ``tracer`` (a :class:`~repro.obs.trace.Tracer`) records an
     ``execute[mode]`` span plus one nested span per operator
-    invocation in the physical/pipelined engines; ``metrics`` (a
+    invocation in the vectorized/pipelined engines; ``metrics`` (a
     :class:`~repro.obs.metrics.MetricsRegistry`) collects per-operator
     rows/time and the scan statistics as counters.  Both default to
     off and cost nothing when absent.
@@ -158,14 +164,14 @@ def execute(plan: Operator, store: DocumentStore,
             "analyze=True is not supported under mode='reference': the "
             "definitional evaluator has no per-operator measurement "
             "hooks, so EXPLAIN ANALYZE would silently return nothing — "
-            "use mode='physical' or mode='pipelined'")
+            "use mode='vectorized' or mode='pipelined'")
     if analyze and mode == "parallel":
         raise UnsupportedModeError(
             "analyze=True is not supported under mode='parallel': "
             "operator counts live in the worker processes and tree "
             "positions of plan fragments do not line up with the "
             "original plan — use a serial mode for EXPLAIN ANALYZE")
-    stats = ScanStats() if reset_stats else store.stats
+    stats = ScanStats()
     deadline = None if timeout is None else time.monotonic() + timeout
     ctx = EvalContext(store, stats=stats, tracer=tracer, metrics=metrics,
                       deadline=deadline, deadline_budget=timeout)
@@ -176,9 +182,7 @@ def execute(plan: Operator, store: DocumentStore,
     span = None if tracer is None \
         else tracer.begin(f"execute[{mode}]", "lifecycle", mode=mode)
     start = time.perf_counter()
-    if mode == "physical":
-        rows = run_physical(plan, ctx)
-    elif mode == "parallel":
+    if mode == "parallel":
         from repro.engine.parallel import run_parallel
         rows = run_parallel(plan, ctx, workers or 2)
     elif mode == "pipelined":
@@ -190,11 +194,10 @@ def execute(plan: Operator, store: DocumentStore,
     elapsed = time.perf_counter() - start
     if span is not None:
         span.finish()
-    if stats is not store.stats:
-        # Keep the shared counters meaningful as a process-wide total
-        # without ever reading them for a result (serialized against
-        # concurrent request completions by the store lock).
-        store.absorb_stats(stats)
+    # Keep the shared counters meaningful as a process-wide total
+    # without ever reading them for a result (serialized against
+    # concurrent request completions by the store lock).
+    store.absorb_stats(stats)
     if metrics is not None:
         _scan_stats_to_metrics(stats, metrics)
         metrics.gauge("execution.rows").set(len(rows))

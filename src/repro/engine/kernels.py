@@ -1,0 +1,296 @@
+"""Row kernels shared by the pipelined and vectorized engines:
+hash-based, order-preserving algorithms for joins, grouping and ΠD.
+
+The reference semantics in :mod:`repro.nal` transcribe the paper's
+recursive definitions (binary operators are nested loops).  These are
+the algorithms a real system would run — the paper's Natix executes
+unnested plans with a Grace hash join plus an order-restoring sort; we
+use the equivalent *order-preserving hash join* (build a hash table on
+the right input, probe in left order, emit matches in right order),
+which produces exactly the left-major sequence the join definition
+σ_p(e1 × e2) prescribes, in O(|e1| + |e2| + |output|).
+
+Hash probes are NULL-guarded: ``compare_atomic`` makes NULL equal to
+nothing (itself included), while ``canonical_key(NULL)`` necessarily
+hashes all NULLs together, so a key tuple containing NULL must neither
+probe nor be probed (see :func:`_probe_key`).
+
+Every function here takes materialized rows and returns materialized
+rows; which operator evaluates its children how is the engines'
+business (:mod:`repro.engine.vectorized` calls the ``*_rows`` kernels
+whole, :mod:`repro.engine.pipeline` streams its joins over the same
+``_hash_buckets``/``_probe_key`` and calls the grouping kernels, which
+block in any engine).  Keeping them in one place is what stops the
+engines diverging on the hard semantics — NULL join keys, boolean
+coercion, mixed-type keys.
+
+Crucially, *nested algebraic expressions cannot be helped by this layer*:
+a χ or σ whose subscript contains a :class:`~repro.nal.scalar.NestedPlan`
+or quantifier re-evaluates the inner plan once per outer tuple no matter
+how clever the outer operators are.  That asymmetry — unavoidable
+quadratic work for nested plans, linear work after unnesting — is the
+paper's experimental story.
+"""
+
+from __future__ import annotations
+
+from typing import Any
+
+from repro.nal.algebra import scalar_env
+from repro.nal.group_ops import GroupBinary, GroupUnary, SelfGroup
+from repro.nal.join_ops import Join, OuterJoin
+from repro.nal.scalar import AttrRef, Comparison, ScalarExpr, conjuncts
+from repro.nal.unary_ops import DistinctProject
+from repro.nal.values import (
+    NULL,
+    Tup,
+    canonical_key,
+    compare_atomic,
+    effective_boolean,
+    null_tuple,
+)
+
+#: the tree position of a plan's root operator: EXPLAIN ANALYZE counts,
+#: spans and metrics key every operator by its pre-order path of child
+#: indices from the root (``(0, 1)`` is the second child of the first
+#: child), so an operator instance shared between two positions of a
+#: rewritten tree reports each position separately
+ROOT_PATH: tuple[int, ...] = ()
+
+
+# ----------------------------------------------------------------------
+# Equi-join detection
+# ----------------------------------------------------------------------
+def split_equi_conjuncts(pred: ScalarExpr, left_attrs: frozenset[str],
+                         right_attrs: frozenset[str]
+                         ) -> tuple[list[tuple[str, str]],
+                                    list[ScalarExpr]]:
+    """Split a join predicate into hashable equality pairs
+    ``(left_attr, right_attr)`` and residual conjuncts."""
+    pairs: list[tuple[str, str]] = []
+    residual: list[ScalarExpr] = []
+    for conjunct in conjuncts(pred):
+        pair = _as_equi_pair(conjunct, left_attrs, right_attrs)
+        if pair is not None:
+            pairs.append(pair)
+        else:
+            residual.append(conjunct)
+    return pairs, residual
+
+
+def _as_equi_pair(conjunct: ScalarExpr, left_attrs: frozenset[str],
+                  right_attrs: frozenset[str]) -> tuple[str, str] | None:
+    if not isinstance(conjunct, Comparison) or conjunct.op != "=":
+        return None
+    left, right = conjunct.left, conjunct.right
+    if isinstance(left, AttrRef) and isinstance(right, AttrRef):
+        if left.name in left_attrs and right.name in right_attrs:
+            return (left.name, right.name)
+        if right.name in left_attrs and left.name in right_attrs:
+            return (right.name, left.name)
+    return None
+
+
+_NULL_KEY = canonical_key(NULL)
+
+
+def _probe_key(row: Tup, attrs: list[str]) -> tuple | None:
+    """The hash key of ``row`` over ``attrs``, or None when any component
+    is NULL — NULL equals nothing under ``compare_atomic``, so NULL keys
+    must neither enter the hash table nor probe it."""
+    key = tuple(canonical_key(row[a]) for a in attrs)
+    return None if _NULL_KEY in key else key
+
+
+def _hash_buckets(rows: list[Tup], attrs: list[str]
+                  ) -> dict[tuple, list[Tup]]:
+    buckets: dict[tuple, list[Tup]] = {}
+    for row in rows:
+        key = _probe_key(row, attrs)
+        if key is not None:
+            buckets.setdefault(key, []).append(row)
+    return buckets
+
+
+def _residual_ok(residual: list[ScalarExpr], combined: Tup, env: Tup,
+                 ctx) -> bool:
+    bound = scalar_env(env, combined)
+    return all(effective_boolean(r.evaluate(bound, ctx))
+               for r in residual)
+
+
+# ----------------------------------------------------------------------
+# Duplicate elimination
+# ----------------------------------------------------------------------
+def distinct_rows(plan: DistinctProject, rows: list[Tup]) -> list[Tup]:
+    """One-pass ΠD over materialized rows."""
+    seen: set = set()
+    result: list[Tup] = []
+    for t in rows:
+        projected = t.project(plan.attributes)
+        key = tuple(canonical_key(projected[a]) for a in plan.attributes)
+        if key not in seen:
+            seen.add(key)
+            if plan.renaming:
+                projected = projected.rename(plan.renaming)
+            result.append(projected)
+    return result
+
+
+# ----------------------------------------------------------------------
+# Hash-based joins
+# ----------------------------------------------------------------------
+def join_rows(plan: Join, left_rows: list[Tup], right_rows: list[Tup],
+              env: Tup, ctx) -> list[Tup]:
+    """Order-preserving hash join over materialized rows."""
+    pairs, residual = split_equi_conjuncts(
+        plan.pred, plan.left.attrs(), plan.right.attrs())
+    result = []
+    if pairs:
+        left_keys = [p[0] for p in pairs]
+        right_keys = [p[1] for p in pairs]
+        buckets = _hash_buckets(right_rows, right_keys)
+        for l in left_rows:
+            key = _probe_key(l, left_keys)
+            if key is None:
+                continue
+            for r in buckets.get(key, ()):
+                combined = l.concat(r)
+                if _residual_ok(residual, combined, env, ctx):
+                    result.append(combined)
+    else:
+        for l in left_rows:
+            for r in right_rows:
+                combined = l.concat(r)
+                if _residual_ok([plan.pred], combined, env, ctx):
+                    result.append(combined)
+    return result
+
+
+def semi_anti_rows(plan, left_rows: list[Tup], right_rows: list[Tup],
+                   env: Tup, ctx, keep_matched: bool) -> list[Tup]:
+    """Hash semi/anti join over materialized rows."""
+    pairs, residual = split_equi_conjuncts(
+        plan.pred, plan.left.attrs(), plan.right.attrs())
+    result = []
+    if pairs:
+        left_keys = [p[0] for p in pairs]
+        right_keys = [p[1] for p in pairs]
+        buckets = _hash_buckets(right_rows, right_keys)
+        for l in left_rows:
+            key = _probe_key(l, left_keys)
+            matched = key is not None and any(
+                _residual_ok(residual, l.concat(r), env, ctx)
+                for r in buckets.get(key, ()))
+            if matched == keep_matched:
+                result.append(l)
+    else:
+        for l in left_rows:
+            matched = any(
+                _residual_ok([plan.pred], l.concat(r), env, ctx)
+                for r in right_rows)
+            if matched == keep_matched:
+                result.append(l)
+    return result
+
+
+def outer_join_rows(plan: OuterJoin, left_rows: list[Tup],
+                    right_rows: list[Tup], env: Tup, ctx) -> list[Tup]:
+    """Order-preserving hash outer join over materialized rows."""
+    pairs, residual = split_equi_conjuncts(
+        plan.pred, plan.left.attrs(), plan.right.attrs())
+    pad_attrs = [a for a in plan.right.attrs() if a != plan.group_attr]
+    result = []
+    if pairs:
+        left_keys = [p[0] for p in pairs]
+        right_keys = [p[1] for p in pairs]
+        buckets = _hash_buckets(right_rows, right_keys)
+
+        def candidates(l: Tup) -> list[Tup]:
+            key = _probe_key(l, left_keys)
+            return buckets.get(key, []) if key is not None else []
+    else:
+        residual = [plan.pred]
+
+        def candidates(l: Tup) -> list[Tup]:
+            return right_rows
+
+    for l in left_rows:
+        matched = False
+        for r in candidates(l):
+            combined = l.concat(r)
+            if _residual_ok(residual, combined, env, ctx):
+                result.append(combined)
+                matched = True
+        if not matched:
+            default_value = plan.default.evaluate(scalar_env(env, l), ctx)
+            result.append(l.concat(null_tuple(pad_attrs))
+                           .extend(plan.group_attr, default_value))
+    return result
+
+
+# ----------------------------------------------------------------------
+# Hash-based grouping (inherently blocking in every engine)
+# ----------------------------------------------------------------------
+def group_unary_rows(plan: GroupUnary, rows: list[Tup], env: Tup,
+                     ctx) -> list[Tup]:
+    """Hash implementation of the unary Γ over materialized rows."""
+    if plan.theta == "=":
+        order: list[tuple] = []
+        keys: dict[tuple, Tup] = {}
+        groups: dict[tuple, list[Tup]] = {}
+        for row in rows:
+            key = tuple(canonical_key(row[a]) for a in plan.by_attrs)
+            if key not in groups:
+                order.append(key)
+                keys[key] = row.project(plan.by_attrs)
+                groups[key] = []
+            groups[key].append(row)
+        # A NULL key still appears in the output (distinctness uses
+        # canonical keys) but its group is empty: NULL = NULL is false.
+        return [keys[k].extend(
+                    plan.group_attr,
+                    plan.agg.apply(
+                        groups[k] if _NULL_KEY not in k else [],
+                        env, ctx))
+                for k in order]
+    # General θ: one pass for distinct keys, then a filter per key.
+    return plan.evaluate_rows(rows, env, ctx)
+
+
+def group_binary_rows(plan: GroupBinary, left_rows: list[Tup],
+                      right_rows: list[Tup], env: Tup, ctx) -> list[Tup]:
+    """Hash implementation of the binary Γ (nest-join)."""
+    if plan.theta == "=":
+        buckets = _hash_buckets(right_rows, list(plan.right_attrs))
+        result = []
+        for l in left_rows:
+            key = _probe_key(l, list(plan.left_attrs))
+            group = buckets.get(key, []) if key is not None else []
+            result.append(l.extend(plan.group_attr,
+                                   plan.agg.apply(group, env, ctx)))
+        return result
+    result = []
+    for l in left_rows:
+        group = [r for r in right_rows
+                 if all(compare_atomic(l[a], plan.theta, r[b])
+                        for a, b in zip(plan.left_attrs,
+                                        plan.right_attrs))]
+        result.append(l.extend(plan.group_attr,
+                               plan.agg.apply(group, env, ctx)))
+    return result
+
+
+def self_group_rows(plan: SelfGroup, rows: list[Tup], env: Tup,
+                    ctx) -> list[Tup]:
+    """One-pass ΓSelf (key → aggregate over the same input)."""
+    groups: dict[tuple, list[Tup]] = {}
+    for row in rows:
+        key = tuple(canonical_key(row[a]) for a in plan.key_attrs)
+        groups.setdefault(key, []).append(row)
+    values: dict[tuple, Any] = {
+        key: plan.agg.apply(group, env, ctx)
+        for key, group in groups.items()}
+    return [row.extend(plan.group_attr, values[tuple(
+        canonical_key(row[a]) for a in plan.key_attrs)])
+        for row in rows]

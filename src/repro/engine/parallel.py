@@ -53,6 +53,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from repro.engine.vectorized import run_vectorized
 from repro.errors import ParallelExecutionError
 from repro.nal.algebra import Operator, scalar_env
 from repro.nal.construct import Construct, GroupConstruct, \
@@ -309,19 +310,10 @@ def _replace_driver(pp: ParallelPlan, new_driver: Operator) -> Operator:
 # ----------------------------------------------------------------------
 def _worker_main(conn) -> None:  # pragma: no cover - runs in children
     """Worker loop: attach shared-memory documents, execute pickled
-    plan fragments, reply with encoded rows + scan statistics.
-
-    Each fragment runs under the serial engine named in its task
-    payload — chosen by the parent's cost split (vectorized when the
-    batched estimate wins, tuple-at-a-time otherwise), the same choice
-    ``mode="auto"`` would make, and the engine
-    :func:`~repro.optimizer.cost.parallel_total` assumes when it
-    divides the *best serial* total across the pool.  The parent
-    decides because its cost statistics are warm; re-estimating per
-    task in here would dwarf the fragment's own runtime."""
+    plan fragments (under the vectorized engine — fragments are scan
+    spines, its columnar fast path), reply with encoded rows + scan
+    statistics."""
     from repro.engine.context import EvalContext
-    from repro.engine.physical import run_physical
-    from repro.engine.vectorized import run_vectorized
     from repro.xmldb.document import DocumentStore, ScanStats
     from repro.xmldb.shm import attach_document
 
@@ -351,10 +343,7 @@ def _worker_main(conn) -> None:  # pragma: no cover - runs in children
                 plan = pickle.loads(payload["plan"])
                 stats = ScanStats()
                 ctx = EvalContext(store, stats=stats)
-                if payload.get("mode") == "vectorized":
-                    rows = run_vectorized(plan, ctx)
-                else:
-                    rows = run_physical(plan, ctx)
+                rows = run_vectorized(plan, ctx)
                 conn.send(("ok", ([encode_value(row) for row in rows],
                                   stats.snapshot())))
             except BaseException as exc:  # noqa: BLE001 - marshalled
@@ -549,7 +538,6 @@ class WorkerPool:
                     worker = self.workers[index]
                     self.sync_worker(worker, task["docs"], ctx.store)
                     worker.conn.send(("task", {"plan": task["plan"],
-                                               "mode": task.get("mode"),
                                                "crash": task["crash"]}))
             except (OSError, ValueError, BrokenPipeError) as exc:
                 raise ParallelExecutionError(
@@ -613,7 +601,7 @@ atexit.register(close_pool)
 # ----------------------------------------------------------------------
 def run_parallel(plan: Operator, ctx, workers: int) -> list[Tup]:
     """Execute ``plan`` across the worker pool; falls back to the
-    serial physical engine (counting ``parallel.fallback``) when the
+    serial vectorized engine (counting ``parallel.fallback``) when the
     plan has no partitionable shape."""
     from repro.optimizer.digest import referenced_documents
     from repro.optimizer.properties import properties_of
@@ -676,16 +664,7 @@ def run_parallel(plan: Operator, ctx, workers: int) -> list[Tup]:
     except Exception:  # noqa: BLE001 - unpicklable plan state
         return _fallback(plan, ctx, "unpicklable")
 
-    # Decide the fragments' serial engine here, where the cost
-    # statistics are already warm, and ship it with each task: the
-    # fragments share one shape, and re-estimating inside every worker
-    # would cost more than running the fragment does.
-    from repro.optimizer.cost import preferred_mode
-    fragment_mode = preferred_mode(task_plans[0], ctx.store)
-    if fragment_mode != "vectorized":
-        fragment_mode = "physical"
-
-    tasks = [{"plan": blob, "docs": docs, "mode": fragment_mode,
+    tasks = [{"plan": blob, "docs": docs,
               "crash": _CRASH_TASK == index}
              for index, (blob, docs)
              in enumerate(zip(pickles, task_docs))]
@@ -735,13 +714,11 @@ def run_parallel(plan: Operator, ctx, workers: int) -> list[Tup]:
 
 
 def _fallback(plan: Operator, ctx, reason: str) -> list[Tup]:
-    from repro.engine.physical import run_physical
-
     if ctx.metrics is not None:
         ctx.metrics.counter("parallel.fallback").inc()
     with maybe_span(ctx.tracer, "parallel.fallback", "parallel",
                     reason=reason):
-        return run_physical(plan, ctx)
+        return run_vectorized(plan, ctx)
 
 
 def _deal_documents(members: list[str], workers: int,
@@ -781,9 +758,7 @@ def _range_partitions(pp: ParallelPlan, ctx, workers: int):
     """Contiguous ``(start, stop)`` slices of the driving tag's pre
     list, computed in the parent over the same frozen columns the
     workers see."""
-    from repro.engine.physical import run_physical
-
-    unit_rows = run_physical(pp.driver.children[0], ctx)
+    unit_rows = run_vectorized(pp.driver.children[0], ctx)
     if len(unit_rows) != 1:
         return None, "non-unit-context"
     env = scalar_env(EMPTY_TUPLE, unit_rows[0])

@@ -1,12 +1,12 @@
 """Pipelined (Volcano-style) evaluation: every operator yields tuples.
 
-The physical engine of :mod:`repro.engine.physical` materializes a full
-Python list at every operator, so even a perfectly unnested existential
+The vectorized engine of :mod:`repro.engine.vectorized` materializes
+every operator's whole output, so even a perfectly unnested existential
 plan pays all-tuples cost where a real engine would stop at the first
 witness.  This module is the engine the paper's cost argument actually
 assumes: operators are generators pulling from their children on demand,
 and the sequences they produce are — by construction and by differential
-test — exactly the physical (and hence the reference) sequences.
+test — exactly the vectorized (and hence the reference) sequences.
 
 What pipelining buys, beyond bounded memory:
 
@@ -30,7 +30,7 @@ Nested subscript plans that contain a Ξ (construction is a side effect
 on the output stream) are always drained, so short-circuiting never
 changes the constructed output.
 
-Differential tests assert pipelined ≡ physical ≡ reference, order
+Differential tests assert pipelined ≡ vectorized ≡ reference, order
 included, on randomized plans and documents.
 """
 
@@ -82,7 +82,7 @@ from repro.nal.values import (
     iter_items,
     null_tuple,
 )
-from repro.engine.physical import (
+from repro.engine.kernels import (
     ROOT_PATH,
     _hash_buckets,
     _probe_key,
@@ -98,8 +98,8 @@ def run_pipelined(plan: Operator, ctx, env: Tup = EMPTY_TUPLE,
                   ) -> Iterator[Tup]:
     """Iterate ``plan``'s result sequence, producing tuples on demand.
 
-    ``path`` is the operator's tree position (as in
-    :func:`~repro.engine.physical.run_physical`): when
+    ``path`` is the operator's tree position (see
+    :data:`~repro.engine.kernels.ROOT_PATH`): when
     ``ctx.analyze_counts`` is active, the operator records one
     invocation when first pulled and one row per tuple actually
     *yielded* — a short-circuited operator honestly reports the rows it
@@ -260,7 +260,7 @@ def _build_side(plan: Operator, ctx, env: Tup, path):
     returning its materialized rows; the first call drains it.  A right
     operand containing a Ξ drains immediately — its output side
     effects must not depend on whether the probe side produced tuples
-    (physical and reference mode always evaluate both operands)."""
+    (vectorized and reference mode always evaluate both operands)."""
     it = _child(plan, 1, ctx, env, path)
     rows = list(it) if contains_construct(plan.children[1]) else None
 
@@ -473,7 +473,7 @@ def _outer_join(plan: OuterJoin, ctx, env: Tup, path) -> Iterator[Tup]:
 
 
 # ----------------------------------------------------------------------
-# Grouping (blocking; shares the hash algorithms of the physical engine)
+# Grouping (blocking; the hash kernels of repro.engine.kernels)
 # ----------------------------------------------------------------------
 def _group_unary(plan: GroupUnary, ctx, env: Tup, path) -> Iterator[Tup]:
     yield from group_unary_rows(plan, list(_child(plan, 0, ctx, env,

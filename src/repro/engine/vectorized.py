@@ -1,12 +1,11 @@
 """Vectorized (batch-at-a-time) evaluation over arena columns.
 
-The third engine: where :mod:`repro.engine.physical` materializes rows
-operator-by-operator and :mod:`repro.engine.pipeline` streams them
-tuple-at-a-time through generators, this engine moves whole
-:class:`~repro.engine.batch.Batch` objects — flat parallel columns with
-``Tup`` materialization deferred to the operators that genuinely need
-rows.  The wins, MonetDB/X100 style, come from three columnar fast
-paths over the PR 3 arena:
+The materializing engine (and the default): where
+:mod:`repro.engine.pipeline` streams tuples one at a time through
+generators, this engine moves whole :class:`~repro.engine.batch.Batch`
+objects — flat parallel columns with ``Tup`` materialization deferred
+to the operators that genuinely need rows.  The wins, MonetDB/X100
+style, come from three columnar fast paths over the PR 3 arena:
 
 - **scans**: an Υ over ``$d/child//tag`` paths resolves to the arena's
   per-tag pre lists (``tag_rows`` / ``descendants_by_tag``) — one bisect
@@ -15,25 +14,25 @@ paths over the PR 3 arena:
 - **selections**: a σ whose predicate is built from comparisons over
   attributes, constants and short child/descendant paths is compiled
   into a selection-vector pass — atomized value columns extracted once,
-  compared in a tight loop (numpy when available and enabled, pure
-  python otherwise);
+  compared in a tight loop;
 - **order-by**: an :class:`~repro.nal.unary_ops.ElidedSort` whose PR 5
   sortedness certificate holds passes the *entire batch* through
   untouched — not even a row materialization.
 
-Everything else falls back to the row algorithms *shared with the
-physical engine* (``join_rows``, ``group_unary_rows``, …), so the two
-engines cannot diverge on the hard semantics (NULL join keys, boolean
-coercion, mixed-type sort keys); property-based tests assert
-``run_vectorized`` ≡ physical ≡ pipelined ≡ reference regardless.
+Everything else runs the row kernels of :mod:`repro.engine.kernels`
+(``join_rows``, ``group_unary_rows``, …) that the pipelined engine's
+hash joins and groupings are built from too, so the engines cannot
+diverge on the hard semantics (NULL join keys, boolean coercion,
+mixed-type sort keys); property-based tests assert ``run_vectorized``
+≡ pipelined ≡ reference regardless.
 
 Invariants: batches are immutable (operators derive new ones, see
 :mod:`repro.engine.batch`); selection vectors are scratch state owned by
 a single operator invocation, drawn from the request-scoped
 :class:`~repro.engine.batch.BatchBuffers` pool on the context; nested
 subscript plans (quantifiers, :class:`~repro.nal.scalar.NestedPlan`)
-evaluate through the reference semantics exactly as in the physical
-engine and are charged to their host operator.
+evaluate through the reference semantics and are charged to their
+host operator.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from repro.engine.batch import (
     compare_columns,
     selection_vector,
 )
-from repro.engine.physical import (
+from repro.engine.kernels import (
     ROOT_PATH,
     distinct_rows,
     group_unary_rows,
@@ -98,6 +97,7 @@ from repro.nal.values import (
     effective_boolean,
     iter_items,
 )
+from repro.xmldb.document import ScanStats
 from repro.xmldb.node import Node, NodeKind, NodeSequence
 from repro.xpath.ast import NameTest, Path
 
@@ -106,12 +106,15 @@ def run_vectorized(plan: Operator, ctx, env: Tup = EMPTY_TUPLE,
                    path: tuple[int, ...] = ROOT_PATH) -> list[Tup]:
     """Evaluate ``plan`` batch-at-a-time; returns materialized rows.
 
-    Mirrors :func:`~repro.engine.physical.run_physical`: the same
-    EXPLAIN ANALYZE recording keyed by tree position, the same
-    per-operator spans and ``operator.*`` metrics — plus
-    ``vectorized.<Operator>.batches`` counters and
+    When ``ctx.analyze_counts`` is a dict (EXPLAIN ANALYZE mode), each
+    operator's invocation count and total output rows are recorded in
+    it under its tree position (see
+    :data:`~repro.engine.kernels.ROOT_PATH`).  With a tracer or metrics
+    registry attached, every invocation gets a span and ``operator.*``
+    metrics — plus ``vectorized.<Operator>.batches`` counters and
     ``vectorized.<Operator>.rows_per_batch`` histograms, so a trace of
-    a vectorized run stays honest about its unit of work.
+    a vectorized run stays honest about its unit of work.  Durations
+    are inclusive of children; the span nesting attributes time.
     """
     return _run(plan, ctx, env, path).to_rows()
 
@@ -180,11 +183,19 @@ def _compile_steps(path: Path) -> list[tuple[str, str]] | None:
     return steps
 
 
-def _apply_steps(node: Node, steps: list[tuple[str, str]]
-                 ) -> list[int] | None:
+def _apply_steps(node: Node, steps: list[tuple[str, str]],
+                 stats: ScanStats) -> list[int] | None:
     """The pre rows ``steps`` select from ``node``, in document order
     and duplicate-free, or None when the walk cannot guarantee that
     cheaply (nested tags mid-path) and must fall back.
+
+    ``stats`` receives what the XPath evaluator would have recorded for
+    the same walk: one document scan when the first step leaves a
+    document root, and the arena rows read (child lists scanned,
+    descendant hits).  Callers pass a scratch :class:`ScanStats` and
+    absorb it into the request's only when their whole columnar pass
+    succeeds — a bail-out re-runs through the row interpreter, which
+    records for itself.
 
     Soundness argument: the row set is kept an *antichain* (pairwise
     disjoint subtrees) in document order.  A ``child`` step from an
@@ -202,8 +213,12 @@ def _apply_steps(node: Node, steps: list[tuple[str, str]]
     if steps and steps[0][0] == "child" and node.parent is None \
             and steps[0][1] == node.name:
         start = 1
+    if start < len(steps) and node.parent is None \
+            and arena.document is not None:
+        stats.record_scan(arena.document.name)
     rows = [node.pre]
     antichain = True
+    visits = 0
     for axis, name in steps[start:]:
         if not antichain:
             return None
@@ -215,22 +230,24 @@ def _apply_steps(node: Node, steps: list[tuple[str, str]]
                 for r in rows:
                     hits.extend(arena.descendants_by_tag(r, name))
                 rows = hits
+            visits += len(rows)
             antichain = arena.tag_is_flat(name)
         else:
             name_id = arena._name_to_id.get(name)
-            if name_id is None:
-                return []
             name_ids, kinds = arena.name_ids, arena.kinds
             child_lists = arena.child_lists
             element = NodeKind.ELEMENT
             hits = []
             for r in rows:
-                for c in child_lists[r]:
+                children = child_lists[r]
+                visits += len(children)
+                for c in children:
                     c_pre = c.pre
                     if name_ids[c_pre] == name_id \
                             and kinds[c_pre] is element:
                         hits.append(c_pre)
             rows = hits
+    stats.record_visits(visits)
     return rows
 
 
@@ -269,9 +286,10 @@ def _expr_column(expr, batch: Batch, env: Tup, ctx) -> list | None:
         if sources is None:
             return None
         column: list = []
+        scanned = ScanStats()
         for value in sources:
             if isinstance(value, Node):
-                rows = _apply_steps(value, steps)
+                rows = _apply_steps(value, steps, scanned)
                 if rows is None:
                     return None
                 handles = value.arena.nodes
@@ -280,6 +298,7 @@ def _expr_column(expr, batch: Batch, env: Tup, ctx) -> list | None:
                 column.append(NodeSequence())
             else:
                 return None
+        ctx.stats.absorb(scanned)
         return column
     if isinstance(expr, FuncCall):
         columns = []
@@ -415,6 +434,8 @@ def _fused_select_map(plan: Select, fusion, batch: Batch, env: Tup,
     num_append, val_append = nums.append, vals.append
     arena_state: dict[int, tuple] = {}
     element, text_kind = NodeKind.ELEMENT, NodeKind.TEXT
+    scanned = ScanStats()
+    visits = 0
     for value in sources:
         if value is NULL:
             num_append(None)
@@ -442,14 +463,16 @@ def _fused_select_map(plan: Select, fusion, batch: Batch, env: Tup,
                 val_append(NULL)
                 continue
             pre = -1
-            for c in child_lists[value.pre]:
+            children = child_lists[value.pre]
+            visits += len(children)
+            for c in children:
                 c_pre = c.pre
                 if name_ids[c_pre] == name_id and kinds[c_pre] is element:
                     if pre >= 0:  # >1 item: zero-or-one would raise
                         return None
                     pre = c_pre
         else:
-            rows = _apply_steps(value, steps)
+            rows = _apply_steps(value, steps, scanned)
             if rows is None or len(rows) > 1:
                 return None
             pre = rows[0] if rows else -1
@@ -468,6 +491,8 @@ def _fused_select_map(plan: Select, fusion, batch: Batch, env: Tup,
         except ValueError:
             return None
         val_append(handles[pre])
+    scanned.record_visits(visits)
+    ctx.stats.absorb(scanned)
     compare = _PY_OPS[op]
     buffers = ctx.batch_buffers
     scratch = buffers.acquire()
@@ -585,17 +610,19 @@ def _unnest_map_fast(plan: UnnestMap, batch: Batch, env: Tup,
         return None
     indices: list[int] = []
     nodes: list[Node] = []
+    scanned = ScanStats()
     for i, value in enumerate(sources):
         if value is NULL:
             continue
         if not isinstance(value, Node):
             return None
-        rows = _apply_steps(value, steps)
+        rows = _apply_steps(value, steps, scanned)
         if rows is None:
             return None
         handles = value.arena.nodes
         indices.extend([i] * len(rows))
         nodes.extend(handles[r] for r in rows)
+    ctx.stats.absorb(scanned)
     return batch.replicate(indices, plan.attr, nodes)
 
 
@@ -613,6 +640,7 @@ def _unnest_map_partitioned(plan: UnnestMap, batch: Batch, env: Tup,
         return None
     indices: list[int] = []
     nodes: list[Node] = []
+    scanned = ScanStats()
     for i, t in enumerate(batch.to_rows()):
         context, eff_path = expr.context_node(scalar_env(env, t), ctx)
         arena = context.arena
@@ -622,20 +650,20 @@ def _unnest_map_partitioned(plan: UnnestMap, batch: Batch, env: Tup,
         rows = arena.descendants_by_tag(context.pre,
                                         first.test.name)
         rows = rows[expr.start:expr.stop]
-        if ctx.stats is not None:
-            ctx.stats.record_scan(arena.document.name)
-            ctx.stats.record_visits(len(rows))
+        scanned.record_scan(arena.document.name)
+        scanned.record_visits(len(rows))
         handles = arena.nodes
         if not rest:
             indices.extend([i] * len(rows))
             nodes.extend(handles[r] for r in rows)
             continue
         for r in rows:
-            hits = _apply_steps(handles[r], rest)
+            hits = _apply_steps(handles[r], rest, scanned)
             if hits is None:
                 return None
             indices.extend([i] * len(hits))
             nodes.extend(handles[h] for h in hits)
+    ctx.stats.absorb(scanned)
     return batch.replicate(indices, plan.attr, nodes)
 
 

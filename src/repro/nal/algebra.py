@@ -10,7 +10,7 @@ knows:
 - ``evaluate(ctx, env)`` — *reference semantics*: a direct transcription of
   the paper's recursive operator definitions.  The reference semantics are
   deliberately naive (binary operators are nested loops); the efficient
-  hash-based implementations live in :mod:`repro.engine.physical`, and
+  hash-based implementations live in :mod:`repro.engine.kernels`, and
   property tests assert both agree.
 
 Operators compare structurally (type, parameters, children), which the
@@ -73,18 +73,6 @@ class Operator:
         nested inside another operator's subscript.
         """
         raise NotImplementedError
-
-    def iterate(self, ctx, env: Tup = EMPTY_TUPLE):
-        """Produce the same sequence as :meth:`evaluate`, one tuple at a
-        time.  Non-blocking operators override this with a generator
-        that pulls from their children on demand; the default
-        materializes (correct for any operator, lazy for none).  The
-        hash-based pipelined engine lives in
-        :mod:`repro.engine.pipeline`; this is its definitional
-        counterpart, and differential tests assert both agree with
-        ``evaluate``.
-        """
-        return iter(self.evaluate(ctx, env))
 
     # ------------------------------------------------------------------
     # Structural equality / traversal

@@ -97,10 +97,9 @@ def render_value(value: Any) -> str:
 def contains_construct(plan: Operator) -> bool:
     """Whether ``plan`` — including nested plans inside operator
     subscripts — contains a Ξ, whose evaluation writes to the output
-    stream as a side effect.  Lazy evaluators (the pipelined engine,
-    the ``iterate`` streams) use this to force such operands to run to
-    completion: short-circuiting or skipping them would silently drop
-    constructed output."""
+    stream as a side effect.  The pipelined engine uses this to force
+    such operands to run to completion: short-circuiting or skipping
+    them would silently drop constructed output."""
     from repro.nal.pretty import _nested_plans
     for op in plan.walk():
         if isinstance(op, (Construct, GroupConstruct)):
@@ -142,13 +141,6 @@ class Construct(Operator):
             for command in self.commands:
                 command.emit(bound, ctx)
         return rows
-
-    def iterate(self, ctx, env: Tup = EMPTY_TUPLE):
-        for row in self.child.iterate(ctx, env):
-            bound = scalar_env(env, row)
-            for command in self.commands:
-                command.emit(bound, ctx)
-            yield row
 
     def label(self) -> str:
         return f"Ξ[{'; '.join(repr(c) for c in self.commands)}]"
@@ -192,12 +184,9 @@ class GroupConstruct(Operator):
     def evaluate(self, ctx, env: Tup = EMPTY_TUPLE) -> list[Tup]:
         return self.emit_rows(self.child.evaluate(ctx, env), env, ctx)
 
-    def iterate(self, ctx, env: Tup = EMPTY_TUPLE):
-        return self.emit_rows_iter(self.child.iterate(ctx, env), env, ctx)
-
     def emit_rows(self, rows: list[Tup], env: Tup, ctx) -> list[Tup]:
         """Run the group-boundary state machine over materialized rows
-        (shared with the physical evaluator)."""
+        (shared with the vectorized evaluator)."""
         return list(self.emit_rows_iter(rows, env, ctx))
 
     def emit_rows_iter(self, rows, env: Tup, ctx):

@@ -155,8 +155,8 @@ class GroupUnary(Operator):
         return self.evaluate_rows(self.child.evaluate(ctx, env), env, ctx)
 
     def evaluate_rows(self, rows: list[Tup], env: Tup, ctx) -> list[Tup]:
-        """Group already-materialized rows (shared with the physical
-        evaluator for non-equality θ)."""
+        """Group already-materialized rows (shared with the engines'
+        grouping kernel for non-equality θ)."""
         # Distinct keys in first-occurrence order (ΠD).
         seen: set = set()
         keys: list[Tup] = []

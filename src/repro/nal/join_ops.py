@@ -44,16 +44,6 @@ class Cross(Operator):
         right_rows = self.right.evaluate(ctx, env)
         return [l.concat(r) for l in left_rows for r in right_rows]
 
-    def iterate(self, ctx, env: Tup = EMPTY_TUPLE):
-        from repro.nal.construct import contains_construct
-        right_rows = self.right.evaluate(ctx, env) \
-            if contains_construct(self.right) else None
-        for l in self.left.iterate(ctx, env):
-            if right_rows is None:
-                right_rows = self.right.evaluate(ctx, env)
-            for r in right_rows:
-                yield l.concat(r)
-
     def label(self) -> str:
         return "×"
 
@@ -85,24 +75,6 @@ class _PredicateJoin(Operator):
         return effective_boolean(
             self.pred.evaluate(scalar_env(env, combined), ctx))
 
-    def _right_rows_lazy(self, ctx, env: Tup):
-        """One-shot lazy materialization of the right operand, so a
-        streaming consumer that never pulls a left tuple never
-        evaluates the right side either.  A right operand containing a
-        Ξ evaluates immediately: its output side effects must not
-        depend on whether the left side produced tuples."""
-        from repro.nal.construct import contains_construct
-        rows = self.right.evaluate(ctx, env) \
-            if contains_construct(self.right) else None
-
-        def get() -> list[Tup]:
-            nonlocal rows
-            if rows is None:
-                rows = self.right.evaluate(ctx, env)
-            return rows
-
-        return get
-
 
 class Join(_PredicateJoin):
     """Order-preserving join: σ_p(e1 × e2)."""
@@ -127,14 +99,6 @@ class Join(_PredicateJoin):
                     result.append(combined)
         return result
 
-    def iterate(self, ctx, env: Tup = EMPTY_TUPLE):
-        right_rows = self._right_rows_lazy(ctx, env)
-        for l in self.left.iterate(ctx, env):
-            for r in right_rows():
-                combined = l.concat(r)
-                if self._match(combined, env, ctx):
-                    yield combined
-
     def label(self) -> str:
         return f"⋈[{self.pred!r}]"
 
@@ -158,13 +122,6 @@ class SemiJoin(_PredicateJoin):
                 if any(self._match(l.concat(r), env, ctx)
                        for r in right_rows)]
 
-    def iterate(self, ctx, env: Tup = EMPTY_TUPLE):
-        right_rows = self._right_rows_lazy(ctx, env)
-        for l in self.left.iterate(ctx, env):
-            if any(self._match(l.concat(r), env, ctx)
-                   for r in right_rows()):
-                yield l
-
     def label(self) -> str:
         return f"⋉[{self.pred!r}]"
 
@@ -187,13 +144,6 @@ class AntiJoin(_PredicateJoin):
         return [l for l in left_rows
                 if not any(self._match(l.concat(r), env, ctx)
                            for r in right_rows)]
-
-    def iterate(self, ctx, env: Tup = EMPTY_TUPLE):
-        right_rows = self._right_rows_lazy(ctx, env)
-        for l in self.left.iterate(ctx, env):
-            if not any(self._match(l.concat(r), env, ctx)
-                       for r in right_rows()):
-                yield l
 
     def label(self) -> str:
         return f"▷[{self.pred!r}]"
@@ -245,22 +195,6 @@ class OuterJoin(_PredicateJoin):
                     .extend(self.group_attr, default_value)
                 result.append(padded)
         return result
-
-    def iterate(self, ctx, env: Tup = EMPTY_TUPLE):
-        right_rows = self._right_rows_lazy(ctx, env)
-        pad_attrs = [a for a in self.right.attrs() if a != self.group_attr]
-        for l in self.left.iterate(ctx, env):
-            matched = False
-            for r in right_rows():
-                combined = l.concat(r)
-                if self._match(combined, env, ctx):
-                    matched = True
-                    yield combined
-            if not matched:
-                default_value = self.default.evaluate(
-                    scalar_env(env, l), ctx)
-                yield l.concat(null_tuple(pad_attrs)) \
-                    .extend(self.group_attr, default_value)
 
     def label(self) -> str:
         return f"⟕[{self.pred!r}; {self.group_attr}:{self.default!r}]"

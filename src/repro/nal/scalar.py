@@ -403,8 +403,8 @@ def iter_path_items(expr: PathApply, env: Tup, ctx):
     the document (or its arena row interval) lazily — so a
     short-circuiting consumer also stops the scan itself.  Both engines
     use this: the pipelined engine for its streaming Υ and quantifier
-    sources, the physical engine to materialize Υ output without the
-    redundant dedup/sort.
+    sources, the vectorized engine to materialize the output of an Υ
+    its columnar scan cannot take without the redundant dedup/sort.
     """
     nodes, path = _path_context(expr, env, ctx)
     step = streamable_step(nodes, path)

@@ -38,9 +38,6 @@ class Singleton(Operator):
     def evaluate(self, ctx, env: Tup = EMPTY_TUPLE) -> list[Tup]:
         return [EMPTY_TUPLE]
 
-    def iterate(self, ctx, env: Tup = EMPTY_TUPLE):
-        yield EMPTY_TUPLE
-
     def label(self) -> str:
         return "□"
 
@@ -73,9 +70,6 @@ class Table(Operator):
 
     def evaluate(self, ctx, env: Tup = EMPTY_TUPLE) -> list[Tup]:
         return list(self.rows)
-
-    def iterate(self, ctx, env: Tup = EMPTY_TUPLE):
-        return iter(self.rows)
 
     def label(self) -> str:
         return f"Table({self.name})"
@@ -111,10 +105,6 @@ class IndexScan(Operator):
         nodes = ctx.store.indexes.probe(self.probe, ctx.stats)
         return [Tup({self.attr: node}) for node in nodes]
 
-    def iterate(self, ctx, env: Tup = EMPTY_TUPLE):
-        for node in ctx.store.indexes.probe(self.probe, ctx.stats):
-            yield Tup({self.attr: node})
-
     def label(self) -> str:
         return f"IdxScan[{self.attr}:{self.probe.describe()}]"
 
@@ -147,12 +137,6 @@ class Select(Operator):
                 if effective_boolean(
                     self.pred.evaluate(scalar_env(env, t), ctx))]
 
-    def iterate(self, ctx, env: Tup = EMPTY_TUPLE):
-        for t in self.child.iterate(ctx, env):
-            if effective_boolean(self.pred.evaluate(scalar_env(env, t),
-                                                    ctx)):
-                yield t
-
     def label(self) -> str:
         return f"σ[{self.pred!r}]"
 
@@ -182,10 +166,6 @@ class Project(Operator):
         return [t.project(self.attributes)
                 for t in self.child.evaluate(ctx, env)]
 
-    def iterate(self, ctx, env: Tup = EMPTY_TUPLE):
-        for t in self.child.iterate(ctx, env):
-            yield t.project(self.attributes)
-
     def label(self) -> str:
         return f"Π[{', '.join(self.attributes)}]"
 
@@ -213,10 +193,6 @@ class ProjectAway(Operator):
     def evaluate(self, ctx, env: Tup = EMPTY_TUPLE) -> list[Tup]:
         return [t.project_away(self.attributes)
                 for t in self.child.evaluate(ctx, env)]
-
-    def iterate(self, ctx, env: Tup = EMPTY_TUPLE):
-        for t in self.child.iterate(ctx, env):
-            yield t.project_away(self.attributes)
 
     def label(self) -> str:
         return f"Π̄[{', '.join(self.attributes)}]"
@@ -246,10 +222,6 @@ class Rename(Operator):
     def evaluate(self, ctx, env: Tup = EMPTY_TUPLE) -> list[Tup]:
         return [t.rename(self.mapping)
                 for t in self.child.evaluate(ctx, env)]
-
-    def iterate(self, ctx, env: Tup = EMPTY_TUPLE):
-        for t in self.child.iterate(ctx, env):
-            yield t.rename(self.mapping)
 
     def label(self) -> str:
         inner = ", ".join(f"{v}:{k}" for k, v in self.mapping.items())
@@ -283,11 +255,9 @@ class DistinctProject(Operator):
         return DistinctProject(children[0], self.attributes, self.renaming)
 
     def evaluate(self, ctx, env: Tup = EMPTY_TUPLE) -> list[Tup]:
-        return list(self.iterate(ctx, env))
-
-    def iterate(self, ctx, env: Tup = EMPTY_TUPLE):
         seen: set = set()
-        for t in self.child.iterate(ctx, env):
+        result: list[Tup] = []
+        for t in self.child.evaluate(ctx, env):
             projected = t.project(self.attributes)
             key = tuple(canonical_key(projected[a])
                         for a in self.attributes)
@@ -295,7 +265,8 @@ class DistinctProject(Operator):
                 seen.add(key)
                 if self.renaming:
                     projected = projected.rename(self.renaming)
-                yield projected
+                result.append(projected)
+        return result
 
     def label(self) -> str:
         if self.renaming:
@@ -346,11 +317,6 @@ class Map(Operator):
             result.append(t.extend(self.attr, value))
         return result
 
-    def iterate(self, ctx, env: Tup = EMPTY_TUPLE):
-        for t in self.child.iterate(ctx, env):
-            yield t.extend(self.attr,
-                           self.expr.evaluate(scalar_env(env, t), ctx))
-
     def label(self) -> str:
         return f"χ[{self.attr}:{self.expr!r}]"
 
@@ -392,12 +358,6 @@ class UnnestMap(Operator):
             for item in items:
                 result.append(t.extend(self.attr, bind_item(item)))
         return result
-
-    def iterate(self, ctx, env: Tup = EMPTY_TUPLE):
-        for t in self.child.iterate(ctx, env):
-            for item in iter_items(self.expr.evaluate(scalar_env(env, t),
-                                                      ctx)):
-                yield t.extend(self.attr, bind_item(item))
 
     def label(self) -> str:
         return f"Υ[{self.attr}:{self.expr!r}]"
@@ -442,13 +402,9 @@ class Unnest(Operator):
     def evaluate(self, ctx, env: Tup = EMPTY_TUPLE) -> list[Tup]:
         return self.evaluate_rows(self.child.evaluate(ctx, env))
 
-    def iterate(self, ctx, env: Tup = EMPTY_TUPLE):
-        for t in self.child.iterate(ctx, env):
-            yield from self.evaluate_rows([t])
-
     def evaluate_rows(self, rows: list[Tup]) -> list[Tup]:
         """Unnest already-materialized input rows (shared with the
-        physical evaluator — the operator is a single pass either way)."""
+        engines — the operator is a single pass either way)."""
         result: list[Tup] = []
         for t in rows:
             rest = t.project_away([self.attr])
@@ -527,8 +483,8 @@ class Sort(Operator):
         return Sort(children[0], self.attributes, self.descending)
 
     def sort_tuple(self, t: Tup) -> tuple:
-        """The comparison key for one tuple (shared with the physical
-        engine so both execution modes order identically)."""
+        """The comparison key for one tuple (shared with the engines
+        so every execution mode orders identically)."""
         return tuple(
             _invert(sort_key(t[a])) if desc else sort_key(t[a])
             for a, desc in zip(self.attributes, self.descending))
@@ -605,7 +561,7 @@ class ElidedSort(Sort):
                             else "elision.sorts_forced").inc()
 
     def checked_rows(self, rows: list[Tup], ctx) -> list[Tup]:
-        """Materialized identity pass (shared with the physical
+        """Materialized identity pass (shared with the vectorized
         engine); verifies sortedness when debug checks are on, and
         sorts for real if the proof document was rotated away."""
         if not self.proof_holds(ctx):
@@ -646,9 +602,6 @@ class ElidedSort(Sort):
 
     def evaluate(self, ctx, env: Tup = EMPTY_TUPLE) -> list[Tup]:
         return self.checked_rows(self.child.evaluate(ctx, env), ctx)
-
-    def iterate(self, ctx, env: Tup = EMPTY_TUPLE):
-        return self.checked_iter(self.child.iterate(ctx, env), ctx)
 
     def label(self) -> str:
         keys = ", ".join(

@@ -20,11 +20,11 @@ only to another boolean — never to the numbers 0/1 or the strings
 "true"/"false" — and supports only ``=`` and ``!=``.  ``NULL`` compares
 false against everything (including itself).
 :func:`canonical_key` maps a value to a hashable key consistent with that
-equality, which is what the hash-based physical operators and the
+equality, which is what the hash-based row kernels and the
 duplicate-eliminating projection use.  NULL is the one deliberate
 exception: ``canonical_key(NULL)`` is well-defined (hashing needs it) but
 ``compare_atomic(NULL, '=', NULL)`` is false, so hash-based operators must
-treat NULL keys as matching nothing (see ``repro.engine.physical``).
+treat NULL keys as matching nothing (see ``repro.engine.kernels``).
 """
 
 from __future__ import annotations

@@ -156,7 +156,7 @@ class Tracer:
             lex/parse                 0.41ms
             normalize                 0.08ms
             ...
-            execute[physical]        12.90ms
+            execute[vectorized]      12.90ms
               Ξ[...]                 12.71ms  {...}
 
         ``min_duration`` (seconds) hides finished spans shorter than

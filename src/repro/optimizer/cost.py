@@ -144,7 +144,7 @@ class PlanCost:
     """Estimated cost of a plan, split into the all-tuples total and the
     cost of producing the *first* output tuple.
 
-    Under the materializing physical engine only ``total`` matters; the
+    Under the materializing vectorized engine only ``total`` matters; the
     pipelined engine's quantifier short-circuiting pays roughly
     ``first_tuple`` per existence probe, so plan ranking for pipelined
     execution orders by it (``ranking="cost-first-tuple"``).  Blocking

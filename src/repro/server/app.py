@@ -76,6 +76,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from repro.engine.executor import DEFAULT_MODE
 from repro.errors import (
     DeadlineExceededError,
     DTDParseError,
@@ -124,7 +125,7 @@ class ServerConfig:
     default_timeout: float | None = 30.0
     #: hard cap on client-requested timeouts
     max_timeout: float = 300.0
-    default_mode: str = "physical"
+    default_mode: str = DEFAULT_MODE
     #: worker-process budget for ``mode="parallel"`` requests (and the
     #: cost model's ``mode="auto"`` parallel alternative); None leaves
     #: multi-process execution off unless ``REPRO_WORKERS`` is set.

@@ -18,6 +18,7 @@ import asyncio
 import sys
 
 from repro.api import Database
+from repro.engine.executor import DEFAULT_MODE, MODES
 from repro.errors import ReproError
 from repro.server.app import QueryServer, ServerConfig
 
@@ -55,10 +56,7 @@ def build_serve_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--timeout", type=float, default=30.0,
                         help="default per-request deadline in seconds "
                              "(default 30; 0 disables)")
-    parser.add_argument("--mode",
-                        choices=("physical", "pipelined", "vectorized",
-                                 "reference", "auto", "parallel"),
-                        default="physical",
+    parser.add_argument("--mode", choices=MODES, default=DEFAULT_MODE,
                         help="default execution engine for requests "
                              "that name none")
     parser.add_argument("--index-mode",

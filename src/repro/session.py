@@ -56,7 +56,7 @@ import time
 from collections import OrderedDict
 from typing import Callable
 
-from repro.engine.executor import ExecutionResult, execute
+from repro.engine.executor import DEFAULT_MODE, ExecutionResult, execute
 from repro.obs.trace import maybe_span
 from repro.optimizer.digest import referenced_collections, \
     referenced_documents
@@ -218,7 +218,7 @@ class Session:
 
     def __init__(self, database, *, plan_cache_size: int = 128,
                  result_cache_size: int = 256,
-                 default_mode: str = "physical",
+                 default_mode: str = DEFAULT_MODE,
                  default_timeout: float | None = None,
                  default_workers: int | None = None,
                  ranking: str = "heuristic"):

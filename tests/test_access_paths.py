@@ -178,7 +178,7 @@ def test_indexed_plan_reference_mode_agrees():
     query = compile_query(VALUE_QUERY, db)
     plan = query.plan_named("nested+index").plan
     assert db.execute(plan, mode="reference").output == \
-        db.execute(plan, mode="physical").output
+        db.execute(plan).output
 
 
 @pytest.mark.parametrize("key", sorted(PAPER_QUERIES))

@@ -43,10 +43,10 @@ def test_analyze_off_by_default(db):
     assert result.operator_counts is None
 
 
-def test_analyze_requires_physical_mode(db):
+def test_analyze_requires_a_measuring_mode(db):
     from repro.errors import ReproError, UnsupportedModeError
     query = compile_query(NESTED_QUERY, db)
-    with pytest.raises(UnsupportedModeError, match="physical"):
+    with pytest.raises(UnsupportedModeError, match="vectorized"):
         db.execute(query.plan, mode="reference", analyze=True)
     # The error stays catchable both as the library's base error and as
     # the ValueError older callers matched on.
@@ -104,7 +104,7 @@ def test_analyze_counts_shared_subtree_per_position():
                  Rename(shared, {"A": "B"}))
     assert plan.children[0].children[0] is plan.children[1].children[0]
     store = DocumentStore()
-    for mode in ("physical", "pipelined"):
+    for mode in ("vectorized", "pipelined"):
         result = execute(plan, store, mode=mode, analyze=True)
         assert len(result.rows) == 9
         assert result.operator_counts[(0, 0)] == (1, 3)
@@ -116,14 +116,14 @@ def test_analyze_counts_shared_subtree_per_position():
 
 def test_analyze_pipelined_counts_rows_pulled(db):
     """Pipelined EXPLAIN ANALYZE reports the rows each operator actually
-    produced; at the root (fully drained) they match physical mode."""
+    produced; at the root (fully drained) they match the default mode."""
     query = compile_query(NESTED_QUERY, db)
     plan = query.best().plan
-    phys = db.execute(plan, analyze=True)
+    full = db.execute(plan, analyze=True)
     pipe = db.execute(plan, mode="pipelined", analyze=True)
-    assert pipe.rows == phys.rows
-    assert pipe.output == phys.output
-    assert pipe.operator_counts[()] == phys.operator_counts[()]
+    assert pipe.rows == full.rows
+    assert pipe.output == full.output
+    assert pipe.operator_counts[()] == full.operator_counts[()]
 
 
 def test_analyze_does_not_change_output(db):

@@ -111,12 +111,12 @@ def test_execute_rejects_unknown_mode(db):
         db.execute(query.plan, mode="turbo")
 
 
-def test_reference_and_physical_agree(db):
+def test_reference_and_default_agree(db):
     query = compile_query(NESTED, db)
     for alt in query.plans():
-        physical = db.execute(alt.plan, mode="physical")
+        default = db.execute(alt.plan)
         reference = db.execute(alt.plan, mode="reference")
-        assert physical.output == reference.output, alt.label
+        assert default.output == reference.output, alt.label
 
 
 def test_execution_result_repr(db):
@@ -183,3 +183,45 @@ def test_indexed_database_runs_index_plan():
     scan_db.register_tree("bib.xml", generate_bib(8, 2, seed=2),
                           dtd_text=BIB_DTD)
     assert result.output == compile_query(SIMPLE, scan_db).run().output
+
+
+# ----------------------------------------------------------------------
+# The one default execution mode
+# ----------------------------------------------------------------------
+def test_every_entry_point_defaults_to_default_mode():
+    import inspect
+
+    from repro.__main__ import build_arg_parser, build_trace_arg_parser
+    from repro.api import CompiledQuery, trace_query
+    from repro.engine.executor import DEFAULT_MODE, MODES, execute
+    from repro.server.app import ServerConfig
+    from repro.server.cli import build_serve_arg_parser
+
+    assert DEFAULT_MODE in MODES and len(MODES) == 5
+    for parser in (build_arg_parser(), build_trace_arg_parser(),
+                   build_serve_arg_parser()):
+        assert parser.get_default("mode") == DEFAULT_MODE
+    for func in (execute, Database.execute, CompiledQuery.run,
+                 trace_query):
+        assert inspect.signature(func).parameters["mode"].default == \
+            DEFAULT_MODE, func.__qualname__
+    assert Database().session().default_mode == DEFAULT_MODE
+    assert ServerConfig().default_mode == DEFAULT_MODE
+
+
+@pytest.mark.parametrize("key", ("q1", "q2", "q3", "q4", "q5", "q6"))
+def test_default_request_matches_reference_on_paper_queries(key):
+    """A session request that names no mode is byte-identical to the
+    definitional evaluator, on the best plan and on the nested one."""
+    from repro.bench.queries import PAPER_QUERIES
+
+    spec = PAPER_QUERIES[key]
+    session = spec.build_db().session()
+    for label in (None, "nested"):
+        default = session.execute(spec.text, label=label)
+        reference = session.execute(spec.text, label=label,
+                                    mode="reference",
+                                    use_result_cache=False)
+        assert not reference.cached
+        assert default.output == reference.output, (key, label)
+        assert default.rows == reference.rows, (key, label)

@@ -254,6 +254,30 @@ def test_bad_document_xml_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_malformed_workers_env_fails_loudly(data_dir, capsys,
+                                           monkeypatch):
+    """``REPRO_WORKERS=two`` used to run serial without a word; it is
+    now a typed error naming the variable and the value — from the
+    library entry point and as a non-zero CLI exit."""
+    from repro.engine.executor import execute
+    from repro.errors import UnsupportedModeError
+    from repro.nal import Singleton
+    from repro.xmldb.document import DocumentStore
+
+    monkeypatch.setenv("REPRO_WORKERS", "two")
+    with pytest.raises(UnsupportedModeError,
+                       match="REPRO_WORKERS='two'"):
+        execute(Singleton(), DocumentStore())
+    code = main(["--query",
+                 'for $t in doc("bib.xml")//title return $t',
+                 "--docs", str(data_dir)])
+    assert code == 1
+    assert "REPRO_WORKERS='two'" in capsys.readouterr().err
+    # a well-formed value still parses
+    monkeypatch.setenv("REPRO_WORKERS", "2")
+    assert execute(Singleton(), DocumentStore()).rows
+
+
 def test_exit_codes_are_distinct_and_stable():
     """The code ↔ error-class mapping is a contract (mirrored by the
     server's HTTP statuses); UnknownDocumentError must map to the

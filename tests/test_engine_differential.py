@@ -1,13 +1,12 @@
-"""Differential testing of the physical, pipelined and vectorized engines.
+"""Differential testing of the pipelined and vectorized engines.
 
 Generates random operator trees (over random base tables) and checks
-that the hash-based physical engine, the generator-based pipelined
-engine, the batch-at-a-time vectorized engine (both with its numpy fast
-path available and with it forced off) and the reference ``iterate``
-stream all produce exactly the sequence the definitional (reference)
-semantics produces — order included.  This generalizes the per-operator tests: operator
-*compositions* are where order-preservation bugs hide (e.g. a hash join
-that emits probe matches in build order).
+that the generator-based pipelined engine and the batch-at-a-time
+vectorized engine both produce exactly the sequence the definitional
+(reference) semantics produces — order included.  This generalizes the
+per-operator tests: operator *compositions* are where
+order-preservation bugs hide (e.g. a hash join that emits probe matches
+in build order).
 
 Key attributes draw from a mix of integers, booleans, numeric strings
 and NULL: booleans pin the ``compare_atomic`` ⇔ ``canonical_key``
@@ -22,9 +21,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.batch import use_numpy
 from repro.engine.context import EvalContext
-from repro.engine.physical import run_physical
 from repro.engine.pipeline import run_pipelined
 from repro.engine.vectorized import run_vectorized
 from repro.nal import (
@@ -68,18 +65,11 @@ def run_both(plan):
     """Evaluate on every engine; assert they agree; return the rows."""
     ctx = EvalContext(DocumentStore())
     reference = plan.evaluate(ctx)
-    physical = run_physical(plan, ctx)
     pipelined = list(run_pipelined(plan, ctx))
-    streamed = list(plan.iterate(ctx))
     vectorized = run_vectorized(plan, ctx)
-    with use_numpy(False):
-        vectorized_pure = run_vectorized(plan, ctx)
-    assert physical == reference
     assert pipelined == reference
-    assert streamed == reference
     assert vectorized == reference
-    assert vectorized_pure == reference
-    return reference, physical
+    return reference, vectorized
 
 
 @st.composite
@@ -267,10 +257,10 @@ def test_lemma_a4(e, c):
     unnested = Unnest(e, "a", ["v"], dedup=True)
     rhs = Project(Select(unnested,
                          Comparison(Const(c), "=", AttrRef("v"))), ["B"])
-    ref_l, phys_l = run_both(lhs)
-    ref_r, phys_r = run_both(rhs)
+    ref_l, vec_l = run_both(lhs)
+    ref_r, vec_r = run_both(rhs)
     assert ref_l == ref_r
-    assert phys_l == ref_l and phys_r == ref_r
+    assert vec_l == ref_l and vec_r == ref_r
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,7 +4,7 @@ For every unnesting equivalence we generate random relations (and random
 parameters satisfying the side conditions) and check that the left- and
 right-hand sides produce identical sequences — order included, since the
 paper's whole point is order preservation.  We additionally check
-reference ≡ physical on every generated plan.
+reference ≡ vectorized on every generated plan.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.context import EvalContext
-from repro.engine.physical import run_physical
+from repro.engine.vectorized import run_vectorized
 from repro.nal import (
     AggSpec,
     AntiJoin,
@@ -85,8 +85,9 @@ thetas = st.sampled_from(THETAS)
 def evaluate(plan):
     ctx = EvalContext(DocumentStore())
     reference = plan.evaluate(ctx)
-    physical = run_physical(plan, ctx)
-    assert physical == reference, "physical engine diverged from reference"
+    vectorized = run_vectorized(plan, ctx)
+    assert vectorized == reference, \
+        "vectorized engine diverged from reference"
     return reference
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.context import EvalContext
-from repro.engine.physical import run_physical
+from repro.engine.vectorized import run_vectorized
 from repro.errors import EvaluationError, UnknownDocumentError
 from repro.index import (
     ElementIndex,
@@ -335,15 +335,15 @@ def test_build_indexes_reports_dtd_violations_via_manager():
 # ----------------------------------------------------------------------
 # IndexScan operator
 # ----------------------------------------------------------------------
-def test_index_scan_reference_and_physical_agree():
+def test_index_scan_reference_and_vectorized_agree():
     store = make_store("lazy")
     scan = IndexScan("x", IndexProbe("t.xml", "path",
                                      (("child", "it"), ("child", "v"))))
     ctx = EvalContext(store)
     reference = scan.evaluate(ctx)
-    physical = run_physical(scan, ctx)
-    assert physical == reference
-    assert [t["x"].string_value() for t in physical] == ["10", "x", "2"]
+    vectorized = run_vectorized(scan, ctx)
+    assert vectorized == reference
+    assert [t["x"].string_value() for t in vectorized] == ["10", "x", "2"]
     assert scan.attrs() == frozenset({"x"})
     assert scan == scan.rebuild(())
 

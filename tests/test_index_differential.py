@@ -4,7 +4,7 @@ style, lifted to whole queries over randomized documents).
 For random documents and random constant predicates, the ``+index``
 plan alternatives must return *byte-identical* output — content, order
 and duplicate handling — to their scan-based base plans, in the
-physical, pipelined and reference execution modes.  Documents mix numeric,
+default, pipelined and reference execution modes.  Documents mix numeric,
 numeric-looking and textual values to stress the coercion-faithful
 sorted structures of the value index, plus empty leaves, repeated
 values (duplicate-elimination after the ancestor lift) and items with

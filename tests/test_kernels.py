@@ -1,11 +1,13 @@
-"""The physical evaluator must agree with the reference semantics, and
-its hash paths must engage for equality predicates."""
+"""The hash-based row kernels (run through the vectorized engine) must
+agree with the reference semantics, and their hash paths must engage
+for equality predicates."""
 
 import pytest
 
 from repro.engine.context import EvalContext
 from repro.engine.executor import execute
-from repro.engine.physical import run_physical, split_equi_conjuncts
+from repro.engine.kernels import split_equi_conjuncts
+from repro.engine.vectorized import run_vectorized
 from repro.nal import (
     AggSpec,
     AntiJoin,
@@ -34,9 +36,9 @@ def ctx():
 
 def both(plan, ctx):
     reference = plan.evaluate(ctx)
-    physical = run_physical(plan, ctx)
-    assert physical == reference
-    return physical
+    hashed = run_vectorized(plan, ctx)
+    assert hashed == reference
+    return hashed
 
 
 EQ = Comparison(AttrRef("A1"), "=", AttrRef("A2"))
@@ -130,9 +132,9 @@ def test_string_number_key_coercion_in_hash_join(ctx):
 def test_executor_modes_agree(r1, r2):
     store = DocumentStore()
     plan = Join(r1, r2, EQ)
-    physical = execute(plan, store, mode="physical")
+    default = execute(plan, store)
     reference = execute(plan, store, mode="reference")
-    assert physical.rows == reference.rows
+    assert default.rows == reference.rows
 
 
 def test_executor_rejects_unknown_mode(r1):
@@ -145,4 +147,4 @@ def test_unknown_function_in_plan_raises(ctx, r1):
     from repro.errors import EvaluationError
     plan = Select(r1, FuncCall("no-such-fn", [AttrRef("A1")]))
     with pytest.raises(EvaluationError):
-        run_physical(plan, ctx)
+        run_vectorized(plan, ctx)

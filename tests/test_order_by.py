@@ -176,7 +176,7 @@ return
     assert names == sorted(names)
 
 
-def test_reference_and_physical_agree_on_order_by(db):
+def test_reference_and_default_agree_on_order_by(db):
     query = compile_query('''
 let $d1 := doc("bib.xml")
 for $b1 in $d1//book
@@ -184,7 +184,7 @@ order by decimal($b1/price) descending
 return <p> { $b1/price } </p>
 ''', db)
     plan = query.plan_named("nested").plan
-    assert db.execute(plan, mode="physical").output == \
+    assert db.execute(plan).output == \
         db.execute(plan, mode="reference").output
 
 

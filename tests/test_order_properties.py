@@ -1,6 +1,6 @@
 """Order-property inference, sort elision and the ordering bugfixes.
 
-Differential pins: elision-on ≡ elision-off ≡ reference ≡ physical ≡
+Differential pins: elision-on ≡ elision-off ≡ reference ≡ vectorized ≡
 pipelined, byte for byte — including mixed-type and NULL order-by keys,
 descending ties, and the evaluator's dedup-skip fast path on documents
 with recursive (nested) tags.
@@ -16,8 +16,8 @@ from repro import Database, compile_query
 from repro.datagen import BIDS_DTD, ITEMS_DTD
 from repro.datagen.auction import generate_bids, generate_items
 from repro.engine.context import EvalContext
-from repro.engine.physical import run_physical
 from repro.engine.pipeline import run_pipelined
+from repro.engine.vectorized import run_vectorized
 from repro.errors import EvaluationError
 from repro.nal.unary_ops import (
     DistinctProject,
@@ -41,7 +41,7 @@ from repro.xmldb.node import element
 from repro.xpath.evaluator import evaluate_path
 from repro.xpath.parser import parse_path
 
-MODES = ("reference", "physical", "pipelined")
+MODES = ("reference", "vectorized", "pipelined")
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +56,7 @@ def auction_db() -> Database:
 
 def run_everywhere(db: Database, text: str) -> dict[str, str]:
     """The query's nested-plan output under every engine × elision
-    combination (keys like ``physical/on``)."""
+    combination (keys like ``vectorized/on``)."""
     outputs: dict[str, str] = {}
     for enabled in (False, True):
         with properties.elision(enabled):
@@ -257,11 +257,11 @@ def test_mixed_type_sort_is_identical_across_engines():
         plan = Sort(table(rows, ("k", "i")), ["k"], [descending])
         results = {
             "reference": plan.evaluate(EvalContext(store)),
-            "physical": run_physical(plan, EvalContext(store)),
+            "vectorized": run_vectorized(plan, EvalContext(store)),
             "pipelined": list(run_pipelined(plan, EvalContext(store))),
         }
         first = results["reference"]
-        assert results["physical"] == first
+        assert results["vectorized"] == first
         assert results["pipelined"] == first
         # stability: equal keys keep input order
         tags = [t["i"] for t in first if t["k"] in (5, "5.0", "5")]
@@ -291,7 +291,7 @@ def test_descending_order_by_composes_with_distinct_project():
     plan = DistinctProject(Sort(table(rows, ("k", "v")), ["k"], [True]),
                            ["k", "v"])
     reference = plan.evaluate(EvalContext(store))
-    assert run_physical(plan, EvalContext(store)) == reference
+    assert run_vectorized(plan, EvalContext(store)) == reference
     assert list(run_pipelined(plan, EvalContext(store))) == reference
     keys = [t["k"] for t in reference]
     assert keys[0] == "x" and keys[-1] is NULL  # strings > numbers > ⊥
@@ -329,7 +329,7 @@ def test_random_order_by_plans_agree_everywhere(rows, descending,
         with properties.elision(enabled):
             optimized = elide_sorts(plan, store)
             results.append(plan.evaluate(EvalContext(store)))
-            results.append(run_physical(optimized, EvalContext(store)))
+            results.append(run_vectorized(optimized, EvalContext(store)))
             results.append(
                 list(run_pipelined(optimized, EvalContext(store))))
     first = results[0]
@@ -403,13 +403,13 @@ def test_debug_checks_catch_a_wrong_elision():
     ctx = EvalContext(store)
     with properties.debug_checks(True):
         with pytest.raises(EvaluationError, match="elided sort"):
-            run_physical(bogus, EvalContext(store))
+            run_vectorized(bogus, EvalContext(store))
         with pytest.raises(EvaluationError, match="elided sort"):
             list(run_pipelined(bogus, EvalContext(store)))
     # without the debug switch the (incorrectly) elided sort is the
     # identity — garbage in, garbage out, but no crash
     with properties.debug_checks(False):
-        assert [t["a"] for t in run_physical(bogus, ctx)] == [2, 1]
+        assert [t["a"] for t in run_vectorized(bogus, ctx)] == [2, 1]
 
 
 def test_rotated_document_degrades_elision_to_a_real_sort():

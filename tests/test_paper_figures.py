@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.context import EvalContext
-from repro.engine.physical import run_physical
+from repro.engine.vectorized import run_vectorized
 from repro.nal import (
     AggSpec,
     GroupBinary,
@@ -43,7 +43,7 @@ def r2() -> Table:
 def rows(plan) -> list[Tup]:
     ctx = EvalContext(DocumentStore())
     reference = plan.evaluate(ctx)
-    assert run_physical(plan, ctx) == reference
+    assert run_vectorized(plan, ctx) == reference
     return reference
 
 

@@ -21,7 +21,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.optimizer.cost import preferred_mode
 
-SERIAL_MODES = ("physical", "pipelined", "vectorized", "reference")
+SERIAL_MODES = ("pipelined", "vectorized", "reference")
 
 
 def shard_xml(shard: int, items: int) -> str:
@@ -139,7 +139,7 @@ def test_ineligible_plan_falls_back_to_serial(corpus):
     par = corpus.execute(plan, mode="parallel", workers=4,
                          metrics=metrics)
     assert metrics.snapshot()["counters"]["parallel.fallback"] == 1
-    assert par.output == corpus.execute(plan, mode="physical").output
+    assert par.output == corpus.execute(plan, mode="reference").output
 
 
 def test_single_worker_falls_back_to_serial(corpus):
@@ -177,7 +177,7 @@ def test_cost_gate_opens_for_large_inputs():
 # ----------------------------------------------------------------------
 def test_worker_crash_raises_clean_error_and_pool_heals(corpus):
     plan = best_plan(corpus, DOCS_QUERIES["scan"])
-    serial = corpus.execute(plan, mode="physical")
+    serial = corpus.execute(plan, mode="reference")
     with parallel.inject_crash(1):
         with pytest.raises(ParallelExecutionError):
             corpus.execute(plan, mode="parallel", workers=4)
@@ -193,7 +193,7 @@ def test_worker_error_is_marshalled_not_fatal(corpus):
              'where $i/price > 100 return $i/name')
     plan = best_plan(corpus, query)
     par = corpus.execute(plan, mode="parallel", workers=2)
-    assert par.rows == corpus.execute(plan, mode="physical").rows
+    assert par.rows == corpus.execute(plan, mode="reference").rows
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +220,7 @@ def test_unregister_unlinks_segment_and_close_unlinks_all():
     # the others are still attached and queryable
     remaining = best_plan(db, DOCS_QUERIES["scan"])
     par = db.execute(remaining, mode="parallel", workers=2)
-    assert par.output == db.execute(remaining, mode="physical").output
+    assert par.output == db.execute(remaining, mode="reference").output
 
     db.close()
     for name, segment in segments.items():
@@ -246,7 +246,7 @@ def test_no_resource_tracker_warnings_at_exit(tmp_path):
             query = ('for $i in collection("shard-*.xml")//item '
                      'where $i/price > 6 return $i/price')
             plan = compile_query(query, db).best().plan
-            serial = db.execute(plan, mode="physical")
+            serial = db.execute(plan, mode="reference")
             par = db.execute(plan, mode="parallel", workers=2)
             assert par.output == serial.output
             db.unregister("shard-0.xml")
@@ -297,7 +297,7 @@ def test_collection_matches_in_registration_order():
     db.register_text("b.xml", "<d><v>2</v></d>")
     db.register_text("a.xml", "<d><v>1</v></d>")
     query = 'for $v in collection("*.xml")//v return $v'
-    result = db.execute(best_plan(db, query), mode="physical")
+    result = db.execute(best_plan(db, query))
     assert result.output == "<v>2</v><v>1</v>", \
         "collection order is registration (seq) order, not name order"
     db.close()
@@ -305,7 +305,7 @@ def test_collection_matches_in_registration_order():
 
 def test_collection_unmatched_pattern_is_empty(corpus):
     query = 'for $i in collection("nope-*.xml")//item return $i'
-    result = corpus.execute(best_plan(corpus, query), mode="physical")
+    result = corpus.execute(best_plan(corpus, query))
     assert result.rows == []
     assert result.output == ""
 
@@ -327,7 +327,7 @@ def test_collection_in_nested_flwor(corpus):
                for mode in SERIAL_MODES}
     assert len(set(outputs.values())) == 1, outputs
     par = corpus.execute(plan, mode="parallel", workers=2)
-    assert par.output == outputs["physical"]
+    assert par.output == outputs["reference"]
 
 
 def test_result_cache_invalidates_on_membership_change():

@@ -3,8 +3,7 @@
 Covers the corners named in the engine's contract: empty inputs (lazy
 hash builds mean an empty probe side must not run the build side),
 all-NULL join keys, quantifier subplans whose first witness is the last
-tuple, short-circuiting actually stopping the inner scan, and
-``reset_stats=False`` stat accumulation across ``execute`` calls.
+tuple, and short-circuiting actually stopping the inner scan.
 """
 
 from __future__ import annotations
@@ -124,7 +123,8 @@ def test_first_witness_is_last_tuple():
 def test_exists_short_circuit_stops_inner_scan():
     """A selective exists over a document: pipelined mode stops walking
     the inner document at the first witness, so it visits strictly
-    fewer nodes than physical mode while producing identical output."""
+    fewer nodes than the materializing default mode while producing
+    identical output."""
     db = Database()
     db.register_tree("bib.xml", generate_bib(60, 2, seed=5),
                      dtd_text=BIB_DTD)
@@ -138,11 +138,11 @@ where some $t2 in document("reviews.xml")//entry
 return <reviewed> { $t1 } </reviewed>
 ''', db)
     plan = query.plan_named("nested").plan
-    phys = db.execute(plan, mode="physical")
+    full = db.execute(plan)
     pipe = db.execute(plan, mode="pipelined")
-    assert pipe.output == phys.output
-    assert pipe.rows == phys.rows
-    assert pipe.stats["node_visits"] < phys.stats["node_visits"]
+    assert pipe.output == full.output
+    assert pipe.rows == full.rows
+    assert pipe.stats["node_visits"] < full.stats["node_visits"]
 
 
 def test_construct_inside_deeper_nested_plan_is_drained():
@@ -158,18 +158,15 @@ def test_construct_inside_deeper_nested_plan_is_drained():
                   FuncCall("exists", [NestedPlan(middle)]))
     expected_ctx = EvalContext(DocumentStore())
     plan.evaluate(expected_ctx)
-    for run in (lambda c: list(run_pipelined(plan, c)),
-                lambda c: list(plan.iterate(c))):
-        ctx = EvalContext(DocumentStore())
-        run(ctx)
-        assert ctx.output_text() == expected_ctx.output_text() == \
-            "<x/>" * 3
+    ctx = EvalContext(DocumentStore())
+    list(run_pipelined(plan, ctx))
+    assert ctx.output_text() == expected_ctx.output_text() == "<x/>" * 3
 
 
 def test_lazy_right_side_still_fires_construct_side_effects():
     """An empty left input must not skip a Ξ sitting in the right
-    subtree of a binary operator: physical/reference mode evaluate both
-    operands unconditionally, so the lazy engines must too."""
+    subtree of a binary operator: vectorized/reference mode evaluate
+    both operands unconditionally, so the lazy engine must too."""
     from repro.nal import Construct, Cross, Lit
 
     empty = Table("L", ["A"], [])
@@ -180,11 +177,9 @@ def test_lazy_right_side_still_fires_construct_side_effects():
                  AntiJoin(empty, emitting, JOIN_PRED),
                  OuterJoin(empty, emitting, JOIN_PRED, "g", Const(0)),
                  SemiJoin(empty, emitting, Const(True))):
-        for run in (lambda c: list(run_pipelined(plan, c)),
-                    lambda c: list(plan.iterate(c))):
-            ctx = EvalContext(DocumentStore())
-            assert run(ctx) == []
-            assert ctx.output_text() == "<r/>", type(plan).__name__
+        ctx = EvalContext(DocumentStore())
+        assert list(run_pipelined(plan, ctx)) == []
+        assert ctx.output_text() == "<r/>", type(plan).__name__
 
 
 def test_construct_bearing_nested_plans_are_drained():
@@ -203,42 +198,23 @@ def test_construct_bearing_nested_plans_are_drained():
 
 
 # ----------------------------------------------------------------------
-# Stats accumulation across execute() calls
-# ----------------------------------------------------------------------
-def test_reset_stats_false_accumulates():
-    db = Database()
-    db.register_tree("bib.xml", generate_bib(10, 2, seed=5),
-                     dtd_text=BIB_DTD)
-    query = compile_query(
-        'for $t in doc("bib.xml")//title return <t> { $t } </t>', db)
-    plan = query.best().plan
-    first = execute(plan, db.store, mode="pipelined")
-    baseline = first.stats["node_visits"]
-    assert baseline > 0
-    accumulated = execute(plan, db.store, mode="pipelined",
-                          reset_stats=False)
-    assert accumulated.stats["node_visits"] == 2 * baseline
-    assert sum(accumulated.stats["document_scans"].values()) == \
-        2 * sum(first.stats["document_scans"].values())
-    fresh = execute(plan, db.store, mode="pipelined")
-    assert fresh.stats["node_visits"] == baseline
-
-
-# ----------------------------------------------------------------------
 # Mode plumbing
 # ----------------------------------------------------------------------
-def test_unknown_mode_rejected():
+@pytest.mark.parametrize("mode", ("volcano2000", "physical"))
+def test_unknown_mode_rejected(mode):
+    """``"physical"`` was deleted without an alias: it is an unknown
+    mode like any other."""
     with pytest.raises(ValueError, match="unknown execution mode"):
-        execute(SOME_LEFT, DocumentStore(), mode="volcano2000")
+        execute(SOME_LEFT, DocumentStore(), mode=mode)
 
 
 def test_reference_mode_rejects_analyze():
-    with pytest.raises(ValueError, match="physical"):
+    with pytest.raises(ValueError, match="vectorized"):
         execute(SOME_LEFT, DocumentStore(), mode="reference",
                 analyze=True)
 
 
-def test_pipelined_output_matches_physical_on_paper_queries():
+def test_pipelined_output_matches_default_on_paper_queries():
     """End-to-end: the paper's Q3 (exists) under all three modes, all
     plan variants, byte-identical output."""
     from repro.bench.queries import PAPER_QUERIES
@@ -247,6 +223,6 @@ def test_pipelined_output_matches_physical_on_paper_queries():
     query = compile_query(spec.text, db)
     for alt in query.plans():
         outputs = {mode: db.execute(alt.plan, mode=mode).output
-                   for mode in ("physical", "pipelined", "reference")}
-        assert outputs["pipelined"] == outputs["physical"] == \
+                   for mode in ("vectorized", "pipelined", "reference")}
+        assert outputs["pipelined"] == outputs["vectorized"] == \
             outputs["reference"]

@@ -21,6 +21,7 @@ from repro.__main__ import (
 )
 from repro.api import Database
 from repro.datagen import BIB_DTD, generate_bib
+from repro.engine.executor import DEFAULT_MODE
 from repro.server.app import AdmissionController, QueryServer, \
     ServerConfig
 
@@ -108,7 +109,7 @@ def test_query_roundtrip_and_result_cache(server):
     assert status == 200
     assert first["rows"] == 10
     assert "<title>" in first["output"]
-    assert first["mode"] == "physical"
+    assert first["mode"] == DEFAULT_MODE
     status, second, _ = server.post({"query": TITLES_QUERY})
     assert status == 200
     assert second["cached"] is True
@@ -134,7 +135,7 @@ def test_unknown_route_and_wrong_method(server):
 def test_malformed_body_is_bad_query(server):
     status, payload, _ = server.post(None, raw=b"not json")
     assert (status, payload["kind"]) == (400, "bad-query")
-    status, payload, _ = server.post({"mode": "physical"})
+    status, payload, _ = server.post({"mode": "pipelined"})
     assert (status, payload["kind"]) == (400, "bad-query")
     status, payload, _ = server.post({"query": TITLES_QUERY,
                                       "timeout": "soon"})

@@ -42,7 +42,7 @@ return <book-with-review>{ $t1 }</book-with-review>
 '''
 
 SHAPES = (NESTED_QUERY, TITLES_QUERY, EXISTS_QUERY)
-MODES = ("physical", "pipelined", "vectorized", "reference")
+MODES = ("pipelined", "vectorized", "reference")
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from repro.__main__ import main
 from repro.api import Database, compile_query, trace_query
 from repro.datagen import BIB_DTD, ITEMS_DTD, generate_bib, \
     generate_items
-from repro.engine.executor import operators_by_path
+from repro.engine.executor import DEFAULT_MODE, operators_by_path
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.optimizer.elide_order import elided_sorts
@@ -52,11 +52,11 @@ def test_trace_query_records_the_full_lifecycle(bib_db):
     alt, result = trace_query(SIMPLE, bib_db)
     names = [s.name for s in result.trace.spans]
     for stage in ("lex/parse", "normalize", "translate",
-                  "rewrite/unnest", "execute[physical]"):
+                  "rewrite/unnest", f"execute[{DEFAULT_MODE}]"):
         assert stage in names, f"missing lifecycle span {stage!r}"
     # Compile stages precede optimization, which precedes execution.
     assert names.index("lex/parse") < names.index("rewrite/unnest") \
-        < names.index("execute[physical]")
+        < names.index(f"execute[{DEFAULT_MODE}]")
     # Operator spans carry their tree position.
     operator_spans = [s for s in result.trace.spans
                       if s.cat == "operator"]
@@ -89,10 +89,10 @@ def _operator_shape(result) -> TallyCounter:
 
 
 def test_span_tree_shape_identical_across_engines(bib_db):
-    _, physical = trace_query(SIMPLE, bib_db, mode="physical")
+    _, default = trace_query(SIMPLE, bib_db)
     _, pipelined = trace_query(SIMPLE, bib_db, mode="pipelined")
-    assert physical.output == pipelined.output
-    assert _operator_shape(physical) == _operator_shape(pipelined)
+    assert default.output == pipelined.output
+    assert _operator_shape(default) == _operator_shape(pipelined)
 
 
 def test_chrome_export_round_trips_and_is_well_formed(bib_db):
@@ -108,8 +108,7 @@ def test_chrome_export_round_trips_and_is_well_formed(bib_db):
 # ----------------------------------------------------------------------
 # Metrics ↔ EXPLAIN ANALYZE reconciliation
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("mode", ("physical", "pipelined",
-                                  "vectorized"))
+@pytest.mark.parametrize("mode", ("pipelined", "vectorized"))
 def test_metrics_reconcile_with_analyze_counts(bib_db, mode):
     query = compile_query(SIMPLE, bib_db)
     plan = query.best().plan
@@ -221,6 +220,6 @@ def test_cli_timing_flag(data_dir, capsys):
     captured = capsys.readouterr()
     assert "<r>" in captured.out               # query output on stdout
     assert "== TRACE ==" in captured.err
-    assert "execute[physical]" in captured.err
+    assert f"execute[{DEFAULT_MODE}]" in captured.err
     assert "== METRICS ==" in captured.err
     assert "scan.node_visits" in captured.err

@@ -18,9 +18,9 @@ from repro.bench.trajectory import (
 def q8_record(**overrides) -> dict:
     record = {
         "items": 20, "bids": 1000, "hot_items": 20,
-        "physical_seconds": 0.7, "pipelined_seconds": 0.013,
+        "materializing_seconds": 0.7, "pipelined_seconds": 0.013,
         "speedup": 52.0,
-        "physical_node_visits": 187107,
+        "materializing_node_visits": 187107,
         "pipelined_node_visits": 3565,
     }
     record.update(overrides)

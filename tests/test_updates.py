@@ -35,7 +35,7 @@ from repro.xmldb.delta import DeltaError, apply_delta
 from repro.xmldb.node import NodeKind, element
 from repro.xmldb.serialize import serialize
 
-ENGINE_MODES = ("reference", "physical", "pipelined", "vectorized")
+ENGINE_MODES = ("reference", "pipelined", "vectorized")
 
 BIB = ("<bib>"
        "<book year='1994'><title>TCP/IP Illustrated</title></book>"
@@ -313,7 +313,7 @@ def test_parallel_workers_execute_pinned_snapshot():
         'let $d := doc("items.xml") '
         'for $i in $d//itemtuple return $i/itemno', db).best().plan
     snap = db.snapshot()
-    before = execute(plan, snap, mode="physical").output
+    before = execute(plan, snap).output
     # replace every itemtuple's itemno in a few sweeps of updates
     doc = db.store.get("items.xml")
     for k in range(3):
@@ -329,8 +329,7 @@ def test_parallel_workers_execute_pinned_snapshot():
         assert "CHANGED" not in pinned.output
         current = execute(plan, db.store, mode="parallel", workers=2)
         assert current.output.count("CHANGED") == 3
-        assert current.output == execute(plan, db.store,
-                                         mode="physical").output
+        assert current.output == execute(plan, db.store).output
     finally:
         db.close()
     assert serialize(doc.root) == serialize(snap.get("items.xml").root)

@@ -1,10 +1,10 @@
 """Unit and integration tests for the vectorized engine's batch layer.
 
 The differential suite (``test_engine_differential.py``) already pins
-vectorized ≡ pipelined ≡ physical ≡ reference on randomized operator
+vectorized ≡ pipelined ≡ reference on randomized operator
 trees; this file tests the batch machinery itself — ``Batch``
-immutability and lazy caching, the numeric-column kernels and their
-numpy/pure-python parity, the fused select-over-map pass (that it
+immutability and lazy caching, the numeric-column kernel and its
+parity with ``general_compare``, the fused select-over-map pass (that it
 engages on the normalizer's ``where`` shape, bails out on
 non-reproducible data, and stays disabled under observation) and the
 ``auto`` mode dispatch.
@@ -22,12 +22,10 @@ from repro.engine.batch import (
     BroadcastColumn,
     compare_columns,
     numeric_column,
-    numpy_available,
-    numpy_enabled,
     selection_vector,
-    use_numpy,
 )
 from repro.nal import NULL, Tup
+from repro.nal.values import general_compare
 from repro.optimizer.cost import preferred_mode
 
 BIDS_QUERY = '''
@@ -131,20 +129,13 @@ def test_numeric_column_broadcast():
 
 
 @pytest.mark.parametrize("op", ("=", "!=", "<", "<=", ">", ">="))
-def test_compare_columns_numpy_parity(op):
+def test_compare_columns_matches_general_compare(op):
     left = [1, 2.0, "3", NULL, 5]
     right = [1.0, 3, 2, 4, NULL]
-    with use_numpy(False):
-        pure = compare_columns(left, op, right)
-    assert compare_columns(left, op, right) == pure
-    assert pure[3] is False and pure[4] is False   # NULL compares false
-
-
-def test_use_numpy_toggle_restores():
-    before = numpy_enabled()
-    with use_numpy(False):
-        assert not numpy_enabled()
-    assert numpy_enabled() == before
+    mask = compare_columns(left, op, right)
+    assert mask == [general_compare(l, op, r)
+                    for l, r in zip(left, right)]
+    assert mask[3] is False and mask[4] is False   # NULL compares false
 
 
 # ----------------------------------------------------------------------
@@ -171,8 +162,7 @@ def test_fused_select_engages_and_matches_pipelined(bids_db,
     outcomes = _spy_on_fusion(monkeypatch)
     plan = compile_query(BIDS_QUERY, bids_db).best().plan
     pipelined = bids_db.execute(plan, mode="pipelined")
-    with use_numpy(False):
-        vectorized = bids_db.execute(plan, mode="vectorized")
+    vectorized = bids_db.execute(plan, mode="vectorized")
     assert outcomes == [True], "fused pass should engage on this shape"
     assert vectorized.rows == pipelined.rows
     assert vectorized.output == pipelined.output
@@ -239,13 +229,3 @@ def test_auto_mode_matches_explicit_modes(bids_db):
     assert auto.rows == explicit.rows
     assert auto.output == explicit.output
 
-
-def test_numpy_presence_does_not_change_results(bids_db):
-    if not numpy_available():
-        pytest.skip("numpy not importable in this environment")
-    plan = compile_query(BIDS_QUERY, bids_db).best().plan
-    with_numpy = bids_db.execute(plan, mode="vectorized")
-    with use_numpy(False):
-        without = bids_db.execute(plan, mode="vectorized")
-    assert with_numpy.rows == without.rows
-    assert with_numpy.output == without.output

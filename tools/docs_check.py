@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""Documentation lint: module docstrings and docs/ link integrity.
+"""Documentation lint: module docstrings, docs/ link integrity and
+execution-mode names.
 
-Two checks, both cheap enough to run on every CI push (the
+Three checks, all cheap enough to run on every CI push (the
 ``docs-check`` job, also ``make docs-check``):
 
 1. **Module docstrings** — every module under ``src/repro/`` must open
@@ -12,6 +13,10 @@ Two checks, both cheap enough to run on every CI push (the
    and ``README.md`` must resolve to an existing file (anchors are
    checked against the target's headings).  External ``http(s)://``
    links are not touched — CI must not depend on the network.
+3. **Mode names** — every ``mode="X"`` / ``--mode X`` in the same
+   markdown files must name a member of
+   ``repro.engine.executor.MODES``, so a deleted or renamed execution
+   mode cannot linger in the prose or the examples.
 
 Exits non-zero listing every violation; prints a one-line summary when
 clean.  No dependencies beyond the standard library.
@@ -31,6 +36,10 @@ _LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 _FENCE = re.compile(r"^(```|~~~).*?^\1", re.MULTILINE | re.DOTALL)
 _CODE_SPAN = re.compile(r"`[^`\n]*`")
+#: mode="X" (also default_mode=; not index_mode=) and --mode X
+_MODE_NAME = re.compile(
+    r"""(?<![\w-])(?:(?:default_)?mode=["'](?P<kw>[^"']*)["']"""
+    r"""|--mode[ =](?P<flag>[A-Za-z][\w-]*))""")
 
 
 def _strip_code(text: str) -> str:
@@ -95,6 +104,21 @@ def check_links(doc_paths: list[pathlib.Path]) -> list[str]:
     return problems
 
 
+def check_mode_names(doc_paths: list[pathlib.Path]) -> list[str]:
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.engine.executor import MODES
+
+    problems = []
+    for doc in doc_paths:
+        for match in _MODE_NAME.finditer(doc.read_text(encoding="utf-8")):
+            name = match.group("kw") or match.group("flag")
+            if name not in MODES:
+                problems.append(
+                    f"{doc.relative_to(REPO_ROOT)}: {match.group(0)!r} "
+                    f"names no execution mode (MODES = {MODES})")
+    return problems
+
+
 def main() -> int:
     problems = check_docstrings(REPO_ROOT / "src" / "repro")
     docs = sorted((REPO_ROOT / "docs").glob("*.md")) \
@@ -103,6 +127,7 @@ def main() -> int:
     if readme.exists():
         docs.append(readme)
     problems += check_links(docs)
+    problems += check_mode_names(docs)
     if problems:
         print("docs-check FAILED:", file=sys.stderr)
         for problem in problems:
