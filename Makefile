@@ -2,8 +2,11 @@
 # PYTHONPATH=src (no packaging step, no dependencies beyond pytest).
 
 PYTHON ?= python
+# where bench-check writes its per-benchmark JSON records (default: a
+# fresh `mktemp -d`, made when the target runs)
+BENCH_OUT ?=
 
-.PHONY: test bench bench-update bench-check docs-check
+.PHONY: test bench bench-update bench-check docs-check ledger ledger-smoke
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -22,17 +25,33 @@ bench-update:
 # Run the same benchmarks and gate them against the committed
 # baselines without updating anything (what CI does).
 bench-check:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_q7_index.py 2000 /tmp/bench-q7.json
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_q8_pipeline.py 20 1000 /tmp/bench-q8.json
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_q9_storage.py 2000 10000 /tmp/bench-q9.json
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_q10_order.py 600 3000 /tmp/bench-q10.json
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_q11_vectorized.py 4000 20000 /tmp/bench-q11.json
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_q12_serve.py 100 500 /tmp/bench-q12.json
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_q13_parallel.py 1200 19200 /tmp/bench-q13.json
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_q14_updates.py 4000 /tmp/bench-q14.json
-	PYTHONPATH=src $(PYTHON) benchmarks/trajectory.py check \
-		/tmp/bench-q7.json /tmp/bench-q8.json /tmp/bench-q9.json /tmp/bench-q10.json \
-		/tmp/bench-q11.json /tmp/bench-q12.json /tmp/bench-q13.json /tmp/bench-q14.json
+	@set -e; out="$(BENCH_OUT)"; [ -n "$$out" ] || out="$$(mktemp -d)"; \
+	mkdir -p "$$out"; echo "bench-check: records in $$out"; \
+	run() { echo "+ $$*"; PYTHONPATH=src $(PYTHON) "$$@"; }; \
+	run benchmarks/bench_q7_index.py 2000 "$$out/bench-q7.json"; \
+	run benchmarks/bench_q8_pipeline.py 20 1000 "$$out/bench-q8.json"; \
+	run benchmarks/bench_q9_storage.py 2000 10000 "$$out/bench-q9.json"; \
+	run benchmarks/bench_q10_order.py 600 3000 "$$out/bench-q10.json"; \
+	run benchmarks/bench_q11_vectorized.py 4000 20000 "$$out/bench-q11.json"; \
+	run benchmarks/bench_q12_serve.py 100 500 "$$out/bench-q12.json"; \
+	run benchmarks/bench_q13_parallel.py 1200 19200 "$$out/bench-q13.json"; \
+	run benchmarks/bench_q14_updates.py 4000 "$$out/bench-q14.json"; \
+	run benchmarks/trajectory.py check \
+		"$$out/bench-q7.json" "$$out/bench-q8.json" \
+		"$$out/bench-q9.json" "$$out/bench-q10.json" \
+		"$$out/bench-q11.json" "$$out/bench-q12.json" \
+		"$$out/bench-q13.json" "$$out/bench-q14.json"
+
+# The latency ledger (BENCHMARK.json; what PRs are judged by): all five
+# workloads through the public surface with its defaults, timed only.
+# `python3 benchmarks/ledger/compare.py A.json B.json` judges two sets.
+ledger:
+	python3 benchmarks/ledger/run.py --trace 0
+
+# The same five workloads on tiny corpora and short windows (~10 s):
+# every metric present, no failed op, oracle agrees.
+ledger-smoke:
+	python3 benchmarks/ledger/run.py --scale smoke
 
 # Fail when a module under src/repro/ lacks a module docstring or a
 # docs/*.md intra-repo link points at a missing file/anchor.

@@ -11,9 +11,10 @@ a high reserve price:
 The scan plan reads all of items.xml per execution; the ``nested+index``
 plan answers the predicate with one sorted value-index probe (plus the
 ancestor lift back to the qualifying ``itemtuple`` elements).  Both
-legs run the default engine, whose scan is a columnar pass over the
-arena — the probe's margin over it is ~5× (it was ~40× over the
-tuple-at-a-time scan of the former default), while the node-visit
+legs run the default engine, whose scan is a whole-column pass over
+the arena's int columns — the probe's margin over it is ~2.5× (it was
+~5× before the scan's path steps became column kernels, ~40× over the
+tuple-at-a-time scan of the first default), while the node-visit
 counters show the same 30× less data touched.  Run directly for the
 check at scale::
 

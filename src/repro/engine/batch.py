@@ -16,6 +16,13 @@ Invariants (relied on throughout the vectorized engine):
   (:meth:`Batch.take`, :meth:`Batch.with_column`, ...).  Operators may
   therefore return a child batch unchanged (e.g. an elided sort) and
   alias columns between batches without copying.
+- **Node-valued columns stay rows of ints.**  A column produced by a
+  columnar scan is a :class:`NodeColumn` — ``(arena, pre rows)`` — and
+  the kernels that know it (path steps, string values, numeric
+  comparison, join keys) read ``.pres`` against the arena's columns.
+  Everybody else indexes or iterates it like a list and gets interned
+  ``arena.nodes[pre]`` handles, so handles are created only where a
+  consumer needs node *objects* (Ξ, row-at-a-time fallbacks).
 - **Selection vectors are owned by their creator.**  A selection vector
   (an ``array('q')`` of row indices) is created, filled and consumed by
   exactly one operator invocation; it is never stored in a batch or
@@ -27,6 +34,7 @@ Invariants (relied on throughout the vectorized engine):
 
 from __future__ import annotations
 
+import operator
 from array import array
 from typing import Any, Iterator
 
@@ -52,6 +60,45 @@ class BroadcastColumn(list):
     """
 
     __slots__ = ()
+
+
+class NodeColumn:
+    """A node-valued column held as ``(arena, pre rows)``.
+
+    Kernels read :attr:`pres` against the arena's int columns; as a
+    sequence (``len``, indexing, iteration) it yields the interned
+    ``arena.nodes[pre]`` handles, so — like :class:`BroadcastColumn` —
+    it degrades gracefully for every consumer that does not know about
+    it.  Immutable like every batch column."""
+
+    __slots__ = ("arena", "pres")
+
+    def __init__(self, arena, pres: list[int]):
+        self.arena = arena
+        self.pres = pres
+
+    def __len__(self) -> int:
+        return len(self.pres)
+
+    def __getitem__(self, index: int) -> Node:
+        return self.arena.nodes[self.pres[index]]
+
+    def __iter__(self) -> Iterator[Node]:
+        return map(self.arena.nodes.__getitem__, self.pres)
+
+    def take(self, indices) -> "NodeColumn":
+        pres = self.pres
+        return NodeColumn(self.arena, [pres[i] for i in indices])
+
+    def string_values(self) -> list[str]:
+        return self.arena.string_values(self.pres)
+
+
+def _take(column, indices) -> list:
+    """Rows ``indices`` of one column, in that order."""
+    if type(column) is NodeColumn:
+        return column.take(indices)
+    return [column[i] for i in indices]
 
 
 class Batch:
@@ -122,7 +169,7 @@ class Batch:
     def take(self, selection: array | list[int]) -> "Batch":
         """The rows named by ``selection``, in selection order."""
         if self._columns is not None:
-            columns = {a: [col[i] for i in selection]
+            columns = {a: _take(col, selection)
                        for a, col in self._columns.items()}
             return Batch(columns, self._order, None, len(selection))
         rows = self._rows
@@ -142,7 +189,7 @@ class Batch:
         extended by ``attr`` from the parallel ``values`` list — the
         shape of an unnest: one output row per (input row, item)."""
         assert len(indices) == len(values)
-        columns = {a: [col[i] for i in indices]
+        columns = {a: _take(col, indices)
                    for a, col in self._materialized_columns().items()}
         columns[attr] = values
         order = tuple(a for a in self.attrs if a != attr) + (attr,)
@@ -215,6 +262,13 @@ def numeric_column(values: list) -> list | None:
         if number is _NOT_NUMERIC:
             return None
         return [number] * len(values)
+    if type(values) is NodeColumn:
+        # One node per row: its string value straight off the arena
+        # columns — no handle, no per-row dispatch.
+        try:
+            return list(map(float, values.string_values()))
+        except ValueError:
+            return None
     out: list = []
     append = out.append
     for value in values:
@@ -292,16 +346,12 @@ def compare_columns(left: list, op: str, right: list) -> list[bool]:
     right_nums = None if left_nums is None else numeric_column(right)
     if left_nums is not None and right_nums is not None:
         compare = _PY_OPS[op]
+        if None not in left_nums and None not in right_nums:
+            return list(map(compare, left_nums, right_nums))
         return [False if l is None or r is None else compare(l, r)
                 for l, r in zip(left_nums, right_nums)]
     return [general_compare(l, op, r) for l, r in zip(left, right)]
 
 
-_PY_OPS = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+_PY_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+           "<=": operator.le, ">": operator.gt, ">=": operator.ge}

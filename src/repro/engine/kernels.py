@@ -13,16 +13,25 @@ which produces exactly the left-major sequence the join definition
 Hash probes are NULL-guarded: ``compare_atomic`` makes NULL equal to
 nothing (itself included), while ``canonical_key(NULL)`` necessarily
 hashes all NULLs together, so a key tuple containing NULL must neither
-probe nor be probed (see :func:`_probe_key`).
+probe nor be probed (see :func:`probe_keys`).
 
-Every function here takes materialized rows and returns materialized
-rows; which operator evaluates its children how is the engines'
-business (:mod:`repro.engine.vectorized` calls the ``*_rows`` kernels
-whole, :mod:`repro.engine.pipeline` streams its joins over the same
-``_hash_buckets``/``_probe_key`` and calls the grouping kernels, which
-block in any engine).  Keeping them in one place is what stops the
-engines diverging on the hard semantics — NULL join keys, boolean
-coercion, mixed-type keys.
+Hash keys are built *column-wise*: :func:`probe_keys` turns the key
+columns of a :class:`~repro.engine.batch.Batch` into one key per row,
+and a node-valued :class:`~repro.engine.batch.NodeColumn` is keyed
+straight off the arena's string-value kernel — no handle, no ``Tup``.
+Every hash operator builds through it (:func:`_hash_buckets`); a
+semijoin/antijoin whose predicate is bare equalities never looks at a
+row at all (:func:`semi_anti_selection`).  :func:`_probe_key` is the
+same rule for one row, for the pipelined engine's streaming probes.
+
+The join kernels take batches and return materialized rows; the
+grouping kernels take rows.  Which operator evaluates its children how
+is the engines' business (:mod:`repro.engine.vectorized` calls the
+``*_rows`` kernels whole, :mod:`repro.engine.pipeline` streams its
+joins over the same ``_hash_buckets``/``_probe_key`` and calls the
+grouping kernels, which block in any engine).  Keeping them in one
+place is what stops the engines diverging on the hard semantics — NULL
+join keys, boolean coercion, mixed-type keys.
 
 Crucially, *nested algebraic expressions cannot be helped by this layer*:
 a χ or σ whose subscript contains a :class:`~repro.nal.scalar.NestedPlan`
@@ -36,6 +45,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.engine.batch import Batch, NodeColumn
 from repro.nal.algebra import scalar_env
 from repro.nal.group_ops import GroupBinary, GroupUnary, SelfGroup
 from repro.nal.join_ops import Join, OuterJoin
@@ -48,6 +58,7 @@ from repro.nal.values import (
     compare_atomic,
     effective_boolean,
     null_tuple,
+    text_key,
 )
 
 #: the tree position of a plan's root operator: EXPLAIN ANALYZE counts,
@@ -94,19 +105,34 @@ def _as_equi_pair(conjunct: ScalarExpr, left_attrs: frozenset[str],
 _NULL_KEY = canonical_key(NULL)
 
 
+def key_column(values) -> list:
+    """``canonical_key`` of every row of one column.  A
+    :class:`NodeColumn` is keyed off the arena's string values (what
+    ``canonical_key`` does with a node handle, minus the handle)."""
+    if type(values) is NodeColumn:
+        return list(map(text_key, values.string_values()))
+    return list(map(canonical_key, values))
+
+
+def probe_keys(batch: Batch, attrs: list[str]) -> list[tuple | None]:
+    """The hash key of every row of ``batch`` over ``attrs``, or None
+    where any component is NULL — NULL equals nothing under
+    ``compare_atomic``, so NULL keys must neither enter a hash table
+    nor probe it."""
+    columns = [key_column(batch.column(a)) for a in attrs]
+    return [None if _NULL_KEY in key else key for key in zip(*columns)]
+
+
 def _probe_key(row: Tup, attrs: list[str]) -> tuple | None:
-    """The hash key of ``row`` over ``attrs``, or None when any component
-    is NULL — NULL equals nothing under ``compare_atomic``, so NULL keys
-    must neither enter the hash table nor probe it."""
+    """:func:`probe_keys` for one row (streaming probes)."""
     key = tuple(canonical_key(row[a]) for a in attrs)
     return None if _NULL_KEY in key else key
 
 
-def _hash_buckets(rows: list[Tup], attrs: list[str]
+def _hash_buckets(batch: Batch, attrs: list[str]
                   ) -> dict[tuple, list[Tup]]:
     buckets: dict[tuple, list[Tup]] = {}
-    for row in rows:
-        key = _probe_key(row, attrs)
+    for row, key in zip(batch.to_rows(), probe_keys(batch, attrs)):
         if key is not None:
             buckets.setdefault(key, []).append(row)
     return buckets
@@ -140,18 +166,16 @@ def distinct_rows(plan: DistinctProject, rows: list[Tup]) -> list[Tup]:
 # ----------------------------------------------------------------------
 # Hash-based joins
 # ----------------------------------------------------------------------
-def join_rows(plan: Join, left_rows: list[Tup], right_rows: list[Tup],
-              env: Tup, ctx) -> list[Tup]:
-    """Order-preserving hash join over materialized rows."""
+def join_rows(plan: Join, left: Batch, right: Batch, env: Tup,
+              ctx) -> list[Tup]:
+    """Order-preserving hash join of two batches."""
     pairs, residual = split_equi_conjuncts(
         plan.pred, plan.left.attrs(), plan.right.attrs())
     result = []
     if pairs:
-        left_keys = [p[0] for p in pairs]
-        right_keys = [p[1] for p in pairs]
-        buckets = _hash_buckets(right_rows, right_keys)
-        for l in left_rows:
-            key = _probe_key(l, left_keys)
+        buckets = _hash_buckets(right, [p[1] for p in pairs])
+        keys = probe_keys(left, [p[0] for p in pairs])
+        for l, key in zip(left.to_rows(), keys):
             if key is None:
                 continue
             for r in buckets.get(key, ()):
@@ -159,7 +183,8 @@ def join_rows(plan: Join, left_rows: list[Tup], right_rows: list[Tup],
                 if _residual_ok(residual, combined, env, ctx):
                     result.append(combined)
     else:
-        for l in left_rows:
+        right_rows = right.to_rows()
+        for l in left.to_rows():
             for r in right_rows:
                 combined = l.concat(r)
                 if _residual_ok([plan.pred], combined, env, ctx):
@@ -167,25 +192,42 @@ def join_rows(plan: Join, left_rows: list[Tup], right_rows: list[Tup],
     return result
 
 
-def semi_anti_rows(plan, left_rows: list[Tup], right_rows: list[Tup],
-                   env: Tup, ctx, keep_matched: bool) -> list[Tup]:
-    """Hash semi/anti join over materialized rows."""
+def semi_anti_selection(plan, left: Batch, right: Batch,
+                        keep_matched: bool) -> list[int] | None:
+    """The left rows a ⋉ (``keep_matched``) / ▷ keeps, as a selection
+    over ``left`` — computed on the key columns alone when the
+    predicate is bare equalities (what the rewriter's pushed ⋉/▷
+    alternatives carry), or None when a residual needs the combined
+    tuples (:func:`semi_anti_rows`)."""
+    pairs, residual = split_equi_conjuncts(
+        plan.pred, plan.left.attrs(), plan.right.attrs())
+    if not pairs or residual:
+        return None
+    present = set(probe_keys(right, [p[1] for p in pairs]))
+    present.discard(None)
+    keys = probe_keys(left, [p[0] for p in pairs])
+    return [i for i, key in enumerate(keys)
+            if (key in present) == keep_matched]
+
+
+def semi_anti_rows(plan, left: Batch, right: Batch, env: Tup, ctx,
+                   keep_matched: bool) -> list[Tup]:
+    """Hash semi/anti join with a residual predicate."""
     pairs, residual = split_equi_conjuncts(
         plan.pred, plan.left.attrs(), plan.right.attrs())
     result = []
     if pairs:
-        left_keys = [p[0] for p in pairs]
-        right_keys = [p[1] for p in pairs]
-        buckets = _hash_buckets(right_rows, right_keys)
-        for l in left_rows:
-            key = _probe_key(l, left_keys)
+        buckets = _hash_buckets(right, [p[1] for p in pairs])
+        keys = probe_keys(left, [p[0] for p in pairs])
+        for l, key in zip(left.to_rows(), keys):
             matched = key is not None and any(
                 _residual_ok(residual, l.concat(r), env, ctx)
                 for r in buckets.get(key, ()))
             if matched == keep_matched:
                 result.append(l)
     else:
-        for l in left_rows:
+        right_rows = right.to_rows()
+        for l in left.to_rows():
             matched = any(
                 _residual_ok([plan.pred], l.concat(r), env, ctx)
                 for r in right_rows)
@@ -194,30 +236,24 @@ def semi_anti_rows(plan, left_rows: list[Tup], right_rows: list[Tup],
     return result
 
 
-def outer_join_rows(plan: OuterJoin, left_rows: list[Tup],
-                    right_rows: list[Tup], env: Tup, ctx) -> list[Tup]:
-    """Order-preserving hash outer join over materialized rows."""
+def outer_join_rows(plan: OuterJoin, left: Batch, right: Batch,
+                    env: Tup, ctx) -> list[Tup]:
+    """Order-preserving hash outer join of two batches."""
     pairs, residual = split_equi_conjuncts(
         plan.pred, plan.left.attrs(), plan.right.attrs())
     pad_attrs = [a for a in plan.right.attrs() if a != plan.group_attr]
-    result = []
+    left_rows = left.to_rows()
     if pairs:
-        left_keys = [p[0] for p in pairs]
-        right_keys = [p[1] for p in pairs]
-        buckets = _hash_buckets(right_rows, right_keys)
-
-        def candidates(l: Tup) -> list[Tup]:
-            key = _probe_key(l, left_keys)
-            return buckets.get(key, []) if key is not None else []
+        buckets = _hash_buckets(right, [p[1] for p in pairs])
+        candidates = [buckets.get(key, ()) for key in
+                      probe_keys(left, [p[0] for p in pairs])]
     else:
         residual = [plan.pred]
-
-        def candidates(l: Tup) -> list[Tup]:
-            return right_rows
-
-    for l in left_rows:
+        candidates = [right.to_rows()] * len(left_rows)
+    result = []
+    for l, matches in zip(left_rows, candidates):
         matched = False
-        for r in candidates(l):
+        for r in matches:
             combined = l.concat(r)
             if _residual_ok(residual, combined, env, ctx):
                 result.append(combined)
@@ -258,18 +294,17 @@ def group_unary_rows(plan: GroupUnary, rows: list[Tup], env: Tup,
     return plan.evaluate_rows(rows, env, ctx)
 
 
-def group_binary_rows(plan: GroupBinary, left_rows: list[Tup],
-                      right_rows: list[Tup], env: Tup, ctx) -> list[Tup]:
+def group_binary_rows(plan: GroupBinary, left: Batch, right: Batch,
+                      env: Tup, ctx) -> list[Tup]:
     """Hash implementation of the binary Γ (nest-join)."""
+    left_rows = left.to_rows()
     if plan.theta == "=":
-        buckets = _hash_buckets(right_rows, list(plan.right_attrs))
-        result = []
-        for l in left_rows:
-            key = _probe_key(l, list(plan.left_attrs))
-            group = buckets.get(key, []) if key is not None else []
-            result.append(l.extend(plan.group_attr,
-                                   plan.agg.apply(group, env, ctx)))
-        return result
+        buckets = _hash_buckets(right, list(plan.right_attrs))
+        keys = probe_keys(left, list(plan.left_attrs))
+        return [l.extend(plan.group_attr,
+                         plan.agg.apply(buckets.get(key, []), env, ctx))
+                for l, key in zip(left_rows, keys)]
+    right_rows = right.to_rows()
     result = []
     for l in left_rows:
         group = [r for r in right_rows

@@ -102,8 +102,7 @@ def inject_crash(task_index: int = 0):
 # ----------------------------------------------------------------------
 def encode_value(value):
     if isinstance(value, Node):
-        document = value.arena.document
-        return ("n", document.name, value.pre)
+        return ("n", value.arena.doc_name, value.pre)
     if value is NULL:
         return ("0",)
     if isinstance(value, Tup):

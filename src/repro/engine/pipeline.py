@@ -82,6 +82,7 @@ from repro.nal.values import (
     iter_items,
     null_tuple,
 )
+from repro.engine.batch import Batch
 from repro.engine.kernels import (
     ROOT_PATH,
     _hash_buckets,
@@ -379,7 +380,8 @@ def _join(plan: Join, ctx, env: Tup, path) -> Iterator[Tup]:
         for l in _child(plan, 0, ctx, env, path):
             if buckets is None:
                 # Build lazily on the first probe-side pull.
-                buckets = _hash_buckets(right_rows(), right_keys)
+                buckets = _hash_buckets(
+                    Batch.from_rows(right_rows()), right_keys)
             key = _probe_key(l, left_keys)
             if key is None:
                 continue
@@ -412,11 +414,12 @@ def _semi_anti(plan, ctx, env: Tup, path,
         left_keys = [p[0] for p in pairs]
         right_keys = [p[1] for p in pairs]
         eager = contains_construct(plan.children[1])
-        buckets = _hash_buckets(list(right_iter), right_keys) \
-            if eager else None
+        buckets = _hash_buckets(Batch.from_rows(list(right_iter)),
+                                right_keys) if eager else None
         for l in _child(plan, 0, ctx, env, path):
             if buckets is None:
-                buckets = _hash_buckets(list(right_iter), right_keys)
+                buckets = _hash_buckets(
+                    Batch.from_rows(list(right_iter)), right_keys)
             key = _probe_key(l, left_keys)
             matched = key is not None and any(
                 _pred_ok(residual, l.concat(r), env, ctx)
@@ -454,7 +457,7 @@ def _outer_join(plan: OuterJoin, ctx, env: Tup, path) -> Iterator[Tup]:
     for l in _child(plan, 0, ctx, env, path):
         if pairs:
             if buckets is None:
-                buckets = _hash_buckets(right_rows(),
+                buckets = _hash_buckets(Batch.from_rows(right_rows()),
                                         [p[1] for p in pairs])
             key = _probe_key(l, [p[0] for p in pairs])
             candidates = buckets.get(key, []) if key is not None else []
@@ -482,9 +485,9 @@ def _group_unary(plan: GroupUnary, ctx, env: Tup, path) -> Iterator[Tup]:
 
 def _group_binary(plan: GroupBinary, ctx, env: Tup, path
                   ) -> Iterator[Tup]:
-    left_rows = list(_child(plan, 0, ctx, env, path))
-    right_rows = list(_child(plan, 1, ctx, env, path))
-    yield from group_binary_rows(plan, left_rows, right_rows, env, ctx)
+    left = Batch.from_rows(list(_child(plan, 0, ctx, env, path)))
+    right = Batch.from_rows(list(_child(plan, 1, ctx, env, path)))
+    yield from group_binary_rows(plan, left, right, env, ctx)
 
 
 def _self_group(plan: SelfGroup, ctx, env: Tup, path) -> Iterator[Tup]:

@@ -5,16 +5,24 @@ The materializing engine (and the default): where
 generators, this engine moves whole :class:`~repro.engine.batch.Batch`
 objects — flat parallel columns with ``Tup`` materialization deferred
 to the operators that genuinely need rows.  The wins, MonetDB/X100
-style, come from three columnar fast paths over the PR 3 arena:
+style, come from columnar fast paths over the PR 3 arena, with
+node-valued columns kept as rows of ints
+(:class:`~repro.engine.batch.NodeColumn`) until something needs
+handles:
 
-- **scans**: an Υ over ``$d/child//tag`` paths resolves to the arena's
-  per-tag pre lists (``tag_rows`` / ``descendants_by_tag``) — one bisect
-  per context node instead of one generator hop plus ``Tup`` copy per
-  output row;
+- **scans**: an Υ (or the path argument of a χ) over ``$d/child//tag``
+  paths hands its whole context column to the arena's step kernel
+  (:meth:`~repro.xmldb.arena.Arena.step_rows`, via
+  :func:`_apply_steps` — the one place this engine executes a path
+  step): int columns in, result rows out, no per-row call, no ``Node``
+  handle, no ``Tup`` copy per output row;
 - **selections**: a σ whose predicate is built from comparisons over
   attributes, constants and short child/descendant paths is compiled
-  into a selection-vector pass — atomized value columns extracted once,
-  compared in a tight loop;
+  into a selection-vector pass — string values read once off the arena
+  columns, compared in a C-level ``map``;
+- **semijoins / antijoins** with a bare-equality predicate (what the
+  rewriter emits) are decided on key columns alone — right side → key
+  set, left side → selection vector, ``left.take(selection)``;
 - **order-by**: an :class:`~repro.nal.unary_ops.ElidedSort` whose PR 5
   sortedness certificate holds passes the *entire batch* through
   untouched — not even a row materialization.
@@ -24,7 +32,9 @@ Everything else runs the row kernels of :mod:`repro.engine.kernels`
 hash joins and groupings are built from too, so the engines cannot
 diverge on the hard semantics (NULL join keys, boolean coercion,
 mixed-type sort keys); property-based tests assert ``run_vectorized``
-≡ pipelined ≡ reference regardless.
+≡ pipelined ≡ reference regardless.  Handles are created where a
+batch becomes rows (``Batch.to_rows``: Ξ, row-kernel fallbacks, the
+final result) — for the rows that got that far.
 
 Invariants: batches are immutable (operators derive new ones, see
 :mod:`repro.engine.batch`); selection vectors are scratch state owned by
@@ -38,10 +48,12 @@ host operator.
 from __future__ import annotations
 
 import time
+from itertools import compress
 
 from repro.engine.batch import (
     Batch,
     BroadcastColumn,
+    NodeColumn,
     _PY_OPS,
     compare_columns,
     selection_vector,
@@ -55,6 +67,7 @@ from repro.engine.kernels import (
     outer_join_rows,
     self_group_rows,
     semi_anti_rows,
+    semi_anti_selection,
 )
 from repro.errors import EvaluationError
 from repro.nal.algebra import Operator, bind_item, scalar_env
@@ -98,7 +111,7 @@ from repro.nal.values import (
     iter_items,
 )
 from repro.xmldb.document import ScanStats
-from repro.xmldb.node import Node, NodeKind, NodeSequence
+from repro.xmldb.node import Node, NodeSequence
 from repro.xpath.ast import NameTest, Path
 
 
@@ -183,75 +196,81 @@ def _compile_steps(path: Path) -> list[tuple[str, str]] | None:
     return steps
 
 
-def _apply_steps(node: Node, steps: list[tuple[str, str]],
-                 stats: ScanStats) -> list[int] | None:
-    """The pre rows ``steps`` select from ``node``, in document order
-    and duplicate-free, or None when the walk cannot guarantee that
-    cheaply (nested tags mid-path) and must fall back.
+def _attempt(columnar_pass, *args):
+    """Run a columnar pass (``ctx`` is its last argument) whose scan
+    statistics only count when it succeeds: a None result — the signal
+    to fall back to the row interpreter, which records the same walks
+    for itself — rolls back whatever the pass had recorded."""
+    stats = args[-1].stats
+    mark = stats.mark()
+    result = columnar_pass(*args)
+    if result is None:
+        stats.rollback(mark)
+    return result
+
+
+def _apply_steps(arena, pres: list[int], steps: list[tuple[str, str]],
+                 stats: ScanStats):
+    """``steps`` applied to a whole column of context rows of one
+    arena: ``(owners, rows)`` — the selected pre rows grouped per
+    context in input order, document order and duplicate-free inside a
+    group, ``owners[i]`` the position in ``pres`` that ``rows[i]``
+    belongs to (``owners`` None: the identity, as from ``step_rows``).
+    The whole result is None when the walk cannot guarantee that
+    cheaply (nested tags mid-path) and must fall back.  One context is
+    simply a one-row column.
+
+    This is the one place the default engine executes a path step; the
+    step itself is :meth:`~repro.xmldb.arena.Arena.step_rows`, which
+    reads int columns only — no handle is created here.
 
     ``stats`` receives what the XPath evaluator would have recorded for
-    the same walk: one document scan when the first step leaves a
-    document root, and the arena rows read (child lists scanned,
-    descendant hits).  Callers pass a scratch :class:`ScanStats` and
-    absorb it into the request's only when their whole columnar pass
-    succeeds — a bail-out re-runs through the row interpreter, which
-    records for itself.
+    the same walks: one document scan per context whose first step
+    leaves a document root, the arena rows read (children scanned,
+    descendant hits), and one order-fast-path hit per context.
+    Operators run their columnar passes under :func:`_attempt`, so a
+    bail-out leaves no trace of them.
 
-    Soundness argument: the row set is kept an *antichain* (pairwise
-    disjoint subtrees) in document order.  A ``child`` step from an
-    antichain yields an antichain in document order; a ``descendant``
-    step yields a sorted duplicate-free list always, but an antichain
-    only when the tag is flat (``tag_is_flat``) — so a further step
-    after a non-flat descendant step bails out.
+    Soundness argument: each context's row set is kept an *antichain*
+    (pairwise disjoint subtrees) in document order.  A ``child`` step
+    from an antichain yields an antichain in document order; a
+    ``descendant`` step yields a sorted duplicate-free list always, but
+    an antichain only when the tag is flat (``tag_is_flat``) — so a
+    further step after a non-flat descendant step bails out.
     """
-    arena = node.arena
-    if arena is None:
-        return None
     start = 0
+    roots = pres.count(0)
     # The doc("x.xml")/root convenience: a leading child step naming
     # the document root collapses to self (see PathApply).
-    if steps and steps[0][0] == "child" and node.parent is None \
-            and steps[0][1] == node.name:
+    if roots and steps and steps[0] == (
+            "child", arena.names[arena.name_ids[0]]):
+        if roots != len(pres):
+            return None
         start = 1
-    if start < len(steps) and node.parent is None \
-            and arena.document is not None:
-        stats.record_scan(arena.document.name)
-    rows = [node.pre]
+    if roots and start < len(steps) and arena.doc_name is not None:
+        stats.record_scan(arena.doc_name, roots)
+    owners = None
+    rows = pres
     antichain = True
     visits = 0
     for axis, name in steps[start:]:
         if not antichain:
             return None
+        step_owners, rows, scanned = arena.step_rows(rows, axis, name)
+        if step_owners is not None:
+            owners = step_owners if owners is None \
+                else [owners[o] for o in step_owners]
+        visits += scanned
         if axis == "descendant":
-            if len(rows) == 1:
-                rows = arena.descendants_by_tag(rows[0], name)
-            else:
-                hits: list[int] = []
-                for r in rows:
-                    hits.extend(arena.descendants_by_tag(r, name))
-                rows = hits
-            visits += len(rows)
             antichain = arena.tag_is_flat(name)
-        else:
-            name_id = arena._name_to_id.get(name)
-            name_ids, kinds = arena.name_ids, arena.kinds
-            child_lists = arena.child_lists
-            element = NodeKind.ELEMENT
-            hits = []
-            for r in rows:
-                children = child_lists[r]
-                visits += len(children)
-                for c in children:
-                    c_pre = c.pre
-                    if name_ids[c_pre] == name_id \
-                            and kinds[c_pre] is element:
-                        hits.append(c_pre)
-            rows = hits
-    stats.record_visits(visits)
-    return rows
+    stats.node_visits += visits
+    # every context is one path evaluation born ordered and
+    # duplicate-free: no dedup-sort pass ran
+    stats.order_fastpath_hits += len(pres)
+    return owners, rows
 
 
-def _source_values(source, batch: Batch, env: Tup, ctx) -> list | None:
+def _source_values(source, batch: Batch, env: Tup, ctx):
     """Per-row values of a path source (attribute column, outer-binding
     constant, or document root), or None when not columnar."""
     if isinstance(source, AttrRef):
@@ -261,9 +280,79 @@ def _source_values(source, batch: Batch, env: Tup, ctx) -> list | None:
             return BroadcastColumn([env[source.name]] * len(batch))
         return None
     if isinstance(source, DocAccess):
-        return BroadcastColumn(
-            [ctx.store.get(source.name).root] * len(batch))
+        return NodeColumn(ctx.store.get(source.name).arena,
+                          [0] * len(batch))
     return None
+
+
+def _context_runs(values):
+    """A source column as ``(arena, row indices, pre rows)`` runs — one
+    per maximal stretch of handles of the same arena (``row indices``
+    is None for a :class:`NodeColumn`: every row, in order).  NULL rows
+    are no context at all (a path from nothing selects nothing); any
+    other value makes the column non-columnar (None)."""
+    if type(values) is NodeColumn:
+        return [(values.arena, None, values.pres)]
+    runs: list[tuple] = []
+    arena = None
+    for i, value in enumerate(values):
+        if value is NULL:
+            continue
+        if not isinstance(value, Node) or value.arena is None:
+            return None
+        if value.arena is not arena:
+            arena = value.arena
+            index: list[int] = []
+            pres: list[int] = []
+            runs.append((arena, index, pres))
+        index.append(i)
+        pres.append(value.pre)
+    return runs
+
+
+def _path_rows(expr: PathApply, batch: Batch, env: Tup, ctx):
+    """``expr`` applied to every row of the batch, columnar:
+    ``(walks, aligned)`` with one ``(arena, owners, rows)`` walk per
+    run of :func:`_context_runs` (see :func:`_apply_steps`), ``owners``
+    being batch row indices, ascending across the runs; ``aligned``
+    says that every batch row selected exactly one node, in order (the
+    one walk's ``rows`` line up with the batch).  None when the path,
+    its source or the data needs the row interpreter."""
+    steps = _compile_steps(expr.path)
+    if steps is None:
+        return None
+    sources = _source_values(expr.source, batch, env, ctx)
+    if sources is None:
+        return None
+    runs = _context_runs(sources)
+    if runs is None:
+        return None
+    walks = []
+    aligned = False
+    for arena, index, pres in runs:
+        walk = _apply_steps(arena, pres, steps, ctx.stats)
+        if walk is None:
+            return None
+        owners, rows = walk
+        if owners is None:  # one node per context
+            aligned = index is None
+            owners = list(range(len(rows))) if aligned else index
+        elif index is not None:
+            owners = [index[o] for o in owners]
+        walks.append((arena, owners, rows))
+    return walks, aligned
+
+
+def _node_column(parts):
+    """``(arena, rows)`` parts as one node-valued column: a
+    :class:`NodeColumn` when they come from one arena, else the
+    handles."""
+    if len(parts) == 1:
+        return NodeColumn(*parts[0])
+    nodes: list[Node] = []
+    for arena, rows in parts:
+        nodes.extend(map(arena.nodes.__getitem__, rows))
+    return nodes
 
 
 # ----------------------------------------------------------------------
@@ -279,28 +368,21 @@ def _expr_column(expr, batch: Batch, env: Tup, ctx) -> list | None:
     if isinstance(expr, AttrRef):
         return _source_values(expr, batch, env, ctx)
     if isinstance(expr, PathApply):
-        steps = _compile_steps(expr.path)
-        if steps is None:
+        walked = _path_rows(expr, batch, env, ctx)
+        if walked is None:
             return None
-        sources = _source_values(expr.source, batch, env, ctx)
-        if sources is None:
-            return None
-        column: list = []
-        scanned = ScanStats()
-        for value in sources:
-            if isinstance(value, Node):
-                rows = _apply_steps(value, steps, scanned)
-                if rows is None:
-                    return None
-                handles = value.arena.nodes
-                column.append(NodeSequence(handles[r] for r in rows))
-            elif value is NULL:
-                column.append(NodeSequence())
-            else:
-                return None
-        ctx.stats.absorb(scanned)
+        column: list = [NodeSequence() for _ in range(len(batch))]
+        for arena, owners, rows in walked[0]:
+            for owner, node in zip(owners, map(arena.nodes.__getitem__,
+                                               rows)):
+                column[owner].append(node)
         return column
     if isinstance(expr, FuncCall):
+        if expr.name == "zero-or-one" and len(expr.args) == 1 \
+                and isinstance(expr.args[0], PathApply):
+            column = _zero_or_one_column(expr.args[0], batch, env, ctx)
+            if column is not None:
+                return column
         columns = []
         for arg in expr.args:
             column = _expr_column(arg, batch, env, ctx)
@@ -313,6 +395,29 @@ def _expr_column(expr, batch: Batch, env: Tup, ctx) -> list | None:
         return [call_function(name, list(values))
                 for values in zip(*columns)]
     return None
+
+
+def _zero_or_one_column(expr: PathApply, batch: Batch, env: Tup, ctx):
+    """``zero-or-one(path)`` over the batch — the shape the normalizer
+    gives every ``where``/``let`` over a child path: the single
+    selected node per row (NULL where there is none), as a
+    :class:`NodeColumn` when every row has one.  None when the path is
+    not columnar or some row selects several nodes (the row
+    interpreter then raises the proper error)."""
+    walked = _path_rows(expr, batch, env, ctx)
+    if walked is None:
+        return None
+    walks, aligned = walked
+    if aligned:
+        return NodeColumn(walks[0][0], walks[0][2])
+    column = [NULL] * len(batch)
+    for arena, owners, rows in walks:
+        for owner, node in zip(owners, map(arena.nodes.__getitem__,
+                                           rows)):
+            if column[owner] is not NULL:
+                return None
+            column[owner] = node
+    return column
 
 
 def _predicate_mask(pred, batch: Batch, env: Tup, ctx
@@ -371,7 +476,7 @@ def _fusible_select_map(plan: Select, ctx):
     """Shape check for the fused select-over-map pass: recognize
     ``σ[attr op const](χ[attr:zero-or-one(src/path)](E))`` — the shape
     the normalizer produces for every simple ``where`` clause — and
-    return the compiled ``(steps, source, op, const)``, or None.
+    return ``(path application, op, const)``, or None.
 
     Fusion is disabled whenever observation is on (EXPLAIN ANALYZE,
     tracing, metrics), because it would hide the χ operator's
@@ -402,106 +507,44 @@ def _fusible_select_map(plan: Select, ctx):
         return None
     if isinstance(const, int) and abs(const) > 2 ** 53:
         return None
-    steps = _compile_steps(expr.args[0].path)
-    if steps is None:
-        return None
-    return steps, expr.args[0].source, op, const
+    return expr.args[0], op, const
 
 
 def _fused_select_map(plan: Select, fusion, batch: Batch, env: Tup,
                       ctx) -> Batch | None:
     """The fused pass over the already-computed child-of-χ batch:
     compute the comparison straight off arena string values and
-    materialize the χ column *only for surviving rows*.
+    materialize the χ column *only for surviving rows* (as a
+    :class:`NodeColumn` — no handle is created here at all).
 
     Semantics-preserving by construction: the materialized column holds
-    exactly what ``zero-or-one`` returns (the single node, or NULL), the
-    numeric mask matches ``compare_columns`` (missing → False, same
-    float conversion), and every shape the fast loop cannot reproduce
-    bit-for-bit — multi-item path results (where zero-or-one raises),
-    non-numeric text, non-node sources — returns None so the caller
-    continues through the unfused operators over the same batch.
+    exactly what ``zero-or-one`` returns for a surviving row (the
+    single node), the numeric mask matches ``compare_columns`` (missing
+    → False, same float conversion), and every shape the pass cannot
+    reproduce bit-for-bit — multi-item path results (where zero-or-one
+    raises), non-numeric text, non-node sources — returns None so the
+    caller continues through the unfused operators over the same batch.
     """
-    steps, source, op, const = fusion
-    attr = plan.children[0].attr
-    sources = _source_values(source, batch, env, ctx)
-    if sources is None:
+    path_expr, op, const = fusion
+    walked = _path_rows(path_expr, batch, env, ctx)
+    if walked is None:
         return None
-    single_child = steps[0][1] if len(steps) == 1 \
-        and steps[0][0] == "child" else None
-    nums: list[float | None] = []
-    vals: list = []
-    num_append, val_append = nums.append, vals.append
-    arena_state: dict[int, tuple] = {}
-    element, text_kind = NodeKind.ELEMENT, NodeKind.TEXT
-    scanned = ScanStats()
-    visits = 0
-    for value in sources:
-        if value is NULL:
-            num_append(None)
-            val_append(NULL)
-            continue
-        if not isinstance(value, Node):
-            return None
-        arena = value.arena
-        if arena is None:
-            return None
-        state = arena_state.get(id(arena))
-        if state is None:
-            state = (arena._name_to_id.get(single_child),
-                     arena.name_ids, arena.kinds, arena.child_lists,
-                     arena.nodes, arena.string_value, arena.ends,
-                     arena.texts, arena.parents)
-            arena_state[id(arena)] = state
-        (name_id, name_ids, kinds, child_lists, handles, string_value,
-         ends, texts, parents) = state
-        if single_child is not None and parents[value.pre] >= 0:
-            # The hot lane: one child step, resolved by scanning the
-            # (short) child list without any per-row function calls.
-            if name_id is None:
-                num_append(None)
-                val_append(NULL)
-                continue
-            pre = -1
-            children = child_lists[value.pre]
-            visits += len(children)
-            for c in children:
-                c_pre = c.pre
-                if name_ids[c_pre] == name_id and kinds[c_pre] is element:
-                    if pre >= 0:  # >1 item: zero-or-one would raise
-                        return None
-                    pre = c_pre
-        else:
-            rows = _apply_steps(value, steps, scanned)
-            if rows is None or len(rows) > 1:
-                return None
-            pre = rows[0] if rows else -1
-        if pre < 0:
-            num_append(None)
-            val_append(NULL)
-            continue
-        # String value straight off the columns: the overwhelmingly
-        # common <tag>text</tag> shape is one text row at pre+1.
-        if ends[pre] == pre + 2 and kinds[pre + 1] is text_kind:
-            value_text = texts[pre + 1] or ""
-        else:
-            value_text = string_value(pre)
+    walks, aligned = walked
+    compare = _PY_OPS[op]
+    selected: list[int] = []
+    parts = []
+    for arena, owners, rows in walks:
+        if not aligned and len(set(owners)) != len(rows):
+            return None  # several items in a row: zero-or-one raises
         try:
-            num_append(float(value_text))
+            numbers = list(map(float, arena.string_values(rows)))
         except ValueError:
             return None
-        val_append(handles[pre])
-    scanned.record_visits(visits)
-    ctx.stats.absorb(scanned)
-    compare = _PY_OPS[op]
-    buffers = ctx.batch_buffers
-    scratch = buffers.acquire()
-    scratch.extend(i for i, n in enumerate(nums)
-                   if n is not None and compare(n, const))
-    selected = batch.take(selection_vector(scratch))
-    column = [vals[i] for i in scratch]
-    buffers.release(scratch)
-    return selected.with_column(attr, column)
+        keep = [k for k, n in enumerate(numbers) if compare(n, const)]
+        selected.extend([owners[k] for k in keep])
+        parts.append((arena, [rows[k] for k in keep]))
+    return batch.take(selection_vector(selected)).with_column(
+        plan.children[0].attr, _node_column(parts))
 
 
 _FLIP_OP = {"=": "=", "!=": "!=", "<": ">", "<=": ">=",
@@ -514,7 +557,8 @@ def _select(plan: Select, ctx, env: Tup, path) -> Batch:
     if fusion is not None:
         mapop = plan.children[0]
         inner = _run(mapop.children[0], ctx, env, path + (0, 0))
-        fused = _fused_select_map(plan, fusion, inner, env, ctx)
+        fused = _attempt(_fused_select_map, plan, fusion, inner, env,
+                         ctx)
         if fused is not None:
             return fused
         # Data-dependent bail-out: finish unfused over the same batch
@@ -524,11 +568,11 @@ def _select(plan: Select, ctx, env: Tup, path) -> Batch:
         batch = _child(plan, 0, ctx, env, path)
     if len(batch) == 0:
         return batch
-    mask = _predicate_mask(plan.pred, batch, env, ctx)
+    mask = _attempt(_predicate_mask, plan.pred, batch, env, ctx)
     if mask is not None:
         buffers = ctx.batch_buffers
         scratch = buffers.acquire()
-        scratch.extend(i for i, keep in enumerate(mask) if keep)
+        scratch.extend(compress(range(len(mask)), mask))
         result = batch.take(selection_vector(scratch))
         buffers.release(scratch)
         return result
@@ -562,7 +606,7 @@ def _map(plan: Map, ctx, env: Tup, path) -> Batch:
 
 
 def _map_batch(plan: Map, batch: Batch, env: Tup, ctx) -> Batch:
-    values = _expr_column(plan.expr, batch, env, ctx)
+    values = _attempt(_expr_column, plan.expr, batch, env, ctx)
     if values is not None:
         return batch.with_column(plan.attr, values)
     result = []
@@ -575,11 +619,11 @@ def _map_batch(plan: Map, batch: Batch, env: Tup, ctx) -> Batch:
 def _unnest_map(plan: UnnestMap, ctx, env: Tup, path) -> Batch:
     batch = _child(plan, 0, ctx, env, path)
     if isinstance(plan.expr, PartitionedPath):
-        fast = _unnest_map_partitioned(plan, batch, env, ctx)
+        fast = _attempt(_unnest_map_partitioned, plan, batch, env, ctx)
         if fast is not None:
             return fast
     if isinstance(plan.expr, PathApply):
-        fast = _unnest_map_fast(plan, batch, env, ctx)
+        fast = _attempt(_unnest_map_fast, plan, batch, env, ctx)
         if fast is not None:
             return fast
         result = []
@@ -598,32 +642,20 @@ def _unnest_map(plan: UnnestMap, ctx, env: Tup, path) -> Batch:
 
 def _unnest_map_fast(plan: UnnestMap, batch: Batch, env: Tup,
                      ctx) -> Batch | None:
-    """Υ over a compilable path: resolve each input row's context node
-    to a pre list straight off the arena, then build the output batch
-    as replicated input columns plus one node column — no per-row
-    generator hops, no intermediate ``Tup`` copies."""
-    steps = _compile_steps(plan.expr.path)
-    if steps is None:
+    """Υ over a compilable path: the whole context column goes through
+    the arena's step kernel at once, and the output batch is the
+    replicated input columns plus one :class:`NodeColumn` — no per-row
+    calls, no handles, no intermediate ``Tup`` copies."""
+    walked = _path_rows(plan.expr, batch, env, ctx)
+    if walked is None:
         return None
-    sources = _source_values(plan.expr.source, batch, env, ctx)
-    if sources is None:
-        return None
-    indices: list[int] = []
-    nodes: list[Node] = []
-    scanned = ScanStats()
-    for i, value in enumerate(sources):
-        if value is NULL:
-            continue
-        if not isinstance(value, Node):
-            return None
-        rows = _apply_steps(value, steps, scanned)
-        if rows is None:
-            return None
-        handles = value.arena.nodes
-        indices.extend([i] * len(rows))
-        nodes.extend(handles[r] for r in rows)
-    ctx.stats.absorb(scanned)
-    return batch.replicate(indices, plan.attr, nodes)
+    walks, aligned = walked
+    column = _node_column([(arena, rows) for arena, _, rows in walks])
+    if aligned:  # one item per row: nothing moves
+        return batch.with_column(plan.attr, column)
+    indices = walks[0][1] if len(walks) == 1 \
+        else [o for walk in walks for o in walk[1]]
+    return batch.replicate(indices, plan.attr, column)
 
 
 def _unnest_map_partitioned(plan: UnnestMap, batch: Batch, env: Tup,
@@ -639,32 +671,24 @@ def _unnest_map_partitioned(plan: UnnestMap, batch: Batch, env: Tup,
     if rest is None:
         return None
     indices: list[int] = []
-    nodes: list[Node] = []
-    scanned = ScanStats()
+    parts = []
+    stats = ctx.stats
     for i, t in enumerate(batch.to_rows()):
         context, eff_path = expr.context_node(scalar_env(env, t), ctx)
         arena = context.arena
         if arena is None:
             return None
-        first = eff_path.steps[0]
-        rows = arena.descendants_by_tag(context.pre,
-                                        first.test.name)
-        rows = rows[expr.start:expr.stop]
-        scanned.record_scan(arena.document.name)
-        scanned.record_visits(len(rows))
-        handles = arena.nodes
-        if not rest:
-            indices.extend([i] * len(rows))
-            nodes.extend(handles[r] for r in rows)
-            continue
-        for r in rows:
-            hits = _apply_steps(handles[r], rest, scanned)
-            if hits is None:
-                return None
-            indices.extend([i] * len(hits))
-            nodes.extend(handles[h] for h in hits)
-    ctx.stats.absorb(scanned)
-    return batch.replicate(indices, plan.attr, nodes)
+        rows = list(arena.descendants_by_tag(
+            context.pre, eff_path.steps[0].test.name)
+            [expr.start:expr.stop])
+        stats.record_scan(arena.doc_name)
+        stats.node_visits += len(rows)
+        walk = _apply_steps(arena, rows, rest, stats)
+        if walk is None:
+            return None
+        indices.extend([i] * len(walk[1]))
+        parts.append((arena, walk[1]))
+    return batch.replicate(indices, plan.attr, _node_column(parts))
 
 
 def _unnest(plan: Unnest, ctx, env: Tup, path) -> Batch:
@@ -698,28 +722,34 @@ def _cross(plan: Cross, ctx, env: Tup, path) -> Batch:
 
 def _join(plan: Join, ctx, env: Tup, path) -> Batch:
     return Batch.from_rows(join_rows(
-        plan, _child_rows(plan, 0, ctx, env, path),
-        _child_rows(plan, 1, ctx, env, path), env, ctx))
+        plan, _child(plan, 0, ctx, env, path),
+        _child(plan, 1, ctx, env, path), env, ctx))
+
+
+def _semi_anti(plan, ctx, env: Tup, path, keep_matched: bool) -> Batch:
+    left = _child(plan, 0, ctx, env, path)
+    right = _child(plan, 1, ctx, env, path)
+    selection = semi_anti_selection(plan, left, right, keep_matched)
+    if selection is not None:
+        # Bare equalities (the pushed ⋉/▷ the rewriter emits): decided
+        # on the key columns alone — neither input becomes rows.
+        return left.take(selection_vector(selection))
+    return Batch.from_rows(semi_anti_rows(plan, left, right, env, ctx,
+                                          keep_matched))
 
 
 def _semi_join(plan: SemiJoin, ctx, env: Tup, path) -> Batch:
-    return Batch.from_rows(semi_anti_rows(
-        plan, _child_rows(plan, 0, ctx, env, path),
-        _child_rows(plan, 1, ctx, env, path), env, ctx,
-        keep_matched=True))
+    return _semi_anti(plan, ctx, env, path, keep_matched=True)
 
 
 def _anti_join(plan: AntiJoin, ctx, env: Tup, path) -> Batch:
-    return Batch.from_rows(semi_anti_rows(
-        plan, _child_rows(plan, 0, ctx, env, path),
-        _child_rows(plan, 1, ctx, env, path), env, ctx,
-        keep_matched=False))
+    return _semi_anti(plan, ctx, env, path, keep_matched=False)
 
 
 def _outer_join(plan: OuterJoin, ctx, env: Tup, path) -> Batch:
     return Batch.from_rows(outer_join_rows(
-        plan, _child_rows(plan, 0, ctx, env, path),
-        _child_rows(plan, 1, ctx, env, path), env, ctx))
+        plan, _child(plan, 0, ctx, env, path),
+        _child(plan, 1, ctx, env, path), env, ctx))
 
 
 def _group_unary(plan: GroupUnary, ctx, env: Tup, path) -> Batch:
@@ -729,8 +759,8 @@ def _group_unary(plan: GroupUnary, ctx, env: Tup, path) -> Batch:
 
 def _group_binary(plan: GroupBinary, ctx, env: Tup, path) -> Batch:
     return Batch.from_rows(group_binary_rows(
-        plan, _child_rows(plan, 0, ctx, env, path),
-        _child_rows(plan, 1, ctx, env, path), env, ctx))
+        plan, _child(plan, 0, ctx, env, path),
+        _child(plan, 1, ctx, env, path), env, ctx))
 
 
 def _self_group(plan: SelfGroup, ctx, env: Tup, path) -> Batch:

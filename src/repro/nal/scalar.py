@@ -454,7 +454,7 @@ class PartitionedPath(ScalarExpr):
         rows = arena.descendants_by_tag(context.pre, first.test.name)
         rows = rows[self.start:self.stop]
         if ctx.stats is not None:
-            ctx.stats.record_scan(arena.document.name)
+            ctx.stats.record_scan(arena.doc_name)
             ctx.stats.record_visits(len(rows))
         context_nodes = [arena.nodes[row] for row in rows]
         rest = Path(path.steps[1:], absolute=path.absolute)

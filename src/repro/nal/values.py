@@ -269,6 +269,21 @@ def _as_number(value: Any) -> int | float | None:
     return None
 
 
+def text_key(text: str) -> tuple:
+    """``canonical_key`` of a string (and so of a node's string
+    value): numeric text keys as the number, anything else as the
+    text — the one rule column-wise key builders share with the
+    row-wise one."""
+    if text[:1].isalpha() and text[:3].lower() not in ("inf", "nan"):
+        # The only float literals that start with a letter: identifiers
+        # like "I00042" skip the raise-and-catch.
+        return ("s", text)
+    try:
+        return ("n", float(text))
+    except ValueError:
+        return ("s", text)
+
+
 def canonical_key(value: Any) -> Any:
     """A hashable key such that ``compare_atomic(a, '=', b)`` iff
     ``canonical_key(a) == canonical_key(b)`` (for atomizable non-NULL
@@ -277,14 +292,16 @@ def canonical_key(value: Any) -> Any:
     if value is NULL or value is None:
         return ("null",)
     if isinstance(value, Node):
-        value = value.string_value()
+        return text_key(value.string_value())
+    if isinstance(value, str):
+        return text_key(value)
     if isinstance(value, bool):
         return ("b", value)
-    number = _as_number(value)
-    if number is not None:
-        return ("n", number)
-    if isinstance(value, str):
-        return ("s", value)
+    if isinstance(value, (int, float)):
+        # Integers stay exact: ints and floats compare and hash
+        # consistently in Python, and float() of a huge int would
+        # raise OverflowError.
+        return ("n", value)
     if isinstance(value, Tup):
         return ("t", frozenset(
             (a, canonical_key(v)) for a, v in value.items()))

@@ -412,7 +412,10 @@ def apply_eqv7(site: QuantifierSite) -> Operator:
 def push_into_right(join) -> Operator:
     """e1 ⋉_{c ∧ q} e2 = e1 ⋉_c σ_q(e2) when F(q) ⊆ A(e2); same for ▷.
 
-    Needed before Eqvs. 8/9, whose left-hand side is ⋉/▷ over σ_p(e2)."""
+    Applied to every ⋉/▷ the rewriter emits (the paper's §5.5 hand
+    push): the filter runs once over e2 instead of once per probe, and
+    the remaining predicate is what the engines hash on.  It is also
+    the left-hand side Eqvs. 8/9 match: ⋉/▷ over σ_p(e2)."""
     assert isinstance(join, (SemiJoin, AntiJoin))
     right_attrs = join.children[1].attrs()
     keep: list[ScalarExpr] = []

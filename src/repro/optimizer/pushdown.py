@@ -17,11 +17,14 @@ Cross product and join stay associative in the ordered context but are
 
 :func:`push_selections` is the driver: it splits selection predicates
 into conjuncts and sinks each conjunct as deep as the scope conditions
-allow.  It is a cleanup pass, typically run after unnesting (the paper
-does the analogous step manually in §5.5, pushing ``year ≤ 1993`` into
-the antijoin's right operand — that particular push is performed by
-``equivalences.push_into_right`` during unnesting; this module covers
-selections sitting *above* binary operators).
+allow.  It is a cleanup pass, typically run after unnesting.  (The
+paper does the analogous step by hand in §5.5, pushing ``year ≤ 1993``
+into the antijoin's right operand.  That push is not left to a cleanup
+pass: the rewriter applies ``equivalences.push_into_right`` to every
+semijoin/antijoin alternative it emits — Eqvs. 6/7, and 8/9 on top of
+them — so the join predicate an engine hashes on is the bare
+correlation.  This module covers selections sitting *above* binary
+operators.)
 
 Every equivalence is additionally verified as a hypothesis property in
 ``tests/test_pushdown.py``.

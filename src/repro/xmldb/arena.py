@@ -11,7 +11,8 @@ numbered in document order (``pre``), with parallel columns
 - ``posts``   — post-order rank (a node closes after its subtree),
 - ``levels``  — depth below the root,
 - ``parents`` — parent row (``-1`` for the root),
-- ``ends``    — exclusive end of the subtree interval.
+- ``ends``    — exclusive end of the subtree interval,
+- ``child_counts`` — number of child nodes (attributes excluded).
 
 The pre/post/level scheme is the classic interval encoding of the
 structural-join literature (and of Natix, the paper's host system):
@@ -20,6 +21,25 @@ equivalently ``post(d) < post(a)`` — an O(1) check with no pointer
 chasing, and the descendants of a node are the *contiguous* row slice
 ``(pre, ends[pre])``.  Per-tag row lists make a ``descendant::tag``
 step a binary search plus a slice copy instead of a recursive walk.
+:meth:`Arena.step_rows` and :meth:`Arena.string_values` are the
+whole-column kernels the default engine runs path steps and
+atomization through: a column of context rows in, result rows out,
+reading only the int columns above — no ``Node`` handle is created.
+
+**Handles and what keeps them.**  ``nodes`` / ``child_lists`` /
+``attr_lists`` hand out interned :class:`~repro.xmldb.node.Node`
+handles (the builder tree's own nodes after registration,
+:class:`LazyNodes` for spliced and shared-memory versions).  A handle
+references its arena, and the arena's tables reference the handles —
+a reference cycle that is deliberate while the version is *pinned*
+(interning must not depend on who else holds a handle) and is cut the
+moment the owning :class:`~repro.xmldb.document.Document` dies:
+:meth:`Arena.release_handles` swaps the tables for weak-valued ones, so
+an unpinned superseded version is reclaimed by reference counting
+alone, and a handle somebody still holds keeps its identity and its
+arena's columns for as long as it is held.  The arena therefore only
+keeps a *weak* reference to its document (plus plain copies of the
+name and registration sequence the hot paths need).
 
 :func:`acceleration` is a benchmark/bisection switch: with acceleration
 disabled the evaluator falls back to the pointer-chasing walks the
@@ -29,8 +49,10 @@ object-graph storage used, which is exactly the baseline
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
+from operator import le
 from typing import Iterator
 
 from repro.xmldb.node import Node, NodeKind
@@ -62,18 +84,112 @@ def acceleration(enabled: bool):
         _ACCELERATION = previous
 
 
+class LazyNodes:
+    """Interned frozen :class:`Node` handles created on first access —
+    a spliced or shared-memory version allocates no per-row objects up
+    front, and identity (``is``) holds per version.
+
+    While the version is pinned the table keeps every handle it made
+    (``_cache``, the hot lookup).  :meth:`release` turns the table
+    weak-valued (``_refs``): from then on a handle lives exactly as
+    long as somebody holds it, and is re-created on demand otherwise.
+    The back-reference to the arena is weak for the same reason —
+    nothing the arena owns may keep the arena alive."""
+
+    __slots__ = ("_arena", "_cache", "_refs")
+
+    def __init__(self, arena: "Arena"):
+        self._arena = weakref.ref(arena)
+        self._cache: dict[int, Node] = {}
+        #: pre → weak reference; None until :meth:`release`
+        self._refs: dict[int, weakref.ref] | None = None
+
+    def __len__(self) -> int:
+        return len(self._arena().kinds)
+
+    def __getitem__(self, pre: int) -> Node:
+        node = self._cache.get(pre)
+        if node is None:
+            refs = self._refs
+            ref = None if refs is None else refs.get(pre)
+            node = None if ref is None else ref()
+            if node is None:
+                node = Node.__new__(Node)
+                node._freeze(self._arena(), pre)
+                if refs is None:
+                    self._cache[pre] = node
+                else:
+                    refs[pre] = weakref.ref(node)
+        return node
+
+    def __iter__(self):
+        return (self[pre] for pre in range(len(self)))
+
+    def release(self) -> None:
+        """Stop keeping handles alive.  Everything interned so far
+        stays findable through weak references, so a node somebody
+        still holds keeps its identity."""
+        self._refs = {pre: weakref.ref(node)
+                      for pre, node in self._cache.items()}
+        self._cache = {}
+
+
+class LazyLists:
+    """Per-row child or attribute tuples over a :class:`LazyNodes`
+    arena, computed from the interval columns on first touch
+    (``which`` selects the half; the sibling view shares the walk's
+    result).  Cached while the version is pinned, recomputed per call
+    once it is released (a cached tuple would keep its handles — and
+    through them the arena — alive)."""
+
+    __slots__ = ("_arena", "_which", "_cache")
+
+    def __init__(self, arena: "Arena", which: str):
+        self._arena = weakref.ref(arena)
+        self._which = which
+        #: None once the version is released
+        self._cache: dict[int, tuple[Node, ...]] | None = {}
+
+    def __getitem__(self, pre: int) -> tuple[Node, ...]:
+        cache = self._cache
+        entry = None if cache is None else cache.get(pre)
+        if entry is None:
+            arena = self._arena()
+            kinds, ends, nodes = arena.kinds, arena.ends, arena.nodes
+            attribute = NodeKind.ATTRIBUTE
+            attrs: list[Node] = []
+            children: list[Node] = []
+            row = pre + 1
+            end = ends[pre]
+            while row < end:
+                if kinds[row] is attribute:
+                    attrs.append(nodes[row])
+                else:
+                    children.append(nodes[row])
+                row = ends[row]
+            wants_attrs = self._which == "attrs"
+            entry = tuple(attrs if wants_attrs else children)
+            if cache is not None:
+                cache[pre] = entry
+                sibling = arena.child_lists if wants_attrs \
+                    else arena.attr_lists
+                if sibling._cache is not None:
+                    sibling._cache.setdefault(
+                        pre, tuple(children if wants_attrs else attrs))
+        return entry
+
+
 class Arena:
     """Struct-of-arrays storage for one document tree."""
 
-    __slots__ = ("document", "kinds", "name_ids", "texts", "posts",
-                 "levels", "parents", "ends", "names", "nodes",
+    __slots__ = ("_document", "doc_name", "doc_seq", "kinds",
+                 "name_ids", "texts", "posts", "levels", "parents",
+                 "ends", "child_counts", "names", "nodes",
                  "child_lists", "attr_lists", "_name_to_id",
                  "_tag_pres", "_elem_pres", "_text_pres", "_flat_tags",
-                 "_avg_fanout")
+                 "_avg_fanout", "__weakref__")
 
     def __init__(self, document=None):
-        #: the owning Document (None for throwaway arenas built over
-        #: unregistered trees, e.g. by the index subsystem)
         self.document = document
         self.kinds: list[NodeKind] = []
         self.name_ids: list[int] = []
@@ -82,6 +198,9 @@ class Arena:
         self.levels: list[int] = []
         self.parents: list[int] = []
         self.ends: list[int] = []
+        #: child nodes per row (attributes excluded) — what a child
+        #: step from the row scans, without building the child list
+        self.child_counts: list[int] = []
         self.names: list[str] = []
         #: one Node handle per row; handles are interned so node
         #: identity (``is`` / ``id()``) keeps working across lookups
@@ -102,6 +221,53 @@ class Arena:
         #: memoized :meth:`average_fanout` — the cost model asks on
         #: every estimate, and the columns never change once frozen
         self._avg_fanout: float | None = None
+
+    # ------------------------------------------------------------------
+    # Ownership
+    # ------------------------------------------------------------------
+    @property
+    def document(self):
+        """The owning Document — None for throwaway arenas built over
+        unregistered trees (e.g. by the index subsystem), and None once
+        nothing pins the version any more (the reference is weak: a
+        handle keeps its arena readable, not its Document alive;
+        ``doc_name`` / ``doc_seq`` stay valid either way)."""
+        ref = self._document
+        return None if ref is None else ref()
+
+    @document.setter
+    def document(self, document) -> None:
+        self._document = None if document is None \
+            else weakref.ref(document)
+        self.doc_name = None if document is None else document.name
+        self.doc_seq = -1 if document is None else document.seq
+
+    def release_handles(self) -> None:
+        """Cut the arena ↔ handle reference cycles (called when the
+        owning Document dies, i.e. when nothing pins this version):
+        the handle tables become weak-valued, so the arena and its
+        columns go away with the last handle somebody still holds —
+        by reference count, without waiting for the cyclic collector.
+        Handles alive at this moment keep their identity."""
+        nodes = self.nodes
+        if isinstance(nodes, LazyNodes):
+            nodes.release()
+        else:
+            # A builder arena: its prebuilt tables become lazy ones
+            # that still find every node somebody holds.  The list is
+            # emptied from the end, so a node nobody else holds dies
+            # as it is popped and only held ones leave a weak
+            # reference behind (no second table of the whole document
+            # while the first is being let go).
+            lazy = self.nodes = LazyNodes(self)
+            self.child_lists = LazyLists(self, "children")
+            self.attr_lists = LazyLists(self, "attrs")
+            refs = lazy._refs = {}
+            while nodes:
+                ref = weakref.ref(nodes.pop())
+                if ref() is not None:
+                    refs[len(nodes)] = ref
+        self.child_lists._cache = self.attr_lists._cache = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -161,6 +327,7 @@ class Arena:
             children = tuple(node.children)
             self.attr_lists.append(attrs)
             self.child_lists.append(children)
+            self.child_counts.append(len(children))
             if kind is NodeKind.ELEMENT:
                 self._tag_pres.setdefault(name, []).append(pre)
                 self._elem_pres.append(pre)
@@ -215,9 +382,7 @@ class Arena:
         if cached is not None:
             return cached
         rows = self._tag_pres.get(name, ())
-        ends = self.ends
-        flat = all(ends[rows[i]] <= rows[i + 1]
-                   for i in range(len(rows) - 1))
+        flat = all(map(le, map(self.ends.__getitem__, rows), rows[1:]))
         self._flat_tags[name] = flat
         return flat
 
@@ -245,6 +410,88 @@ class Arena:
         hi = bisect_left(rows, self.ends[pre], lo)
         texts = self.texts
         return "".join(texts[rows[i]] or "" for i in range(lo, hi))
+
+    # ------------------------------------------------------------------
+    # Whole-column kernels (int columns in, int rows out — no handles)
+    # ------------------------------------------------------------------
+    def step_rows(self, pres, axis: str, name: str
+                  ) -> tuple[list[int] | None, list[int], int]:
+        """One ``child::name`` / ``descendant::name`` step from a whole
+        column of context rows: ``(owners, rows, visits)`` where
+        ``rows`` are the result rows grouped per context in input
+        order (document order inside a group) and ``owners[i]`` is the
+        position in ``pres`` of the context ``rows[i]`` came from.
+        ``owners`` None stands for the identity — ``rows[i]`` belongs
+        to ``pres[i]``, nothing to regroup — which the one-pass lane
+        below reports when every context has exactly one hit.
+
+        ``visits`` is what the XPath evaluator records for the same
+        walk — the children scanned by a child step
+        (``child_counts``), the hits of a descendant step — so scan
+        statistics stay exact without building a child list.
+
+        Any context column is accepted (unsorted, duplicated, nested:
+        every context is answered by bisecting the tag's pre list to
+        its own subtree interval).  A child step over a strictly
+        increasing antichain — what a previous step or a ``//tag``
+        scan produces — is one pass over the slice of the tag list
+        spanning the whole column instead, filtered through
+        ``parents``."""
+        owners: list[int] = []
+        rows: list[int] = []
+        child = axis == "child"
+        visits = sum(map(self.child_counts.__getitem__, pres)) \
+            if child else 0
+        tag = self._tag_pres.get(name)
+        if tag is None or not len(pres):
+            return owners, rows, visits
+        ends = self.ends
+        if not child:
+            for i, pre in enumerate(pres):
+                lo = bisect_right(tag, pre)
+                hi = bisect_left(tag, ends[pre], lo)
+                if hi > lo:
+                    rows.extend(tag[lo:hi])
+                    owners.extend([i] * (hi - lo))
+            return owners, rows, len(rows)
+        parents = self.parents
+        count = len(pres)
+        if count > 1 and all(map(le, map(ends.__getitem__, pres),
+                                 pres[1:])):
+            lo = bisect_right(tag, pres[0])
+            candidates = tag[lo:bisect_left(tag, ends[pres[-1]], lo)]
+            found = list(map(parents.__getitem__, candidates))
+            if found == pres:
+                # exactly one such child per context, the shape a
+                # DTD's mandatory children give
+                return None, list(candidates), visits
+            slots = list(map(dict(zip(pres, range(count))).get, found))
+            if None not in slots:
+                return slots, list(candidates), visits
+            # deeper descendants carry the tag too: drop them
+            rows = [row for i, row in zip(slots, candidates)
+                    if i is not None]
+            return [i for i in slots if i is not None], rows, visits
+        for i, pre in enumerate(pres):
+            lo = bisect_right(tag, pre)
+            hi = bisect_left(tag, ends[pre], lo)
+            for row in tag[lo:hi]:
+                if parents[row] == pre:
+                    owners.append(i)
+                    rows.append(row)
+        return owners, rows, visits
+
+    def string_values(self, pres) -> list[str]:
+        """The string value of every row of a column, straight off the
+        columns: the overwhelmingly common ``<tag>text</tag>`` shape is
+        the one text row at ``pre + 1``, anything else concatenates the
+        subtree's text rows (:meth:`string_value`)."""
+        ends, kinds, texts = self.ends, self.kinds, self.texts
+        text_kind = NodeKind.TEXT
+        string_value = self.string_value
+        return [(texts[pre + 1] or "")
+                if ends[pre] == pre + 2 and kinds[pre + 1] is text_kind
+                else string_value(pre) for pre in pres]
 
     # ------------------------------------------------------------------
     # Statistics (exact, read straight off the columns)

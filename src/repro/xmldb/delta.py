@@ -13,10 +13,10 @@ Why splicing instead of an overlay/tombstone view: a subtree is a
 *contiguous* row interval ``[pre, ends[pre])`` in the interval
 encoding, so insert/delete/replace-subtree are single list splices —
 the tail copy runs at C speed — plus O(depth) interval fix-ups on the
-ancestor chain and two O(rows) column passes (post-order ranks, per-tag
-row lists).  Every read after that is exactly as fast as a freshly
-registered document: no per-row indirection, no tombstone checks on the
-hot axes, and the shared-memory exporter and the vectorized engine work
+ancestor chain and one O(rows) Python pass (the per-tag row lists;
+post-order ranks are a closed form of two columns).  Every read after
+that is exactly as fast as a freshly registered document: no per-row
+indirection, no tombstone checks on the hot axes, and the shared-memory exporter and the vectorized engine work
 on the new version unchanged.  The expensive parts of full
 re-registration — serializing, re-parsing, rebuilding node objects and
 re-deriving the value indexes — are all skipped, which is where the
@@ -24,9 +24,12 @@ update-latency win over ``unregister()`` + ``register_text()`` comes
 from (measured by ``benchmarks/bench_q14_updates.py``).
 
 Node handles of the *new* version are materialized lazily
-(:class:`_LazyNodes`, the same trick the shared-memory attachment
-uses): an update allocates zero per-row Python objects up front, and a
-reader only pays for the rows it touches.
+(:class:`~repro.xmldb.arena.LazyNodes`, the same tables the
+shared-memory attachment uses): an update allocates zero per-row Python
+objects up front, and a reader only pays for the rows it hands out —
+the default engine's path steps run over the int columns alone
+(:meth:`~repro.xmldb.arena.Arena.step_rows`), so that is the result
+rows.
 
 Each splice is described by a :class:`SpliceRecord`; the index
 subsystem replays those records to update element/path/value indexes
@@ -41,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import EvaluationError
-from repro.xmldb.arena import Arena, TagPath
+from repro.xmldb.arena import Arena, LazyLists, LazyNodes, TagPath
 from repro.xmldb.node import Node, NodeKind
 
 
@@ -130,75 +133,6 @@ class SpliceRecord:
 
 
 # ----------------------------------------------------------------------
-# Lazy handle views (per-version; same pattern as xmldb.shm)
-# ----------------------------------------------------------------------
-class _LazyNodes:
-    """Interned frozen :class:`Node` handles over a delta arena,
-    created on first access — an update allocates no per-row node
-    objects, and identity (``is``) holds per version."""
-
-    __slots__ = ("_arena", "_cache")
-
-    def __init__(self, arena: Arena):
-        self._arena = arena
-        self._cache: dict[int, Node] = {}
-
-    def __len__(self) -> int:
-        return len(self._arena.kinds)
-
-    def __getitem__(self, pre: int) -> Node:
-        node = self._cache.get(pre)
-        if node is None:
-            node = Node.__new__(Node)
-            node._freeze(self._arena, pre)
-            self._cache[pre] = node
-        return node
-
-    def __iter__(self):
-        return (self[pre] for pre in range(len(self)))
-
-
-class _LazyLists:
-    """Per-row child or attribute tuples over a delta arena, computed
-    from the interval columns on first touch (``which`` selects the
-    half; the sibling view shares the walk's result)."""
-
-    __slots__ = ("_arena", "_which", "_cache")
-
-    def __init__(self, arena: Arena, which: str):
-        self._arena = arena
-        self._which = which
-        self._cache: dict[int, tuple[Node, ...]] = {}
-
-    def __getitem__(self, pre: int) -> tuple[Node, ...]:
-        entry = self._cache.get(pre)
-        if entry is None:
-            arena = self._arena
-            kinds, ends, nodes = arena.kinds, arena.ends, arena.nodes
-            attribute = NodeKind.ATTRIBUTE
-            attrs: list[Node] = []
-            children: list[Node] = []
-            row = pre + 1
-            end = ends[pre]
-            while row < end:
-                if kinds[row] is attribute:
-                    attrs.append(nodes[row])
-                else:
-                    children.append(nodes[row])
-                row = ends[row]
-            entry = tuple(attrs) if self._which == "attrs" \
-                else tuple(children)
-            other = tuple(children) if self._which == "attrs" \
-                else tuple(attrs)
-            self._cache[pre] = entry
-            sibling = arena.attr_lists if self._which == "children" \
-                else arena.child_lists
-            if isinstance(sibling, _LazyLists):
-                sibling._cache.setdefault(pre, other)
-        return entry
-
-
-# ----------------------------------------------------------------------
 # The splice
 # ----------------------------------------------------------------------
 def _pre_of(ref, arena: Arena, what: str) -> int:
@@ -233,7 +167,7 @@ class _Working:
     """Mutable column state while a multi-op update applies."""
 
     __slots__ = ("kinds", "name_ids", "texts", "levels", "parents",
-                 "ends", "names", "name_to_id")
+                 "ends", "child_counts", "names", "name_to_id")
 
     def __init__(self, base: Arena):
         self.kinds = list(base.kinds)
@@ -242,6 +176,7 @@ class _Working:
         self.levels = list(base.levels)
         self.parents = list(base.parents)
         self.ends = list(base.ends)
+        self.child_counts = list(base.child_counts)
         self.names = list(base.names)
         self.name_to_id = dict(base._name_to_id)
 
@@ -300,6 +235,9 @@ class _Working:
             while row >= 0:
                 ends[row] += shift
                 row = parents[row]
+        # The anchor gains the patch root and/or loses the window root
+        # as a child (anchor < pos, so its own row never moves).
+        self.child_counts[anchor] += (patch is not None) - (removed > 0)
         # 2. Shift the surviving tail.  A kept row's parent is never
         # inside the removed window (it would have to be a descendant
         # of the window, i.e. inside it), so parents only shift when
@@ -316,6 +254,7 @@ class _Working:
             patch_levels: list[int] = []
             patch_parents: list[int] = []
             patch_ends: list[int] = []
+            patch_counts: list[int] = []
         else:
             patch_kinds = patch.kinds
             patch_texts = patch.texts
@@ -326,12 +265,14 @@ class _Working:
             patch_parents = [pos + p if p >= 0 else anchor
                              for p in patch.parents]
             patch_ends = [e + pos for e in patch.ends]
+            patch_counts = patch.child_counts
         self.kinds[pos:w_end] = patch_kinds
         self.texts[pos:w_end] = patch_texts
         self.name_ids[pos:w_end] = patch_ids
         self.levels[pos:w_end] = patch_levels
         parents[pos:w_end] = patch_parents
         ends[pos:w_end] = patch_ends
+        self.child_counts[pos:w_end] = patch_counts
 
     def window_names(self, pos: int, w_end: int) -> frozenset:
         name_ids, names = self.name_ids, self.names
@@ -340,23 +281,12 @@ class _Working:
                          if name_ids[row] >= 0)
 
 
-def _derive_posts(ends: list[int]) -> list[int]:
-    """Post-order ranks from the interval column in one pass: a row
-    closes once the scan moves past its interval; equal ends close
-    deepest-first (the stack order)."""
-    n = len(ends)
-    posts = [0] * n
-    stack: list[int] = []
-    counter = 0
-    for pre in range(n):
-        while stack and ends[stack[-1]] <= pre:
-            posts[stack.pop()] = counter
-            counter += 1
-        stack.append(pre)
-    while stack:
-        posts[stack.pop()] = counter
-        counter += 1
-    return posts
+def _derive_posts(ends: list[int], levels: list[int]) -> list[int]:
+    """Post-order ranks straight off the interval and level columns:
+    when a row closes, everything numbered before it has closed except
+    its ``level`` ancestors, and so have its ``ends - pre - 1``
+    descendants — ``post = pre - level + (ends - pre - 1)``."""
+    return [end - level - 1 for end, level in zip(ends, levels)]
 
 
 def apply_delta(document, ops) -> tuple[Arena, list[SpliceRecord]]:
@@ -456,8 +386,8 @@ def _op_pre(ref, work: _Working, what: str) -> int:
 
 def _assemble(work: _Working) -> Arena:
     """Finalize the spliced columns into a fresh arena with lazy node
-    views: two O(rows) passes (post-order ranks, per-tag row lists) and
-    no per-row object allocation."""
+    views: one O(rows) pass (per-tag row lists) and no per-row object
+    allocation."""
     arena = Arena(document=None)
     arena.kinds = work.kinds
     arena.name_ids = work.name_ids
@@ -465,9 +395,10 @@ def _assemble(work: _Working) -> Arena:
     arena.levels = work.levels
     arena.parents = work.parents
     arena.ends = work.ends
+    arena.child_counts = work.child_counts
     arena.names = work.names
     arena._name_to_id = work.name_to_id
-    arena.posts = _derive_posts(work.ends)
+    arena.posts = _derive_posts(work.ends, work.levels)
     tag_pres: dict[str, list[int]] = {}
     elem_pres: list[int] = []
     text_pres: list[int] = []
@@ -482,9 +413,9 @@ def _assemble(work: _Working) -> Arena:
     arena._tag_pres = tag_pres
     arena._elem_pres = elem_pres
     arena._text_pres = text_pres
-    arena.nodes = _LazyNodes(arena)
-    arena.child_lists = _LazyLists(arena, "children")
-    arena.attr_lists = _LazyLists(arena, "attrs")
+    arena.nodes = LazyNodes(arena)
+    arena.child_lists = LazyLists(arena, "children")
+    arena.attr_lists = LazyLists(arena, "attrs")
     return arena
 
 

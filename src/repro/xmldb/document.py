@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import fnmatch
 import itertools
+import sys
 import threading
 import weakref
 
@@ -49,6 +50,15 @@ class Document:
     one via :mod:`repro.xmldb.delta` and publishes it in the store.
     A reference to an old version keeps reading its own frozen columns:
     holding a ``Document`` *is* holding an MVCC snapshot of it.
+
+    The Document is also what *pins* a version's handle tables: the
+    arena only refers back to it weakly, so once the store has moved on
+    and no :class:`StoreSnapshot`, query or caller holds the Document
+    any more it dies by reference count, and its last act is to turn
+    the arena's handle tables weak (:meth:`~repro.xmldb.arena.Arena.
+    release_handles`) — the version's columns are then freed with the
+    last handle anyone still holds, without waiting for the cyclic
+    garbage collector.
     """
 
     def __init__(self, name: str, root: Node, dtd: DTD | None = None):
@@ -122,6 +132,11 @@ class Document:
         doc.compaction_watermark = old.compaction_watermark
         return doc
 
+    def __del__(self):
+        arena = getattr(self, "arena", None)
+        if arena is not None and not sys.is_finalizing():
+            arena.release_handles()
+
     def compact(self) -> None:
         """Fold the recorded delta chain into the current version.
 
@@ -193,9 +208,9 @@ class ScanStats:
         #: path evaluations that paid the full document-order dedup
         self.order_dedup_passes: int = 0
 
-    def record_scan(self, document_name: str) -> None:
+    def record_scan(self, document_name: str, count: int = 1) -> None:
         self.document_scans[document_name] = \
-            self.document_scans.get(document_name, 0) + 1
+            self.document_scans.get(document_name, 0) + count
 
     def record_probe(self, document_name: str) -> None:
         self.index_probes[document_name] = \
@@ -209,6 +224,18 @@ class ScanStats:
             self.order_fastpath_hits += 1
         else:
             self.order_dedup_passes += 1
+
+    def mark(self) -> tuple:
+        """What path walks count, right now, for :meth:`rollback`."""
+        return (self.node_visits, self.order_fastpath_hits,
+                dict(self.document_scans))
+
+    def rollback(self, mark: tuple) -> None:
+        """Forget the walks recorded since :meth:`mark` — a columnar
+        pass that bailed out hands its input to the row interpreter,
+        which records the same walks for itself."""
+        self.node_visits, self.order_fastpath_hits, \
+            self.document_scans = mark
 
     @property
     def total_scans(self) -> int:

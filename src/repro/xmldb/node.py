@@ -58,7 +58,8 @@ class Node:
     """
 
     __slots__ = ("_kind", "_name", "_text", "_parent", "_children",
-                 "_attributes", "order_key", "arena", "pre", "_strval")
+                 "_attributes", "order_key", "arena", "pre", "_strval",
+                 "__weakref__")
 
     def __init__(self, kind: NodeKind, name: str | None = None,
                  text: str | None = None):
@@ -147,7 +148,11 @@ class Node:
 
     @property
     def document(self):
-        """The owning Document (None until the tree is registered)."""
+        """The owning Document — None until the tree is registered, and
+        None again once nothing pins the version: a handle keeps its
+        arena's columns readable, not the Document alive (the store's
+        current map, a ``StoreSnapshot`` or a ``Document`` reference
+        pin a version; see ``docs/updates.md``)."""
         arena = self.arena
         return None if arena is None else arena.document
 
@@ -169,9 +174,7 @@ class Node:
     # ------------------------------------------------------------------
     def _require_mutable(self) -> None:
         if self.arena is not None:
-            owner = self.arena.document
-            raise FrozenDocumentError(
-                owner.name if owner is not None else "<anonymous>")
+            raise FrozenDocumentError(self.arena.doc_name or "<anonymous>")
 
     def append_child(self, child: Node) -> Node:
         """Attach ``child`` as the last child of this element."""
@@ -332,8 +335,8 @@ def global_order_key(node: Node) -> tuple[int, int]:
     ``(document registration sequence, pre)``.  Unregistered trees sort
     before all documents, by their local order keys — deterministic
     across runs, unlike the ``id(document)`` tie-break this replaces."""
-    document = node.document
-    return (-1 if document is None else document.seq, node.order_key)
+    arena = node.arena
+    return (-1 if arena is None else arena.doc_seq, node.order_key)
 
 
 def document_order(nodes: list[Node]) -> list[Node]:

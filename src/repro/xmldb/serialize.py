@@ -28,12 +28,58 @@ def serialize(node: Node, indent: int | None = None) -> str:
     return "".join(parts)
 
 
+def _attribute(name: str, text: str | None) -> str:
+    return f' {name}="{_escape_attr(text or "")}"'
+
+
+def _serialize_rows(arena, pre: int, parts: list[str]) -> None:
+    """Compact serialization of a frozen element or text subtree — the
+    only compact walk frozen nodes take — straight off the arena
+    columns: one pass over the row interval ``[pre, ends[pre])`` with
+    a stack of pending close tags — no handle, no child list
+    (attribute rows directly follow their element, children follow
+    those)."""
+    kinds, ends, texts = arena.kinds, arena.ends, arena.texts
+    names, name_ids = arena.names, arena.name_ids
+    text_kind, attribute = NodeKind.TEXT, NodeKind.ATTRIBUTE
+    closing: list[tuple[int, str]] = []
+    row, stop = pre, ends[pre]
+    while row < stop:
+        while closing and closing[-1][0] <= row:
+            parts.append(closing.pop()[1])
+        if kinds[row] is text_kind:
+            parts.append(_escape_text(texts[row] or ""))
+            row += 1
+            continue
+        name = names[name_ids[row]]
+        parts.append(f"<{name}")
+        end = ends[row]
+        row += 1
+        while row < end and kinds[row] is attribute:
+            parts.append(_attribute(names[name_ids[row]], texts[row]))
+            row += 1
+        if row == end:
+            parts.append("/>")
+        else:
+            parts.append(">")
+            closing.append((end, f"</{name}>"))
+    while closing:
+        parts.append(closing.pop()[1])
+
+
 def _has_element_children(node: Node) -> bool:
     return any(c.kind is NodeKind.ELEMENT for c in node.children)
 
 
 def _serialize_into(node: Node, parts: list[str], indent: int | None,
                     depth: int) -> None:
+    """The pointer walk: builder trees, and the pretty-printed levels
+    of frozen ones (their compact subtrees go through
+    :func:`_serialize_rows`)."""
+    if indent is None and node.arena is not None \
+            and node.kind is not NodeKind.ATTRIBUTE:
+        _serialize_rows(node.arena, node.pre, parts)
+        return
     pad = "" if indent is None else " " * (indent * depth)
     newline = "" if indent is None else "\n"
     if node.kind is NodeKind.TEXT:
@@ -44,7 +90,7 @@ def _serialize_into(node: Node, parts: list[str], indent: int | None,
         return
     parts.append(f"{pad}<{node.name}")
     for attr in node.attributes:
-        parts.append(f' {attr.name}="{_escape_attr(attr.text or "")}"')
+        parts.append(_attribute(attr.name, attr.text))
     if not node.children:
         parts.append(f"/>{newline}")
         return

@@ -33,6 +33,7 @@ Segment layout (all sections 8-byte aligned)::
     levels       i32 × rows
     parents      i32 × rows
     ends         i32 × rows
+    child_counts i32 × rows
     elem_pres    i32 × n_elem
     text_pres    i32 × n_text
     tag_concat   i32 × n_elem   (per-tag pre lists, concatenated;
@@ -41,10 +42,12 @@ Segment layout (all sections 8-byte aligned)::
     text_offsets i32 × rows+1   (byte offsets into the UTF-8 blob)
     text_blob    UTF-8 bytes
 
-The lazy pieces of the view (interned ``Node`` handles, per-row
-child/attribute tuples, decoded text strings) are materialized on first
-touch and cached, so a worker only pays for the rows its plan fragment
-actually visits.
+The lazy pieces of the view (interned ``Node`` handles and per-row
+child/attribute tuples — :class:`~repro.xmldb.arena.LazyNodes` /
+:class:`~repro.xmldb.arena.LazyLists`, the tables delta versions use —
+and decoded text strings) are materialized on first touch and cached,
+so a worker only pays for the rows its plan fragment actually hands
+out.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ from __future__ import annotations
 from array import array
 from multiprocessing import shared_memory
 
-from repro.xmldb.arena import Arena
-from repro.xmldb.node import Node, NodeKind
+from repro.xmldb.arena import Arena, LazyLists, LazyNodes
+from repro.xmldb.node import NodeKind
 
 #: NodeKind ↔ byte code used in the ``kinds`` section
 _KIND_CODES = {NodeKind.ELEMENT: 0, NodeKind.TEXT: 1,
@@ -131,6 +134,7 @@ def export_document(document) -> ShmExport:
         "levels": array(_INT, arena.levels),
         "parents": array(_INT, arena.parents),
         "ends": array(_INT, arena.ends),
+        "child_counts": array(_INT, arena.child_counts),
         "elem_pres": array(_INT, arena._elem_pres),
         "text_pres": array(_INT, arena._text_pres),
     }
@@ -256,72 +260,6 @@ class _TextsView:
         return (self[pre] for pre in range(len(self)))
 
 
-class _LazyNodes:
-    """Interned frozen :class:`Node` handles over a :class:`ShmArena`,
-    created on first access — identity (``is``) holds per attachment,
-    which is all the per-process evaluator relies on."""
-
-    __slots__ = ("_arena", "_cache")
-
-    def __init__(self, arena: "ShmArena"):
-        self._arena = arena
-        self._cache: dict[int, Node] = {}
-
-    def __len__(self) -> int:
-        return len(self._arena)
-
-    def __getitem__(self, pre: int) -> Node:
-        node = self._cache.get(pre)
-        if node is None:
-            node = Node.__new__(Node)
-            node._freeze(self._arena, pre)
-            self._cache[pre] = node
-        return node
-
-    def __iter__(self):
-        return (self[pre] for pre in range(len(self)))
-
-
-class _LazyLists:
-    """Per-row child or attribute tuples, computed from the interval
-    columns on first touch (``which`` selects the half)."""
-
-    __slots__ = ("_arena", "_which", "_cache")
-
-    def __init__(self, arena: "ShmArena", which: str):
-        self._arena = arena
-        self._which = which
-        self._cache: dict[int, tuple[Node, ...]] = {}
-
-    def __getitem__(self, pre: int) -> tuple[Node, ...]:
-        entry = self._cache.get(pre)
-        if entry is None:
-            arena = self._arena
-            attrs: list[Node] = []
-            children: list[Node] = []
-            raw_kinds = arena._raw_kinds
-            ends = arena.ends
-            row = pre + 1
-            end = ends[pre]
-            while row < end:
-                if raw_kinds[row] == 2:  # attribute
-                    attrs.append(arena.nodes[row])
-                else:
-                    children.append(arena.nodes[row])
-                row = ends[row]
-            entry = tuple(attrs) if self._which == "attrs" \
-                else tuple(children)
-            other = tuple(children) if self._which == "attrs" \
-                else tuple(attrs)
-            self._cache[pre] = entry
-            # the sibling view shares the walk's result
-            sibling = arena.attr_lists if self._which == "children" \
-                else arena.child_lists
-            if isinstance(sibling, _LazyLists):
-                sibling._cache.setdefault(pre, other)
-        return entry
-
-
 class ShmArena(Arena):
     """A read-only :class:`Arena` whose columns are memoryview casts
     over a shared segment.  Drop-in for every read the evaluator,
@@ -357,6 +295,7 @@ class ShmArena(Arena):
         self.levels = ints("levels")
         self.parents = ints("parents")
         self.ends = ints("ends")
+        self.child_counts = ints("child_counts")
         self._elem_pres = ints("elem_pres")
         self._text_pres = ints("text_pres")
         self.texts = _TextsView(raw("text_none"), ints("text_offsets"),
@@ -368,9 +307,9 @@ class ShmArena(Arena):
                           for tag, (start, stop)
                           in manifest["tag_spans"].items()}
         self._views.extend(self._tag_pres.values())
-        self.nodes = _LazyNodes(self)
-        self.child_lists = _LazyLists(self, "children")
-        self.attr_lists = _LazyLists(self, "attrs")
+        self.nodes = LazyNodes(self)
+        self.child_lists = LazyLists(self, "children")
+        self.attr_lists = LazyLists(self, "attrs")
 
     def __len__(self) -> int:
         return len(self._raw_kinds)
@@ -383,7 +322,8 @@ class ShmArena(Arena):
             return
         self._tag_pres = {}
         self.name_ids = self.posts = self.levels = self.parents = \
-            self.ends = self._elem_pres = self._text_pres = ()
+            self.ends = self.child_counts = self._elem_pres = \
+            self._text_pres = ()
         self.kinds = ()
         self.texts = ()
         self._raw_kinds = b""

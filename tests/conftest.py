@@ -3,7 +3,10 @@ and helpers for comparing plan outputs."""
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
 import re
+import sys
 
 import pytest
 
@@ -20,6 +23,27 @@ from repro.datagen import (
 )
 from repro.nal.unary_ops import Table
 from repro.xmldb.document import DocumentStore
+
+
+def _load_ledger_workloads():
+    """``benchmarks/ledger/workloads.py`` — the one definition of the
+    ledger's corpora and request shapes — loaded by file path under its
+    own module name, so no test copies a shape or edits ``sys.path``."""
+    path = pathlib.Path(__file__).resolve().parents[1] \
+        / "benchmarks" / "ledger" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("ledger_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve through it
+    spec.loader.exec_module(module)
+    return module
+
+
+ledger = _load_ledger_workloads()
+
+
+def ledger_query(template: str, constant: int) -> str:
+    """A ledger request shape instantiated with one constant."""
+    return template.replace(ledger.SLOT, str(constant))
 
 
 @pytest.fixture

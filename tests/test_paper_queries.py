@@ -3,9 +3,13 @@ and the scan asymmetry the paper's tables demonstrate."""
 
 import pytest
 
-from repro.api import compile_query
+from repro.api import Database, compile_query
 from repro.bench.queries import PAPER_QUERIES
-from tests.conftest import output_blocks
+from repro.obs.metrics import MetricsRegistry
+from repro.xmldb.delta import Replace
+from repro.xmldb.node import element
+from repro.xmldb.shm import attach_document, export_document
+from tests.conftest import ledger, ledger_query, output_blocks
 
 #: plans whose output may be a reordering of the nested plan's groups
 #: (the paper notes the author order of Q1's plans is unconstrained
@@ -130,6 +134,108 @@ def test_reference_and_default_agree_on_paper_queries(key):
         assert default.rows == reference.rows
         assert default.stats["document_scans"] == \
             reference.stats["document_scans"], f"{key}/{alt.label}"
-        if default.stats["document_scans"]:
-            assert default.stats["node_visits"] > 0, \
-                f"{key}/{alt.label}"
+        assert default.stats["node_visits"] == \
+            reference.stats["node_visits"], f"{key}/{alt.label}"
+
+
+LEDGER_SHAPES = {
+    "items-scan": ledger_query(ledger.ITEMS_SCAN, 250),
+    "bids-scan": ledger_query(ledger.BIDS_SCAN, 500),
+    "items-with-bid": ledger_query(ledger.ITEMS_WITH_BID, 600),
+    "popular-items": ledger_query(ledger.POPULAR_ITEMS, 3),
+}
+
+
+def _ledger_db() -> Database:
+    db = Database()
+    corpus = ledger.corpus({"items": 40, "bids": 120}, seed=7)
+    for name, text in sorted(corpus.items()):
+        db.register_text(name, text)
+    return db
+
+
+def _assert_counts_match_reference(db, where="", target=None):
+    """Every alternative of every ledger shape (compiled against
+    ``db``, executed on ``target``): the default engine's output,
+    ``document_scans`` and ``node_visits`` equal the definitional
+    evaluator's — the columnar kernels count the children a child step
+    scans and the hits of a descendant step without ever building a
+    child list."""
+    target = target or db
+    for shape, text in LEDGER_SHAPES.items():
+        for alt in compile_query(text, db).plans():
+            default = target.execute(alt.plan)
+            reference = target.execute(alt.plan, mode="reference")
+            tag = f"{where}{shape}/{alt.label}"
+            assert default.output == reference.output, tag
+            assert default.stats["document_scans"] == \
+                reference.stats["document_scans"], tag
+            assert default.stats["node_visits"] == \
+                reference.stats["node_visits"], tag
+
+
+def test_scan_statistics_exact_on_ledger_shapes():
+    """Fresh corpus, then versions published by ``Database.update``
+    (lazy handle tables, spliced ``child_counts``)."""
+    db = _ledger_db()
+    _assert_counts_match_reference(db, where="fresh:")
+    items = db.store.get("items.xml").arena.tag_rows("itemtuple")
+    db.update("items.xml", Replace(items[3], element(
+        "itemtuple", element("itemno", "N000001"),
+        element("description", "refreshed"),
+        element("offered_by", "U00001"),
+        element("reserveprice", "470"))))
+    bids = db.store.get("bids.xml").arena.tag_rows("bidtuple")
+    db.update("bids.xml", Replace(bids[5], element(
+        "bidtuple", element("userid", "U00001"),
+        element("itemno", "I00003"), element("bid", "990"),
+        element("biddate", "2000-01-01"))))
+    _assert_counts_match_reference(db, where="updated:")
+
+
+def test_scan_statistics_exact_through_shared_memory():
+    """The same columns as memoryviews: a store of ``ShmArena`` twins
+    (what a parallel worker executes against) counts exactly like the
+    reference evaluator over it.  ``mode="parallel"`` itself returns
+    the same output and charges scans per task: a split driving scan
+    opens its document once per task and reads every row once; what a
+    task does not share with the others (⋉'s right operand) it scans
+    for itself, never more than once per task."""
+    db = _ledger_db()
+    exports = [export_document(db.store.get(name))
+               for name in db.store.names()]
+    twins = Database()
+    try:
+        for export in exports:
+            twin = attach_document(export.manifest)
+            twins.store._documents[twin.name] = twin
+        _assert_counts_match_reference(db, where="shm:", target=twins)
+        for shape, text in LEDGER_SHAPES.items():
+            for alt in compile_query(text, db).plans():
+                reference = db.execute(alt.plan, mode="reference")
+                metrics = MetricsRegistry()
+                parallel = db.execute(alt.plan, mode="parallel",
+                                      workers=2, metrics=metrics)
+                tasks = metrics.snapshot()["counters"].get(
+                    "parallel.tasks", 1)
+                tag = f"parallel:{shape}/{alt.label}"
+                assert parallel.output == reference.output, tag
+                expected = reference.stats["document_scans"]
+                scans = parallel.stats["document_scans"]
+                if shape.endswith("-scan"):
+                    assert tasks == 2, tag
+                    assert scans == {name: count + tasks - 1
+                                     for name, count in expected.items()}
+                    assert parallel.stats["node_visits"] == \
+                        reference.stats["node_visits"], tag
+                else:
+                    assert scans.keys() == expected.keys(), tag
+                    for name, count in expected.items():
+                        assert count <= scans[name] <= count * tasks, tag
+    finally:
+        for twin in twins.store._documents.values():
+            twin.arena.detach()
+        twins.store._documents.clear()
+        for export in exports:
+            export.close()
+        db.close()

@@ -4,12 +4,15 @@ DBLP refusal, and structural properties of the rewritten plans."""
 import pytest
 
 from repro.bench.queries import PAPER_QUERIES
-from repro.api import compile_query
+from repro.api import Database, compile_query
+from repro.datagen import BIDS_DTD, ITEMS_DTD, generate_bids, \
+    generate_items
 from repro.nal.construct import GroupConstruct
 from repro.nal.group_ops import GroupBinary, GroupUnary, SelfGroup
 from repro.nal.join_ops import AntiJoin, OuterJoin, SemiJoin
-from repro.nal.scalar import NestedPlan
-from repro.nal.unary_ops import Sort, Unnest
+from repro.nal.scalar import AttrRef, Comparison, NestedPlan, conjuncts
+from repro.nal.unary_ops import Select, Sort, Unnest
+from tests.conftest import ledger, ledger_query
 
 
 def compiled(key: str):
@@ -123,11 +126,58 @@ def test_q5_applies_eqv7_and_eqv9():
 
 
 def test_q5_antijoin_predicate_negated():
-    """Eqv. 7 negates the satisfies predicate: y > 1993 → y <= 1993."""
+    """Eqv. 7 negates the satisfies predicate: y > 1993 → y <= 1993 —
+    and the negated filter sits in a σ on the ▷'s right operand (the
+    paper's §5.5 push), leaving the bare correlation to hash on."""
     q, _ = compiled("q5")
     plan = q.plan_named("antijoin").plan
     anti = next(op for op in plan.walk() if isinstance(op, AntiJoin))
-    assert "<=" in repr(anti.pred)
+    right = anti.children[1]
+    assert isinstance(right, Select)
+    assert "<=" in repr(right.pred)
+    assert isinstance(anti.pred, Comparison) and anti.pred.op == "="
+    assert isinstance(anti.pred.left, AttrRef)
+    assert isinstance(anti.pred.right, AttrRef)
+
+
+#: the ledger's semijoin shape, as ``update-mix`` instantiates it
+ITEMS_WITH_BID = ledger_query(ledger.ITEMS_WITH_BID, 900)
+
+
+def _quantifier_queries():
+    for key in ("q3", "q4", "q5"):
+        yield (key,) + compiled(key)
+    db = Database()
+    db.register_tree("items.xml", generate_items(10), dtd_text=ITEMS_DTD)
+    db.register_tree("bids.xml", generate_bids(30, items=10),
+                     dtd_text=BIDS_DTD)
+    yield "items-with-bid", compile_query(ITEMS_WITH_BID, db), db
+
+
+def test_semijoin_antijoin_alternatives_are_pushed():
+    """Every ⋉/▷ alternative is emitted in pushed form: no conjunct of
+    the join predicate ranges over the right operand alone, the label
+    and provenance are those of Eqv. 6/7, and each label appears once
+    (the un-pushed tree is not kept as an extra alternative)."""
+    expected = {"q3": ["semijoin", "nested"],
+                "q4": ["grouping", "semijoin", "nested"],
+                "q5": ["grouping", "antijoin", "nested"],
+                "items-with-bid": ["semijoin", "nested"]}
+    for key, q, _db in _quantifier_queries():
+        assert labels(q) == expected[key], key
+        for alt in q.plans():
+            if alt.label not in ("semijoin", "antijoin"):
+                continue
+            assert alt.applied == \
+                (("eqv6",) if alt.label == "semijoin" else ("eqv7",))
+            assert alt.rank == 4
+            joins = [op for op in alt.plan.walk()
+                     if isinstance(op, (SemiJoin, AntiJoin))]
+            assert len(joins) == 1
+            right_attrs = joins[0].children[1].attrs()
+            for conjunct in conjuncts(joins[0].pred):
+                assert not conjunct.free_attrs() <= right_attrs, \
+                    f"{key}/{alt.label}: {conjunct!r} not pushed"
 
 
 def test_q6_applies_eqv3():

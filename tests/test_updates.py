@@ -612,6 +612,7 @@ def test_random_delta_sequences_match_reparse(data):
     assert a.levels == b.levels
     assert a.parents == b.parents
     assert a.ends == b.ends
+    assert a.child_counts == b.child_counts
     # and all four engines agree between the two databases
     from repro.api import compile_query
     query = ('let $d := doc("d.xml") '
@@ -820,3 +821,126 @@ def test_store_snapshot_api():
     versions = snap.versions()
     assert versions["bib.xml"] == db.store.get("bib.xml").seq
     assert snap.snapshot() is snap
+
+
+# ----------------------------------------------------------------------
+# Reclamation: superseded versions die by reference count
+# ----------------------------------------------------------------------
+AUCTION_SCAN = '''
+let $d1 := doc("items.xml")
+for $i1 in $d1//itemtuple
+where $i1/reserveprice >= 250
+return <pricey>{ $i1/itemno }</pricey>
+'''
+
+AUCTION_SEMIJOIN = '''
+let $d1 := doc("items.xml")
+for $i1 in $d1//itemtuple/itemno
+where some $b2 in doc("bids.xml")//bidtuple[bid >= 500]/itemno
+      satisfies $i1 = $b2
+return <wanted>{ $i1 }</wanted>
+'''
+
+
+def _fresh_item(step: int):
+    return element("itemtuple", element("itemno", f"N{step:04d}"),
+                   element("description", f"refreshed {step}"),
+                   element("offered_by", "U00001"),
+                   element("reserveprice", str(450 + step)))
+
+
+def _replace_an_item(db: Database, step: int) -> None:
+    rows = db.store.get("items.xml").arena.tag_rows("itemtuple")
+    db.update("items.xml", Replace(rows[step % len(rows)],
+                                   _fresh_item(step)))
+
+
+def test_superseded_versions_die_without_the_cyclic_collector():
+    """With the cyclic GC off, N updates with reads of every engine in
+    between (and no snapshot held) leave at most the current and the
+    previous version alive — Document, arena columns and all: the
+    handle ↔ arena cycles are cut when the Document's last reference
+    goes (``Arena.release_handles``), not at the next gen-2 pass."""
+    import gc
+    import weakref
+
+    from repro.datagen import BIDS_DTD, generate_bids
+
+    gc.collect()
+    gc.disable()
+    try:
+        db = Database()
+        db.register_tree("items.xml", generate_items(30, seed=7),
+                         dtd_text=ITEMS_DTD)
+        db.register_tree("bids.xml", generate_bids(90, items=30, seed=7),
+                         dtd_text=BIDS_DTD)
+        session = db.session()
+        documents, arenas = [], []
+        for step in range(12):
+            current = db.store.get("items.xml")
+            documents.append(weakref.ref(current))
+            arenas.append(weakref.ref(current.arena))
+            del current
+            _replace_an_item(db, step)
+            for mode in ENGINE_MODES:
+                assert session.execute(AUCTION_SCAN, mode=mode).output
+                session.execute(AUCTION_SEMIJOIN, mode=mode)
+        assert sum(ref() is not None for ref in documents) <= 1
+        assert sum(ref() is not None for ref in arenas) <= 1
+
+        # A held snapshot pins its version: still readable, handles
+        # still interned, while the store moves on.
+        snapshot = db.snapshot()
+        pinned = snapshot.get("items.xml")
+        before = serialize(pinned.root)
+        handle = pinned.root.children[2]
+        pinned_doc, pinned_arena = weakref.ref(pinned), \
+            weakref.ref(pinned.arena)
+        del pinned
+        for step in range(12, 16):
+            _replace_an_item(db, step)
+        assert serialize(snapshot.get("items.xml").root) == before
+        assert snapshot.get("items.xml").arena.nodes[handle.pre] is handle
+        plan = session.prepare(AUCTION_SCAN).best().plan
+        assert execute(plan, snapshot).output == \
+            execute(plan, snapshot, mode="reference").output
+
+        # Dropping the snapshot unpins it; a handle somebody still
+        # holds keeps its identity and its arena's columns — nothing
+        # else.
+        del snapshot
+        assert pinned_doc() is None
+        assert handle.document is None
+        assert handle.parent.children[2] is handle
+        assert handle.child_elements("itemno")[0].string_value()
+        assert handle.arena is pinned_arena()
+        del handle
+        assert pinned_arena() is None
+        db.close()
+    finally:
+        gc.enable()
+
+
+def test_unregistered_builder_documents_die_by_reference_count():
+    """A registered (builder-arena) document too: unregister it and the
+    prebuilt handle tables are let go; a node the caller still holds
+    stays interned."""
+    import gc
+    import weakref
+
+    gc.collect()
+    gc.disable()
+    try:
+        db = bib_db()
+        document = db.store.get("bib.xml")
+        arena = weakref.ref(document.arena)
+        held = document.root.children[1]
+        del document
+        db.store.unregister("bib.xml")
+        assert arena() is not None            # ``held`` keeps it
+        assert held.parent.children[1] is held
+        assert held.attribute("year").text == "2000"
+        del held
+        assert arena() is None
+    finally:
+        gc.enable()

@@ -27,6 +27,7 @@ from repro.engine.batch import (
 from repro.nal import NULL, Tup
 from repro.nal.values import general_compare
 from repro.optimizer.cost import preferred_mode
+from tests.conftest import ledger, ledger_query
 
 BIDS_QUERY = '''
 let $d1 := doc("bids.xml")
@@ -229,3 +230,97 @@ def test_auto_mode_matches_explicit_modes(bids_db):
     assert auto.rows == explicit.rows
     assert auto.output == explicit.output
 
+
+
+# ----------------------------------------------------------------------
+# The mechanism, counted: handles only for what is returned, ⋉ on keys
+# ----------------------------------------------------------------------
+ITEMS_SCAN = ledger_query(ledger.ITEMS_SCAN, 450)
+ITEMS_WITH_BID = ledger_query(ledger.ITEMS_WITH_BID, 900)
+
+
+@pytest.fixture
+def updated_auction() -> Database:
+    """items=200 / bids=400, items.xml just republished by an update:
+    its arena starts with empty lazy handle tables."""
+    from repro import Replace
+    from repro.datagen import ITEMS_DTD, generate_items
+    from repro.xmldb.node import element
+    db = Database()
+    db.register_tree("items.xml", generate_items(200, seed=7),
+                     dtd_text=ITEMS_DTD)
+    db.register_tree("bids.xml", generate_bids(400, items=200, seed=7),
+                     dtd_text=BIDS_DTD)
+    target = db.store.get("items.xml").arena.tag_rows("itemtuple")[17]
+    db.update("items.xml", Replace(target, element(
+        "itemtuple", element("itemno", "N000001"),
+        element("description", "refreshed"),
+        element("offered_by", "U00001"),
+        element("reserveprice", "470"))))
+    return db
+
+
+def test_scan_creates_handles_only_for_what_it_returns(updated_auction):
+    db = updated_auction
+    arena = db.store.get("items.xml").arena
+    assert set(arena.nodes._cache) <= {0}          # just Document.root
+    plan = compile_query(ITEMS_SCAN, db).best().plan
+    result = db.execute(plan)
+    assert 0 < len(result.rows) < 60               # ~10% of 200 items
+    # Per returned row: its $i1 / $w1 bindings, and what Ξ's own
+    # row-at-a-time ``$i1/itemno`` touches (the item's child list) —
+    # nothing for the ~190 rows the σ dropped.
+    assert len(arena.nodes._cache) <= 8 * len(result.rows) + 1
+    assert set(arena.child_lists._cache) <= \
+        {row["i1"].pre for row in result.rows}, \
+        "path steps and serialization read columns, not child lists"
+    assert result.output == db.execute(plan, mode="reference").output
+
+
+def test_pushed_semijoin_runs_on_key_columns(updated_auction,
+                                             monkeypatch):
+    """⋉ with a bare-equality predicate (what the rewriter emits):
+    neither input is ever turned into rows — only the surviving left
+    rows are, for Ξ and the result."""
+    import repro.engine.vectorized as vec
+    db = updated_auction
+    plan = compile_query(ITEMS_WITH_BID, db).plan_named("semijoin").plan
+    materialized: list[tuple] = []
+    real = Batch.to_rows
+
+    def spy(batch):
+        materialized.append((batch.attrs, len(batch)))
+        return real(batch)
+
+    monkeypatch.setattr(Batch, "to_rows", spy)
+    monkeypatch.setattr(vec, "semi_anti_rows", None)  # must not be needed
+    result = db.execute(plan)
+    monkeypatch.undo()
+    assert result.rows
+    # (the attribute-less batch is □, which χ[d1:doc(…)] extends)
+    assert set(materialized) == {((), 1),
+                                 (("d1", "i1"), len(result.rows))}
+    assert len(result.rows) < 200, "the left input had 200 rows"
+    assert result.output == db.execute(plan, mode="reference").output
+
+
+def test_bailed_out_columnar_pass_leaves_no_statistics():
+    """A χ whose first argument is columnar and whose second is not
+    (an attribute step): the columnar attempt is rolled back, so the
+    row interpreter's own recording is the only one (``node_visits`` ≡
+    reference)."""
+    db = Database()
+    db.register_text("v.xml", "<r>" + "".join(
+        f'<e k="{k}"><v>{k}</v></e>' for k in range(8)) + "</r>")
+    query = '''
+for $x in doc("v.xml")//e
+let $s := concat($x/v, $x/@k)
+return <m>{ $s }</m>
+'''
+    plan = compile_query(query, db).best().plan
+    default = db.execute(plan)
+    reference = db.execute(plan, mode="reference")
+    assert default.output == reference.output != ""
+    assert default.stats["node_visits"] == reference.stats["node_visits"]
+    assert default.stats["document_scans"] == \
+        reference.stats["document_scans"]
