@@ -29,17 +29,14 @@ bench-check:
 	mkdir -p "$$out"; echo "bench-check: records in $$out"; \
 	run() { echo "+ $$*"; PYTHONPATH=src $(PYTHON) "$$@"; }; \
 	run benchmarks/bench_q7_index.py 2000 "$$out/bench-q7.json"; \
-	run benchmarks/bench_q8_pipeline.py 20 1000 "$$out/bench-q8.json"; \
 	run benchmarks/bench_q9_storage.py 2000 10000 "$$out/bench-q9.json"; \
 	run benchmarks/bench_q10_order.py 600 3000 "$$out/bench-q10.json"; \
-	run benchmarks/bench_q11_vectorized.py 4000 20000 "$$out/bench-q11.json"; \
 	run benchmarks/bench_q12_serve.py 100 500 "$$out/bench-q12.json"; \
 	run benchmarks/bench_q13_parallel.py 1200 19200 "$$out/bench-q13.json"; \
 	run benchmarks/bench_q14_updates.py 4000 "$$out/bench-q14.json"; \
 	run benchmarks/trajectory.py check \
-		"$$out/bench-q7.json" "$$out/bench-q8.json" \
-		"$$out/bench-q9.json" "$$out/bench-q10.json" \
-		"$$out/bench-q11.json" "$$out/bench-q12.json" \
+		"$$out/bench-q7.json" "$$out/bench-q9.json" \
+		"$$out/bench-q10.json" "$$out/bench-q12.json" \
 		"$$out/bench-q13.json" "$$out/bench-q14.json"
 
 # The latency ledger (BENCHMARK.json; what PRs are judged by): all five

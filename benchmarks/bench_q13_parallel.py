@@ -16,7 +16,7 @@ workload shapes it targets (see docs/parallelism.md):
 Workers attach the frozen arenas from ``multiprocessing.shared_memory``
 segments (zero copies), so the only per-query transfer is the result
 rows.  Every measurement first asserts the parallel output is
-byte-identical to the serial winner's.
+byte-identical to the default (serial) engine's.
 
 Speedup is machine-dependent (it needs actual cores), so the committed
 baseline gates only the machine-independent ``parallel_tasks`` counter;
@@ -37,8 +37,8 @@ import pytest
 from repro.api import CompiledQuery, Database, compile_query
 from repro.bench.harness import write_json
 from repro.datagen import ITEMS_DTD, generate_items
+from repro.engine.executor import DEFAULT_MODE
 from repro.obs.metrics import MetricsRegistry
-from repro.optimizer.cost import preferred_mode
 
 SHARDS = 4
 WORKERS = 4
@@ -82,7 +82,7 @@ def compiled(per_shard: int, range_items: int, seed: int = 7
 
 
 @pytest.mark.parametrize("per_shard,range_items", SIZES)
-@pytest.mark.parametrize("mode", ("pipelined", "parallel"))
+@pytest.mark.parametrize("mode", (DEFAULT_MODE, "parallel"))
 @pytest.mark.parametrize("query", tuple(Q13_QUERIES))
 def test_q13_by_size(benchmark, query, mode, per_shard, range_items):
     db, queries = compiled(per_shard, range_items)
@@ -96,11 +96,11 @@ def test_q13_by_size(benchmark, query, mode, per_shard, range_items):
 
 def speedup_at(query: str, per_shard: int, range_items: int,
                repeat: int = 5, seed: int = 7) -> dict:
-    """Measure serial (the cost model's serial winner) vs parallel for
-    one query at one scale; returns the comparison record."""
+    """Measure serial (the default engine) vs parallel for one query
+    at one scale; returns the comparison record."""
     db, queries = compiled(per_shard, range_items, seed=seed)
     plan = queries[query].best().plan
-    serial_mode = preferred_mode(plan, db.store)
+    serial_mode = DEFAULT_MODE
 
     serial_result = db.execute(plan, mode=serial_mode)
     metrics = MetricsRegistry()

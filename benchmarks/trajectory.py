@@ -5,7 +5,7 @@ CI runs the standalone benchmarks (each writes a ``repro-bench/1`` JSON
 artifact) and then gates on them::
 
     PYTHONPATH=src python benchmarks/trajectory.py check \\
-        bench-q7.json bench-q8.json bench-q9.json bench-q10.json
+        bench-q7.json bench-q9.json bench-q10.json
 
 ``check`` exits 1 if any gated metric regressed by more than 20%
 against its baseline, if an artifact was measured at sizes the baseline
@@ -41,10 +41,8 @@ REPO_ROOT = BENCHMARKS_DIR.parent
 #: the CI invocation of each standalone benchmark: (script, sizes)
 CI_RUNS = (
     ("bench_q7_index.py", ("2000",)),
-    ("bench_q8_pipeline.py", ("20", "1000")),
     ("bench_q9_storage.py", ("2000", "10000")),
     ("bench_q10_order.py", ("600", "3000")),
-    ("bench_q11_vectorized.py", ("4000", "20000")),
     ("bench_q12_serve.py", ("100", "500")),
     ("bench_q13_parallel.py", ("1200", "19200")),
     ("bench_q14_updates.py", ("4000",)),

@@ -74,6 +74,7 @@ from repro.errors import (
     XPathError,
     XQueryParseError,
 )
+from repro.optimizer.rewriter import RANKINGS
 
 EXIT_GENERIC = 1
 EXIT_BAD_QUERY = 2
@@ -121,12 +122,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="execute this plan alternative (default: "
                              "best; use 'nested' for the unoptimized "
                              "plan)")
-    parser.add_argument("--ranking",
-                        choices=("heuristic", "cost", "cost-first-tuple"),
+    parser.add_argument("--ranking", choices=RANKINGS,
                         default="heuristic",
-                        help="plan ranking strategy (cost-first-tuple "
-                             "ranks by time-to-first-tuple, the "
-                             "pipelined engine's figure of merit)")
+                        help="plan ranking strategy")
     parser.add_argument("--explain", action="store_true",
                         help="print plans instead of executing")
     parser.add_argument("--properties", action="store_true",
@@ -140,9 +138,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="print the plan annotated with per-operator "
                              "invocation and row counts (EXPLAIN ANALYZE)")
     parser.add_argument("--mode", choices=MODES, default=DEFAULT_MODE,
-                        help="execution engine ('auto' picks pipelined, "
-                             "vectorized or parallel via the cost "
-                             "model; see docs/execution-modes.md)")
+                        help="execution engine ('auto' picks parallel "
+                             "when --workers is set and the cost gate "
+                             "opens; see docs/execution-modes.md)")
     parser.add_argument("--workers", type=int, default=None,
                         metavar="N",
                         help="worker processes for --mode parallel "
@@ -285,10 +283,9 @@ def build_trace_arg_parser() -> argparse.ArgumentParser:
                              "its file name")
     parser.add_argument("--plan", default=None,
                         help="trace this plan alternative (default: best)")
-    parser.add_argument("--ranking",
-                        choices=("heuristic", "cost", "cost-first-tuple"),
+    parser.add_argument("--ranking", choices=RANKINGS,
                         default="heuristic", help="plan ranking strategy")
-    parser.add_argument("--mode", choices=("pipelined", "vectorized"),
+    parser.add_argument("--mode", choices=MODES,
                         default=DEFAULT_MODE, help="execution engine")
     parser.add_argument("--out", metavar="PATH",
                         help="also write Chrome trace_event JSON to PATH "

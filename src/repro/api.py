@@ -209,10 +209,8 @@ def compile_query(text: str, db: Database,
     """Parse, normalize and translate an XQuery against a database.
 
     ``ranking`` selects how plan alternatives are ordered:
-    ``"heuristic"`` (the paper's measured plan hierarchy), ``"cost"``
-    (the all-tuples estimator of :mod:`repro.optimizer.cost`) or
-    ``"cost-first-tuple"`` (time-to-first-tuple, the pipelined
-    engine's figure of merit).  ``tracer`` threads a
+    ``"heuristic"`` (the paper's measured plan hierarchy) or ``"cost"``
+    (the estimator of :mod:`repro.optimizer.cost`).  ``tracer`` threads a
     :class:`~repro.obs.trace.Tracer` through every compilation and
     optimization stage.
     """

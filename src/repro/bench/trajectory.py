@@ -4,15 +4,14 @@ Each standalone benchmark (``benchmarks/bench_q7_index.py`` …
 ``bench_q10_order.py``) writes a ``repro-bench/1`` JSON artifact.  This
 module consolidates those artifacts into one tracked baseline file per
 query at the repository root — ``BENCH_q7_index.json``,
-``BENCH_q8_pipeline.json``, ``BENCH_q9_storage.json``,
-``BENCH_q10_order.json`` — and compares fresh artifacts against them,
+``BENCH_q9_storage.json``, ``BENCH_q10_order.json`` … — and compares fresh artifacts against them,
 failing on a >20% regression.
 
 Timings on shared CI runners are noisy, so the gate never compares raw
 seconds across runs.  It gates on
 
-* **dimensionless speedup ratios** (scan/index, vectorized/pipelined,
-  walk/arena, forced/elided) — both legs of a ratio ride the same
+* **dimensionless speedup ratios** (scan/index, walk/arena,
+  forced/elided) — both legs of a ratio ride the same
   machine, so the ratio is machine-independent, and
 * **deterministic counters** (node visits, index probes) — the
   documents are seeded, so these are exact and any drift is a real
@@ -44,13 +43,9 @@ GATE_RULES: dict[str, dict[str, str]] = {
     "q7_index": {"speedup": "higher",
                  "index_node_visits": "lower",
                  "index_probes": "lower"},
-    "q8_pipeline": {"speedup": "higher",
-                    "pipelined_node_visits": "lower"},
     "q9_storage": {"speedup": "higher",
                    "arena_node_visits": "lower"},
     "q10_order": {"speedup": "higher"},
-    # q11's gated speedup is vectorized vs pipelined
-    "q11_vectorized": {"speedup": "higher"},
     # q12 gates the serving path: prepared (plan-cache warm) vs cold
     # per-request optimization, result-cache hits vs prepared
     # execution (both same-machine ratios), and the deterministic

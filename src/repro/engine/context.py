@@ -1,5 +1,5 @@
-"""Evaluation context shared by the reference, pipelined and
-vectorized evaluators.
+"""Evaluation context shared by the reference and vectorized
+evaluators.
 
 Invariant: an :class:`EvalContext` is **request-scoped** — one instance
 per ``execute()`` call, never shared between concurrent executions.
@@ -44,10 +44,10 @@ class EvalContext:
     - ``deadline`` — an absolute :func:`time.monotonic` instant (or
       ``None``) past which the engines abandon the execution with
       :class:`~repro.errors.DeadlineExceededError`.  Checks are
-      *cooperative*: the vectorized engine tests it once per
-      operator invocation, the pipelined engine per pulled tuple —
-      when no deadline is set the cost is one attribute test, matching
-      the tracer/metrics hook discipline.
+      *cooperative*: the engine tests it once per operator invocation
+      and once per outer tuple of a nested subscript plan — when no
+      deadline is set the cost is one attribute test, matching the
+      tracer/metrics hook discipline.
     - the Ξ output stream, appended to via :meth:`emit`.
     """
 
@@ -66,11 +66,10 @@ class EvalContext:
         self.deadline_budget = deadline_budget
         self.batch_buffers = BatchBuffers()
         self._output: list[str] = []
-        #: when not None, the pipelined/vectorized engines record
-        #: per-operator (invocations, output rows) keyed by tree
-        #: position (the pre-order path of child indices from the plan
-        #: root) — the data behind EXPLAIN ANALYZE (see
-        #: executor.execute(analyze=True))
+        #: when not None, the engine records per-operator (invocations,
+        #: output rows) keyed by tree position (the pre-order path of
+        #: child indices from the plan root) — the data behind EXPLAIN
+        #: ANALYZE (see executor.execute(analyze=True))
         self.analyze_counts: dict[tuple, tuple[int, int]] | None = None
 
     def check_deadline(self) -> None:

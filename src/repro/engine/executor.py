@@ -7,7 +7,6 @@ import time
 
 from repro.engine.context import EvalContext
 from repro.engine.kernels import ROOT_PATH
-from repro.engine.pipeline import run_pipelined
 from repro.engine.vectorized import run_vectorized
 from repro.errors import UnsupportedModeError
 from repro.nal.algebra import Operator
@@ -15,15 +14,13 @@ from repro.nal.values import Tup
 from repro.xmldb.document import DocumentStore, ScanStats
 
 #: execution modes accepted by :func:`execute` (``"auto"`` resolves to
-#: pipelined or vectorized — or parallel, when workers are enabled and
-#: the cost model's startup-vs-speedup estimate favors it)
-MODES = ("pipelined", "vectorized", "reference", "auto", "parallel")
+#: :data:`DEFAULT_MODE` — or parallel, when workers are enabled and the
+#: cost model's startup-vs-speedup estimate favors it)
+MODES = ("vectorized", "reference", "auto", "parallel")
 
 #: the mode every entry point runs when none is named (``execute``,
 #: ``Database.execute``, ``CompiledQuery.run``, ``trace_query``,
-#: ``Session``, the CLIs, the server): the engine the latency ledger
-#: measured fastest or tied on every workload.  Not ``"auto"``, which
-#: re-estimates cost on every uncached request.
+#: ``Session``, the CLIs, the server): the one serial engine.
 DEFAULT_MODE = "vectorized"
 
 
@@ -111,14 +108,13 @@ def execute(plan: Operator, store: DocumentStore,
     measure) uses the batch-at-a-time engine of
     :mod:`repro.engine.vectorized` — columns move through operators as
     flat arrays with selection-vector passes over the arena, joins and
-    groupings run the hash kernels of :mod:`repro.engine.kernels`;
-    ``mode="pipelined"`` uses the generator-based engine of
-    :mod:`repro.engine.pipeline` — same kernels, but operators yield
-    tuples on demand and quantifier subscripts stop at the first
-    witness; ``mode="auto"`` resolves to pipelined, vectorized or
-    parallel via the cost model
-    (:func:`repro.optimizer.cost.preferred_mode`); ``mode="reference"``
-    uses the definitional semantics (useful for differential testing).
+    groupings run the hash kernels of :mod:`repro.engine.kernels`, and
+    quantifier / ``exists()`` subscripts stop at the first witness
+    (:mod:`repro.engine.pipeline`); ``mode="auto"`` resolves to it, or
+    to ``"parallel"`` when a worker budget is set and the cost gate
+    opens (:func:`repro.optimizer.cost.preferred_mode`);
+    ``mode="reference"`` uses the definitional semantics (the oracle
+    of the differential tests).
     See ``docs/execution-modes.md`` for the full decision table.
     ``analyze=True`` (any mode but reference) additionally records
     per-operator invocation and row counts keyed by tree position —
@@ -135,15 +131,15 @@ def execute(plan: Operator, store: DocumentStore,
 
     ``tracer`` (a :class:`~repro.obs.trace.Tracer`) records an
     ``execute[mode]`` span plus one nested span per operator
-    invocation in the vectorized/pipelined engines; ``metrics`` (a
+    invocation; ``metrics`` (a
     :class:`~repro.obs.metrics.MetricsRegistry`) collects per-operator
     rows/time and the scan statistics as counters.  Both default to
     off and cost nothing when absent.
 
     ``timeout`` (seconds) sets a *cooperative* per-request deadline:
-    the engines check it at operator boundaries (per pulled tuple in
-    the pipelined engine) and abandon the execution with
-    :class:`~repro.errors.DeadlineExceededError` once it passes.  The
+    the engine checks it at every operator invocation and once per
+    outer tuple of a nested subscript plan, and abandons the execution
+    with :class:`~repro.errors.DeadlineExceededError` once it passes.  The
     reference evaluator has no hooks, so under ``mode="reference"``
     only the pre-execution check applies.
     """
@@ -164,7 +160,7 @@ def execute(plan: Operator, store: DocumentStore,
             "analyze=True is not supported under mode='reference': the "
             "definitional evaluator has no per-operator measurement "
             "hooks, so EXPLAIN ANALYZE would silently return nothing — "
-            "use mode='vectorized' or mode='pipelined'")
+            "use mode='vectorized'")
     if analyze and mode == "parallel":
         raise UnsupportedModeError(
             "analyze=True is not supported under mode='parallel': "
@@ -185,8 +181,6 @@ def execute(plan: Operator, store: DocumentStore,
     if mode == "parallel":
         from repro.engine.parallel import run_parallel
         rows = run_parallel(plan, ctx, workers or 2)
-    elif mode == "pipelined":
-        rows = list(run_pipelined(plan, ctx, path=ROOT_PATH))
     elif mode == "vectorized":
         rows = run_vectorized(plan, ctx)
     else:
@@ -226,13 +220,9 @@ def analyze_to_string(plan: Operator,
     position (so an operator instance shared between two positions of a
     rewritten tree reports each position separately).
 
-    Operators inside nested subscripts run through the reference (or
-    unmeasured pipelined) evaluator and show as ``(not measured)`` —
+    Operators inside nested subscripts show as ``(not measured)`` —
     their work is charged to the host operator, which is exactly the
-    nested-loop cost the unnesting equivalences eliminate.  Under
-    ``mode="pipelined"`` the row counts are the tuples actually
-    *pulled*: an operator a short-circuit never reached also shows
-    ``(not measured)``.
+    nested-loop cost the unnesting equivalences eliminate.
     """
     counts = result.operator_counts
     if counts is None:

@@ -1,5 +1,5 @@
-"""Row kernels shared by the pipelined and vectorized engines:
-hash-based, order-preserving algorithms for joins, grouping and ΠD.
+"""Row kernels of the batch engine: hash-based, order-preserving
+algorithms for joins, grouping and ΠD.
 
 The reference semantics in :mod:`repro.nal` transcribe the paper's
 recursive definitions (binary operators are nested loops).  These are
@@ -21,24 +21,23 @@ and a node-valued :class:`~repro.engine.batch.NodeColumn` is keyed
 straight off the arena's string-value kernel — no handle, no ``Tup``.
 Every hash operator builds through it (:func:`_hash_buckets`); a
 semijoin/antijoin whose predicate is bare equalities never looks at a
-row at all (:func:`semi_anti_selection`).  :func:`_probe_key` is the
-same rule for one row, for the pipelined engine's streaming probes.
+row at all (:func:`semi_anti_selection`).
 
 The join kernels take batches and return materialized rows; the
-grouping kernels take rows.  Which operator evaluates its children how
-is the engines' business (:mod:`repro.engine.vectorized` calls the
-``*_rows`` kernels whole, :mod:`repro.engine.pipeline` streams its
-joins over the same ``_hash_buckets``/``_probe_key`` and calls the
-grouping kernels, which block in any engine).  Keeping them in one
-place is what stops the engines diverging on the hard semantics — NULL
-join keys, boolean coercion, mixed-type keys.
+grouping kernels take rows.  This is the one place the hard semantics
+of the hash operators live — NULL join keys, boolean coercion,
+mixed-type keys — for top-level plans and, through
+:func:`~repro.engine.pipeline.stream_plan`'s batch arm, for the
+blocking operators of nested subscript plans alike.
 
 Crucially, *nested algebraic expressions cannot be helped by this layer*:
 a χ or σ whose subscript contains a :class:`~repro.nal.scalar.NestedPlan`
 or quantifier re-evaluates the inner plan once per outer tuple no matter
-how clever the outer operators are.  That asymmetry — unavoidable
-quadratic work for nested plans, linear work after unnesting — is the
-paper's experimental story.
+how clever the outer operators are (a boolean subscript at least stops
+at its first witness — residual predicates are tested through
+:func:`~repro.engine.pipeline.boolean_subscript`).  That asymmetry —
+unavoidable quadratic work for nested plans, linear work after
+unnesting — is the paper's experimental story.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.engine.batch import Batch, NodeColumn
+from repro.engine.pipeline import boolean_subscript
 from repro.nal.algebra import scalar_env
 from repro.nal.group_ops import GroupBinary, GroupUnary, SelfGroup
 from repro.nal.join_ops import Join, OuterJoin
@@ -56,7 +56,6 @@ from repro.nal.values import (
     Tup,
     canonical_key,
     compare_atomic,
-    effective_boolean,
     null_tuple,
     text_key,
 )
@@ -123,12 +122,6 @@ def probe_keys(batch: Batch, attrs: list[str]) -> list[tuple | None]:
     return [None if _NULL_KEY in key else key for key in zip(*columns)]
 
 
-def _probe_key(row: Tup, attrs: list[str]) -> tuple | None:
-    """:func:`probe_keys` for one row (streaming probes)."""
-    key = tuple(canonical_key(row[a]) for a in attrs)
-    return None if _NULL_KEY in key else key
-
-
 def _hash_buckets(batch: Batch, attrs: list[str]
                   ) -> dict[tuple, list[Tup]]:
     buckets: dict[tuple, list[Tup]] = {}
@@ -141,8 +134,7 @@ def _hash_buckets(batch: Batch, attrs: list[str]
 def _residual_ok(residual: list[ScalarExpr], combined: Tup, env: Tup,
                  ctx) -> bool:
     bound = scalar_env(env, combined)
-    return all(effective_boolean(r.evaluate(bound, ctx))
-               for r in residual)
+    return all(boolean_subscript(r, bound, ctx) for r in residual)
 
 
 # ----------------------------------------------------------------------

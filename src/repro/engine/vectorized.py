@@ -1,10 +1,8 @@
 """Vectorized (batch-at-a-time) evaluation over arena columns.
 
-The materializing engine (and the default): where
-:mod:`repro.engine.pipeline` streams tuples one at a time through
-generators, this engine moves whole :class:`~repro.engine.batch.Batch`
-objects — flat parallel columns with ``Tup`` materialization deferred
-to the operators that genuinely need rows.  The wins, MonetDB/X100
+The engine: it moves whole :class:`~repro.engine.batch.Batch` objects —
+flat parallel columns with ``Tup`` materialization deferred to the
+operators that genuinely need rows.  The wins, MonetDB/X100
 style, come from columnar fast paths over the PR 3 arena, with
 node-valued columns kept as rows of ints
 (:class:`~repro.engine.batch.NodeColumn`) until something needs
@@ -28,21 +26,23 @@ handles:
   untouched — not even a row materialization.
 
 Everything else runs the row kernels of :mod:`repro.engine.kernels`
-(``join_rows``, ``group_unary_rows``, …) that the pipelined engine's
-hash joins and groupings are built from too, so the engines cannot
-diverge on the hard semantics (NULL join keys, boolean coercion,
-mixed-type sort keys); property-based tests assert ``run_vectorized``
-≡ pipelined ≡ reference regardless.  Handles are created where a
-batch becomes rows (``Batch.to_rows``: Ξ, row-kernel fallbacks, the
-final result) — for the rows that got that far.
+(``join_rows``, ``group_unary_rows``, …), which state the hard
+semantics (NULL join keys, boolean coercion, mixed-type sort keys)
+once; property-based tests assert ``run_vectorized`` ≡ reference
+regardless.  Handles are created where a batch becomes rows
+(``Batch.to_rows``: Ξ, row-kernel fallbacks, the final result) — for
+the rows that got that far.
 
 Invariants: batches are immutable (operators derive new ones, see
 :mod:`repro.engine.batch`); selection vectors are scratch state owned by
 a single operator invocation, drawn from the request-scoped
-:class:`~repro.engine.batch.BatchBuffers` pool on the context; nested
-subscript plans (quantifiers, :class:`~repro.nal.scalar.NestedPlan`)
-evaluate through the reference semantics and are charged to their
-host operator.
+:class:`~repro.engine.batch.BatchBuffers` pool on the context; a
+predicate evaluated row at a time goes through
+:func:`~repro.engine.pipeline.boolean_subscript`, so a nested plan
+under a quantifier, ``exists()`` or ``empty()`` is pulled only up to
+its first witness; nested plans in value contexts evaluate through the
+reference semantics; either way they are charged to their host
+operator.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from repro.engine.kernels import (
     semi_anti_rows,
     semi_anti_selection,
 )
+from repro.engine.pipeline import boolean_subscript
 from repro.errors import EvaluationError
 from repro.nal.algebra import Operator, bind_item, scalar_env
 from repro.nal.construct import Construct, GroupConstruct
@@ -116,7 +117,8 @@ from repro.xpath.ast import NameTest, Path
 
 
 def run_vectorized(plan: Operator, ctx, env: Tup = EMPTY_TUPLE,
-                   path: tuple[int, ...] = ROOT_PATH) -> list[Tup]:
+                   path: tuple[int, ...] | None = ROOT_PATH
+                   ) -> list[Tup]:
     """Evaluate ``plan`` batch-at-a-time; returns materialized rows.
 
     When ``ctx.analyze_counts`` is a dict (EXPLAIN ANALYZE mode), each
@@ -128,6 +130,9 @@ def run_vectorized(plan: Operator, ctx, env: Tup = EMPTY_TUPLE,
     ``vectorized.<Operator>.rows_per_batch`` histograms, so a trace of
     a vectorized run stays honest about its unit of work.  Durations
     are inclusive of children; the span nesting attributes time.
+    ``path=None`` runs the plan unobserved: it is how
+    :mod:`repro.engine.pipeline` has the blocking operators of a nested
+    subscript plan produced, and those stay charged to their host.
     """
     return _run(plan, ctx, env, path).to_rows()
 
@@ -139,6 +144,8 @@ def _run(plan: Operator, ctx, env: Tup, path) -> Batch:
             f"no vectorized implementation for {type(plan).__name__}")
     if ctx.deadline is not None:
         ctx.check_deadline()
+    if path is None:
+        return handler(plan, ctx, env, None)
     if ctx.tracer is None and ctx.metrics is None:
         batch = handler(plan, ctx, env, path)
     else:
@@ -171,7 +178,8 @@ def _observed(handler, plan: Operator, ctx, env: Tup, path) -> Batch:
 
 
 def _child(plan: Operator, i: int, ctx, env: Tup, path) -> Batch:
-    return _run(plan.children[i], ctx, env, path + (i,))
+    return _run(plan.children[i], ctx, env,
+                None if path is None else path + (i,))
 
 
 def _child_rows(plan: Operator, i: int, ctx, env: Tup, path) -> list[Tup]:
@@ -556,7 +564,8 @@ def _select(plan: Select, ctx, env: Tup, path) -> Batch:
         else _fusible_select_map(plan, ctx)
     if fusion is not None:
         mapop = plan.children[0]
-        inner = _run(mapop.children[0], ctx, env, path + (0, 0))
+        # Fusion only engages unobserved, so no tree position is needed.
+        inner = _run(mapop.children[0], ctx, env, None)
         fused = _attempt(_fused_select_map, plan, fusion, inner, env,
                          ctx)
         if fused is not None:
@@ -578,8 +587,7 @@ def _select(plan: Select, ctx, env: Tup, path) -> Batch:
         return result
     return Batch.from_rows(
         [t for t in batch.to_rows()
-         if effective_boolean(plan.pred.evaluate(scalar_env(env, t),
-                                                 ctx))])
+         if boolean_subscript(plan.pred, scalar_env(env, t), ctx)])
 
 
 def _project(plan: Project, ctx, env: Tup, path) -> Batch:

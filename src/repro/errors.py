@@ -117,7 +117,7 @@ class DeadlineExceededError(ReproError, TimeoutError):
 
     Deadlines are *cooperative*: the engines check the request's
     :class:`~repro.engine.context.EvalContext` deadline at operator
-    boundaries (and per pulled tuple in the pipelined engine), so an
+    boundaries (and once per outer tuple of a nested plan), so an
     execution is abandoned at the next check after the deadline passes
     — a best-effort bound, not a preemptive one.  (Also a
     :class:`TimeoutError` so generic timeout handling catches it.)

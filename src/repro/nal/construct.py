@@ -97,9 +97,10 @@ def render_value(value: Any) -> str:
 def contains_construct(plan: Operator) -> bool:
     """Whether ``plan`` — including nested plans inside operator
     subscripts — contains a Ξ, whose evaluation writes to the output
-    stream as a side effect.  The pipelined engine uses this to force
-    such operands to run to completion: short-circuiting or skipping
-    them would silently drop constructed output."""
+    stream as a side effect.  First-witness subscript evaluation
+    (:mod:`repro.engine.pipeline`) uses this to force such plans to run
+    to completion: stopping early would silently drop constructed
+    output."""
     from repro.nal.pretty import _nested_plans
     for op in plan.walk():
         if isinstance(op, (Construct, GroupConstruct)):
@@ -186,15 +187,9 @@ class GroupConstruct(Operator):
 
     def emit_rows(self, rows: list[Tup], env: Tup, ctx) -> list[Tup]:
         """Run the group-boundary state machine over materialized rows
-        (shared with the vectorized evaluator)."""
-        return list(self.emit_rows_iter(rows, env, ctx))
-
-    def emit_rows_iter(self, rows, env: Tup, ctx):
-        """Streaming form of :meth:`emit_rows` (shared with the
-        pipelined evaluator): the state machine only ever looks at the
-        current and the previous row, so it passes tuples through one at
-        a time.  A group's closing commands (s3) run when the first row
-        of the *next* group arrives (or the input ends)."""
+        (shared with the vectorized evaluator).  A group's closing
+        commands (s3) run when the first row of the *next* group
+        arrives (or the input ends)."""
         previous_key = None
         previous_row: Tup | None = None
         for row in rows:
@@ -211,11 +206,11 @@ class GroupConstruct(Operator):
             for command in self.s2:
                 command.emit(bound, ctx)
             previous_row = row
-            yield row
         if previous_row is not None:
             closing = scalar_env(env, previous_row)
             for command in self.s3:
                 command.emit(closing, ctx)
+        return rows
 
     def label(self) -> str:
         return f"ΞG[{', '.join(self.by_attrs)}]"

@@ -24,7 +24,6 @@ from typing import Any, Sequence
 from repro.errors import EvaluationError, ParallelExecutionError
 from repro.nal.functions import call_function
 from repro.nal.values import (
-    NULL,
     Tup,
     effective_boolean,
     general_compare,
@@ -401,10 +400,11 @@ def iter_path_items(expr: PathApply, env: Tup, ctx):
     single unpredicated ``child``/``descendant`` step from one context
     node bypasses the evaluator's materialize-dedup-sort pass and walks
     the document (or its arena row interval) lazily — so a
-    short-circuiting consumer also stops the scan itself.  Both engines
-    use this: the pipelined engine for its streaming Υ and quantifier
-    sources, the vectorized engine to materialize the output of an Υ
-    its columnar scan cannot take without the redundant dedup/sort.
+    short-circuiting consumer also stops the scan itself.  Used by the
+    subscript streamer (:mod:`repro.engine.pipeline`) for its Υ and
+    quantifier sources, and by the vectorized engine to materialize the
+    output of an Υ its columnar scan cannot take without the redundant
+    dedup/sort.
     """
     nodes, path = _path_context(expr, env, ctx)
     step = streamable_step(nodes, path)

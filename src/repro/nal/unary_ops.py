@@ -573,8 +573,9 @@ class ElidedSort(Sort):
         return rows
 
     def checked_iter(self, rows: Iterable[Tup], ctx):
-        """Streaming identity pass (shared with the pipelined
-        engine); same verification/fallback as :meth:`checked_rows`."""
+        """Streaming identity pass (for the subscript streamer of
+        :mod:`repro.engine.pipeline`); same verification/fallback as
+        :meth:`checked_rows`."""
         if not self.proof_holds(ctx):
             self._record_elision(ctx, taken=False)
             yield from sorted(rows, key=self.sort_tuple)

@@ -3,10 +3,8 @@
 A :class:`Tracer` collects :class:`Span` records — named, categorized
 wall-clock intervals with optional key/value arguments.  Spans are
 cheap append-only records; nesting is *derived from containment* at
-render time rather than maintained with a stack, because the pipelined
-engine opens an operator's span at its first pull and closes it when
-the generator is exhausted or abandoned — lifetimes that interleave
-like generator frames, not like call frames.
+render time rather than maintained with a stack, so a span never
+holds a parent pointer that an early exit could leave dangling.
 
 Exports:
 

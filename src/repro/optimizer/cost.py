@@ -141,52 +141,19 @@ class ScalarCost:
 
 @dataclass
 class PlanCost:
-    """Estimated cost of a plan, split into the all-tuples total and the
-    cost of producing the *first* output tuple.
-
-    Under the materializing vectorized engine only ``total`` matters; the
-    pipelined engine's quantifier short-circuiting pays roughly
-    ``first_tuple`` per existence probe, so plan ranking for pipelined
-    execution orders by it (``ranking="cost-first-tuple"``).  Blocking
-    operators (sort, grouping) pin ``first_tuple`` to ``total``;
-    streaming operators pass their child's ``first_tuple`` through plus
-    their per-tuple work.  ``first_tuple`` defaults to ``total`` when
-    not given.
-
-    The batch split: ``per_tuple`` is the portion of ``total`` that
-    scales with tuples flowing through operators, ``per_batch`` the
-    cardinality-independent setup a batch-at-a-time execution pays once
-    per operator (batch allocation, predicate compilation, column
-    extraction).  :meth:`batched_total` combines them into the estimated
-    cost under ``mode="vectorized"``; :func:`preferred_mode` compares it
-    against ``total`` so vectorized execution is preferred only when the
-    cardinality estimates actually amortize the setup.  Both default
-    conservatively (``per_tuple = total``, ``per_batch = 0``);
-    :meth:`CostModel.estimate` fills them in for the plan root.
-    """
+    """Estimated cost of evaluating a plan to the end (``total``) and
+    the number of tuples it yields.  Every top-level plan is consumed
+    to the end, so there is no time-to-first-tuple term: the one
+    consumer that stops early — a boolean subscript — sits inside a
+    nested plan, whose per-outer-tuple cost the model charges in full
+    (an upper bound that keeps the nested alternatives ranked last)."""
 
     cardinality: float
     total: float
-    first_tuple: float | None = None
-    per_tuple: float | None = None
-    per_batch: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.first_tuple is None:
-            self.first_tuple = self.total
-        if self.per_tuple is None:
-            self.per_tuple = self.total
-
-    def batched_total(self) -> float:
-        """Estimated cost under batch-at-a-time execution: every
-        operator pays its setup once, while the tuple-scaled work drops
-        to the vectorized loop's share."""
-        return self.per_batch + self.per_tuple * VECTORIZED_TUPLE_DISCOUNT
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<PlanCost card≈{self.cardinality:.0f} " \
-               f"cost≈{self.total:.0f} first≈{self.first_tuple:.0f} " \
-               f"batched≈{self.batched_total():.0f}>"
+               f"cost≈{self.total:.0f}>"
 
 
 class CostModel:
@@ -206,32 +173,24 @@ class CostModel:
         """Cost of evaluating ``plan`` once (outer invocation)."""
         self._doc_bindings = {}
         _collect_doc_bindings(plan, self._doc_bindings)
-        cost = self._plan(plan)
-        # First-order batch split for the root: all tuple-scaled work is
-        # eligible for vectorization, and each operator pays one fixed
-        # setup charge per batch it produces.
-        cost.per_tuple = cost.total
-        cost.per_batch = BATCH_SETUP_COST * sum(1 for _ in plan.walk())
-        return cost
+        return self._plan(plan)
 
     def _plan(self, op: Operator) -> PlanCost:
         if isinstance(op, Singleton):
             return PlanCost(1.0, 0.0)
         if isinstance(op, Table):
             n = float(len(op.rows))
-            return PlanCost(n, n, min(1.0, n))
+            return PlanCost(n, n)
         if isinstance(op, IndexScan):
             return self._index_scan(op)
         if isinstance(op, (Project, ProjectAway, Rename)):
             child = self._plan(op.children[0])
             return PlanCost(child.cardinality,
-                            child.total + child.cardinality,
-                            child.first_tuple + 1.0)
+                            child.total + child.cardinality)
         if isinstance(op, DistinctProject):
             child = self._plan(op.children[0])
             distinct = max(1.0, child.cardinality * 0.7)
-            return PlanCost(distinct, child.total + child.cardinality,
-                            child.first_tuple + 1.0)
+            return PlanCost(distinct, child.total + child.cardinality)
         if isinstance(op, Select):
             return self._select(op)
         if isinstance(op, (Map, UnnestMap)):
@@ -239,22 +198,18 @@ class CostModel:
         if isinstance(op, Unnest):
             child = self._plan(op.children[0])
             card = child.cardinality * DEFAULT_FANOUT
-            return PlanCost(card, child.total + card,
-                            child.first_tuple + 1.0)
+            return PlanCost(card, child.total + card)
         if isinstance(op, ElidedSort):
             # The order-property pass proved the input already sorted:
-            # the operator is the identity, so no n·log n is charged
-            # and the child's first-tuple cost streams through — which
-            # is what lets ``best_plan`` rankings genuinely prefer
-            # order-preserving access paths over re-sorting ones.
-            child = self._plan(op.children[0])
-            return PlanCost(child.cardinality, child.total,
-                            child.first_tuple)
+            # the operator is the identity, so no n·log n is charged —
+            # which is what lets ``best_plan`` rankings genuinely
+            # prefer order-preserving access paths over re-sorting
+            # ones.
+            return self._plan(op.children[0])
         if isinstance(op, Sort):
             # Key extraction touches every row once (NULL/empty keys
             # included — "empty least" costs the same constant per
-            # row), then the comparison sort pays n·log n.  Blocking:
-            # first_tuple defaults to total.
+            # row), then the comparison sort pays n·log n.
             child = self._plan(op.children[0])
             n = max(2.0, child.cardinality)
             return PlanCost(child.cardinality,
@@ -264,8 +219,7 @@ class CostModel:
             left = self._plan(op.children[0])
             right = self._plan(op.children[1])
             card = left.cardinality * right.cardinality
-            return PlanCost(card, left.total + right.total + card,
-                            left.first_tuple + right.total + 1.0)
+            return PlanCost(card, left.total + right.total + card)
         if isinstance(op, (Join, SemiJoin, AntiJoin, OuterJoin)):
             return self._join(op)
         if isinstance(op, (GroupUnary, GroupBinary, SelfGroup)):
@@ -275,8 +229,7 @@ class CostModel:
             per_tuple = sum(self._scalar(e).per_eval
                             for e in op.scalar_exprs()) + 1.0
             return PlanCost(child.cardinality,
-                            child.total + child.cardinality * per_tuple,
-                            child.first_tuple + per_tuple)
+                            child.total + child.cardinality * per_tuple)
         # Unknown operator: charge its children plus its output.
         children = [self._plan(c) for c in op.children]
         card = max((c.cardinality for c in children), default=1.0)
@@ -293,20 +246,15 @@ class CostModel:
             return PlanCost(1.0, 1.0)
         size = float(self.store.indexes.estimate(probe))
         descent = math.log2(max(2.0, self.stats.element_count(probe.doc)))
-        return PlanCost(size, descent + size,
-                        min(descent + 1.0, descent + size))
+        return PlanCost(size, descent + size)
 
     # ------------------------------------------------------------------
     def _select(self, op: Select) -> PlanCost:
         child = self._plan(op.children[0])
         pred = self._scalar(op.pred)
         total = child.total + child.cardinality * (1.0 + pred.per_eval)
-        # Pipelined: expect 1/selectivity child pulls before the first
-        # tuple passes the predicate.
-        first = child.first_tuple \
-            + (1.0 + pred.per_eval) / DEFAULT_SELECTIVITY
         return PlanCost(max(1.0, child.cardinality * DEFAULT_SELECTIVITY),
-                        total, min(first, total))
+                        total)
 
     def _map(self, op: Map | UnnestMap) -> PlanCost:
         child = self._plan(op.children[0])
@@ -320,8 +268,7 @@ class CostModel:
             total += card
         else:
             card = child.cardinality
-        first = child.first_tuple + 1.0 + expr.per_eval
-        return PlanCost(card, total, min(first, total))
+        return PlanCost(card, total)
 
     def _join(self, op) -> PlanCost:
         left = self._plan(op.children[0])
@@ -336,11 +283,7 @@ class CostModel:
             card = left.cardinality
         else:
             card = max(left.cardinality, right.cardinality)
-        # The hash table over the right input is built on the first
-        # probe-side pull, so the first output tuple pays the whole
-        # build side but only one probe.
-        first = left.first_tuple + right.total + right.cardinality + 1.0
-        return PlanCost(card, total, min(first, total))
+        return PlanCost(card, total)
 
     def _group(self, op) -> PlanCost:
         if isinstance(op, GroupBinary):
@@ -368,8 +311,8 @@ class CostModel:
         if isinstance(expr, PartitionedPath):
             # One worker's slice of a range-partitioned driving scan
             # (see repro.engine.parallel): the inner path's estimate,
-            # scaled to the slice — so a worker's preferred_mode sees
-            # the fragment's real share of the scan.
+            # scaled to the slice — the fragment's real share of the
+            # scan.
             inner = self._path_apply(expr.inner)
             width = max(1.0, float(expr.stop - expr.start))
             share = min(1.0, width / max(1.0, inner.fanout))
@@ -479,41 +422,34 @@ def estimate(plan: Operator, store: DocumentStore) -> PlanCost:
     return CostModel(store).estimate(plan)
 
 
-def parallel_total(cost: PlanCost, workers: int) -> float:
-    """Estimated total for multi-process execution with ``workers``
-    workers: the best serial total divides across the pool (each worker
-    runs a serial engine over its fragment, so the floor it amortizes
-    is the serial winner, not the tuple-at-a-time total), but the
-    query pays a fixed startup charge, a per-task dispatch charge, and
-    a per-result-tuple transfer charge — the explicit model of why
-    small inputs must stay serial."""
-    workers = max(1, workers)
-    serial_floor = min(cost.total, cost.batched_total())
-    return (PARALLEL_STARTUP_COST
-            + workers * PARALLEL_TASK_COST
-            + serial_floor / workers
-            + cost.cardinality * PARALLEL_TUPLE_COST)
-
-
 def preferred_mode(plan: Operator, store: DocumentStore,
                    workers: int | None = None) -> str:
-    """The execution mode the cost split recommends for ``plan``:
-    ``"vectorized"`` when the estimated batched total undercuts the
-    tuple-at-a-time total (enough tuples flow to amortize the
-    per-operator batch setup), ``"pipelined"`` otherwise — small plans
-    stay tuple-at-a-time, scans stay columnar.  With ``workers`` set
-    (> 1), a third alternative competes: multi-process scatter/gather,
-    chosen only when the plan has a partitionable scan *and*
-    :func:`parallel_total` strictly undercuts the serial winner — so
-    ``best_plan`` keeps serial execution for small inputs.  This is
-    what ``execute(mode="auto")`` dispatches on."""
+    """What ``execute(mode="auto")`` dispatches on: the parallel gate.
+
+    Without a worker budget (``workers`` None or 1) there is one serial
+    engine and nothing to decide — the answer is ``DEFAULT_MODE`` and
+    no cost is estimated, so ``auto`` is free on the common path.  With
+    a budget, multi-process scatter/gather is chosen only when the plan
+    has a partitionable scan *and* its estimated total strictly
+    undercuts the serial one: the serial work divides across the pool,
+    but the query pays a fixed startup charge, a per-task dispatch
+    charge and a per-result-tuple transfer charge — the explicit model
+    of why small inputs must stay serial."""
+    from repro.engine.executor import DEFAULT_MODE
+    if workers is None or workers <= 1:
+        return DEFAULT_MODE
+    from repro.engine.parallel import parallelizable
+    if parallelizable(plan, store) is None:
+        return DEFAULT_MODE
     cost = estimate(plan, store)
-    serial_cost = min(cost.total, cost.batched_total())
-    mode = "vectorized" if cost.batched_total() < cost.total \
-        else "pipelined"
-    if workers is not None and workers > 1:
-        from repro.engine.parallel import parallelizable
-        if parallelizable(plan, store) is not None \
-                and parallel_total(cost, workers) < serial_cost:
-            return "parallel"
-    return mode
+    # The serial engine's estimate: every operator pays its batch setup
+    # once, the tuple-scaled work drops to the columnar loop's share —
+    # never more than the undiscounted total.
+    serial = min(cost.total,
+                 BATCH_SETUP_COST * sum(1 for _ in plan.walk())
+                 + cost.total * VECTORIZED_TUPLE_DISCOUNT)
+    parallel = (PARALLEL_STARTUP_COST
+                + workers * PARALLEL_TASK_COST
+                + serial / workers
+                + cost.cardinality * PARALLEL_TUPLE_COST)
+    return "parallel" if parallel < serial else DEFAULT_MODE

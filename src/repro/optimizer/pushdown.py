@@ -114,8 +114,7 @@ def reassociate_left(plan: Operator) -> Operator:
     ``(e1 ⋈_{p1} e2) ⋈_{p2} e3`` (likewise for ×) whenever the scope
     conditions hold (``F(p1) ∩ A(e3) = ∅`` and ``F(p2) ∩ A(e1) = ∅``).
 
-    Left-deep shapes are what the pull-based pipelined engine streams
-    best; the rewrite never reorders operands, so sequence order is
+    The rewrite never reorders operands, so sequence order is
     untouched.
     """
     children = tuple(reassociate_left(c) for c in plan.children)

@@ -28,8 +28,8 @@ Invariants the engines and optimizer passes rely on:
   plan can be executed concurrently by several requests.
 - **Alternatives are semantically equal.**  Every emitted plan computes
   the same row sequence and Ξ output as the nested original — the
-  property the four execution engines differentially test, and what
-  lets ``execute(mode=...)`` pick any engine for any alternative.
+  property the execution modes differentially test, and what lets
+  ``execute(mode=...)`` pick any mode for any alternative.
 - **Attribute names are stable.**  Rewrites preserve the attribute
   names the normalizer introduced (``w1``, ``g1``, …); downstream
   passes (order-property inference, the vectorized engine's fused
@@ -43,9 +43,7 @@ from dataclasses import dataclass
 
 from repro.errors import RewriteError
 from repro.nal.algebra import Operator
-from repro.nal.construct import Construct, Out
-from repro.nal.join_ops import AntiJoin, SemiJoin
-from repro.nal.scalar import AttrRef
+from repro.nal.construct import Construct
 from repro.nal.unary_ops import (
     Map,
     Project,
@@ -59,6 +57,9 @@ from repro.optimizer import equivalences as eq
 from repro.xmldb.document import DocumentStore
 
 #: smaller rank = better plan
+#: the plan-ranking strategies ``unnest_plan`` accepts
+RANKINGS = ("heuristic", "cost")
+
 _RANKS = {
     "group-xi": 0,
     "grouping": 1,
@@ -118,10 +119,6 @@ def unnest_plan(plan: Operator, store: DocumentStore,
     ``ranking="cost"`` orders by the estimated all-tuples cost of
     :mod:`repro.optimizer.cost` (ties broken by the heuristic rank, so
     the nested plan never beats an equal-cost rewrite).
-    ``ranking="cost-first-tuple"`` orders by the estimated cost of
-    producing the *first* output tuple — the figure of merit for the
-    pipelined engine (``execute(..., mode="pipelined")``), whose
-    consumers may stop early; all-tuples cost breaks ties.
 
     ``access_paths`` controls whether each alternative additionally
     gets an index-based variant (label suffixed ``+index``, ranked just
@@ -143,9 +140,9 @@ def unnest_plan(plan: Operator, store: DocumentStore,
     produced or changed, so regressions in a single pass show up in a
     query's trace rather than only in end-to-end timings.
     """
-    if ranking not in ("heuristic", "cost", "cost-first-tuple"):
-        raise RewriteError(f"unknown ranking {ranking!r}; use "
-                           "'heuristic', 'cost' or 'cost-first-tuple'")
+    if ranking not in RANKINGS:
+        raise RewriteError(f"unknown ranking {ranking!r}; use one of "
+                           f"{RANKINGS}")
     from repro.obs.trace import maybe_span
     with maybe_span(tracer, "rewrite/unnest", "optimize") as span:
         variants = _alternatives(plan, frozenset(), store)
@@ -192,7 +189,7 @@ def unnest_plan(plan: Operator, store: DocumentStore,
             if span is not None:
                 span.args = {"plans_with_elisions": elided_plans,
                              "alternatives": len(results)}
-    if ranking in ("cost", "cost-first-tuple"):
+    if ranking == "cost":
         with maybe_span(tracer, "cost-ranking", "optimize",
                         ranking=ranking):
             if model is None:
@@ -200,11 +197,7 @@ def unnest_plan(plan: Operator, store: DocumentStore,
                 model = CostModel(store)
             for result in results:
                 result.cost = model.estimate(result.plan)
-            if ranking == "cost":
-                results.sort(key=lambda r: (r.cost.total, r.rank))
-            else:
-                results.sort(key=lambda r: (r.cost.first_tuple,
-                                            r.cost.total, r.rank))
+            results.sort(key=lambda r: (r.cost.total, r.rank))
     else:
         results.sort(key=lambda r: r.rank)
     return results

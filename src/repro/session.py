@@ -60,7 +60,7 @@ from repro.engine.executor import DEFAULT_MODE, ExecutionResult, execute
 from repro.obs.trace import maybe_span
 from repro.optimizer.digest import referenced_collections, \
     referenced_documents
-from repro.optimizer.rewriter import RewriteResult, unnest_plan
+from repro.optimizer.rewriter import RewriteResult
 
 #: "not passed" marker for per-request overrides of session defaults
 _UNSET = object()

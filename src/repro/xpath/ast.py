@@ -20,7 +20,7 @@ that normalization should have removed it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 

@@ -104,26 +104,13 @@ def test_analyze_counts_shared_subtree_per_position():
                  Rename(shared, {"A": "B"}))
     assert plan.children[0].children[0] is plan.children[1].children[0]
     store = DocumentStore()
-    for mode in ("vectorized", "pipelined"):
-        result = execute(plan, store, mode=mode, analyze=True)
-        assert len(result.rows) == 9
-        assert result.operator_counts[(0, 0)] == (1, 3)
-        assert result.operator_counts[(1, 0)] == (1, 3)
-        assert result.operator_counts[()] == (1, 9)
-        text = analyze_to_string(plan, result)
-        assert text.count("Table(T)  [calls=1 rows=3]") == 2
-
-
-def test_analyze_pipelined_counts_rows_pulled(db):
-    """Pipelined EXPLAIN ANALYZE reports the rows each operator actually
-    produced; at the root (fully drained) they match the default mode."""
-    query = compile_query(NESTED_QUERY, db)
-    plan = query.best().plan
-    full = db.execute(plan, analyze=True)
-    pipe = db.execute(plan, mode="pipelined", analyze=True)
-    assert pipe.rows == full.rows
-    assert pipe.output == full.output
-    assert pipe.operator_counts[()] == full.operator_counts[()]
+    result = execute(plan, store, analyze=True)
+    assert len(result.rows) == 9
+    assert result.operator_counts[(0, 0)] == (1, 3)
+    assert result.operator_counts[(1, 0)] == (1, 3)
+    assert result.operator_counts[()] == (1, 9)
+    text = analyze_to_string(plan, result)
+    assert text.count("Table(T)  [calls=1 rows=3]") == 2
 
 
 def test_analyze_does_not_change_output(db):

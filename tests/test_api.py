@@ -197,7 +197,7 @@ def test_every_entry_point_defaults_to_default_mode():
     from repro.server.app import ServerConfig
     from repro.server.cli import build_serve_arg_parser
 
-    assert DEFAULT_MODE in MODES and len(MODES) == 5
+    assert DEFAULT_MODE in MODES and len(MODES) == 4
     for parser in (build_arg_parser(), build_trace_arg_parser(),
                    build_serve_arg_parser()):
         assert parser.get_default("mode") == DEFAULT_MODE

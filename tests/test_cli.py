@@ -124,6 +124,15 @@ def test_cost_ranking_flag(data_dir, query_file, capsys):
     assert "cost≈" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag,value", (("--mode", "pipelined"),
+                                        ("--ranking", "cost-first-tuple")))
+def test_deleted_option_values_are_argparse_errors(data_dir, query_file,
+                                                   flag, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main([str(query_file), "--docs", str(data_dir), flag, value])
+    assert exit_info.value.code == 2
+
+
 def test_reference_mode(data_dir, query_file, capsys):
     code = main([str(query_file), "--docs", str(data_dir),
                  "--mode", "reference"])

@@ -145,42 +145,22 @@ def test_unknown_ranking_rejected():
         unnest_plan(plan, db.store, ranking="oracle")
 
 
-def test_first_tuple_cost_split():
-    """The first-tuple estimate never exceeds the all-tuples total;
-    blocking operators pin the two together, streaming operators keep
-    first-tuple cost input-size independent (within a constant)."""
-    from repro.nal.scalar import AttrRef, Comparison, Const
-    from repro.nal.unary_ops import Select, Sort
-    from repro.xmldb.document import DocumentStore
+def test_cost_first_tuple_ranking_is_gone():
+    """``ranking="cost-first-tuple"`` was deleted with the mode it
+    served: it is an unknown ranking like any other, and a
+    ``PlanCost`` is a cardinality and a total."""
+    import dataclasses
 
-    store = DocumentStore()
-    model = CostModel(store)
-    big = Table("T", ["A"], [{"A": i} for i in range(500)])
-    for plan in (big, Select(big, Comparison(AttrRef("A"), ">",
-                                             Const(1))),
-                 Sort(big, ["A"])):
-        cost = model.estimate(plan)
-        assert cost.first_tuple <= cost.total
-    # Sort is blocking: first tuple pays the whole input.
-    sort_cost = model.estimate(Sort(big, ["A"]))
-    assert sort_cost.first_tuple == sort_cost.total
-    # A streaming select's first tuple is (much) cheaper than draining.
-    select_cost = model.estimate(
-        Select(big, Comparison(AttrRef("A"), ">", Const(1))))
-    assert select_cost.first_tuple < select_cost.total / 10
+    from repro.optimizer.cost import PlanCost
+    from repro.optimizer.rewriter import RANKINGS
 
-
-def test_cost_first_tuple_ranking():
-    """ranking="cost-first-tuple" orders alternatives and fills the
-    cost field, with every first-tuple estimate bounded by its total."""
-    db = _db("q3", books=10)
-    query = compile_query(PAPER_QUERIES["q3"].text, db,
-                          ranking="cost-first-tuple")
-    plans = query.plans()
-    assert len(plans) >= 2
-    firsts = [alt.cost.first_tuple for alt in plans]
-    assert firsts == sorted(firsts)
-    assert all(alt.cost.first_tuple <= alt.cost.total for alt in plans)
+    assert RANKINGS == ("heuristic", "cost")
+    db = _db("q3", books=5)
+    with pytest.raises(RewriteError, match="unknown ranking"):
+        compile_query(PAPER_QUERIES["q3"].text, db,
+                      ranking="cost-first-tuple").plans()
+    assert [f.name for f in dataclasses.fields(PlanCost)] == \
+        ["cardinality", "total"]
 
 
 def test_cost_ranking_matches_measured_ordering():

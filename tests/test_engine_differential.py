@@ -1,12 +1,13 @@
-"""Differential testing of the pipelined and vectorized engines.
+"""Differential testing of the engine and its subscript streamer.
 
 Generates random operator trees (over random base tables) and checks
-that the generator-based pipelined engine and the batch-at-a-time
-vectorized engine both produce exactly the sequence the definitional
-(reference) semantics produces — order included.  This generalizes the
-per-operator tests: operator *compositions* are where
-order-preservation bugs hide (e.g. a hash join that emits probe matches
-in build order).
+that the batch-at-a-time engine and the subscript streamer — driven
+directly, and as ``σ[exists(⟨plan⟩)]`` under the default mode, so both
+its generator handlers and its batch-engine arm run — produce exactly
+the sequence the definitional (reference) semantics produces — order
+included.  This generalizes the per-operator tests: operator
+*compositions* are where order-preservation bugs hide (e.g. a hash
+join that emits probe matches in build order).
 
 Key attributes draw from a mix of integers, booleans, numeric strings
 and NULL: booleans pin the ``compare_atomic`` ⇔ ``canonical_key``
@@ -22,7 +23,8 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.context import EvalContext
-from repro.engine.pipeline import run_pipelined
+from repro.engine.executor import execute
+from repro.engine.pipeline import stream_plan
 from repro.engine.vectorized import run_vectorized
 from repro.nal import (
     NULL,
@@ -45,8 +47,11 @@ from repro.nal import (
     Tup,
     Unnest,
 )
-from repro.nal.scalar import AttrRef, Comparison, Const, In
+from repro.nal.scalar import AttrRef, Comparison, Const, FuncCall, In, \
+    NestedPlan
 from repro.xmldb.document import DocumentStore
+
+OUTER = Table("O", ["o"], [{"o": 1}])
 
 values = st.integers(min_value=0, max_value=4)
 
@@ -61,14 +66,19 @@ key_values = st.one_of(
 )
 
 
-def run_both(plan):
-    """Evaluate on every engine; assert they agree; return the rows."""
-    ctx = EvalContext(DocumentStore())
+def run_both(plan, store=None):
+    """Evaluate on the engine and through the subscript streamer;
+    assert they agree with the reference; return the rows."""
+    store = store if store is not None else DocumentStore()
+    ctx = EvalContext(store)
     reference = plan.evaluate(ctx)
-    pipelined = list(run_pipelined(plan, ctx))
     vectorized = run_vectorized(plan, ctx)
-    assert pipelined == reference
+    assert list(stream_plan(plan, ctx)) == reference
     assert vectorized == reference
+    # The same plan as a boolean subscript of the default engine: the
+    # outer tuple survives exactly when the plan yields something.
+    probe = Select(OUTER, FuncCall("exists", [NestedPlan(plan)]))
+    assert execute(probe, store).rows == (OUTER.rows if reference else [])
     return reference, vectorized
 
 
@@ -271,3 +281,70 @@ def test_dedup_unnest_is_order_preserving_on_tuples(e):
     unnested_b = [t["B"] for t in run_both(
         Unnest(e, "a", ["v"], dedup=True))[0]]
     assert unnested_b == sorted(unnested_b)
+
+
+# ---------------------------------------------------------------------------
+# Every operator type, deterministically
+# ---------------------------------------------------------------------------
+
+def test_every_operator_type_streams_like_evaluate():
+    """One small plan per operator type — the random trees above never
+    draw □, IndexScan, χ, Υ, an elided Sort or the two Ξ — through the
+    streamer directly and as an ``exists()`` subscript of the default
+    mode: rows *and* constructed output equal the reference's."""
+    from repro.engine import vectorized
+    from repro.index import IndexProbe
+    from repro.nal import Construct, GroupConstruct, IndexScan, Lit, Map, \
+        Out, Singleton, UnnestMap
+    from repro.nal.scalar import DocAccess, PathApply
+    from repro.nal.unary_ops import ElidedSort
+    from repro.xmldb.node import element
+    from repro.xpath.parser import parse_path
+
+    store = DocumentStore(index_mode="lazy")
+    store.register_tree("t.xml", element(
+        "r", element("it", element("v", "2")),
+        element("it", element("v", "x"), element("v", "1"))))
+    left = Table("T", ["A", "B"], [{"A": 1, "B": 2}, {"A": 2, "B": 2},
+                                   {"A": NULL, "B": 3}])
+    right = Table("R", ["C", "D"], [{"C": 2, "D": 0}, {"C": 1, "D": 5},
+                                    {"C": 1, "D": 6}])
+    nested = Table("N", ["a", "B"], [{"a": [Tup({"v": 1}), Tup({"v": 1})],
+                                      "B": 0}])
+    items = UnnestMap(Singleton(), "i", PathApply(
+        DocAccess("t.xml"), parse_path("//it")))
+    plans = [
+        items,
+        UnnestMap(items, "v", PathApply(AttrRef("i"), parse_path("v"))),
+        IndexScan("x", IndexProbe("t.xml", "element",
+                                  (("descendant", "v"),))),
+        Map(left, "m", Comparison(AttrRef("A"), "=", AttrRef("B"))),
+        Select(left, Comparison(AttrRef("A"), ">", Const(1))),
+        Project(left, ["B"]), ProjectAway(left, ["B"]),
+        Rename(left, {"A": "X"}), DistinctProject(left, ["B"]),
+        Unnest(nested, "a", ["v"], dedup=True),
+        Sort(left, ["B"], [True]), ElidedSort(left, ["A"]),
+        Cross(left, right), Join(left, right, JOIN_PRED),
+        SemiJoin(left, right, THETA_PRED), AntiJoin(left, right, JOIN_PRED),
+        OuterJoin(left, right, JOIN_PRED, "g", Const(0)),
+        GroupUnary(left, "g", ["B"], "=", AggSpec("count")),
+        GroupBinary(left, right, "g", ["A"], "=", ["C"], AggSpec("id")),
+        SelfGroup(left, "g", ["B"], AggSpec("sum", "A")),
+        Construct(Join(left, right, JOIN_PRED),
+                  [Lit("<a>"), Out(AttrRef("D")), Lit("</a>")]),
+        GroupConstruct(Sort(left, ["B"]), ["B"], [Lit("<g>")],
+                       [Out(AttrRef("A"))], [Lit("</g>")]),
+    ]
+    assert {type(op) for plan in plans for op in plan.walk()} == \
+        set(vectorized._DISPATCH)
+    for plan in plans:
+        reference, streamed = EvalContext(store), EvalContext(store)
+        rows = plan.evaluate(reference)
+        assert rows, plan.label()   # no vacuous comparison
+        assert list(stream_plan(plan, streamed)) == rows, plan.label()
+        assert streamed.output_text() == reference.output_text()
+        probe = Select(OUTER, FuncCall("exists", [NestedPlan(plan)]))
+        default = execute(probe, store)
+        oracle = execute(probe, store, mode="reference")
+        assert default.rows == oracle.rows == OUTER.rows
+        assert default.output == oracle.output == reference.output_text()

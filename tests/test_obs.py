@@ -52,7 +52,7 @@ def test_nested_depth_is_derived_from_containment():
 
 
 def test_nested_handles_interleaved_generator_lifetimes():
-    # The pipelined engine produces spans that overlap without strict
+    # Generator-shaped producers make spans that overlap without strict
     # nesting (parent opens first, closes last; children interleave).
     tracer = Tracer()
     parent = Span("parent", start=0.0)

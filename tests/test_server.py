@@ -135,8 +135,12 @@ def test_unknown_route_and_wrong_method(server):
 def test_malformed_body_is_bad_query(server):
     status, payload, _ = server.post(None, raw=b"not json")
     assert (status, payload["kind"]) == (400, "bad-query")
-    status, payload, _ = server.post({"mode": "pipelined"})
+    status, payload, _ = server.post({"mode": "vectorized"})
     assert (status, payload["kind"]) == (400, "bad-query")
+    status, payload, _ = server.post({"query": TITLES_QUERY,
+                                      "mode": "pipelined"})
+    assert (status, payload["kind"]) == (400, "bad-query")
+    assert "unknown execution mode" in payload["error"]
     status, payload, _ = server.post({"query": TITLES_QUERY,
                                       "timeout": "soon"})
     assert (status, payload["kind"]) == (400, "bad-query")
@@ -354,10 +358,10 @@ def test_build_server_from_cli_args(tmp_path):
     (tmp_path / "bib.dtd").write_text(BIB_DTD)
     args = build_serve_arg_parser().parse_args(
         ["--docs", str(tmp_path), "--port", "0", "--workers", "3",
-         "--queue-depth", "5", "--timeout", "0", "--mode", "pipelined"])
+         "--queue-depth", "5", "--timeout", "0", "--mode", "reference"])
     server = build_server(args)
     assert server.config.max_concurrency == 3
     assert server.config.queue_depth == 5
     assert server.config.default_timeout is None
-    assert server.session.default_mode == "pipelined"
+    assert server.session.default_mode == "reference"
     assert server.session.database.list_documents() == ["bib.xml"]

@@ -42,7 +42,7 @@ return <book-with-review>{ $t1 }</book-with-review>
 '''
 
 SHAPES = (NESTED_QUERY, TITLES_QUERY, EXISTS_QUERY)
-MODES = ("pipelined", "vectorized", "reference")
+MODES = ("vectorized", "reference")
 
 
 @pytest.fixture

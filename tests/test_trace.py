@@ -88,15 +88,23 @@ def _operator_shape(result) -> TallyCounter:
     return shape
 
 
-def test_span_tree_shape_identical_across_engines(bib_db):
-    _, default = trace_query(SIMPLE, bib_db)
-    _, pipelined = trace_query(SIMPLE, bib_db, mode="pipelined")
-    assert default.output == pipelined.output
-    assert _operator_shape(default) == _operator_shape(pipelined)
+def test_span_tree_mirrors_the_plan_tree(bib_db):
+    """Nesting is derived from containment: every operator's span sits
+    inside its parent operator's, one level down."""
+    alt, result = trace_query(SIMPLE, bib_db)
+    expected: TallyCounter = TallyCounter()
+
+    def walk(op, depth):
+        expected[(op.label(), depth)] += 1
+        for child in op.children:
+            walk(child, depth + 1)
+
+    walk(alt.plan, 1)
+    assert _operator_shape(result) == expected
 
 
 def test_chrome_export_round_trips_and_is_well_formed(bib_db):
-    _, result = trace_query(SIMPLE, bib_db, mode="pipelined")
+    _, result = trace_query(SIMPLE, bib_db)
     payload = json.loads(result.trace.chrome_json())
     assert payload["traceEvents"], "trace must not be empty"
     for event in payload["traceEvents"]:
@@ -108,13 +116,11 @@ def test_chrome_export_round_trips_and_is_well_formed(bib_db):
 # ----------------------------------------------------------------------
 # Metrics ↔ EXPLAIN ANALYZE reconciliation
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("mode", ("pipelined", "vectorized"))
-def test_metrics_reconcile_with_analyze_counts(bib_db, mode):
+def test_metrics_reconcile_with_analyze_counts(bib_db):
     query = compile_query(SIMPLE, bib_db)
     plan = query.best().plan
     metrics = MetricsRegistry()
-    result = bib_db.execute(plan, mode=mode, analyze=True,
-                            metrics=metrics)
+    result = bib_db.execute(plan, analyze=True, metrics=metrics)
     operators = operators_by_path(plan)
     expected_calls: TallyCounter = TallyCounter()
     expected_rows: TallyCounter = TallyCounter()
@@ -200,17 +206,23 @@ def data_dir(tmp_path: pathlib.Path) -> pathlib.Path:
 
 
 def test_cli_trace_subcommand(data_dir, tmp_path, capsys):
+    """``trace --mode`` takes every member of ``MODES`` (``auto`` here,
+    which it used to reject) and nothing else."""
     out_json = tmp_path / "trace.json"
     status = main(["trace", "--query", SIMPLE, "--docs", str(data_dir),
-                   "--mode", "pipelined", "--out", str(out_json)])
+                   "--mode", "auto", "--out", str(out_json)])
     assert status == 0
     out = capsys.readouterr().out
-    assert "execute[pipelined]" in out
+    assert f"execute[{DEFAULT_MODE}]" in out
     assert "lex/parse" in out
     assert "operator.Construct.invocations" in out
     payload = json.loads(out_json.read_text())
-    assert any(e["name"] == "execute[pipelined]"
+    assert any(e["name"] == f"execute[{DEFAULT_MODE}]"
                for e in payload["traceEvents"])
+    with pytest.raises(SystemExit) as exit_info:
+        main(["trace", "--query", SIMPLE, "--docs", str(data_dir),
+              "--mode", "pipelined"])
+    assert exit_info.value.code == 2
 
 
 def test_cli_timing_flag(data_dir, capsys):

@@ -15,13 +15,13 @@ from repro.bench.trajectory import (
 )
 
 
-def q8_record(**overrides) -> dict:
+def q7_record(**overrides) -> dict:
     record = {
-        "items": 20, "bids": 1000, "hot_items": 20,
-        "materializing_seconds": 0.7, "pipelined_seconds": 0.013,
+        "items": 2000, "matches": 31,
+        "scan_seconds": 0.052, "index_seconds": 0.001,
         "speedup": 52.0,
-        "materializing_node_visits": 187107,
-        "pipelined_node_visits": 3565,
+        "scan_node_visits": 10944,
+        "index_node_visits": 347, "index_probes": 1,
     }
     record.update(overrides)
     return record
@@ -36,60 +36,60 @@ def artifact(tmp_path, name: str, queries: dict) -> str:
 
 @pytest.fixture
 def baselined(tmp_path):
-    """A baseline dir seeded from one q8 artifact."""
-    art = artifact(tmp_path, "q8.json", {"q8_pipeline": [q8_record()]})
+    """A baseline dir seeded from one q7 artifact."""
+    art = artifact(tmp_path, "q7.json", {"q7_index": [q7_record()]})
     write_baselines([art], tmp_path)
     return tmp_path
 
 
 def test_write_baselines_produces_tracked_files(tmp_path):
-    art = artifact(tmp_path, "q8.json", {"q8_pipeline": [q8_record()]})
+    art = artifact(tmp_path, "q7.json", {"q7_index": [q7_record()]})
     (written,) = write_baselines([art], tmp_path)
-    assert written.name == "BENCH_q8_pipeline.json"
+    assert written.name == "BENCH_q7_index.json"
     baseline = load_baseline(written)
-    assert record_key(q8_record()) in baseline
+    assert record_key(q7_record()) in baseline
     payload = json.loads(written.read_text())
     assert payload["schema"] == "repro-bench-baseline/1"
-    assert payload["gated_metrics"] == GATE_RULES["q8_pipeline"]
+    assert payload["gated_metrics"] == GATE_RULES["q7_index"]
 
 
 def test_gate_passes_on_unchanged_results(tmp_path, baselined):
     fresh = artifact(tmp_path, "fresh.json",
-                     {"q8_pipeline": [q8_record()]})
+                     {"q7_index": [q7_record()]})
     assert check([fresh], baselined) == []
 
 
 def test_gate_tolerates_drift_within_threshold(tmp_path, baselined):
     fresh = artifact(tmp_path, "fresh.json",
-                     {"q8_pipeline": [q8_record(speedup=52.0 * 0.85)]})
+                     {"q7_index": [q7_record(speedup=52.0 * 0.85)]})
     assert check([fresh], baselined) == []
 
 
 def test_gate_fails_on_speedup_regression(tmp_path, baselined):
     fresh = artifact(tmp_path, "fresh.json",
-                     {"q8_pipeline": [q8_record(speedup=52.0 * 0.7)]})
+                     {"q7_index": [q7_record(speedup=52.0 * 0.7)]})
     issues = check([fresh], baselined)
     assert len(issues) == 1
     assert "speedup dropped" in issues[0]
 
 
 def test_gate_fails_on_counter_regression(tmp_path, baselined):
-    fresh = artifact(tmp_path, "fresh.json", {"q8_pipeline": [
-        q8_record(pipelined_node_visits=int(3565 * 1.5))]})
+    fresh = artifact(tmp_path, "fresh.json", {"q7_index": [
+        q7_record(index_node_visits=int(347 * 1.5))]})
     issues = check([fresh], baselined)
     assert len(issues) == 1
-    assert "pipelined_node_visits rose" in issues[0]
+    assert "index_node_visits rose" in issues[0]
 
 
 def test_counter_improvement_never_fails(tmp_path, baselined):
-    fresh = artifact(tmp_path, "fresh.json", {"q8_pipeline": [
-        q8_record(pipelined_node_visits=100, speedup=500.0)]})
+    fresh = artifact(tmp_path, "fresh.json", {"q7_index": [
+        q7_record(index_node_visits=100, speedup=500.0)]})
     assert check([fresh], baselined) == []
 
 
 def test_params_mismatch_is_an_error_not_a_pass(tmp_path, baselined):
-    fresh = artifact(tmp_path, "fresh.json", {"q8_pipeline": [
-        q8_record(items=40, bids=2000)]})
+    fresh = artifact(tmp_path, "fresh.json", {"q7_index": [
+        q7_record(items=4000)]})
     issues = check([fresh], baselined)
     assert len(issues) == 1
     assert "no record" in issues[0]
@@ -98,7 +98,7 @@ def test_params_mismatch_is_an_error_not_a_pass(tmp_path, baselined):
 
 def test_missing_baseline_file_is_an_error(tmp_path):
     fresh = artifact(tmp_path, "fresh.json",
-                     {"q8_pipeline": [q8_record()]})
+                     {"q7_index": [q7_record()]})
     issues = check([fresh], tmp_path)      # nothing written here
     assert len(issues) == 1
     assert "no baseline" in issues[0]
@@ -125,12 +125,12 @@ def test_near_unity_speedups_are_not_gated(tmp_path):
 
 def test_later_artifacts_replace_earlier_records(tmp_path):
     first = artifact(tmp_path, "first.json",
-                     {"q8_pipeline": [q8_record(speedup=10.0)]})
+                     {"q7_index": [q7_record(speedup=10.0)]})
     second = artifact(tmp_path, "second.json",
-                      {"q8_pipeline": [q8_record(speedup=50.0)]})
+                      {"q7_index": [q7_record(speedup=50.0)]})
     write_baselines([first, second], tmp_path)
-    baseline = load_baseline(tmp_path / "BENCH_q8_pipeline.json")
-    assert baseline[record_key(q8_record())]["speedup"] == 50.0
+    baseline = load_baseline(tmp_path / "BENCH_q7_index.json")
+    assert baseline[record_key(q7_record())]["speedup"] == 50.0
 
 
 def test_repo_baselines_cover_the_ci_sizes():
@@ -140,7 +140,6 @@ def test_repo_baselines_cover_the_ci_sizes():
     root = pathlib.Path(__file__).resolve().parent.parent
     expectations = {
         "BENCH_q7_index.json": [(("items", 2000),)],
-        "BENCH_q8_pipeline.json": [(("items", 20), ("bids", 1000))],
         "BENCH_q9_storage.json": [
             (("query", "q9_digest"), ("items", 2000), ("bids", 10000)),
             (("query", "q9_filter"), ("items", 2000), ("bids", 10000))],

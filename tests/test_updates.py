@@ -35,7 +35,7 @@ from repro.xmldb.delta import DeltaError, apply_delta
 from repro.xmldb.node import NodeKind, element
 from repro.xmldb.serialize import serialize
 
-ENGINE_MODES = ("reference", "pipelined", "vectorized")
+ENGINE_MODES = ("reference", "vectorized")
 
 BIB = ("<bib>"
        "<book year='1994'><title>TCP/IP Illustrated</title></book>"

@@ -1,7 +1,7 @@
 """Unit and integration tests for the vectorized engine's batch layer.
 
 The differential suite (``test_engine_differential.py``) already pins
-vectorized ≡ pipelined ≡ reference on randomized operator
+vectorized ≡ reference on randomized operator
 trees; this file tests the batch machinery itself — ``Batch``
 immutability and lazy caching, the numeric-column kernel and its
 parity with ``general_compare``, the fused select-over-map pass (that it
@@ -24,6 +24,7 @@ from repro.engine.batch import (
     numeric_column,
     selection_vector,
 )
+from repro.engine.executor import DEFAULT_MODE
 from repro.nal import NULL, Tup
 from repro.nal.values import general_compare
 from repro.optimizer.cost import preferred_mode
@@ -158,15 +159,15 @@ def _spy_on_fusion(monkeypatch):
     return outcomes
 
 
-def test_fused_select_engages_and_matches_pipelined(bids_db,
+def test_fused_select_engages_and_matches_reference(bids_db,
                                                     monkeypatch):
     outcomes = _spy_on_fusion(monkeypatch)
     plan = compile_query(BIDS_QUERY, bids_db).best().plan
-    pipelined = bids_db.execute(plan, mode="pipelined")
+    reference = bids_db.execute(plan, mode="reference")
     vectorized = bids_db.execute(plan, mode="vectorized")
     assert outcomes == [True], "fused pass should engage on this shape"
-    assert vectorized.rows == pipelined.rows
-    assert vectorized.output == pipelined.output
+    assert vectorized.rows == reference.rows
+    assert vectorized.output == reference.output
 
 
 def test_fused_select_bails_on_non_numeric_text(monkeypatch):
@@ -184,12 +185,12 @@ return <m>{ $x/v }</m>
 '''
     outcomes = _spy_on_fusion(monkeypatch)
     plan = compile_query(query, db).best().plan
-    pipelined = db.execute(plan, mode="pipelined")
+    reference = db.execute(plan, mode="reference")
     vectorized = db.execute(plan, mode="vectorized")
     assert outcomes == [False], \
         "non-numeric text must bail out of the fused pass"
-    assert vectorized.rows == pipelined.rows
-    assert vectorized.output == pipelined.output
+    assert vectorized.rows == reference.rows
+    assert vectorized.output == reference.output
 
 
 def test_fusion_disabled_under_analyze(bids_db, monkeypatch):
@@ -222,9 +223,7 @@ def test_vectorized_metrics_are_recorded(bids_db):
 def test_auto_mode_matches_explicit_modes(bids_db):
     plan = compile_query(BIDS_QUERY, bids_db).best().plan
     mode = preferred_mode(plan, bids_db.store)
-    assert mode in ("pipelined", "vectorized")
-    assert mode == "vectorized", \
-        "a scan-filter plan over hundreds of tuples should go columnar"
+    assert mode == DEFAULT_MODE, "no worker budget: nothing to decide"
     auto = bids_db.execute(plan, mode="auto")
     explicit = bids_db.execute(plan, mode=mode)
     assert auto.rows == explicit.rows

@@ -1,6 +1,6 @@
 #!/usr/bin/env python
 """Documentation lint: module docstrings, docs/ link integrity and
-execution-mode names.
+execution-mode / ranking names.
 
 Three checks, all cheap enough to run on every CI push (the
 ``docs-check`` job, also ``make docs-check``):
@@ -13,10 +13,12 @@ Three checks, all cheap enough to run on every CI push (the
    and ``README.md`` must resolve to an existing file (anchors are
    checked against the target's headings).  External ``http(s)://``
    links are not touched — CI must not depend on the network.
-3. **Mode names** — every ``mode="X"`` / ``--mode X`` in the same
+3. **Option values** — every ``mode="X"`` / ``--mode X`` in the same
    markdown files must name a member of
-   ``repro.engine.executor.MODES``, so a deleted or renamed execution
-   mode cannot linger in the prose or the examples.
+   ``repro.engine.executor.MODES``, and every ``ranking="X"`` /
+   ``--ranking X`` a member of ``repro.optimizer.rewriter.RANKINGS``,
+   so a deleted or renamed execution mode or ranking cannot linger in
+   the prose or the examples.
 
 Exits non-zero listing every violation; prints a one-line summary when
 clean.  No dependencies beyond the standard library.
@@ -36,10 +38,11 @@ _LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 _FENCE = re.compile(r"^(```|~~~).*?^\1", re.MULTILINE | re.DOTALL)
 _CODE_SPAN = re.compile(r"`[^`\n]*`")
-#: mode="X" (also default_mode=; not index_mode=) and --mode X
-_MODE_NAME = re.compile(
-    r"""(?<![\w-])(?:(?:default_)?mode=["'](?P<kw>[^"']*)["']"""
-    r"""|--mode[ =](?P<flag>[A-Za-z][\w-]*))""")
+#: mode="X" (also default_mode=; not index_mode=) and --mode X;
+#: likewise ranking="X" and --ranking X
+_OPTION_VALUE = re.compile(
+    r"""(?<![\w-])(?:(?:default_)?(?P<kw>mode|ranking)=["'](?P<kwv>[^"']*)["']"""
+    r"""|--(?P<flag>mode|ranking)[ =](?P<flagv>[A-Za-z][\w-]*))""")
 
 
 def _strip_code(text: str) -> str:
@@ -104,18 +107,22 @@ def check_links(doc_paths: list[pathlib.Path]) -> list[str]:
     return problems
 
 
-def check_mode_names(doc_paths: list[pathlib.Path]) -> list[str]:
+def check_option_values(doc_paths: list[pathlib.Path]) -> list[str]:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.engine.executor import MODES
+    from repro.optimizer.rewriter import RANKINGS
 
+    allowed = {"mode": MODES, "ranking": RANKINGS}
     problems = []
     for doc in doc_paths:
-        for match in _MODE_NAME.finditer(doc.read_text(encoding="utf-8")):
-            name = match.group("kw") or match.group("flag")
-            if name not in MODES:
+        for match in _OPTION_VALUE.finditer(
+                doc.read_text(encoding="utf-8")):
+            option = match.group("kw") or match.group("flag")
+            value = match.group("kwv") or match.group("flagv")
+            if value not in allowed[option]:
                 problems.append(
                     f"{doc.relative_to(REPO_ROOT)}: {match.group(0)!r} "
-                    f"names no execution mode (MODES = {MODES})")
+                    f"names no {option} (one of {allowed[option]})")
     return problems
 
 
@@ -127,7 +134,7 @@ def main() -> int:
     if readme.exists():
         docs.append(readme)
     problems += check_links(docs)
-    problems += check_mode_names(docs)
+    problems += check_option_values(docs)
     if problems:
         print("docs-check FAILED:", file=sys.stderr)
         for problem in problems:
