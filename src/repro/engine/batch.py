@@ -17,12 +17,16 @@ Invariants (relied on throughout the vectorized engine):
   therefore return a child batch unchanged (e.g. an elided sort) and
   alias columns between batches without copying.
 - **Node-valued columns stay rows of ints.**  A column produced by a
-  columnar scan is a :class:`NodeColumn` — ``(arena, pre rows)`` — and
-  the kernels that know it (path steps, string values, numeric
-  comparison, join keys) read ``.pres`` against the arena's columns.
-  Everybody else indexes or iterates it like a list and gets interned
-  ``arena.nodes[pre]`` handles, so handles are created only where a
-  consumer needs node *objects* (Ξ, row-at-a-time fallbacks).
+  columnar scan or an index probe is a :class:`NodeColumn` —
+  ``(arena, pre rows)`` — and the kernels that know it (path steps,
+  string values, numeric comparison, join keys, Ξ's renderer) read
+  ``.pres`` against the arena's columns.  Everybody else indexes or
+  iterates it like a list and gets interned ``arena.nodes[pre]``
+  handles, so handles are created only where a consumer needs node
+  *objects*: the row kernels (hash join, grouping, sort, ΠD), a
+  function call or an interpreted subscript over the column, and
+  :meth:`Batch.to_rows` — which the result of an execution reaches
+  only when somebody reads ``ExecutionResult.rows``.
 - **Selection vectors are owned by their creator.**  A selection vector
   (an ``array('q')`` of row indices) is created, filled and consumed by
   exactly one operator invocation; it is never stored in a batch or
@@ -89,6 +93,9 @@ class NodeColumn:
     def take(self, indices) -> "NodeColumn":
         pres = self.pres
         return NodeColumn(self.arena, [pres[i] for i in indices])
+
+    def repeat(self, count: int) -> "NodeColumn":
+        return NodeColumn(self.arena, self.pres * count)
 
     def string_values(self) -> list[str]:
         return self.arena.string_values(self.pres)
@@ -194,6 +201,23 @@ class Batch:
         columns[attr] = values
         order = tuple(a for a in self.attrs if a != attr) + (attr,)
         return Batch(columns, order, None, len(values))
+
+    def repeat(self, count: int) -> "Batch":
+        """This one-row batch ``count`` times over: every attribute a
+        broadcast column (a one-row × side; no row is copied)."""
+        assert self._length == 1
+        columns = {a: col.repeat(count) if type(col) is NodeColumn
+                   else BroadcastColumn([col[0]] * count)
+                   for a, col in self._materialized_columns().items()}
+        return Batch(columns, self._order, None, count)
+
+    def beside(self, right: "Batch") -> "Batch":
+        """Row ``i`` of this batch ◦ row ``i`` of ``right`` (the right
+        side wins a duplicate attribute, as ``Tup.concat`` has it)."""
+        assert self._length == len(right)
+        columns = dict(self._materialized_columns())
+        columns.update(right._materialized_columns())
+        return Batch(columns, tuple(columns), None, self._length)
 
     def project(self, attributes: tuple[str, ...]) -> "Batch":
         columns = {a: self.column(a) for a in attributes}

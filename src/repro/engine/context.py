@@ -86,6 +86,10 @@ class EvalContext:
         """Append a fragment to the constructed query result."""
         self._output.append(text)
 
+    def emit_all(self, fragments) -> None:
+        """Append a run of fragments, in order."""
+        self._output.extend(fragments)
+
     def output_text(self) -> str:
         return "".join(self._output)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import time
 
+from repro.engine.batch import Batch
 from repro.engine.context import EvalContext
 from repro.engine.kernels import ROOT_PATH
 from repro.engine.vectorized import run_vectorized
@@ -51,13 +52,16 @@ def resolve_workers(workers: int | None,
 class ExecutionResult:
     """Outcome of one plan execution."""
 
-    def __init__(self, rows: list[Tup], output: str, stats: dict,
-                 elapsed: float,
+    def __init__(self, rows: "list[Tup] | tuple[Tup, ...] | Batch",
+                 output: str, stats: dict, elapsed: float,
                  operator_counts: dict[tuple, tuple[int, int]]
                  | None = None,
                  trace=None, metrics=None, cached: bool = False):
-        #: the operator tree's result sequence
-        self.rows = rows
+        #: the result sequence as handed over: the default engine's
+        #: final column batch, the rows of the other modes, or a
+        #: result-cache entry (a batch or a tuple of rows, both
+        #: immutable and shared) — read it through :attr:`rows`
+        self.raw_rows = rows
         #: the XML text the Ξ operators constructed
         self.output = output
         #: scan-statistics snapshot (document scans, node visits) —
@@ -83,8 +87,26 @@ class ExecutionResult:
         #: with ``result_cache_hit`` set; see :mod:`repro.session`)
         self.cached = cached
 
+    @property
+    def rows(self) -> list[Tup]:
+        """The operator tree's result sequence.  The default engine
+        hands over columns; they become ``Tup`` rows (and node handles)
+        the first time somebody asks — as a list of this result's own,
+        so consumers of one cached entry cannot mutate each other's
+        rows."""
+        rows = self.raw_rows
+        if not isinstance(rows, list):
+            rows = self.raw_rows = list(
+                rows.to_rows() if isinstance(rows, Batch) else rows)
+        return rows
+
+    @property
+    def row_count(self) -> int:
+        """``len(rows)`` without materializing them."""
+        return len(self.raw_rows)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<ExecutionResult rows={len(self.rows)} "
+        return (f"<ExecutionResult rows={self.row_count} "
                 f"output={len(self.output)} chars "
                 f"scans={self.stats['document_scans']} "
                 f"elapsed={self.elapsed:.4f}s>")

@@ -342,7 +342,7 @@ def _worker_main(conn) -> None:  # pragma: no cover - runs in children
                 plan = pickle.loads(payload["plan"])
                 stats = ScanStats()
                 ctx = EvalContext(store, stats=stats)
-                rows = run_vectorized(plan, ctx)
+                rows = run_vectorized(plan, ctx).to_rows()
                 conn.send(("ok", ([encode_value(row) for row in rows],
                                   stats.snapshot())))
             except BaseException as exc:  # noqa: BLE001 - marshalled
@@ -717,7 +717,7 @@ def _fallback(plan: Operator, ctx, reason: str) -> list[Tup]:
         ctx.metrics.counter("parallel.fallback").inc()
     with maybe_span(ctx.tracer, "parallel.fallback", "parallel",
                     reason=reason):
-        return run_vectorized(plan, ctx)
+        return run_vectorized(plan, ctx).to_rows()
 
 
 def _deal_documents(members: list[str], workers: int,
@@ -757,7 +757,7 @@ def _range_partitions(pp: ParallelPlan, ctx, workers: int):
     """Contiguous ``(start, stop)`` slices of the driving tag's pre
     list, computed in the parent over the same frozen columns the
     workers see."""
-    unit_rows = run_vectorized(pp.driver.children[0], ctx)
+    unit_rows = run_vectorized(pp.driver.children[0], ctx).to_rows()
     if len(unit_rows) != 1:
         return None, "non-unit-context"
     env = scalar_env(EMPTY_TUPLE, unit_rows[0])

@@ -188,7 +188,7 @@ def stream_plan(plan: Operator, ctx, env: Tup = EMPTY_TUPLE
     # engine produces it.  Imported here because the recursion is
     # mutual — the batch engine's σ calls boolean_subscript.
     from repro.engine.vectorized import run_vectorized
-    return iter(run_vectorized(plan, ctx, env, path=None))
+    return iter(run_vectorized(plan, ctx, env, path=None).to_rows())
 
 
 def _child(plan: Operator, ctx, env: Tup) -> Iterator[Tup]:

@@ -5,15 +5,16 @@ flat parallel columns with ``Tup`` materialization deferred to the
 operators that genuinely need rows.  The wins, MonetDB/X100
 style, come from columnar fast paths over the PR 3 arena, with
 node-valued columns kept as rows of ints
-(:class:`~repro.engine.batch.NodeColumn`) until something needs
-handles:
+(:class:`~repro.engine.batch.NodeColumn`) from the scan to the output
+text:
 
 - **scans**: an Υ (or the path argument of a χ) over ``$d/child//tag``
   paths hands its whole context column to the arena's step kernel
   (:meth:`~repro.xmldb.arena.Arena.step_rows`, via
   :func:`_apply_steps` — the one place this engine executes a path
   step): int columns in, result rows out, no per-row call, no ``Node``
-  handle, no ``Tup`` copy per output row;
+  handle, no ``Tup`` copy per output row; an IndexScan wraps the
+  probe's pre rows as one node column;
 - **selections**: a σ whose predicate is built from comparisons over
   attributes, constants and short child/descendant paths is compiled
   into a selection-vector pass — string values read once off the arena
@@ -21,17 +22,31 @@ handles:
 - **semijoins / antijoins** with a bare-equality predicate (what the
   rewriter emits) are decided on key columns alone — right side → key
   set, left side → selection vector, ``left.take(selection)``;
+- **×** with a one-row side (a ``let $d := doc(…)`` beside a scan)
+  broadcasts that row over the other side's columns;
 - **order-by**: an :class:`~repro.nal.unary_ops.ElidedSort` whose PR 5
   sortedness certificate holds passes the *entire batch* through
-  untouched — not even a row materialization.
+  untouched — not even a row materialization;
+- **result construction**: Ξ / ΞG render each command as a column of
+  output fragments (:func:`_command_columns`) — node columns and
+  ``{path}`` results straight off the arena
+  (:func:`~repro.xmldb.serialize.render_rows`), every other value
+  through :func:`~repro.nal.construct.render_value` — and interleave
+  the columns into the output stream.
 
 Everything else runs the row kernels of :mod:`repro.engine.kernels`
 (``join_rows``, ``group_unary_rows``, …), which state the hard
 semantics (NULL join keys, boolean coercion, mixed-type sort keys)
 once; property-based tests assert ``run_vectorized`` ≡ reference
-regardless.  Handles are created where a batch becomes rows
-(``Batch.to_rows``: Ξ, row-kernel fallbacks, the final result) — for
-the rows that got that far.
+regardless.  What still becomes ``Tup`` rows and ``Node`` handles
+(``Batch.to_rows``), and why: the inputs of grouping / sort / ΠD / μ
+and the outputs of the hash joins (they group, reorder or pair whole
+tuples); the batch of any operator whose subscript bails out to the
+scalar interpreter, which evaluates against a bound tuple (nested
+plans, quantifiers, predicated or attribute-axis paths); and Ξ's row
+loop, which a ``{…}`` of that kind — or a function over a path — still
+takes.  The final batch is *not* turned into rows: it is returned as it
+is, and ``ExecutionResult.rows`` materializes it when somebody asks.
 
 Invariants: batches are immutable (operators derive new ones, see
 :mod:`repro.engine.batch`); selection vectors are scratch state owned by
@@ -48,7 +63,7 @@ operator.
 from __future__ import annotations
 
 import time
-from itertools import compress
+from itertools import chain, compress, repeat
 
 from repro.engine.batch import (
     Batch,
@@ -64,6 +79,7 @@ from repro.engine.kernels import (
     group_unary_rows,
     group_binary_rows,
     join_rows,
+    key_column,
     outer_join_rows,
     self_group_rows,
     semi_anti_rows,
@@ -72,7 +88,12 @@ from repro.engine.kernels import (
 from repro.engine.pipeline import boolean_subscript
 from repro.errors import EvaluationError
 from repro.nal.algebra import Operator, bind_item, scalar_env
-from repro.nal.construct import Construct, GroupConstruct
+from repro.nal.construct import (
+    Construct,
+    GroupConstruct,
+    Lit,
+    render_value,
+)
 from repro.nal.group_ops import GroupBinary, GroupUnary, SelfGroup
 from repro.nal.join_ops import AntiJoin, Cross, Join, OuterJoin, SemiJoin
 from repro.nal.functions import call_function
@@ -113,13 +134,16 @@ from repro.nal.values import (
 )
 from repro.xmldb.document import ScanStats
 from repro.xmldb.node import Node, NodeSequence
+from repro.xmldb.serialize import render_rows
 from repro.xpath.ast import NameTest, Path
 
 
 def run_vectorized(plan: Operator, ctx, env: Tup = EMPTY_TUPLE,
                    path: tuple[int, ...] | None = ROOT_PATH
-                   ) -> list[Tup]:
-    """Evaluate ``plan`` batch-at-a-time; returns materialized rows.
+                   ) -> Batch:
+    """Evaluate ``plan`` batch-at-a-time; returns the result batch as
+    the root operator left it (``.to_rows()`` for ``Tup`` rows — the
+    executor hands the batch on and nobody on the request path asks).
 
     When ``ctx.analyze_counts`` is a dict (EXPLAIN ANALYZE mode), each
     operator's invocation count and total output rows are recorded in
@@ -134,7 +158,7 @@ def run_vectorized(plan: Operator, ctx, env: Tup = EMPTY_TUPLE,
     :mod:`repro.engine.pipeline` has the blocking operators of a nested
     subscript plan produced, and those stay charged to their host.
     """
-    return _run(plan, ctx, env, path).to_rows()
+    return _run(plan, ctx, env, path)
 
 
 def _run(plan: Operator, ctx, env: Tup, path) -> Batch:
@@ -373,7 +397,7 @@ def _expr_column(expr, batch: Batch, env: Tup, ctx) -> list | None:
     plans, quantifiers, ``In``, unknown shapes)."""
     if isinstance(expr, Const):
         return BroadcastColumn([expr.value] * len(batch))
-    if isinstance(expr, AttrRef):
+    if isinstance(expr, (AttrRef, DocAccess)):
         return _source_values(expr, batch, env, ctx)
     if isinstance(expr, PathApply):
         walked = _path_rows(expr, batch, env, ctx)
@@ -473,8 +497,9 @@ def _table(plan: Table, ctx, env: Tup, path) -> Batch:
 
 
 def _index_scan(plan: IndexScan, ctx, env: Tup, path) -> Batch:
-    nodes = list(ctx.store.indexes.probe(plan.probe, ctx.stats))
-    return Batch.from_columns({plan.attr: nodes}, len(nodes))
+    arena, pres = ctx.store.indexes.probe_rows(plan.probe, ctx.stats)
+    return Batch.from_columns({plan.attr: NodeColumn(arena, pres)},
+                              len(pres))
 
 
 # ----------------------------------------------------------------------
@@ -723,9 +748,17 @@ def _elided_sort(plan: ElidedSort, ctx, env: Tup, path) -> Batch:
 # Binary and grouping operators (shared row algorithms)
 # ----------------------------------------------------------------------
 def _cross(plan: Cross, ctx, env: Tup, path) -> Batch:
-    left = _child_rows(plan, 0, ctx, env, path)
-    right = _child_rows(plan, 1, ctx, env, path)
-    return Batch.from_rows([l.concat(r) for l in left for r in right])
+    left = _child(plan, 0, ctx, env, path)
+    right = _child(plan, 1, ctx, env, path)
+    # A one-row side (every ``let $d := doc(…)`` beside a scan) is
+    # broadcast over the other side's columns: no row is concatenated.
+    if len(left) == 1:
+        return left.repeat(len(right)).beside(right)
+    if len(right) == 1:
+        return left.beside(right.repeat(len(left)))
+    right_rows = right.to_rows()
+    return Batch.from_rows([l.concat(r) for l in left.to_rows()
+                            for r in right_rows])
 
 
 def _join(plan: Join, ctx, env: Tup, path) -> Batch:
@@ -779,18 +812,123 @@ def _self_group(plan: SelfGroup, ctx, env: Tup, path) -> Batch:
 # ----------------------------------------------------------------------
 # Construction
 # ----------------------------------------------------------------------
+def _render_column(values) -> list[str]:
+    """:func:`~repro.nal.construct.render_value` of every row of a
+    column — the one rendering rule, with its arena-level form for a
+    :class:`NodeColumn` and one call for a broadcast."""
+    if type(values) is NodeColumn:
+        return render_rows(values.arena, values.pres)
+    if type(values) is BroadcastColumn:
+        return [render_value(values[0])] * len(values) if values else []
+    return list(map(render_value, values))
+
+
+def _rendered_path(expr: PathApply, batch: Batch, env: Tup, ctx):
+    """``{path}`` as a column of rendered strings: the whole context
+    column through the step kernel, the selected rows through the arena
+    renderer, a row's several nodes joined in document order (none:
+    the empty string)."""
+    walked = _path_rows(expr, batch, env, ctx)
+    if walked is None:
+        return None
+    walks, aligned = walked
+    if aligned:
+        return render_rows(walks[0][0], walks[0][2])
+    column = [""] * len(batch)
+    for arena, owners, rows in walks:
+        for owner, text in zip(owners, render_rows(arena, rows)):
+            column[owner] += text
+    return column
+
+
+def _command_columns(commands, batch: Batch, env: Tup, ctx):
+    """Ξ commands as parallel columns of output fragments, one per
+    command (a ``Lit`` is a broadcast), or None when some ``{…}`` needs
+    the row loop.  Which lane runs is a matter of expression type: a
+    bare path renders off the arena, anything else
+    :func:`_expr_column` yields renders per value — except a function
+    over a path, whose argument would be materialized as a sequence of
+    handles per row where the row loop's evaluator takes one slice
+    (``{ count($b//bid) }``); nested plans, quantifiers and the other
+    shapes :func:`_expr_column` refuses are refused here alike."""
+    columns = []
+    for command in commands:
+        if isinstance(command, Lit):
+            columns.append(repeat(command.text, len(batch)))
+            continue
+        expr = command.expr
+        if isinstance(expr, PathApply):
+            column = _rendered_path(expr, batch, env, ctx)
+        elif isinstance(expr, FuncCall) and _applies_path(expr):
+            return None
+        else:
+            column = _expr_column(expr, batch, env, ctx)
+            if column is not None:
+                column = _render_column(column)
+        if column is None:
+            return None
+        columns.append(column)
+    return columns
+
+
+def _applies_path(expr) -> bool:
+    return isinstance(expr, PathApply) \
+        or any(_applies_path(child) for child in expr.children())
+
+
 def _construct(plan: Construct, ctx, env: Tup, path) -> Batch:
     batch = _child(plan, 0, ctx, env, path)
-    for row in batch.to_rows():
-        bound = scalar_env(env, row)
-        for command in plan.commands:
-            command.emit(bound, ctx)
+    columns = _attempt(_command_columns, plan.commands, batch, env, ctx)
+    if columns is None:
+        for row in batch.to_rows():
+            bound = scalar_env(env, row)
+            for command in plan.commands:
+                command.emit(bound, ctx)
+    else:
+        ctx.emit_all(chain.from_iterable(zip(*columns)))
     return batch
 
 
+def _group_commands(plan: GroupConstruct, batch: Batch, env: Tup, ctx):
+    """The group-detecting Ξ's three command lists as fragment columns:
+    ``(starts, s1, s2, s3)`` — ``starts`` the first row of every group
+    (a change in any ``by_attrs`` key), s1 evaluated over those rows,
+    s3 over each group's last row, s2 over every row, exactly the rows
+    the state machine of ``GroupConstruct.emit_rows`` runs them on.
+    None when a command needs the row loop."""
+    count = len(batch)
+    keys = list(zip(*(key_column(batch.column(a))
+                      for a in plan.by_attrs))) \
+        if plan.by_attrs else [()] * count
+    starts = [i for i in range(count) if not i or keys[i] != keys[i - 1]]
+    lasts = [i - 1 for i in starts[1:]] + [count - 1]
+    columns = []
+    for commands, rows in ((plan.s1, batch.take(starts)),
+                           (plan.s2, batch),
+                           (plan.s3, batch.take(lasts))):
+        fragments = _command_columns(commands, rows, env, ctx)
+        if fragments is None:
+            return None
+        columns.append(list(zip(*fragments)) if fragments
+                       else [()] * len(rows))
+    return (starts, *columns)
+
+
 def _group_construct(plan: GroupConstruct, ctx, env: Tup, path) -> Batch:
-    rows = _child_rows(plan, 0, ctx, env, path)
-    return Batch.from_rows(plan.emit_rows(rows, env, ctx))
+    batch = _child(plan, 0, ctx, env, path)
+    if len(batch) == 0:
+        return batch
+    grouped = _attempt(_group_commands, plan, batch, env, ctx)
+    if grouped is None:
+        plan.emit_rows(batch.to_rows(), env, ctx)
+        return batch
+    starts, s1, s2, s3 = grouped
+    for group, (lo, hi) in enumerate(zip(starts,
+                                         starts[1:] + [len(batch)])):
+        ctx.emit_all(s1[group])
+        ctx.emit_all(chain.from_iterable(s2[lo:hi]))
+        ctx.emit_all(s3[group])
+    return batch
 
 
 _DISPATCH = {

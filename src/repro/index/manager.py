@@ -167,43 +167,54 @@ class IndexManager:
     # ------------------------------------------------------------------
     # Probing
     # ------------------------------------------------------------------
-    def probe(self, probe: IndexProbe, stats=None,
-              document=None) -> list[Node]:
-        """Answer a probe; results are in document order.  ``stats``
-        (a :class:`~repro.xmldb.document.ScanStats`) receives one
-        ``index_probe`` plus one visit per result node.  ``document``
+    def probe_rows(self, probe: IndexProbe, stats=None, document=None):
+        """Answer a probe as ``(arena, pre rows)`` of the probed
+        document version, in document order — ints only, no handle (the
+        rows may be an index's own list: do not mutate).  ``stats`` (a
+        :class:`~repro.xmldb.document.ScanStats`) receives one
+        ``index_probe`` plus one visit per result row.  ``document``
         pins the probe to one version (snapshot executions pass their
         pinned :class:`~repro.xmldb.document.Document`); without it the
         store's current version answers."""
-        indexes = self.for_version(document) if document is not None \
-            else self.for_document(probe.doc)
+        if document is None:
+            document = self.store.get(probe.doc)
+        indexes = self.for_version(document)
         if probe.kind == "element":
-            nodes = indexes.element.lookup(probe.steps[0][1])
+            pres = indexes.element.lookup_rows(probe.steps[0][1])
         elif probe.kind == "path":
-            nodes = indexes.path.lookup(probe.steps)
+            pres = indexes.path.lookup_rows(probe.steps)
         elif probe.kind == "value":
-            nodes = self._value_probe(indexes, probe)
+            pres = self._value_probe(indexes, probe, document.arena)
         else:
             raise EvaluationError(f"unknown probe kind {probe.kind!r}")
         if stats is not None:
             stats.record_probe(probe.doc)
-            stats.record_visits(len(nodes))
-        return nodes
+            stats.record_visits(len(pres))
+        return document.arena, pres
 
-    def _value_probe(self, indexes: DocumentIndexes,
-                     probe: IndexProbe) -> list[Node]:
-        nodes: list[Node] = []
-        for path in indexes.path.matching_paths(probe.steps):
+    def probe(self, probe: IndexProbe, stats=None,
+              document=None) -> list[Node]:
+        """:meth:`probe_rows` materialized into node handles."""
+        arena, pres = self.probe_rows(probe, stats, document)
+        nodes = arena.nodes
+        return [nodes[pre] for pre in pres]
+
+    def _value_probe(self, indexes: DocumentIndexes, probe: IndexProbe,
+                     arena) -> list[int]:
+        pres: list[int] = []
+        paths = indexes.path.matching_paths(probe.steps)
+        for path in paths:
             if not indexes.value.is_indexed(path):
                 raise EvaluationError(
                     f"value probe {probe.describe()} matched the "
                     f"non-atomic path {'/'.join(path)}")
-            nodes.extend(indexes.value.probe(path, probe.op, probe.value))
+            pres.extend(indexes.value.probe_pres(path, probe.op,
+                                                 probe.value))
         if probe.lift:
-            nodes = _lift(nodes, probe.lift)
-        elif len(nodes) > 1:
-            nodes.sort(key=lambda n: n.order_key)
-        return nodes
+            return _lift(pres, probe.lift, arena.parents)
+        if len(paths) > 1:
+            pres.sort()
+        return pres
 
     def can_value_probe(self, doc: str, steps) -> bool:
         """Planning-time eligibility: every concrete path the pattern
@@ -232,7 +243,7 @@ class IndexManager:
     def _count(self, probe: IndexProbe) -> int:
         indexes = self.for_document(probe.doc)
         if probe.kind == "element":
-            return len(indexes.element.lookup(probe.steps[0][1]))
+            return len(indexes.element.lookup_rows(probe.steps[0][1]))
         if probe.kind == "path":
             return indexes.path.count(probe.steps)
         if probe.kind == "value":
@@ -242,19 +253,17 @@ class IndexManager:
         raise EvaluationError(f"unknown probe kind {probe.kind!r}")
 
 
-def _lift(nodes: list[Node], levels: int) -> list[Node]:
-    """Replace each node by its ancestor ``levels`` steps up, dropping
+def _lift(pres: list[int], levels: int, parents) -> list[int]:
+    """Replace each row by its ancestor ``levels`` steps up the
+    arena's ``parents`` column (stopping at the root), dropping
     duplicates and restoring document order (several qualifying leaves
     may share one ancestor)."""
-    seen: set[int] = set()
-    lifted: list[Node] = []
-    for node in nodes:
+    lifted: set[int] = set()
+    for pre in pres:
         for _ in range(levels):
-            if node.parent is None:
+            parent = parents[pre]
+            if parent < 0:
                 break
-            node = node.parent
-        if id(node) not in seen:
-            seen.add(id(node))
-            lifted.append(node)
-    lifted.sort(key=lambda n: n.order_key)
-    return lifted
+            pre = parent
+        lifted.add(pre)
+    return sorted(lifted)

@@ -51,16 +51,21 @@ class ElementIndex:
         self.root = root
         self._arena = arena if arena is not None else arena_for(root)
 
-    def lookup(self, tag: str, include_root: bool = False) -> list[Node]:
-        """All ``tag`` elements in document order.  By default the root
+    def lookup_rows(self, tag: str, include_root: bool = False
+                    ) -> list[int]:
+        """The pre rows of all ``tag`` elements in document order
+        (shared with the arena — do not mutate).  By default the root
         element is excluded, matching the ``//tag`` (descendant-from-
         root) semantics the access-path pass rewrites."""
-        arena = self._arena
-        pres = arena.tag_rows(tag)
+        pres = self._arena.tag_rows(tag)
         if not include_root and pres and pres[0] == 0:
             pres = pres[1:]
-        nodes = arena.nodes
-        return [nodes[pre] for pre in pres]
+        return pres
+
+    def lookup(self, tag: str, include_root: bool = False) -> list[Node]:
+        """:meth:`lookup_rows` materialized into node handles."""
+        nodes = self._arena.nodes
+        return [nodes[pre] for pre in self.lookup_rows(tag, include_root)]
 
     def count(self, tag: str) -> int:
         return self._arena.tag_count(tag)
@@ -96,19 +101,24 @@ class PathIndex:
         return [path for path in sorted(self._by_path)
                 if self._match(steps, path)]
 
-    def lookup(self, steps: tuple[tuple[str, str], ...]) -> list[Node]:
-        """All nodes whose tag path matches the pattern, merged into
-        document order (an integer sort over pre ids)."""
+    def lookup_rows(self, steps: tuple[tuple[str, str], ...]
+                    ) -> list[int]:
+        """The pre rows of all nodes whose tag path matches the
+        pattern, merged into document order (an integer sort; a single
+        matched path hands out its own list — do not mutate)."""
         matched = self.matching_paths(steps)
         if len(matched) == 1:
-            pres: list[int] = self._by_path[matched[0]]
-        else:
-            pres = []
-            for path in matched:
-                pres.extend(self._by_path[path])
-            pres.sort()
+            return self._by_path[matched[0]]
+        pres: list[int] = []
+        for path in matched:
+            pres.extend(self._by_path[path])
+        pres.sort()
+        return pres
+
+    def lookup(self, steps: tuple[tuple[str, str], ...]) -> list[Node]:
+        """:meth:`lookup_rows` materialized into node handles."""
         nodes = self._arena.nodes
-        return [nodes[pre] for pre in pres]
+        return [nodes[pre] for pre in self.lookup_rows(steps)]
 
     def count(self, steps: tuple[tuple[str, str], ...]) -> int:
         """Cardinality of :meth:`lookup` without the merge and sort."""

@@ -18,7 +18,7 @@ from repro.nal.algebra import Operator, scalar_env
 from repro.nal.scalar import ScalarExpr
 from repro.nal.values import EMPTY_TUPLE, NULL, Tup, canonical_key
 from repro.xmldb.node import Node, NodeKind
-from repro.xmldb.serialize import serialize
+from repro.xmldb.serialize import escape_text, serialize
 
 
 class Command:
@@ -67,18 +67,23 @@ class Out(Command):
 
 
 def render_value(value: Any) -> str:
-    """Stringify a value for result construction.
+    """Stringify a value for result construction — the one rendering
+    rule of Ξ (the default engine's column form,
+    ``vectorized._render_column``, is this function per row, with
+    :func:`~repro.xmldb.serialize.render_rows` for node columns).
 
-    Element nodes serialize as XML; text/attribute nodes contribute their
-    string value; sequences render item-wise; single-attribute tuples
-    render their value; floats print without a trailing ``.0``.
+    Element nodes serialize as XML; text/attribute nodes and atomic
+    values contribute their string value as character data (``& < >``
+    escaped, so the output stays well-formed whatever the data holds);
+    sequences render item-wise; single-attribute tuples render their
+    value; floats print without a trailing ``.0``.
     """
     if value is NULL or value is None:
         return ""
     if isinstance(value, Node):
         if value.kind is NodeKind.ELEMENT:
             return serialize(value)
-        return value.string_value()
+        return escape_text(value.string_value())
     if isinstance(value, Tup):
         values = [v for _, v in value.items()]
         if len(values) != 1:
@@ -91,7 +96,7 @@ def render_value(value: Any) -> str:
         return "true" if value else "false"
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
-    return str(value)
+    return escape_text(str(value))
 
 
 def contains_construct(plan: Operator) -> bool:

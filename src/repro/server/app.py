@@ -437,7 +437,7 @@ class QueryServer:
                 self.admission.release()
         return 200, {
             "output": result.output,
-            "rows": len(result.rows),
+            "rows": result.row_count,
             "elapsed": result.elapsed,
             "cached": result.cached,
             "plan": plan_label,

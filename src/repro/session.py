@@ -370,7 +370,7 @@ class Session:
                     metrics.counter("session.result_cache.hit").inc()
                 hit_stats = dict(stats)
                 hit_stats["result_cache_hit"] = True
-                return ExecutionResult(list(rows), output, hit_stats,
+                return ExecutionResult(rows, output, hit_stats,
                                        lookup, operator_counts=None,
                                        trace=tracer, metrics=metrics,
                                        cached=True)
@@ -381,11 +381,16 @@ class Session:
                          analyze=analyze, tracer=tracer, metrics=metrics,
                          timeout=timeout, workers=workers)
         if key is not None:
-            # Tuples of the immutable rows list + output text + stats
-            # snapshot; rows are shallow-copied on the way out of a hit
-            # so one consumer cannot mutate another's list.
+            # The result as the engine left it + output text + stats
+            # snapshot: the default engine's column batch is immutable
+            # and stored as it is — nothing is materialized for the
+            # cache; a row list (the other modes) is copied, its owner
+            # may mutate it.  A hit reads its rows through
+            # ``ExecutionResult.rows``, which copies on first access.
+            rows = result.raw_rows
             self._result_cache.put(
-                key, (tuple(result.rows), result.output, result.stats))
+                key, (tuple(rows) if isinstance(rows, list) else rows,
+                      result.output, result.stats))
         return result
 
     # ------------------------------------------------------------------

@@ -422,8 +422,8 @@ class Arena:
         order (document order inside a group) and ``owners[i]`` is the
         position in ``pres`` of the context ``rows[i]`` came from.
         ``owners`` None stands for the identity — ``rows[i]`` belongs
-        to ``pres[i]``, nothing to regroup — which the one-pass lane
-        below reports when every context has exactly one hit.
+        to ``pres[i]``, nothing to regroup — which a child step reports
+        when every context has exactly one hit.
 
         ``visits`` is what the XPath evaluator records for the same
         walk — the children scanned by a child step
@@ -436,7 +436,8 @@ class Arena:
         increasing antichain — what a previous step or a ``//tag``
         scan produces — is one pass over the slice of the tag list
         spanning the whole column instead, filtered through
-        ``parents``."""
+        ``parents``, unless the column is so sparse in that span that
+        bisecting per context reads fewer rows."""
         owners: list[int] = []
         rows: list[int] = []
         child = axis == "child"
@@ -456,29 +457,38 @@ class Arena:
             return owners, rows, len(rows)
         parents = self.parents
         count = len(pres)
-        if count > 1 and all(map(le, map(ends.__getitem__, pres),
-                                 pres[1:])):
-            lo = bisect_right(tag, pres[0])
-            candidates = tag[lo:bisect_left(tag, ends[pres[-1]], lo)]
+        lo = bisect_right(tag, pres[0])
+        hi = bisect_left(tag, ends[pres[-1]], lo)
+        # The one pass reads every tag row the column spans; context by
+        # context reads two bisections' worth of rows per context.  A
+        # sparse column (the survivors of a selective σ or an index
+        # probe) takes whichever reads less.
+        if count > 1 and hi - lo <= 2 * count * len(tag).bit_length() \
+                and all(map(le, map(ends.__getitem__, pres), pres[1:])):
+            candidates = tag[lo:hi]
             found = list(map(parents.__getitem__, candidates))
             if found == pres:
                 # exactly one such child per context, the shape a
                 # DTD's mandatory children give
                 return None, list(candidates), visits
-            slots = list(map(dict(zip(pres, range(count))).get, found))
-            if None not in slots:
-                return slots, list(candidates), visits
-            # deeper descendants carry the tag too: drop them
-            rows = [row for i, row in zip(slots, candidates)
-                    if i is not None]
-            return [i for i in slots if i is not None], rows, visits
-        for i, pre in enumerate(pres):
-            lo = bisect_right(tag, pre)
-            hi = bisect_left(tag, ends[pre], lo)
-            for row in tag[lo:hi]:
-                if parents[row] == pre:
-                    owners.append(i)
-                    rows.append(row)
+            owners = list(map(dict(zip(pres, range(count))).get, found))
+            rows = list(candidates)
+            if None in owners:
+                # children of other rows, and deeper descendants,
+                # carry the tag too: drop them
+                rows = [row for i, row in zip(owners, rows)
+                        if i is not None]
+                owners = [i for i in owners if i is not None]
+        else:
+            for i, pre in enumerate(pres):
+                lo = bisect_right(tag, pre)
+                hi = bisect_left(tag, ends[pre], lo)
+                for row in tag[lo:hi]:
+                    if parents[row] == pre:
+                        owners.append(i)
+                        rows.append(row)
+        if len(rows) == count and owners == list(range(count)):
+            owners = None
         return owners, rows, visits
 
     def string_values(self, pres) -> list[str]:

@@ -619,11 +619,15 @@ class _SnapshotIndexes:
     def __init__(self, snapshot: StoreSnapshot):
         self._snapshot = snapshot
 
+    def probe_rows(self, probe, stats: ScanStats | None = None):
+        snap = self._snapshot
+        return snap.store.indexes.probe_rows(
+            probe, stats, snap.documents.get(probe.doc))
+
     def probe(self, probe, stats: ScanStats | None = None):
         snap = self._snapshot
-        document = snap.documents.get(probe.doc)
-        return snap.store.indexes.probe(probe, stats=stats,
-                                        document=document)
+        return snap.store.indexes.probe(
+            probe, stats, snap.documents.get(probe.doc))
 
     def __getattr__(self, attr):
         return getattr(self._snapshot.store.indexes, attr)

@@ -5,14 +5,15 @@ from __future__ import annotations
 from repro.xmldb.node import Node, NodeKind
 
 
-def _escape_text(text: str) -> str:
+def escape_text(text: str) -> str:
+    """Character data as XML text: ``& < >`` escaped."""
     return (text.replace("&", "&amp;")
                 .replace("<", "&lt;")
                 .replace(">", "&gt;"))
 
 
 def _escape_attr(text: str) -> str:
-    return _escape_text(text).replace('"', "&quot;")
+    return escape_text(text).replace('"', "&quot;")
 
 
 def serialize(node: Node, indent: int | None = None) -> str:
@@ -48,7 +49,7 @@ def _serialize_rows(arena, pre: int, parts: list[str]) -> None:
         while closing and closing[-1][0] <= row:
             parts.append(closing.pop()[1])
         if kinds[row] is text_kind:
-            parts.append(_escape_text(texts[row] or ""))
+            parts.append(escape_text(texts[row] or ""))
             row += 1
             continue
         name = names[name_ids[row]]
@@ -67,6 +68,30 @@ def _serialize_rows(arena, pre: int, parts: list[str]) -> None:
         parts.append(closing.pop()[1])
 
 
+def render_rows(arena, pres) -> list[str]:
+    """What result construction writes for every row of a node column:
+    an element row serializes compact (:func:`_serialize_rows`; the
+    ``<tag>text</tag>`` leaf is one format), a text or attribute row
+    contributes its escaped string value.  Reads the arena columns
+    only — no handle is created."""
+    kinds, ends, texts = arena.kinds, arena.ends, arena.texts
+    names, name_ids = arena.names, arena.name_ids
+    element, text_kind = NodeKind.ELEMENT, NodeKind.TEXT
+    out: list[str] = []
+    append = out.append
+    for pre in pres:
+        if kinds[pre] is not element:
+            append(escape_text(texts[pre] or ""))
+        elif ends[pre] == pre + 2 and kinds[pre + 1] is text_kind:
+            name = names[name_ids[pre]]
+            append(f"<{name}>{escape_text(texts[pre + 1] or '')}</{name}>")
+        else:
+            parts: list[str] = []
+            _serialize_rows(arena, pre, parts)
+            append("".join(parts))
+    return out
+
+
 def _has_element_children(node: Node) -> bool:
     return any(c.kind is NodeKind.ELEMENT for c in node.children)
 
@@ -83,7 +108,7 @@ def _serialize_into(node: Node, parts: list[str], indent: int | None,
     pad = "" if indent is None else " " * (indent * depth)
     newline = "" if indent is None else "\n"
     if node.kind is NodeKind.TEXT:
-        parts.append(_escape_text(node.text or ""))
+        parts.append(escape_text(node.text or ""))
         return
     if node.kind is NodeKind.ATTRIBUTE:
         parts.append(f'{node.name}="{_escape_attr(node.text or "")}"')

@@ -72,7 +72,7 @@ def run_both(plan, store=None):
     store = store if store is not None else DocumentStore()
     ctx = EvalContext(store)
     reference = plan.evaluate(ctx)
-    vectorized = run_vectorized(plan, ctx)
+    vectorized = run_vectorized(plan, ctx).to_rows()
     assert list(stream_plan(plan, ctx)) == reference
     assert vectorized == reference
     # The same plan as a boolean subscript of the default engine: the

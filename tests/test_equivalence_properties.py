@@ -85,7 +85,7 @@ thetas = st.sampled_from(THETAS)
 def evaluate(plan):
     ctx = EvalContext(DocumentStore())
     reference = plan.evaluate(ctx)
-    vectorized = run_vectorized(plan, ctx)
+    vectorized = run_vectorized(plan, ctx).to_rows()
     assert vectorized == reference, \
         "vectorized engine diverged from reference"
     return reference

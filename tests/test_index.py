@@ -17,7 +17,8 @@ from repro.index import (
     build_indexes,
 )
 from repro.nal.unary_ops import IndexScan
-from repro.xmldb.document import DocumentStore
+from repro.xmldb.delta import Insert
+from repro.xmldb.document import DocumentStore, ScanStats
 from repro.xmldb.node import assign_order_keys, element
 
 
@@ -302,6 +303,50 @@ def test_manager_value_probe_lifts_ancestors():
     assert nodes[0].order_key < nodes[1].order_key
 
 
+def test_manager_probe_rows_are_the_probe_without_handles():
+    """``probe_rows`` answers in pre rows of the probed version's arena
+    — lifted and merged as ints — with the same statistics; ``probe``
+    is its handle form."""
+    store = make_store("lazy")
+    store.update("t.xml", Insert(0, 0, element(
+        "it", element("v", "3"), element("v", "30"), k="9")))
+    arena = store.get("t.xml").arena
+    probes = [
+        IndexProbe("t.xml", "element", (("descendant", "v"),)),
+        IndexProbe("t.xml", "path", (("descendant", "it"),
+                                     ("attribute", "k"))),
+        IndexProbe("t.xml", "value", (("descendant", "v"),),
+                   op=">=", value=3),
+        IndexProbe("t.xml", "value", (("descendant", "it"),
+                                      ("child", "v")),
+                   op=">=", value=2, lift=1),
+        IndexProbe("t.xml", "value", (("descendant", "v"),),
+                   op="=", value=2, lift=5),
+    ]
+    for probe in probes:
+        store.indexes.probe(probe)      # builds / warms the indexes
+    handles = set(arena.nodes._cache)
+    for probe in probes:
+        stats = ScanStats()
+        got_arena, pres = store.indexes.probe_rows(probe, stats)
+        assert got_arena is arena
+        assert list(pres) == sorted(set(pres)), "document order, no dups"
+        assert set(arena.nodes._cache) == handles, "ints only"
+        reference = ScanStats()
+        nodes = store.indexes.probe(probe, reference)
+        assert [node.pre for node in nodes] == list(pres)
+        assert stats.snapshot() == reference.snapshot()
+        assert stats.snapshot()["node_visits"] == len(pres)
+    # lifting past the root stops at the root
+    assert list(store.indexes.probe_rows(probes[-1])[1]) == [0]
+    # a snapshot probes its pinned version
+    snapshot = store.snapshot()
+    store.update("t.xml", Insert(0, 0, element("it", element("v", "99"))))
+    assert snapshot.indexes.probe_rows(probes[0])[0] is arena
+    assert store.indexes.probe_rows(probes[0])[0] \
+        is store.get("t.xml").arena
+
+
 def test_manager_value_probe_rejects_non_atomic_pattern():
     store = make_store("lazy")
     probe = IndexProbe("t.xml", "value", (("descendant", "it"),),
@@ -341,7 +386,7 @@ def test_index_scan_reference_and_vectorized_agree():
                                      (("child", "it"), ("child", "v"))))
     ctx = EvalContext(store)
     reference = scan.evaluate(ctx)
-    vectorized = run_vectorized(scan, ctx)
+    vectorized = run_vectorized(scan, ctx).to_rows()
     assert vectorized == reference
     assert [t["x"].string_value() for t in vectorized] == ["10", "x", "2"]
     assert scan.attrs() == frozenset({"x"})

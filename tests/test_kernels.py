@@ -36,7 +36,7 @@ def ctx():
 
 def both(plan, ctx):
     reference = plan.evaluate(ctx)
-    hashed = run_vectorized(plan, ctx)
+    hashed = run_vectorized(plan, ctx).to_rows()
     assert hashed == reference
     return hashed
 

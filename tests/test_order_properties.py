@@ -257,7 +257,8 @@ def test_mixed_type_sort_is_identical_across_engines():
         plan = Sort(table(rows, ("k", "i")), ["k"], [descending])
         results = {
             "reference": plan.evaluate(EvalContext(store)),
-            "vectorized": run_vectorized(plan, EvalContext(store)),
+            "vectorized": run_vectorized(
+                plan, EvalContext(store)).to_rows(),
         }
         first = results["reference"]
         assert results["vectorized"] == first
@@ -289,7 +290,8 @@ def test_descending_order_by_composes_with_distinct_project():
     plan = DistinctProject(Sort(table(rows, ("k", "v")), ["k"], [True]),
                            ["k", "v"])
     reference = plan.evaluate(EvalContext(store))
-    assert run_vectorized(plan, EvalContext(store)) == reference
+    assert run_vectorized(plan, EvalContext(store)).to_rows() \
+        == reference
     keys = [t["k"] for t in reference]
     assert keys[0] == "x" and keys[-1] is NULL  # strings > numbers > ⊥
 
@@ -326,7 +328,8 @@ def test_random_order_by_plans_agree_everywhere(rows, descending,
         with properties.elision(enabled):
             optimized = elide_sorts(plan, store)
             results.append(plan.evaluate(EvalContext(store)))
-            results.append(run_vectorized(optimized, EvalContext(store)))
+            results.append(run_vectorized(
+                optimized, EvalContext(store)).to_rows())
             results.append(
                 list(stream_plan(optimized, EvalContext(store))))
     first = results[0]
@@ -406,7 +409,7 @@ def test_debug_checks_catch_a_wrong_elision():
     # without the debug switch the (incorrectly) elided sort is the
     # identity — garbage in, garbage out, but no crash
     with properties.debug_checks(False):
-        assert [t["a"] for t in run_vectorized(bogus, ctx)] == [2, 1]
+        assert run_vectorized(bogus, ctx).column("a") == [2, 1]
 
 
 def test_rotated_document_degrades_elision_to_a_real_sort():

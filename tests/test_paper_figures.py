@@ -43,7 +43,7 @@ def r2() -> Table:
 def rows(plan) -> list[Tup]:
     ctx = EvalContext(DocumentStore())
     reference = plan.evaluate(ctx)
-    assert run_vectorized(plan, ctx) == reference
+    assert run_vectorized(plan, ctx).to_rows() == reference
     return reference
 
 

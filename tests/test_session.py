@@ -142,14 +142,37 @@ def test_result_cache_hit_is_marked_and_identical(db):
         assert hit.rows == miss.rows
 
 
-def test_result_cache_hit_rows_are_isolated(db):
+@pytest.mark.parametrize("mode", (None, "reference"))
+def test_result_cache_hit_rows_are_isolated(db, mode):
+    """Whatever the cache holds — the default engine's column batch or
+    another mode's rows — the populating request and every hit get
+    rows of their own."""
     with db.session() as session:
-        session.execute(TITLES_QUERY)
-        first = session.execute(TITLES_QUERY)
+        miss = session.execute(TITLES_QUERY, mode=mode)
+        miss.rows.append("mutated by the miss")
+        first = session.execute(TITLES_QUERY, mode=mode)
         first.rows.append("mutated")
-        second = session.execute(TITLES_QUERY)
-        assert second.cached
-        assert "mutated" not in second.rows
+        second = session.execute(TITLES_QUERY, mode=mode)
+        assert first.cached and second.cached
+        assert second.rows == miss.rows[:-1] == first.rows[:-1]
+
+
+def test_result_cache_stores_the_batch_unmaterialized(db, monkeypatch):
+    """A miss does not turn the result into rows for the cache's sake,
+    and a hit that only reads ``output`` / ``row_count`` never does."""
+    from repro.engine.batch import Batch
+    calls: list[int] = []
+    real = Batch.to_rows
+    monkeypatch.setattr(
+        Batch, "to_rows", lambda batch: calls.append(1) or real(batch))
+    with db.session() as session:
+        miss = session.execute(TITLES_QUERY)
+        hit = session.execute(TITLES_QUERY)
+        assert hit.cached and hit.output == miss.output
+        assert hit.row_count == miss.row_count > 0
+        assert calls == []
+        assert len(hit.rows) == hit.row_count
+        assert calls == [1]
 
 
 def test_result_cache_bypassed_for_observed_requests(db):

@@ -115,6 +115,26 @@ def test_step_rows_lanes_on_delta_and_shm_arenas():
         db.close()
 
 
+def test_sparse_and_dense_antichains_give_the_same_answers():
+    """A child step over a sorted antichain is one pass over the tag
+    rows the column spans, or — when the column is sparse in that span
+    (σ survivors, index probe results) — a bisection per context; both
+    report the identity when every context has exactly one hit."""
+    arena = Database().register_text("items.xml", _auction(240)).arena
+    tuples = list(arena.tag_rows("itemtuple"))
+    for column in (tuples, tuples[::2], tuples[::7], tuples[::60],
+                   tuples[100:104], [tuples[5], tuples[200]]):
+        _check_column(arena, column)
+        owners, rows, visits = arena.step_rows(column, "child", "itemno")
+        assert owners is None
+        assert rows == [pre + 1 for pre in column]
+        assert visits == sum(arena.child_counts[pre] for pre in column)
+        owners, rows, _ = arena.step_rows(column, "child", "note")
+        noted = [i for i, pre in enumerate(column)
+                 if tuples.index(pre) % 3 == 0]
+        assert owners == (None if len(noted) == len(column) else noted)
+
+
 def test_step_rows_creates_no_handles():
     db = Database()
     db.register_text("items.xml", _auction())
