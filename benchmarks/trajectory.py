@@ -1,18 +1,21 @@
 """Perf-trajectory gate CLI — compare fresh bench artifacts against the
 tracked ``BENCH_<query>.json`` baselines at the repository root.
 
-CI runs the standalone benchmarks (each writes a ``repro-bench/1`` JSON
-artifact) and then gates on them::
+The standalone benchmarks and the sizes they are gated at are listed
+once, in :data:`CI_RUNS`.  CI and ``make bench-check`` run them and gate
+the result in one step::
 
-    PYTHONPATH=src python benchmarks/trajectory.py check \\
-        bench-q7.json bench-q9.json bench-q10.json
+    PYTHONPATH=src python benchmarks/trajectory.py run-check
 
-``check`` exits 1 if any gated metric regressed by more than 20%
-against its baseline, if an artifact was measured at sizes the baseline
-does not cover, or if a gated query has no baseline file.  Only
+which exits 1 if any gated metric regressed by more than 20% against
+its baseline, if a record was measured at sizes the baseline does not
+cover, if a gated query has no baseline file — or if something tracked
+is no longer measured (a baseline record or gated metric with no fresh
+counterpart, a ``BENCH_*.json`` no rule gates).  Only
 machine-independent metrics are gated (speedup ratios and deterministic
-node-visit/probe counters) — raw seconds never cross machines; see
-:mod:`repro.bench.trajectory` for the rules.
+counters) — raw seconds never cross machines; see
+:mod:`repro.bench.trajectory` for the rules.  ``check ART…`` gates
+artifacts that already exist.
 
 To refresh the baselines (after an intentional perf change or a size
 bump), either consolidate existing artifacts::
@@ -38,12 +41,8 @@ from repro.bench.trajectory import THRESHOLD, check, write_baselines
 BENCHMARKS_DIR = pathlib.Path(__file__).resolve().parent
 REPO_ROOT = BENCHMARKS_DIR.parent
 
-#: the CI invocation of each standalone benchmark: (script, sizes)
+#: the gated invocation of each standalone benchmark: (script, sizes)
 CI_RUNS = (
-    ("bench_q7_index.py", ("2000",)),
-    ("bench_q9_storage.py", ("2000", "10000")),
-    ("bench_q10_order.py", ("600", "3000")),
-    ("bench_q12_serve.py", ("100", "500")),
     ("bench_q13_parallel.py", ("1200", "19200")),
     ("bench_q14_updates.py", ("4000",)),
 )
@@ -58,6 +57,33 @@ def _run_bench(script: str, argv: list[str]) -> int:
     return module.main(argv)
 
 
+def _run_all(out_dir: str) -> list[str]:
+    """Run every benchmark of :data:`CI_RUNS` at its sizes; returns the
+    artifacts written under ``out_dir``."""
+    artifacts: list[str] = []
+    for script, sizes in CI_RUNS:
+        out = str(pathlib.Path(out_dir)
+                  / f"{pathlib.Path(script).stem}.json")
+        print(f"== {script} {' '.join(sizes)} ==")
+        status = _run_bench(script, [*sizes, out])
+        if status:
+            raise SystemExit(f"error: {script} exited {status}")
+        artifacts.append(out)
+    return artifacts
+
+
+def _gate(artifacts: list[str], baseline_dir: str) -> int:
+    issues = check(artifacts, baseline_dir)
+    if issues:
+        print("perf-trajectory gate FAILED:", file=sys.stderr)
+        for issue in issues:
+            print(f"  - {issue}", file=sys.stderr)
+        return 1
+    print(f"perf-trajectory gate passed ({len(artifacts)} artifact(s), "
+          f"threshold {THRESHOLD:.0%})")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python benchmarks/trajectory.py",
@@ -65,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
                     "BENCH_<query>.json perf-trajectory baselines "
                     f"(fail on >{THRESHOLD:.0%} regression).")
     parser.add_argument("command", choices=("check", "update",
-                                            "run-update"))
+                                            "run-check", "run-update"))
     parser.add_argument("artifacts", nargs="*",
                         help="bench JSON artifacts (check/update)")
     parser.add_argument("--baseline-dir", default=str(REPO_ROOT),
@@ -77,38 +103,18 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"{args.command} needs at least one artifact")
 
     if args.command == "check":
-        issues = check(args.artifacts, args.baseline_dir)
-        if issues:
-            print("perf-trajectory gate FAILED:", file=sys.stderr)
-            for issue in issues:
-                print(f"  - {issue}", file=sys.stderr)
-            return 1
-        print(f"perf-trajectory gate passed "
-              f"({len(args.artifacts)} artifact(s), "
-              f"threshold {THRESHOLD:.0%})")
-        return 0
-
+        return _gate(args.artifacts, args.baseline_dir)
     if args.command == "update":
         written = write_baselines(args.artifacts, args.baseline_dir)
-        for path in written:
-            print(f"wrote {path}")
-        return 0
-
-    # run-update: re-run every benchmark at the CI sizes, then rewrite
-    # the baselines from the fresh artifacts.
-    with tempfile.TemporaryDirectory() as tmp:
-        artifacts: list[str] = []
-        for script, sizes in CI_RUNS:
-            out = str(pathlib.Path(tmp) / f"{pathlib.Path(script).stem}"
-                                          ".json")
-            print(f"== {script} {' '.join(sizes)} ==")
-            status = _run_bench(script, [*sizes, out])
-            if status:
-                print(f"error: {script} exited {status}",
-                      file=sys.stderr)
-                return status
-            artifacts.append(out)
-        written = write_baselines(artifacts, args.baseline_dir)
+    else:
+        # run-check / run-update: re-run every benchmark at the CI
+        # sizes, then gate (or rewrite the baselines from) the fresh
+        # artifacts.
+        with tempfile.TemporaryDirectory() as tmp:
+            artifacts = _run_all(tmp)
+            if args.command == "run-check":
+                return _gate(artifacts, args.baseline_dir)
+            written = write_baselines(artifacts, args.baseline_dir)
     for path in written:
         print(f"wrote {path}")
     return 0

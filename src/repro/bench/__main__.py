@@ -41,22 +41,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", metavar="OUT",
                         help="additionally measure every cell and write "
                              "machine-readable JSON results to OUT")
-    parser.add_argument("--update-baselines", nargs="+", metavar="ART",
-                        help="consolidate bench JSON artifacts into the "
-                             "tracked BENCH_<query>.json baselines and "
-                             "exit (no tables are run)")
-    parser.add_argument("--baseline-dir", default=".",
-                        help="where BENCH_<query>.json baselines live "
-                             "(default: current directory; used with "
-                             "--update-baselines)")
     args = parser.parse_args(argv)
-
-    if args.update_baselines:
-        from repro.bench.trajectory import write_baselines
-        for path in write_baselines(args.update_baselines,
-                                    args.baseline_dir):
-            print(f"wrote {path}")
-        return 0
 
     if args.json:
         # Fail before measuring, not after: a bad output path should

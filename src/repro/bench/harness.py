@@ -10,10 +10,9 @@ harness can serialize measurements as JSON (``python -m repro.bench
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 
-from repro.api import Database, compile_query
+from repro.api import compile_query
 from repro.bench.queries import PAPER_QUERIES
 
 
@@ -98,16 +97,6 @@ def measure_query(key: str, repeat: int = 1,
                                      result.stats.get("node_visits", 0),
                                      metrics_snapshot))
     return measured
-
-
-def time_plan(db: Database, plan, repeat: int = 1) -> float:
-    """Minimum wall-clock seconds over ``repeat`` executions."""
-    best = float("inf")
-    for _ in range(max(1, repeat)):
-        start = time.perf_counter()
-        db.execute(plan)
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 # ----------------------------------------------------------------------

@@ -1,29 +1,34 @@
 """Perf-trajectory gate: tracked baselines vs. fresh benchmark runs.
 
-Each standalone benchmark (``benchmarks/bench_q7_index.py`` …
-``bench_q10_order.py``) writes a ``repro-bench/1`` JSON artifact.  This
-module consolidates those artifacts into one tracked baseline file per
-query at the repository root — ``BENCH_q7_index.json``,
-``BENCH_q9_storage.json``, ``BENCH_q10_order.json`` … — and compares fresh artifacts against them,
+Each standalone benchmark (``benchmarks/bench_q13_parallel.py``,
+``bench_q14_updates.py``) writes a ``repro-bench/1`` JSON artifact.
+This module consolidates those artifacts into one tracked baseline file
+per query at the repository root — ``BENCH_q13_parallel.json``,
+``BENCH_q14_updates.json`` — and compares fresh artifacts against them,
 failing on a >20% regression.
 
 Timings on shared CI runners are noisy, so the gate never compares raw
 seconds across runs.  It gates on
 
-* **dimensionless speedup ratios** (scan/index, walk/arena,
-  forced/elided) — both legs of a ratio ride the same
+* **dimensionless speedup ratios** (serial/parallel,
+  re-registration/update) — both legs of a ratio ride the same
   machine, so the ratio is machine-independent, and
-* **deterministic counters** (node visits, index probes) — the
-  documents are seeded, so these are exact and any drift is a real
-  plan- or engine-level change.
+* **deterministic counters** (scatter tasks, incremental index
+  applies) — the documents are seeded, so these are exact and any
+  drift is a real plan- or engine-level change.
 
 Baseline records are matched to fresh records by their identifying
 parameters (query label, document sizes).  A fresh artifact measured at
 *different* sizes than the baseline is an error, not a pass: the gate
 refuses to compare apples to oranges and asks for ``make bench-update``.
+The same holds in the other direction — a gated thing that *disappears*
+is a problem, never a pass: a baseline record no fresh run reproduced,
+a gated metric the fresh record stopped emitting, and a
+``BENCH_<query>.json`` whose query has no entry in :data:`GATE_RULES`
+(a retired benchmark's dead baseline) are all reported.
 
-Used by ``benchmarks/trajectory.py`` (the CI entry point) and
-``python -m repro.bench --update-baselines`` (regenerating baselines).
+Used by ``benchmarks/trajectory.py`` (the CI entry point; it also holds
+the one list of bench invocations and sizes).
 """
 
 from __future__ import annotations
@@ -35,26 +40,11 @@ import pathlib
 THRESHOLD = 0.20
 
 #: identifying (non-metric) fields of a benchmark record, in key order
-PARAM_KEYS = ("query", "items", "bids", "updates")
+PARAM_KEYS = ("query", "items", "updates")
 
 #: per-query gated metrics and their good direction.  Only
 #: machine-independent metrics appear here — see the module docstring.
 GATE_RULES: dict[str, dict[str, str]] = {
-    "q7_index": {"speedup": "higher",
-                 "index_node_visits": "lower",
-                 "index_probes": "lower"},
-    "q9_storage": {"speedup": "higher",
-                   "arena_node_visits": "lower"},
-    "q10_order": {"speedup": "higher"},
-    # q12 gates the serving path: prepared (plan-cache warm) vs cold
-    # per-request optimization, result-cache hits vs prepared
-    # execution (both same-machine ratios), and the deterministic
-    # plan-cache hit rate of the concurrent serving run (each shape is
-    # warmed serially, so exactly one miss per shape).  p50/p99/QPS
-    # ride along ungated — raw latency never crosses machines.
-    "q12_serve": {"prepared_speedup": "higher",
-                  "result_cache_speedup": "higher",
-                  "plan_cache_hit_rate": "higher"},
     # q13 gates the scatter width (deterministic: one task per pool
     # worker); the parallel-vs-serial speedup rides along and only
     # starts gating once a baseline from a >=4-CPU runner clears the
@@ -135,13 +125,22 @@ def load_baseline(path: str | pathlib.Path) -> dict[tuple, dict]:
     return {record_key(r): r for r in payload["records"]}
 
 
+def _params(key: tuple) -> str:
+    return ", ".join(f"{k}={v}" for k, v in key)
+
+
 def compare_records(query_key: str, base: dict, fresh: dict,
                     threshold: float = THRESHOLD) -> list[str]:
     """Regression messages for one (baseline, fresh) record pair."""
     issues: list[str] = []
-    params = ", ".join(f"{k}={v}" for k, v in record_key(base))
+    params = _params(record_key(base))
     for metric, direction in GATE_RULES.get(query_key, {}).items():
-        if metric not in base or metric not in fresh:
+        if metric not in base:
+            continue
+        if metric not in fresh:
+            issues.append(
+                f"{query_key} ({params}): gated metric {metric} is in "
+                "the baseline but missing from the fresh record")
             continue
         b, f = float(base[metric]), float(fresh[metric])
         if (metric == "speedup" or metric.endswith("_speedup")) \
@@ -165,29 +164,47 @@ def check(artifact_paths: list[str | pathlib.Path],
     """Compare fresh artifacts against the tracked baselines.
 
     Returns a list of problems (empty = gate passes).  Problems are
-    regressions beyond ``threshold``, fresh measurements whose
+    regressions beyond ``threshold``; fresh measurements whose
     parameters have no baseline record (sizes changed without
-    refreshing baselines), and gated queries with no baseline file."""
+    refreshing baselines); gated queries with no baseline file; and
+    whatever is tracked but no longer measured — a baseline record
+    without a fresh record, a gated metric missing from the fresh
+    record, a ``BENCH_<query>.json`` for a query no rule gates."""
     fresh_by_query = load_artifacts(artifact_paths)
+    baseline_dir = pathlib.Path(baseline_dir)
+    tracked = {path.stem.removeprefix("BENCH_")
+               for path in baseline_dir.glob("BENCH_*.json")}
     issues: list[str] = []
-    for query_key, fresh_records in sorted(fresh_by_query.items()):
-        if query_key not in GATE_RULES:
-            continue
+    for query_key in sorted(tracked - GATE_RULES.keys()):
+        issues.append(
+            f"{query_key}: stale baseline "
+            f"{baseline_path(baseline_dir, query_key).name} — no "
+            "GATE_RULES entry gates it; delete the file or restore "
+            "the rule")
+    for query_key in sorted(GATE_RULES.keys()
+                            & (fresh_by_query.keys() | tracked)):
         path = baseline_path(baseline_dir, query_key)
-        if not path.exists():
+        if query_key not in tracked:
             issues.append(f"{query_key}: no baseline {path.name} — "
                           "run `make bench-update` and commit it")
             continue
         baseline = load_baseline(path)
-        for fresh in fresh_records:
-            key = record_key(fresh)
-            base = baseline.get(key)
-            if base is None:
-                params = ", ".join(f"{k}={v}" for k, v in key)
+        fresh_records = {record_key(record): record for record
+                         in fresh_by_query.get(query_key, ())}
+        for key in sorted(fresh_records.keys() - baseline.keys(),
+                          key=repr):
+            issues.append(
+                f"{query_key}: baseline {path.name} has no record "
+                f"for ({_params(key)}) — sizes changed? run "
+                "`make bench-update` and commit the new baseline")
+        for key, base in baseline.items():
+            fresh = fresh_records.get(key)
+            if fresh is None:
                 issues.append(
-                    f"{query_key}: baseline {path.name} has no record "
-                    f"for ({params}) — sizes changed? run "
-                    "`make bench-update` and commit the new baseline")
+                    f"{query_key}: baseline {path.name} records "
+                    f"({_params(key)}) but no fresh run measured it — "
+                    "bench step dropped or record renamed? run "
+                    "`make bench-update` or delete the baseline")
                 continue
             issues.extend(compare_records(query_key, base, fresh,
                                           threshold))

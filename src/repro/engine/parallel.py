@@ -73,8 +73,8 @@ from repro.xpath.ast import NameTest
 #: would only add process-boundary overhead to serial execution)
 DEFAULT_WORKERS = max(2, os.cpu_count() or 1)
 
-#: environment override consulted by the executor — CI smokes the
-#: multi-process paths by exporting ``REPRO_WORKERS=2``
+#: environment override consulted by the executor: the worker budget
+#: of ``mode="auto"`` / ``"parallel"`` requests that name none
 WORKERS_ENV = "REPRO_WORKERS"
 
 #: test hook (see :func:`inject_crash`): the next dispatched task with

@@ -18,7 +18,7 @@
 - :mod:`repro.optimizer.properties` — the order-property subsystem:
   bottom-up inference of ``sorted_on`` / document-order /
   duplicate-freeness per operator, data-derived sortedness guarantees
-  off the frozen arena, and the elision/debug switches;
+  off the frozen arena, and the ``debug_checks`` run-time verification;
 - :mod:`repro.optimizer.elide_order` — the pass that downgrades
   provably redundant Sorts to ``Sort[elided: …]`` no-ops.
 """

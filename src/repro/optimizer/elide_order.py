@@ -16,11 +16,12 @@ A stable sort over an input already non-decreasing on its keys is
 forced-sort plan; ``properties.debug_checks`` makes both engines verify
 that claim differentially at runtime.
 
-The pass runs on every plan alternative the rewriter produces (gated by
-:func:`repro.optimizer.properties.elision_enabled`); it never descends
-into nested subscript plans — the translator only places Sorts on the
-outermost spine (inner ``order by`` is rejected), so there is nothing
-to elide below a subscript.
+The pass runs on every plan alternative the rewriter produces; it is
+pure, so the un-elided plan it was given stays available for
+differential comparison.  It never descends into nested subscript
+plans — the translator only places Sorts on the outermost spine (inner
+``order by`` is rejected), so there is nothing to elide below a
+subscript.
 """
 
 from __future__ import annotations

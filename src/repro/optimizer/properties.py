@@ -35,15 +35,11 @@ such work redundant:
   ``order by $x/itemno`` as already satisfied by document order.
   The check is exact (it evaluates the real path and the real sort
   keys), O(n) once per ``(document, path)``, and can never go stale;
-- the :func:`elision` / :func:`debug_checks` switches.  ``elision``
-  gates both the Sort-elision pass and the evaluator's
-  order-preserving fast path (benchmarks toggle one switch for a
-  forced-sort baseline).  ``debug_checks`` (also enabled by the
-  ``REPRO_ORDER_DEBUG`` environment variable) makes both engines
-  verify at runtime — by differential comparison of the actual tuple
-  stream — that every elided sort was genuinely redundant, and makes
-  the evaluator cross-check every skipped dedup pass against the full
-  one.
+- the :func:`debug_checks` switch (also enabled by the
+  ``REPRO_ORDER_DEBUG`` environment variable): both engines verify at
+  runtime — by differential comparison of the actual tuple stream —
+  that every elided sort was genuinely redundant, and the evaluator
+  cross-checks every skipped dedup pass against the full one.
 
 The properties are *facts about value sequences*, keyed by canonical
 attribute names: a projection that drops an attribute does not
@@ -84,33 +80,9 @@ from repro.xmldb.document import DocumentStore
 from repro.xpath.ast import NameTest, Path, Step
 
 # ----------------------------------------------------------------------
-# Runtime switches
+# Runtime verification switch
 # ----------------------------------------------------------------------
-_ELISION = True
 _DEBUG = bool(os.environ.get("REPRO_ORDER_DEBUG"))
-
-
-def elision_enabled() -> bool:
-    """Whether order-based elision (Sort removal in the optimizer, the
-    dedup-skip fast path in the XPath evaluator) is active."""
-    return _ELISION
-
-
-@contextmanager
-def elision(enabled: bool):
-    """Temporarily enable/disable order-based elision.
-
-    ``benchmarks/bench_q10_order.py`` compiles and runs its query under
-    ``elision(False)`` to obtain the forced-sort baseline, then under
-    ``elision(True)``; differential tests use the same switch to pin
-    elision-on ≡ elision-off."""
-    global _ELISION
-    previous = _ELISION
-    _ELISION = enabled
-    try:
-        yield
-    finally:
-        _ELISION = previous
 
 
 def debug_enabled() -> bool:

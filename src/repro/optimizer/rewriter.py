@@ -126,8 +126,7 @@ def unnest_plan(plan: Operator, store: DocumentStore,
     access_paths` finds a cheaper probe; the default ``None`` follows
     the store's ``index_mode`` (off ⇒ scans only).
 
-    Unless :func:`repro.optimizer.properties.elision` turned the order
-    subsystem off, every alternative finally passes through
+    Every alternative finally passes through
     :func:`repro.optimizer.elide_order.elide_sorts`: Sorts whose
     requirement the order-property inference proves already satisfied
     become ``Sort[elided: …]`` no-ops (``applied`` gains
@@ -175,20 +174,18 @@ def unnest_plan(plan: Operator, store: DocumentStore,
             if span is not None:
                 span.args = {"indexed_variants": len(indexed),
                              "alternatives": len(results)}
-    from repro.optimizer import properties
-    if properties.elision_enabled():
-        from repro.optimizer.elide_order import elide_sorts
-        with maybe_span(tracer, "sort-elision", "optimize") as span:
-            elided_plans = 0
-            for result in results:
-                elided = elide_sorts(result.plan, store)
-                if elided is not result.plan:
-                    result.plan = elided
-                    result.applied = result.applied + ("elide-sort",)
-                    elided_plans += 1
-            if span is not None:
-                span.args = {"plans_with_elisions": elided_plans,
-                             "alternatives": len(results)}
+    from repro.optimizer.elide_order import elide_sorts
+    with maybe_span(tracer, "sort-elision", "optimize") as span:
+        elided_plans = 0
+        for result in results:
+            elided = elide_sorts(result.plan, store)
+            if elided is not result.plan:
+                result.plan = elided
+                result.applied = result.applied + ("elide-sort",)
+                elided_plans += 1
+        if span is not None:
+            span.args = {"plans_with_elisions": elided_plans,
+                         "alternatives": len(results)}
     if ranking == "cost":
         with maybe_span(tracer, "cost-ranking", "optimize",
                         ranking=ranking):

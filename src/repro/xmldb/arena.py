@@ -40,18 +40,12 @@ alone, and a handle somebody still holds keeps its identity and its
 arena's columns for as long as it is held.  The arena therefore only
 keeps a *weak* reference to its document (plus plain copies of the
 name and registration sequence the hot paths need).
-
-:func:`acceleration` is a benchmark/bisection switch: with acceleration
-disabled the evaluator falls back to the pointer-chasing walks the
-object-graph storage used, which is exactly the baseline
-``benchmarks/bench_q9_storage.py`` measures against.
 """
 
 from __future__ import annotations
 
 import weakref
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager
 from operator import le
 from typing import Iterator
 
@@ -60,29 +54,6 @@ from repro.xmldb.node import Node, NodeKind
 #: a concrete root-to-node tag path, e.g. ("items", "itemtuple", "@id")
 #: (shared with :mod:`repro.index.structural`)
 TagPath = tuple[str, ...]
-
-_ACCELERATION = True
-
-
-def acceleration_enabled() -> bool:
-    """Whether arena range scans may replace pointer-chasing walks."""
-    return _ACCELERATION
-
-
-@contextmanager
-def acceleration(enabled: bool):
-    """Temporarily enable/disable arena-accelerated axis evaluation.
-
-    Used by the storage benchmark to measure the interval encoding
-    against the legacy object-graph walk on identical documents."""
-    global _ACCELERATION
-    previous = _ACCELERATION
-    _ACCELERATION = enabled
-    try:
-        yield
-    finally:
-        _ACCELERATION = previous
-
 
 class LazyNodes:
     """Interned frozen :class:`Node` handles created on first access —

@@ -218,18 +218,15 @@ class Node:
         descendant axis excludes them).
 
         Frozen nodes iterate their contiguous arena row interval; the
-        pointer walk remains as the builder-mode (and benchmark
-        baseline) path."""
+        pointer walk is the builder-mode path."""
         if include_self:
             yield self
         arena = self.arena
         if arena is not None:
-            from repro.xmldb import arena as arena_mod
-            if arena_mod.acceleration_enabled():
-                nodes = arena.nodes
-                for row in arena.iter_descendant_rows(self.pre):
-                    yield nodes[row]
-                return
+            nodes = arena.nodes
+            for row in arena.iter_descendant_rows(self.pre):
+                yield nodes[row]
+            return
         for child in self.children:
             yield child
             if child.kind is NodeKind.ELEMENT:

@@ -17,14 +17,12 @@ never the rest of the document.  The logical *scan* counter is charged
 as before (the paper's asymptotic argument is about how often a plan
 reads a document, not how the storage layer implements the read);
 ``node_visits`` records the rows actually touched, which is where the
-encoding's advantage shows up.  Builder trees (and benchmarks pinning
-the pre-arena baseline via :func:`repro.xmldb.arena.acceleration`) take
-the recursive pointer walk instead.
+encoding's advantage shows up.  Builder trees (``arena is None``)
+take the recursive pointer walk instead.
 """
 
 from __future__ import annotations
 
-from repro.xmldb import arena as arena_mod
 from repro.errors import XPathError
 from repro.xmldb.node import Node, NodeKind, NodeSequence, \
     global_order_key
@@ -55,21 +53,17 @@ def evaluate_path(context: Node | list[Node], path: Path,
     :func:`_document_order_dedup` pass is skipped entirely: after the
     interval-encoded arena, ``//tag`` slices and child runs are born
     ordered and duplicate-free, and re-sorting them was the dominant
-    cost of short path evaluations.  The fast path is gated by the
-    order subsystem's elision switch and cross-checked against the full
-    dedup pass under its debug switch (:mod:`repro.optimizer.
-    properties`).
+    cost of short path evaluations.  The fast path is cross-checked
+    against the full dedup pass under the order subsystem's debug
+    switch (:func:`repro.optimizer.properties.debug_checks`).
     """
     nodes = [context] if isinstance(context, Node) else list(context)
-    # Seed the analysis only when elision is on: the forced-sort
-    # baseline should not pay for a verdict it will discard.
-    state = _initial_order_state(nodes) \
-        if _order_rules().elision_enabled() else None
+    state = _initial_order_state(nodes)
     for step in path.steps:
         if state is not None:
             state = _order_transition(state, step, nodes)
         nodes = _apply_step(nodes, step, stats)
-    if state is not None and _order_rules().elision_enabled():
+    if state is not None:
         if _order_rules().debug_enabled():
             full = _document_order_dedup(nodes)
             if list(full) != nodes:
@@ -96,7 +90,7 @@ _ORDER_RULES = None
 
 
 def _order_rules():
-    """The order subsystem's runtime switches, imported lazily — the
+    """The order subsystem's debug switch, imported lazily — the
     optimizer layer imports this module (via the scalar language), so a
     top-level import would be circular."""
     global _ORDER_RULES
@@ -203,7 +197,7 @@ def _step_from(node: Node, step: Step, stats) -> list[Node]:
             # full scan, however the storage layer answers it.
             stats.record_scan(node.document.name)
         arena = node.arena
-        if arena is not None and arena_mod.acceleration_enabled():
+        if arena is not None:
             rows = _descendant_rows(arena, node.pre, step)
             if stats is not None:
                 stats.record_visits(len(rows))
@@ -323,7 +317,7 @@ def iter_step(node: Node, step: Step, stats=None):
                 yield child
         return
     arena = node.arena
-    if arena is not None and arena_mod.acceleration_enabled():
+    if arena is not None:
         nodes = arena.nodes
         for row in _descendant_rows(arena, node.pre, step):
             if stats is not None:

@@ -33,9 +33,10 @@ return <i> { $n1 } </i>
 """
 
 
-def items_db(mode: str = "lazy", items: int = 150) -> Database:
+def items_db(mode: str = "lazy", items: int = 150,
+             seed: int = 3) -> Database:
     db = Database(index_mode=mode)
-    db.register_tree("items.xml", generate_items(items, seed=3),
+    db.register_tree("items.xml", generate_items(items, seed=seed),
                      dtd_text=ITEMS_DTD)
     return db
 
@@ -160,9 +161,16 @@ def test_plan_to_dot_renders_index_scan():
 # ----------------------------------------------------------------------
 # Execution semantics
 # ----------------------------------------------------------------------
-def test_indexed_plan_zero_scans_and_identical_output():
-    db = items_db(mode="eager")
-    query = compile_query(VALUE_QUERY, db)
+@pytest.mark.parametrize("text, items, seed, exact", [
+    (VALUE_QUERY, 150, 3, None),
+    # the selective predicate of the retired bench_q7_index.py at its
+    # CI size: (matches, scan-leg visits, index-leg visits)
+    (VALUE_QUERY.replace("> 400", "> 480"), 2000, 7, (31, 10944, 347)),
+], ids=("small", "q7"))
+def test_indexed_plan_zero_scans_and_identical_output(text, items, seed,
+                                                      exact):
+    db = items_db(mode="eager", items=items, seed=seed)
+    query = compile_query(text, db)
     scan = db.execute(query.plan_named("nested").plan)
     idx = db.execute(query.plan_named("nested+index").plan)
     assert idx.output == scan.output
@@ -171,6 +179,10 @@ def test_indexed_plan_zero_scans_and_identical_output():
     assert idx.stats["total_scans"] == 0
     assert idx.stats["total_probes"] == 1
     assert idx.stats["node_visits"] < scan.stats["node_visits"]
+    if exact is not None:
+        assert (idx.output.count("<expensive>"),
+                scan.stats["node_visits"],
+                idx.stats["node_visits"]) == exact
 
 
 def test_indexed_plan_reference_mode_agrees():

@@ -1,16 +1,25 @@
 """The interval-encoded arena document store: column invariants,
-O(1) containment, freeze semantics, accelerated-axis equivalence, and
+O(1) containment, freeze semantics, frozen ≡ builder-tree axes, and
 the deterministic multi-document order behind the evaluator's dedup."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.datagen import BIB_DTD, generate_bib
+from repro.api import Database, compile_query
+from repro.datagen import (
+    BIDS_DTD,
+    ITEMS_DTD,
+    generate_bib,
+    generate_bids,
+    generate_items,
+)
 from repro.errors import FrozenDocumentError
-from repro.xmldb.arena import Arena, acceleration, arena_for
+from repro.xmldb.arena import arena_for
 from repro.xmldb.document import DocumentStore
-from repro.xmldb.node import Node, NodeKind, element, global_order_key
+from repro.xmldb.node import Node, NodeKind, assign_order_keys, \
+    element, global_order_key
+from repro.xmldb.parser import parse_document
 from repro.xpath.evaluator import _document_order_dedup, evaluate_path
 from repro.xpath.parser import parse_path
 
@@ -162,45 +171,55 @@ def test_frozen_child_lists_are_immutable(store):
 
 
 # ----------------------------------------------------------------------
-# Accelerated axes ≡ pointer walks
+# Frozen document (arena range scans) ≡ builder tree (pointer walks)
 # ----------------------------------------------------------------------
 PATHS = ("//book", "//author", "//last", "book/title", "//book/@year",
          "//title/text()", "book/*", "//book[author]",
          "//book[@year > 1993]", "//missing")
 
 
+def described(nodes) -> list[tuple]:
+    """What a node sequence looks like from outside, comparable across
+    a frozen document and an unregistered builder tree of the same
+    text: pre-order rank, kind, name and string value, in order."""
+    return [(n.order_key, n.kind, n.name, n.string_value())
+            for n in nodes]
+
+
+def builder_root(text: str) -> Node:
+    """The parsed tree, never registered: ``arena is None``, so every
+    axis takes the pointer walk."""
+    root = parse_document(text).root
+    assert root.arena is None
+    return root
+
+
 @pytest.mark.parametrize("path_text", PATHS)
-def test_acceleration_is_invisible(store, path_text):
-    root = store.get("bib.xml").root
+def test_frozen_document_matches_builder_tree(store, path_text):
     path = parse_path(path_text)
-    with acceleration(True):
-        fast = evaluate_path(root, path)
-    with acceleration(False):
-        slow = evaluate_path(root, path)
-    assert fast == slow  # identical handles, identical order
+    frozen = evaluate_path(store.get("bib.xml").root, path)
+    walked = evaluate_path(builder_root(DOC), path)
+    assert described(frozen) == described(walked)
 
 
-def test_acceleration_equivalence_generated_doc():
+def test_frozen_matches_builder_on_generated_doc():
     store = DocumentStore()
     store.register_tree("bib.xml", generate_bib(25, 3, seed=11))
     root = store.get("bib.xml").root
+    walked_root = generate_bib(25, 3, seed=11)
+    assign_order_keys(walked_root)
     for path_text in ("//author", "//book/title", "//last"):
         path = parse_path(path_text)
-        with acceleration(True):
-            fast = evaluate_path(root, path)
-        with acceleration(False):
-            slow = evaluate_path(root, path)
-        assert fast == slow and len(fast) > 0
+        frozen = evaluate_path(root, path)
+        walked = evaluate_path(walked_root, path)
+        assert described(frozen) == described(walked) and len(frozen) > 0
 
 
-def test_iter_descendants_same_in_both_modes(arena):
-    root = arena.nodes[0]
-    with acceleration(True):
-        fast = list(root.iter_descendants(include_self=True))
-    with acceleration(False):
-        slow = list(root.iter_descendants(include_self=True))
-    assert fast == slow
-    assert all(n.kind is not NodeKind.ATTRIBUTE for n in fast)
+def test_iter_descendants_same_frozen_and_builder(arena):
+    frozen = list(arena.nodes[0].iter_descendants(include_self=True))
+    walked = list(builder_root(DOC).iter_descendants(include_self=True))
+    assert described(frozen) == described(walked)
+    assert all(n.kind is not NodeKind.ATTRIBUTE for n in frozen)
 
 
 def test_descendant_range_touches_only_results(store):
@@ -212,6 +231,50 @@ def test_descendant_range_touches_only_results(store):
     result = evaluate_path(root, parse_path("//author"), stats=stats)
     assert stats.node_visits == len(result) == 3
     assert stats.document_scans == {"bib.xml": 1}
+
+
+#: the two shapes of the retired ``bench_q9_storage.py``
+Q9_DIGEST = '''
+let $d1 := doc("items.xml")
+let $b1 := doc("bids.xml")
+return
+  <digest>
+    <items>{ count($d1//itemno) }</items>
+    <bids>{ count($b1//bid) }</bids>
+    <bid-days>{ count($b1//biddate) }</bid-days>
+    <reserve-prices>{ count($d1//reserveprice) }</reserve-prices>
+  </digest>
+'''
+
+Q9_FILTER = '''
+let $d1 := doc("items.xml")
+for $r1 in $d1//reserveprice
+where $r1 >= 400
+return <pricey> { $r1 } </pricey>
+'''
+
+
+@pytest.fixture(scope="module")
+def auction_db() -> Database:
+    db = Database()
+    db.register_tree("items.xml", generate_items(2000, seed=7),
+                     dtd_text=ITEMS_DTD)
+    db.register_tree("bids.xml",
+                     generate_bids(10000, items=2000, seed=7),
+                     dtd_text=BIDS_DTD)
+    return db
+
+
+@pytest.mark.parametrize("text, visits", [
+    (Q9_DIGEST, 2000 + 10000 + 10000 + 760),   # one visit per counted node
+    (Q9_FILTER, 760),                          # one per reserveprice
+], ids=("digest", "filter"))
+def test_query_visits_are_the_rows_it_reads(auction_db, text, visits):
+    """The same at scale and through the whole stack: the best plan of
+    a query over 2 000 items / 10 000 bids (~90 000 nodes) visits
+    exactly the rows its ``//tag`` steps return."""
+    result = auction_db.execute(compile_query(text, auction_db).best().plan)
+    assert result.stats["node_visits"] == visits
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import PAPER_QUERIES, make_database, measure_query
-from repro.bench.harness import time_plan
 from repro.bench.tables import (
     PAPER_RESULTS,
     all_tables,
@@ -55,14 +54,6 @@ def test_make_database_registers_expected_documents():
     assert "bib.xml" in db.store and "reviews.xml" in db.store
     db6 = make_database("q6", bids=10)
     assert "bids.xml" in db6.store
-
-
-def test_time_plan_returns_positive_seconds():
-    db = make_database("q2", books=5)
-    from repro.api import compile_query
-    query = compile_query(PAPER_QUERIES["q2"].text, db)
-    seconds = time_plan(db, query.best().plan, repeat=2)
-    assert seconds > 0
 
 
 # ---------------------------------------------------------------------------

@@ -147,9 +147,11 @@ def test_vectorized_mode(data_dir, query_file, capsys):
     assert "<author>" in capsys.readouterr().out
 
 
-def test_auto_mode(data_dir, query_file, capsys):
+@pytest.mark.parametrize("budget", ([], ["--workers", "2"]),
+                         ids=("no-budget", "workers-2"))
+def test_auto_mode(data_dir, query_file, capsys, budget):
     code = main([str(query_file), "--docs", str(data_dir),
-                 "--mode", "auto"])
+                 "--mode", "auto", *budget])
     assert code == 0
     assert "<author>" in capsys.readouterr().out
 

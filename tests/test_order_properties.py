@@ -1,9 +1,10 @@
 """Order-property inference, sort elision and the ordering bugfixes.
 
-Differential pins: elision-on ≡ elision-off ≡ reference ≡ vectorized ≡
-the subscript streamer, byte for byte — including mixed-type and NULL order-by keys,
-descending ties, and the evaluator's dedup-skip fast path on documents
-with recursive (nested) tags.
+Differential pins: elided plan ≡ un-elided plan ≡ reference ≡
+vectorized ≡ the subscript streamer, byte for byte — including
+mixed-type and NULL order-by keys, descending ties, and the evaluator's
+dedup-skip fast path (against a brute-force document-order walk) on
+documents with recursive (nested) tags.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from repro.optimizer.properties import (
     satisfies_sort,
 )
 from repro.xmldb.document import DocumentStore
-from repro.xmldb.node import element
+from repro.xmldb.node import NodeKind, element
+from repro.xpath.ast import AnyTest, TextTest
 from repro.xpath.evaluator import evaluate_path
 from repro.xpath.parser import parse_path
 
@@ -54,17 +56,25 @@ def auction_db() -> Database:
     return db
 
 
+def force_sorts(plan):
+    """``plan`` with every ``Sort[elided: …]`` turned back into the
+    real Sort it was proven equal to."""
+    children = tuple(force_sorts(child) for child in plan.children)
+    if isinstance(plan, ElidedSort):
+        return Sort(children[0], plan.attributes, plan.descending)
+    return plan if children == plan.children else plan.rebuild(children)
+
+
 def run_everywhere(db: Database, text: str) -> dict[str, str]:
-    """The query's nested-plan output under every engine × elision
-    combination (keys like ``vectorized/on``)."""
-    outputs: dict[str, str] = {}
-    for enabled in (False, True):
-        with properties.elision(enabled):
-            plan = compile_query(text, db).plan_named("nested").plan
-            for mode in MODES:
-                key = f"{mode}/{'on' if enabled else 'off'}"
-                outputs[key] = db.execute(plan, mode=mode).output
-    return outputs
+    """The query's nested-plan output under every engine, as the
+    optimizer emits it (``…/on``: redundant Sorts elided) and with
+    every Sort forced (``…/off``)."""
+    elided = compile_query(text, db).plan_named("nested").plan
+    forced = force_sorts(elided)
+    assert not elided_sorts(forced)
+    return {f"{mode}/{key}": db.execute(plan, mode=mode).output
+            for key, plan in (("off", forced), ("on", elided))
+            for mode in MODES}
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +159,37 @@ return <i>{ $n1 }</i>
 '''
 
 
-def test_itemno_order_by_is_elided_and_identical(auction_db):
-    plan = compile_query(ORDER_BY_ITEMNO,
-                         auction_db).plan_named("nested").plan
-    assert elided_sorts(plan), "itemno is born sorted — Sort must elide"
-    outputs = run_everywhere(auction_db, ORDER_BY_ITEMNO)
+#: the report of the retired ``bench_q10_order.py``: the same order by,
+#: each item carrying two market-wide denominators (nested
+#: ``count(//…)`` subscripts re-evaluated per item)
+Q10_REPORT = '''
+let $d1 := doc("items.xml")
+let $b1 := doc("bids.xml")
+for $i1 in $d1//itemtuple
+let $n1 := zero-or-one($i1/itemno)
+order by $n1
+return <item><i>{ $n1 }</i>
+  <market-bids>{ count($b1//bid) }</market-bids>
+  <market-days>{ count($b1//biddate) }</market-days></item>
+'''
+
+
+@pytest.mark.parametrize("text", (ORDER_BY_ITEMNO, Q10_REPORT),
+                         ids=("orderonly", "report"))
+def test_itemno_order_by_is_elided_and_identical(auction_db, text):
+    query = compile_query(text, auction_db)
+    plan = query.plan_named("nested").plan
+    assert [op.label() for op in elided_sorts(plan)] \
+        == ["Sort[elided: __ord1]"], \
+        "itemno is born sorted — exactly the order-by Sort must elide"
+    # the translated plan still holds the real Sort the pass replaced
+    assert [op.label() for op in query.plan.walk()
+            if isinstance(op, Sort)] == ["Sort[__ord1]"]
+    outputs = run_everywhere(auction_db, text)
     assert len(set(outputs.values())) == 1, outputs.keys()
     values = outputs["reference/on"]
     nos = [b.split("</i>")[0] for b in values.split("<i>")[1:]]
-    assert nos == sorted(nos)
+    assert len(nos) == 40 and nos == sorted(nos)
 
 
 def test_descending_order_by_is_not_elided(auction_db):
@@ -193,7 +225,7 @@ def test_guarantee_is_cached_on_the_document(auction_db):
 
 def test_null_keys_order_empty_least_in_both_directions(auction_db):
     """reserveprice is optional: missing values bind NULL.  "Empty
-    least" must hold identically across engines and elision — NULLs
+    least" must hold identically across engines, elided or not — NULLs
     first ascending, last descending, ties in document order."""
     base = '''
 let $d1 := doc("items.xml")
@@ -323,18 +355,11 @@ def test_random_order_by_plans_agree_everywhere(rows, descending,
                 list(descending))
     if distinct:
         plan = DistinctProject(plan, ["k1", "i"])
-    results = []
-    for enabled in (False, True):
-        with properties.elision(enabled):
-            optimized = elide_sorts(plan, store)
-            results.append(plan.evaluate(EvalContext(store)))
-            results.append(run_vectorized(
-                optimized, EvalContext(store)).to_rows())
-            results.append(
-                list(stream_plan(optimized, EvalContext(store))))
-    first = results[0]
-    for other in results[1:]:
-        assert other == first
+    first = plan.evaluate(EvalContext(store))
+    for candidate in (plan, elide_sorts(plan, store)):
+        assert run_vectorized(
+            candidate, EvalContext(store)).to_rows() == first
+        assert list(stream_plan(candidate, EvalContext(store))) == first
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +385,44 @@ RECURSIVE_PATHS = ("//b", "//c", "//d", "//b/c", "//b//c", "//b/b",
                    "//text()", "//*", "//b/*")
 
 
+def brute_force(root, path) -> list:
+    """The path's result with no order reasoning at all: per step, one
+    walk over *every* node of the document in document order, keeping
+    those the node test accepts and whose parent (child / attribute
+    axis) or some ancestor (descendant axis) was selected before."""
+    def ancestors(node):
+        while node.parent is not None:
+            node = node.parent
+            yield node
+
+    def accepted(node, step) -> bool:
+        is_attribute = node.kind is NodeKind.ATTRIBUTE
+        if is_attribute != (step.axis == "attribute"):
+            return False
+        if isinstance(step.test, TextTest):
+            return node.kind is NodeKind.TEXT
+        return (is_attribute or node.kind is NodeKind.ELEMENT) and (
+            isinstance(step.test, AnyTest)
+            or node.name == step.test.name)
+
+    selected = [root]
+    for step in path.steps:
+        reach = ancestors if step.axis == "descendant" \
+            else lambda node: [node.parent]
+        chosen = {id(n) for n in selected}
+        selected = [n for n in root.arena.nodes if accepted(n, step)
+                    and any(id(a) in chosen for a in reach(n))]
+    return selected
+
+
 @pytest.mark.parametrize("path_text", RECURSIVE_PATHS)
 def test_dedup_skip_is_differentially_safe(path_text):
     db = recursive_db()
     root = db.store.get("r.xml").root
     path = parse_path(path_text)
-    with properties.elision(False):
-        expected = list(evaluate_path(root, path))
-    with properties.elision(True), properties.debug_checks(True):
+    with properties.debug_checks(True):
         fast = list(evaluate_path(root, path))
-    assert fast == expected
+    assert fast == brute_force(root, path)
 
 
 def test_flat_tag_check_blocks_nested_tags():
@@ -385,8 +438,7 @@ def test_multi_context_paths_still_dedup():
     db = recursive_db()
     root = db.store.get("r.xml").root
     outer = evaluate_path(root, parse_path("//b"))  # nested b's
-    with properties.elision(True):
-        result = evaluate_path(list(outer), parse_path("//c"))
+    result = evaluate_path(list(outer), parse_path("//c"))
     seen = set()
     assert all(id(n) not in seen and not seen.add(id(n))
                for n in result)

@@ -285,13 +285,17 @@ def test_deadline_error_is_a_timeout(db):
 def test_concurrent_execution_matches_serial(db):
     """N threads hammering one session with mixed shapes across all
     four modes must produce byte-identical output to serial runs, with
-    per-request metrics that never see another request's counters."""
+    per-request metrics that never see another request's counters —
+    and, the shapes being warmed serially first, exactly one plan-cache
+    miss per shape however many threads ask afterwards."""
     with db.session() as session:
         serial = {}
         for text in SHAPES:
             for mode in MODES:
                 serial[(text, mode)] = session.execute(
                     text, mode=mode, use_result_cache=False).output
+        assert session.cache_stats()["plan_cache"]["misses"] \
+            == len(SHAPES)
 
         requests = [(text, mode) for text in SHAPES for mode in MODES]
         requests *= 3
@@ -330,6 +334,10 @@ def test_concurrent_execution_matches_serial(db):
         for thread in threads:
             thread.join(timeout=60)
         assert not failures, failures
+        plan_cache = session.cache_stats()["plan_cache"]
+        assert plan_cache["misses"] == len(SHAPES)
+        assert plan_cache["hits"] == len(SHAPES) * (len(MODES) - 1) \
+            + len(requests)
 
 
 def test_concurrent_scan_stats_are_request_scoped(db):

@@ -205,9 +205,15 @@ def data_dir(tmp_path: pathlib.Path) -> pathlib.Path:
     return tmp_path
 
 
-def test_cli_trace_subcommand(data_dir, tmp_path, capsys):
+@pytest.mark.parametrize("workers", (None, "2"))
+def test_cli_trace_subcommand(data_dir, tmp_path, capsys, monkeypatch,
+                              workers):
     """``trace --mode`` takes every member of ``MODES`` (``auto`` here,
-    which it used to reject) and nothing else."""
+    which it used to reject) and nothing else; with a worker budget in
+    the environment the cost gate still keeps this small input on the
+    serial engine."""
+    if workers is not None:
+        monkeypatch.setenv("REPRO_WORKERS", workers)
     out_json = tmp_path / "trace.json"
     status = main(["trace", "--query", SIMPLE, "--docs", str(data_dir),
                    "--mode", "auto", "--out", str(out_json)])

@@ -246,15 +246,16 @@ def test_vectorized_metrics_are_recorded(bids_db):
 # ----------------------------------------------------------------------
 # Mode selection
 # ----------------------------------------------------------------------
-def test_auto_mode_matches_explicit_modes(bids_db):
+@pytest.mark.parametrize("workers", (None, 2))
+def test_auto_mode_matches_explicit_modes(bids_db, workers):
     plan = compile_query(BIDS_QUERY, bids_db).best().plan
-    mode = preferred_mode(plan, bids_db.store)
-    assert mode == DEFAULT_MODE, "no worker budget: nothing to decide"
-    auto = bids_db.execute(plan, mode="auto")
+    mode = preferred_mode(plan, bids_db.store, workers=workers)
+    assert mode == DEFAULT_MODE, \
+        "no worker budget, or an input too small to pay for the pool"
+    auto = bids_db.execute(plan, mode="auto", workers=workers)
     explicit = bids_db.execute(plan, mode=mode)
     assert auto.rows == explicit.rows
     assert auto.output == explicit.output
-
 
 
 # ----------------------------------------------------------------------
