@@ -23,10 +23,12 @@ Invariants (relied on throughout the vectorized engine):
   ``.pres`` against the arena's columns.  Everybody else indexes or
   iterates it like a list and gets interned ``arena.nodes[pre]``
   handles, so handles are created only where a consumer needs node
-  *objects*: the row kernels (hash join, grouping, sort, ΠD), a
-  function call or an interpreted subscript over the column, and
+  *objects*: the join row kernels, a function call outside the text
+  lanes or an interpreted subscript over the column, and
   :meth:`Batch.to_rows` — which the result of an execution reaches
-  only when somebody reads ``ExecutionResult.rows``.
+  only when somebody reads ``ExecutionResult.rows``.  A
+  :class:`SeqColumn` keeps a column of item sequences flat the same
+  way, for µ.
 - **Selection vectors are owned by their creator.**  A selection vector
   (an ``array('q')`` of row indices) is created, filled and consumed by
   exactly one operator invocation; it is never stored in a batch or
@@ -101,6 +103,43 @@ class NodeColumn:
         return self.arena.string_values(self.pres)
 
 
+class SeqColumn:
+    """A column of item-tuple sequences — what ``χ[a: path[item]]``
+    binds — held flat, the way the path walk produced it: ``items``
+    (one value per item, a column itself) and ``owners[i]``, the row
+    ``items[i]`` belongs to, ascending.  µ / µD read the two lists as
+    they are; as a sequence it degrades, like the other column types,
+    to what ``TupledSeq.evaluate`` returns per row: a list of
+    single-attribute ``Tup``s."""
+
+    __slots__ = ("attr", "owners", "items", "_length", "_lists")
+
+    def __init__(self, attr: str, owners: list[int], items,
+                 length: int):
+        self.attr = attr
+        self.owners = owners
+        self.items = items
+        self._length = length
+        self._lists: list[list[Tup]] | None = None
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index: int) -> list[Tup]:
+        return self._sequences()[index]
+
+    def __iter__(self) -> Iterator[list[Tup]]:
+        return iter(self._sequences())
+
+    def _sequences(self) -> list[list[Tup]]:
+        if self._lists is None:
+            lists: list[list[Tup]] = [[] for _ in range(self._length)]
+            for owner, item in zip(self.owners, self.items):
+                lists[owner].append(Tup.adopt({self.attr: item}))
+            self._lists = lists
+        return self._lists
+
+
 def _take(column, indices) -> list:
     """Rows ``indices`` of one column, in that order."""
     if type(column) is NodeColumn:
@@ -159,6 +198,9 @@ class Batch:
     def column(self, attr: str) -> list:
         """The values of ``attr``, one per row, in batch order."""
         if self._columns is not None:
+            if not self._length:
+                # derived from ``from_rows([])``, which knows no schema
+                return self._columns.get(attr, [])
             return self._columns[attr]
         return [row[attr] for row in self._rows]
 
@@ -167,7 +209,7 @@ class Batch:
         if self._rows is None:
             order = self._order or ()
             cols = [self._columns[a] for a in order]
-            self._rows = [Tup(dict(zip(order, values)))
+            self._rows = [Tup.adopt(dict(zip(order, values)))
                           for values in zip(*cols)] if cols else \
                 [Tup({})] * self._length
         return self._rows

@@ -1,5 +1,6 @@
-"""Row kernels of the batch engine: hash-based, order-preserving
-algorithms for joins, grouping and ΠD.
+"""Kernels of the batch engine: hash-based, order-preserving
+algorithms — row kernels for the joins, column kernels for grouping,
+ΠD, Sort and µ.
 
 The reference semantics in :mod:`repro.nal` transcribe the paper's
 recursive definitions (binary operators are nested loops).  These are
@@ -23,12 +24,17 @@ Every hash operator builds through it (:func:`_hash_buckets`); a
 semijoin/antijoin whose predicate is bare equalities never looks at a
 row at all (:func:`semi_anti_selection`).
 
-The join kernels take batches and return materialized rows; the
-grouping kernels take rows.  This is the one place the hard semantics
-of the hash operators live — NULL join keys, boolean coercion,
-mixed-type keys — for top-level plans and, through
-:func:`~repro.engine.pipeline.stream_plan`'s batch arm, for the
-blocking operators of nested subscript plans alike.
+The join kernels (⋈, ⟕, binary Γ, a ⋉/▷ with a residual) take
+batches and return materialized rows: their output pairs whole tuples.
+The kernels under unary Γ, ΓSelf, ΠD, Sort and µ / µD never see a
+tuple: key columns go in, and what comes out is dense group ids and
+first rows (:func:`group_ids`), one aggregate value per group
+(:func:`group_values`), a permutation (:func:`sort_permutation`) or
+item owners (:func:`unnest_batch`) for ``Batch.take`` / ``replicate``.
+This is the one place the hard semantics of the hash operators live —
+NULL and NaN keys, boolean coercion, mixed-type keys — for top-level
+plans and, through :func:`~repro.engine.pipeline.stream_plan`'s batch
+arm, for the blocking operators of nested subscript plans alike.
 
 Crucially, *nested algebraic expressions cannot be helped by this layer*:
 a χ or σ whose subscript contains a :class:`~repro.nal.scalar.NestedPlan`
@@ -42,22 +48,27 @@ unnesting — is the paper's experimental story.
 
 from __future__ import annotations
 
-from typing import Any
+from collections import Counter
+from itertools import compress
 
-from repro.engine.batch import Batch, NodeColumn
+from repro.engine.batch import Batch, NodeColumn, SeqColumn, _take
 from repro.engine.pipeline import boolean_subscript
 from repro.nal.algebra import scalar_env
-from repro.nal.group_ops import GroupBinary, GroupUnary, SelfGroup
+from repro.nal.functions import call_function
+from repro.nal.group_ops import AggSpec, GroupBinary
 from repro.nal.join_ops import Join, OuterJoin
 from repro.nal.scalar import AttrRef, Comparison, ScalarExpr, conjuncts
-from repro.nal.unary_ops import DistinctProject
+from repro.nal.unary_ops import Sort, Unnest, _invert
 from repro.nal.values import (
     NULL,
     Tup,
     canonical_key,
     compare_atomic,
+    iter_items,
     null_tuple,
+    sort_key,
     text_key,
+    text_sort_key,
 )
 
 #: the tree position of a plan's root operator: EXPLAIN ANALYZE counts,
@@ -113,13 +124,34 @@ def key_column(values) -> list:
     return list(map(canonical_key, values))
 
 
+def _zip_rows(columns: list[list], count: int) -> list[tuple]:
+    return list(zip(*columns)) if columns else [()] * count
+
+
+def row_keys(batch: Batch, attrs) -> list[tuple]:
+    """The key of every row of ``batch`` over ``attrs``: one
+    ``canonical_key`` per attribute, built column-wise."""
+    return _zip_rows([key_column(batch.column(a)) for a in attrs],
+                     len(batch))
+
+
 def probe_keys(batch: Batch, attrs: list[str]) -> list[tuple | None]:
     """The hash key of every row of ``batch`` over ``attrs``, or None
     where any component is NULL — NULL equals nothing under
     ``compare_atomic``, so NULL keys must neither enter a hash table
     nor probe it."""
-    columns = [key_column(batch.column(a)) for a in attrs]
-    return [None if _NULL_KEY in key else key for key in zip(*columns)]
+    return [None if _NULL_KEY in key else key
+            for key in row_keys(batch, attrs)]
+
+
+def matches_nothing(key: tuple) -> bool:
+    """Whether a row key holds a component that ``=`` nothing, itself
+    included: NULL or NaN.  Such rows still form groups (distinctness
+    is by canonical key) but no row is a member of them."""
+    for part in key:
+        if part[0] == "null" or part[0] == "n" and part[1] != part[1]:
+            return True
+    return False
 
 
 def _hash_buckets(batch: Batch, attrs: list[str]
@@ -135,24 +167,6 @@ def _residual_ok(residual: list[ScalarExpr], combined: Tup, env: Tup,
                  ctx) -> bool:
     bound = scalar_env(env, combined)
     return all(boolean_subscript(r, bound, ctx) for r in residual)
-
-
-# ----------------------------------------------------------------------
-# Duplicate elimination
-# ----------------------------------------------------------------------
-def distinct_rows(plan: DistinctProject, rows: list[Tup]) -> list[Tup]:
-    """One-pass ΠD over materialized rows."""
-    seen: set = set()
-    result: list[Tup] = []
-    for t in rows:
-        projected = t.project(plan.attributes)
-        key = tuple(canonical_key(projected[a]) for a in plan.attributes)
-        if key not in seen:
-            seen.add(key)
-            if plan.renaming:
-                projected = projected.rename(plan.renaming)
-            result.append(projected)
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -258,32 +272,91 @@ def outer_join_rows(plan: OuterJoin, left: Batch, right: Batch,
 
 
 # ----------------------------------------------------------------------
-# Hash-based grouping (inherently blocking in every engine)
+# Grouping, ΠD, Sort and µ on key columns (blocking in every engine)
 # ----------------------------------------------------------------------
-def group_unary_rows(plan: GroupUnary, rows: list[Tup], env: Tup,
-                     ctx) -> list[Tup]:
-    """Hash implementation of the unary Γ over materialized rows."""
-    if plan.theta == "=":
-        order: list[tuple] = []
-        keys: dict[tuple, Tup] = {}
-        groups: dict[tuple, list[Tup]] = {}
-        for row in rows:
-            key = tuple(canonical_key(row[a]) for a in plan.by_attrs)
-            if key not in groups:
-                order.append(key)
-                keys[key] = row.project(plan.by_attrs)
-                groups[key] = []
-            groups[key].append(row)
-        # A NULL key still appears in the output (distinctness uses
-        # canonical keys) but its group is empty: NULL = NULL is false.
-        return [keys[k].extend(
-                    plan.group_attr,
-                    plan.agg.apply(
-                        groups[k] if _NULL_KEY not in k else [],
-                        env, ctx))
-                for k in order]
-    # General θ: one pass for distinct keys, then a filter per key.
-    return plan.evaluate_rows(rows, env, ctx)
+def group_ids(keys: list) -> tuple[list[int], list[int]]:
+    """Dense group ids for a column of hashable keys, numbered in
+    first-occurrence order, and the first row of every group — the one
+    kernel under Γ (θ ``=``), ΓSelf, ΠD and µD's duplicate removal."""
+    index: dict = {}
+    ids = [index.setdefault(key, len(index)) for key in keys]
+    # walking backwards, the last write per id is its earliest row
+    first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+    return ids, [first[group] for group in range(len(index))]
+
+
+def group_values(agg: AggSpec, batch: Batch, ids: list[int], groups: int,
+                 mask: list[bool] | None) -> list:
+    """``agg`` of every group (``AggSpec.apply``, for all groups at
+    once): ``ids[i]`` is the group of row ``i``, ``mask`` the
+    aggregate's σ decided per row (None: no filter).  A group without
+    rows gets f(ε)."""
+    rows = range(len(ids))
+    if mask is not None:
+        rows, ids = list(compress(rows, mask)), list(compress(ids, mask))
+    if agg.kind == "count":
+        tally = Counter(ids)
+        return [tally[group] for group in range(groups)]
+    members: list[list[int]] = [[] for _ in range(groups)]
+    for group, row in zip(ids, rows):
+        members[group].append(row)
+    if agg.kind == "id":
+        tuples = batch.to_rows()
+        return [[tuples[i] for i in group] for group in members]
+    column = batch.column(agg.attr)
+    if agg.kind == "project":
+        return [[Tup.adopt({agg.attr: column[i]}) for i in group]
+                for group in members]
+    return [call_function(agg.kind, [[column[i] for i in group]])
+            for group in members]
+
+
+def sort_permutation(plan: Sort, batch: Batch) -> list[int]:
+    """The row order ``sorted(rows, key=plan.sort_tuple)`` puts the
+    batch in — stable, so equal keys keep their input order — with the
+    keys built once per column instead of once per row and attribute."""
+    columns = []
+    for attr, descending in zip(plan.attributes, plan.descending):
+        values = batch.column(attr)
+        keys = map(text_sort_key, values.string_values()) \
+            if type(values) is NodeColumn else map(sort_key, values)
+        columns.append(list(map(_invert, keys) if descending else keys))
+    keys = _zip_rows(columns, len(batch))
+    return sorted(range(len(batch)), key=keys.__getitem__)
+
+
+def unnest_batch(plan: Unnest, batch: Batch) -> Batch:
+    """µ / µD: one output row per item of the sequence-valued
+    attribute.  Works on the flat form — item columns plus each item's
+    owning row — which a :class:`SeqColumn` already is; any other
+    column (groups, nested-plan results) is flattened into it first."""
+    sequences = batch.column(plan.attr)
+    if type(sequences) is SeqColumn \
+            and plan.item_attrs == (sequences.attr,):
+        owners, columns = sequences.owners, [sequences.items]
+    else:
+        owners, columns = [], [[] for _ in plan.item_attrs]
+        for row, value in enumerate(sequences):
+            for item in map(plan._as_tuple, iter_items(value)):
+                owners.append(row)
+                for column, attr in zip(columns, plan.item_attrs):
+                    column.append(item[attr])
+    if plan.dedup:  # by value, inside each owner
+        _, keep = group_ids(list(zip(owners, *map(key_column, columns))))
+        owners = [owners[i] for i in keep]
+        columns = [_take(column, keep) for column in columns]
+    empty = sorted(set(range(len(batch))).difference(owners)) \
+        if plan.preserve_empty else []
+    if empty:  # ⊥-padded rows, merged back into input order
+        merged = owners + empty
+        order = sorted(range(len(merged)), key=merged.__getitem__)
+        owners = [merged[i] for i in order]
+        columns = [_take(list(column) + [NULL] * len(empty), order)
+                   for column in columns]
+    result = batch.project_away((plan.attr,)).take(owners)
+    for attr, column in zip(plan.item_attrs, columns):
+        result = result.with_column(attr, column)
+    return result
 
 
 def group_binary_rows(plan: GroupBinary, left: Batch, right: Batch,
@@ -306,18 +379,3 @@ def group_binary_rows(plan: GroupBinary, left: Batch, right: Batch,
         result.append(l.extend(plan.group_attr,
                                plan.agg.apply(group, env, ctx)))
     return result
-
-
-def self_group_rows(plan: SelfGroup, rows: list[Tup], env: Tup,
-                    ctx) -> list[Tup]:
-    """One-pass ΓSelf (key → aggregate over the same input)."""
-    groups: dict[tuple, list[Tup]] = {}
-    for row in rows:
-        key = tuple(canonical_key(row[a]) for a in plan.key_attrs)
-        groups.setdefault(key, []).append(row)
-    values: dict[tuple, Any] = {
-        key: plan.agg.apply(group, env, ctx)
-        for key, group in groups.items()}
-    return [row.extend(plan.group_attr, values[tuple(
-        canonical_key(row[a]) for a in plan.key_attrs)])
-        for row in rows]

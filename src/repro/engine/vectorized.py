@@ -8,13 +8,16 @@ node-valued columns kept as rows of ints
 (:class:`~repro.engine.batch.NodeColumn`) from the scan to the output
 text:
 
-- **scans**: an Υ (or the path argument of a χ) over ``$d/child//tag``
-  paths hands its whole context column to the arena's step kernel
-  (:meth:`~repro.xmldb.arena.Arena.step_rows`, via
+- **scans**: an Υ (or the path argument of a χ) over
+  ``$d/child//tag/@attr`` paths hands its whole context column to the
+  arena's step kernel (:meth:`~repro.xmldb.arena.Arena.step_rows`, via
   :func:`_apply_steps` — the one place this engine executes a path
   step): int columns in, result rows out, no per-row call, no ``Node``
   handle, no ``Tup`` copy per output row; an IndexScan wraps the
   probe's pre rows as one node column;
+- **function subscripts**: ``string`` / ``data`` / ``decimal`` /
+  ``number`` / ``contains`` / ``starts-with`` over a node column read
+  its string values once and convert in one pass (:func:`_text_lane`);
 - **selections**: a σ whose predicate is built from comparisons over
   attributes, constants and short child/descendant paths is compiled
   into a selection-vector pass — string values read once off the arena
@@ -24,9 +27,16 @@ text:
   set, left side → selection vector, ``left.take(selection)``;
 - **×** with a one-row side (a ``let $d := doc(…)`` beside a scan)
   broadcasts that row over the other side's columns;
+- **grouping, ΠD, Sort, µ / µD** — what Eqvs. 1–9 build the unnested
+  plans from — run on key columns: dense group ids and first rows
+  (:func:`~repro.engine.kernels.group_ids`), the aggregate's σ as a
+  row mask, a sort permutation, item owners; their outputs are
+  ``take`` / ``replicate`` of the input columns plus one value column.
+  ``χ[a: path[item]]`` hands µ its walk as it is
+  (:class:`~repro.engine.batch.SeqColumn`);
 - **order-by**: an :class:`~repro.nal.unary_ops.ElidedSort` whose PR 5
   sortedness certificate holds passes the *entire batch* through
-  untouched — not even a row materialization;
+  untouched;
 - **result construction**: Ξ / ΞG render each command as a column of
   output fragments (:func:`_command_columns`) — node columns and
   ``{path}`` results straight off the arena
@@ -34,19 +44,20 @@ text:
   through :func:`~repro.nal.construct.render_value` — and interleave
   the columns into the output stream.
 
-Everything else runs the row kernels of :mod:`repro.engine.kernels`
-(``join_rows``, ``group_unary_rows``, …), which state the hard
-semantics (NULL join keys, boolean coercion, mixed-type sort keys)
-once; property-based tests assert ``run_vectorized`` ≡ reference
-regardless.  What still becomes ``Tup`` rows and ``Node`` handles
-(``Batch.to_rows``), and why: the inputs of grouping / sort / ΠD / μ
-and the outputs of the hash joins (they group, reorder or pair whole
-tuples); the batch of any operator whose subscript bails out to the
-scalar interpreter, which evaluates against a bound tuple (nested
-plans, quantifiers, predicated or attribute-axis paths); and Ξ's row
-loop, which a ``{…}`` of that kind — or a function over a path — still
-takes.  The final batch is *not* turned into rows: it is returned as it
-is, and ``ExecutionResult.rows`` materializes it when somebody asks.
+⋈, ⟕ and binary Γ run the row kernels of :mod:`repro.engine.kernels`
+(``join_rows``, …); that module states the hard semantics (NULL and
+NaN keys, boolean coercion, mixed-type sort keys) once, and
+property-based tests assert ``run_vectorized`` ≡ reference regardless.
+What still becomes ``Tup`` rows and ``Node`` handles
+(``Batch.to_rows``), and why: the outputs of those joins (they pair
+whole tuples) and Γ[``id``]'s groups (they *are* tuples); the batch of
+any operator whose subscript bails out to the scalar interpreter, which
+evaluates against a bound tuple (nested plans, quantifiers, predicated
+paths) — for an aggregate's σ that computes the mask and nothing else;
+and Ξ's row loop, which a ``{…}`` of that kind — or a function over a
+path — still takes.  The final batch is *not* turned into rows: it is
+returned as it is, and ``ExecutionResult.rows`` materializes it when
+somebody asks.
 
 Invariants: batches are immutable (operators derive new ones, see
 :mod:`repro.engine.batch`); selection vectors are scratch state owned by
@@ -69,21 +80,24 @@ from repro.engine.batch import (
     Batch,
     BroadcastColumn,
     NodeColumn,
+    SeqColumn,
     _PY_OPS,
     compare_columns,
     selection_vector,
 )
 from repro.engine.kernels import (
     ROOT_PATH,
-    distinct_rows,
-    group_unary_rows,
     group_binary_rows,
+    group_ids,
+    group_values,
     join_rows,
-    key_column,
+    matches_nothing,
     outer_join_rows,
-    self_group_rows,
+    row_keys,
     semi_anti_rows,
     semi_anti_selection,
+    sort_permutation,
+    unnest_batch,
 )
 from repro.engine.pipeline import boolean_subscript
 from repro.errors import EvaluationError
@@ -108,6 +122,7 @@ from repro.nal.scalar import (
     Or,
     PartitionedPath,
     PathApply,
+    TupledSeq,
     iter_path_items,
 )
 from repro.nal.unary_ops import (
@@ -206,23 +221,19 @@ def _child(plan: Operator, i: int, ctx, env: Tup, path) -> Batch:
                 None if path is None else path + (i,))
 
 
-def _child_rows(plan: Operator, i: int, ctx, env: Tup, path) -> list[Tup]:
-    return _child(plan, i, ctx, env, path).to_rows()
-
-
 # ----------------------------------------------------------------------
 # Columnar path application (the arena scan kernel)
 # ----------------------------------------------------------------------
 def _compile_steps(path: Path) -> list[tuple[str, str]] | None:
     """``path`` as ``(axis, name)`` pairs, or None when it needs the
-    full XPath evaluator (predicates, ``*``/``text()``, attribute or
-    self axes, absolute paths)."""
+    full XPath evaluator (predicates, ``*``/``text()``, the self axis,
+    absolute paths)."""
     if path.absolute:
         return None
     steps: list[tuple[str, str]] = []
     for step in path.steps:
         if step.predicates or not isinstance(step.test, NameTest) \
-                or step.axis not in ("child", "descendant"):
+                or step.axis not in ("child", "descendant", "attribute"):
             return None
         steps.append((step.axis, step.test.name))
     return steps
@@ -279,7 +290,8 @@ def _apply_steps(arena, pres: list[int], steps: list[tuple[str, str]],
         if roots != len(pres):
             return None
         start = 1
-    if roots and start < len(steps) and arena.doc_name is not None:
+    if roots and start < len(steps) and arena.doc_name is not None \
+            and steps[start][0] != "attribute":
         stats.record_scan(arena.doc_name, roots)
     owners = None
     rows = pres
@@ -387,6 +399,15 @@ def _node_column(parts):
     return nodes
 
 
+def _walk_items(walks):
+    """The walks of :func:`_path_rows` flat: ``(owners, nodes)`` — the
+    batch row of every selected node, and the nodes as one column."""
+    owners = walks[0][1] if len(walks) == 1 \
+        else [o for walk in walks for o in walk[1]]
+    return owners, _node_column([(arena, rows)
+                                 for arena, _, rows in walks])
+
+
 # ----------------------------------------------------------------------
 # Scalar-expression compilation → value columns
 # ----------------------------------------------------------------------
@@ -409,6 +430,11 @@ def _expr_column(expr, batch: Batch, env: Tup, ctx) -> list | None:
                                                rows)):
                 column[owner].append(node)
         return column
+    if isinstance(expr, TupledSeq) and isinstance(expr.inner, PathApply):
+        walked = _path_rows(expr.inner, batch, env, ctx)
+        if walked is None:
+            return None
+        return SeqColumn(expr.attr, *_walk_items(walked[0]), len(batch))
     if isinstance(expr, FuncCall):
         if expr.name == "zero-or-one" and len(expr.args) == 1 \
                 and isinstance(expr.args[0], PathApply):
@@ -424,9 +450,48 @@ def _expr_column(expr, batch: Batch, env: Tup, ctx) -> list | None:
         name = expr.name
         if not columns:
             return [call_function(name, []) for _ in range(len(batch))]
+        column = _text_lane(name, columns)
+        if column is not None:
+            return column
         return [call_function(name, list(values))
                 for values in zip(*columns)]
     return None
+
+
+def _numbers(texts: list[str]) -> list[float]:
+    return list(map(float, texts))
+
+
+#: column forms of the atomizing functions the unnested plans carry,
+#: by (name, arity): the string values of a one-node-per-row column,
+#: then the broadcast string arguments
+_TEXT_LANES = {
+    ("string", 1): list,
+    ("data", 1): lambda texts: [[text] for text in texts],
+    ("decimal", 1): _numbers,
+    ("number", 1): _numbers,
+    ("contains", 2): lambda texts, part: [part in text for text in texts],
+    ("starts-with", 2): lambda texts, prefix: list(
+        map(str.startswith, texts, repeat(prefix))),
+}
+
+
+def _text_lane(name: str, columns: list):
+    """``name(node column, broadcast strings…)`` for the functions of
+    :data:`_TEXT_LANES`: the string values read once off the arena and
+    converted in one pass.  None — the per-row ``call_function`` arm,
+    which also raises the proper error — for any other function or
+    argument shape, and for text ``decimal`` cannot convert."""
+    lane = _TEXT_LANES.get((name, len(columns)))
+    if lane is None or type(columns[0]) is not NodeColumn or not all(
+            type(column) is BroadcastColumn and column
+            and type(column[0]) is str for column in columns[1:]):
+        return None
+    try:
+        return lane(columns[0].string_values(),
+                    *(column[0] for column in columns[1:]))
+    except ValueError:
+        return None
 
 
 def _zero_or_one_column(expr: PathApply, batch: Batch, env: Tup, ctx):
@@ -455,10 +520,9 @@ def _zero_or_one_column(expr: PathApply, batch: Batch, env: Tup, ctx):
 def _predicate_mask(pred, batch: Batch, env: Tup, ctx
                     ) -> list[bool] | None:
     """``pred`` as a boolean mask over the batch (one vectorized pass
-    per comparison), or None when the predicate needs the row-at-a-time
-    interpreter (quantifiers, nested plans, function calls...)."""
-    if isinstance(pred, Const):
-        return [effective_boolean(pred.value)] * len(batch)
+    per comparison; any other expression :func:`_expr_column` takes,
+    by effective boolean value), or None when the predicate needs the
+    row-at-a-time interpreter (quantifiers, nested plans...)."""
     if isinstance(pred, And) or isinstance(pred, Or):
         masks = []
         for term in pred.terms:
@@ -482,7 +546,23 @@ def _predicate_mask(pred, batch: Batch, env: Tup, ctx
         if right is None:
             return None
         return compare_columns(left, pred.op, right)
-    return None
+    if isinstance(pred, FuncCall) and _applies_path(pred):
+        # exists(path) and the like are decided row by row: the
+        # evaluator stops a walk at its first witness
+        return None
+    values = _expr_column(pred, batch, env, ctx)
+    return None if values is None else list(map(effective_boolean, values))
+
+
+def _row_mask(pred, batch: Batch, env: Tup, ctx) -> list[bool]:
+    """``pred`` of every row: the columnar pass, or — for a predicate
+    it cannot take, and only to fill the mask — row at a time through
+    :func:`~repro.engine.pipeline.boolean_subscript`."""
+    mask = _attempt(_predicate_mask, pred, batch, env, ctx)
+    if mask is None:
+        mask = [boolean_subscript(pred, scalar_env(env, t), ctx)
+                for t in batch.to_rows()]
+    return mask
 
 
 # ----------------------------------------------------------------------
@@ -630,8 +710,9 @@ def _rename(plan: Rename, ctx, env: Tup, path) -> Batch:
 
 
 def _distinct(plan: DistinctProject, ctx, env: Tup, path) -> Batch:
-    return Batch.from_rows(
-        distinct_rows(plan, _child_rows(plan, 0, ctx, env, path)))
+    batch = _child(plan, 0, ctx, env, path).project(plan.attributes)
+    firsts = group_ids(row_keys(batch, plan.attributes))[1]
+    return batch.take(firsts).rename(plan.renaming)
 
 
 def _map(plan: Map, ctx, env: Tup, path) -> Batch:
@@ -683,11 +764,9 @@ def _unnest_map_fast(plan: UnnestMap, batch: Batch, env: Tup,
     if walked is None:
         return None
     walks, aligned = walked
-    column = _node_column([(arena, rows) for arena, _, rows in walks])
+    indices, column = _walk_items(walks)
     if aligned:  # one item per row: nothing moves
         return batch.with_column(plan.attr, column)
-    indices = walks[0][1] if len(walks) == 1 \
-        else [o for walk in walks for o in walk[1]]
     return batch.replicate(indices, plan.attr, column)
 
 
@@ -725,13 +804,12 @@ def _unnest_map_partitioned(plan: UnnestMap, batch: Batch, env: Tup,
 
 
 def _unnest(plan: Unnest, ctx, env: Tup, path) -> Batch:
-    return Batch.from_rows(
-        plan.evaluate_rows(_child_rows(plan, 0, ctx, env, path)))
+    return unnest_batch(plan, _child(plan, 0, ctx, env, path))
 
 
 def _sort(plan: Sort, ctx, env: Tup, path) -> Batch:
-    rows = _child_rows(plan, 0, ctx, env, path)
-    return Batch.from_rows(sorted(rows, key=plan.sort_tuple))
+    batch = _child(plan, 0, ctx, env, path)
+    return batch.take(sort_permutation(plan, batch))
 
 
 def _elided_sort(plan: ElidedSort, ctx, env: Tup, path) -> Batch:
@@ -745,7 +823,7 @@ def _elided_sort(plan: ElidedSort, ctx, env: Tup, path) -> Batch:
 
 
 # ----------------------------------------------------------------------
-# Binary and grouping operators (shared row algorithms)
+# Binary and grouping operators
 # ----------------------------------------------------------------------
 def _cross(plan: Cross, ctx, env: Tup, path) -> Batch:
     left = _child(plan, 0, ctx, env, path)
@@ -793,9 +871,32 @@ def _outer_join(plan: OuterJoin, ctx, env: Tup, path) -> Batch:
         _child(plan, 1, ctx, env, path), env, ctx))
 
 
+def _aggregate(agg, batch: Batch, ids: list[int], groups: int,
+               env: Tup, ctx) -> list:
+    """f of every group, the aggregate's σ decided as a row mask."""
+    mask = None if agg.filter_pred is None \
+        else _row_mask(agg.filter_pred, batch, env, ctx)
+    return group_values(agg, batch, ids, groups, mask)
+
+
 def _group_unary(plan: GroupUnary, ctx, env: Tup, path) -> Batch:
-    return Batch.from_rows(group_unary_rows(
-        plan, _child_rows(plan, 0, ctx, env, path), env, ctx))
+    batch = _child(plan, 0, ctx, env, path)
+    if plan.theta != "=":
+        # General θ keeps the definitional form: one pass for the
+        # distinct keys, then a filter per key.
+        return Batch.from_rows(
+            plan.evaluate_rows(batch.to_rows(), env, ctx))
+    keys = row_keys(batch, plan.by_attrs)
+    ids, firsts = group_ids(keys)
+    result = batch.project(plan.by_attrs).take(firsts)
+    if any(map(matches_nothing, map(keys.__getitem__, firsts))):
+        # A NULL or NaN key still appears in the output (distinctness
+        # is by canonical key) but its group is empty: it = nothing.
+        live = [row for row, key in enumerate(keys)
+                if not matches_nothing(key)]
+        batch, ids = batch.take(live), [ids[row] for row in live]
+    return result.with_column(plan.group_attr, _aggregate(
+        plan.agg, batch, ids, len(firsts), env, ctx))
 
 
 def _group_binary(plan: GroupBinary, ctx, env: Tup, path) -> Batch:
@@ -805,8 +906,11 @@ def _group_binary(plan: GroupBinary, ctx, env: Tup, path) -> Batch:
 
 
 def _self_group(plan: SelfGroup, ctx, env: Tup, path) -> Batch:
-    return Batch.from_rows(self_group_rows(
-        plan, _child_rows(plan, 0, ctx, env, path), env, ctx))
+    batch = _child(plan, 0, ctx, env, path)
+    ids, firsts = group_ids(row_keys(batch, plan.key_attrs))
+    values = _aggregate(plan.agg, batch, ids, len(firsts), env, ctx)
+    return batch.with_column(plan.group_attr,
+                             list(map(values.__getitem__, ids)))
 
 
 # ----------------------------------------------------------------------
@@ -897,9 +1001,7 @@ def _group_commands(plan: GroupConstruct, batch: Batch, env: Tup, ctx):
     the state machine of ``GroupConstruct.emit_rows`` runs them on.
     None when a command needs the row loop."""
     count = len(batch)
-    keys = list(zip(*(key_column(batch.column(a))
-                      for a in plan.by_attrs))) \
-        if plan.by_attrs else [()] * count
+    keys = row_keys(batch, plan.by_attrs)
     starts = [i for i in range(count) if not i or keys[i] != keys[i - 1]]
     lasts = [i - 1 for i in starts[1:]] + [count - 1]
     columns = []

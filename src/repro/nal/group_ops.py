@@ -279,17 +279,20 @@ class SelfGroup(Operator):
 
     def evaluate(self, ctx, env: Tup = EMPTY_TUPLE) -> list[Tup]:
         rows = self.child.evaluate(ctx, env)
+        # One key object per row, used to build the groups and to look
+        # the value up again: a NaN key equals nothing, a second
+        # ``canonical_key`` of the same row included.
+        keys = [tuple(canonical_key(row[a]) for a in self.key_attrs)
+                for row in rows]
         groups: dict[tuple, list[Tup]] = {}
-        for row in rows:
-            key = tuple(canonical_key(row[a]) for a in self.key_attrs)
+        for key, row in zip(keys, rows):
             groups.setdefault(key, []).append(row)
         values: dict[tuple, Any] = {
             key: self.agg.apply(group, env, ctx)
             for key, group in groups.items()
         }
-        return [row.extend(self.group_attr, values[tuple(
-            canonical_key(row[a]) for a in self.key_attrs)])
-            for row in rows]
+        return [row.extend(self.group_attr, values[key])
+                for key, row in zip(keys, rows)]
 
     def label(self) -> str:
         return (f"ΓSelf[{self.group_attr}; ="

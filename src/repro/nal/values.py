@@ -65,6 +65,14 @@ class Tup:
     def __init__(self, data: dict[str, Any] | None = None):
         self._data: dict[str, Any] = dict(data) if data else {}
 
+    @classmethod
+    def adopt(cls, data: dict[str, Any]) -> "Tup":
+        """A tuple over ``data`` itself, not a copy: for constructors
+        that just built the dict and keep no other reference to it."""
+        self = cls.__new__(cls)
+        self._data = data
+        return self
+
     # -- mapping protocol ------------------------------------------------
     def __getitem__(self, attr: str) -> Any:
         try:
@@ -95,25 +103,27 @@ class Tup:
         duplicate attribute names, which the algebra never relies on)."""
         merged = dict(self._data)
         merged.update(other._data)
-        return Tup(merged)
+        return Tup.adopt(merged)
 
     def extend(self, attr: str, value: Any) -> "Tup":
         """``self ◦ [attr: value]``."""
         merged = dict(self._data)
         merged[attr] = value
-        return Tup(merged)
+        return Tup.adopt(merged)
 
     def project(self, attrs: Iterable[str]) -> "Tup":
         """Π over a list of attributes, in the order given."""
-        return Tup({a: self[a] for a in attrs})
+        return Tup.adopt({a: self[a] for a in attrs})
 
     def project_away(self, attrs: Iterable[str]) -> "Tup":
         drop = set(attrs)
-        return Tup({a: v for a, v in self._data.items() if a not in drop})
+        return Tup.adopt(
+            {a: v for a, v in self._data.items() if a not in drop})
 
     def rename(self, mapping: dict[str, str]) -> "Tup":
         """Rename attributes ``old -> new``; other attributes untouched."""
-        return Tup({mapping.get(a, a): v for a, v in self._data.items()})
+        return Tup.adopt(
+            {mapping.get(a, a): v for a, v in self._data.items()})
 
     # -- equality --------------------------------------------------------
     def __eq__(self, other: object) -> bool:
@@ -452,6 +462,8 @@ def sort_key(value: Any) -> tuple:
         return (6, tuple(sort_key(v) for _, v in value.items()))
     if isinstance(value, Node):
         value = value.string_value()
+    if isinstance(value, str):
+        return text_sort_key(value)
     number = _as_number(value)
     if number is not None:
         if number != number:  # NaN: give it one deterministic slot
@@ -460,3 +472,14 @@ def sort_key(value: Any) -> tuple:
     if isinstance(value, bool):
         return (3, value)
     return (4, str(value))
+
+
+def text_sort_key(text: str) -> tuple:
+    """:func:`sort_key` of a string (and so of a node's string value)
+    — what a whole string column is keyed through; text that cannot be
+    a number skips the ``float()`` raise-and-catch, as in
+    :func:`text_key`."""
+    kind, value = text_key(text)
+    if kind == "s":
+        return (4, text)
+    return (1, 0.0) if value != value else (2, value)

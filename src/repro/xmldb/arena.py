@@ -387,8 +387,9 @@ class Arena:
     # ------------------------------------------------------------------
     def step_rows(self, pres, axis: str, name: str
                   ) -> tuple[list[int] | None, list[int], int]:
-        """One ``child::name`` / ``descendant::name`` step from a whole
-        column of context rows: ``(owners, rows, visits)`` where
+        """One ``child::name`` / ``descendant::name`` /
+        ``attribute::name`` step from a whole column of context rows:
+        ``(owners, rows, visits)`` where
         ``rows`` are the result rows grouped per context in input
         order (document order inside a group) and ``owners[i]`` is the
         position in ``pres`` of the context ``rows[i]`` came from.
@@ -398,8 +399,9 @@ class Arena:
 
         ``visits`` is what the XPath evaluator records for the same
         walk — the children scanned by a child step
-        (``child_counts``), the hits of a descendant step — so scan
-        statistics stay exact without building a child list.
+        (``child_counts``), the hits of a descendant step, nothing for
+        an attribute step — so scan statistics stay exact without
+        building a child list.
 
         Any context column is accepted (unsorted, duplicated, nested:
         every context is answered by bisecting the tag's pre list to
@@ -411,6 +413,23 @@ class Arena:
         bisecting per context reads fewer rows."""
         owners: list[int] = []
         rows: list[int] = []
+        if axis == "attribute":
+            # the attribute rows directly follow their element's row;
+            # the evaluator charges no visit for reading them
+            kinds, name_ids = self.kinds, self.name_ids
+            name_id = self._name_to_id.get(name)
+            for i, pre in enumerate(pres):
+                if kinds[pre] is not NodeKind.ELEMENT:
+                    continue
+                row = pre + 1
+                while row < self.ends[pre] \
+                        and kinds[row] is NodeKind.ATTRIBUTE:
+                    if name_ids[row] == name_id:
+                        owners.append(i)
+                        rows.append(row)
+                        break
+                    row += 1
+            return (None if len(rows) == len(pres) else owners), rows, 0
         child = axis == "child"
         visits = sum(map(self.child_counts.__getitem__, pres)) \
             if child else 0

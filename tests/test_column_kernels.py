@@ -1,0 +1,319 @@
+"""The default engine's column kernels — Γ (θ ``=``), ΓSelf, ΠD, Sort,
+µ / µD, the ``@attr`` step and χ's function lanes — against
+``mode="reference"`` on generated batches: equal rows in equal order,
+equal ``document_scans`` and ``node_visits``.
+
+Batches come as ``Table`` rows (plain value columns, builder-tree
+nodes among them) and as scans of one generated document registered
+three ways — a builder tree, parsed text, and a version republished by
+an ``Insert`` (lazy handle tables) — so node-valued key columns arrive
+as :class:`~repro.engine.batch.NodeColumn` over every arena kind."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import Insert
+from repro.api import Database
+from repro.engine.batch import Batch, NodeColumn, SeqColumn
+from repro.engine.context import EvalContext
+from repro.engine.executor import execute
+from repro.engine.kernels import group_ids
+from repro.engine.vectorized import run_vectorized
+from repro.errors import EvaluationError
+from repro.nal import (
+    NULL,
+    AggSpec,
+    DistinctProject,
+    GroupUnary,
+    Map,
+    Select,
+    SelfGroup,
+    Singleton,
+    Sort,
+    Table,
+    Tup,
+    Unnest,
+    UnnestMap,
+)
+from repro.nal.scalar import (
+    AttrRef,
+    Comparison,
+    Const,
+    DocAccess,
+    FuncCall,
+    In,
+    PathApply,
+    TupledSeq,
+)
+from repro.xmldb.node import Node, element
+from repro.xmldb.parser import parse_document
+from repro.xpath.ast import Path
+from repro.xpath.parser import parse_path
+
+NAN = float("nan")
+#: every value kind a key column can hold; sequences last
+KEYS = (1, "1", 1.0, -0.0, 0, 2, "2.0", NAN, "NaN", NULL, True, False,
+        "", "x", "I007", element("k", "1"), element("k", "x"),
+        [1, "a"], [])
+ATOMIC_KEYS = KEYS[:-2]
+NUMBERS = (1, 2.5, "3", 4, -1.0)
+
+MASKABLE = Comparison(AttrRef("v"), ">", Const(2))
+NOT_MASKABLE = In(AttrRef("v"), Const([1, "3", 4]))
+FILTERS = (None, MASKABLE, NOT_MASKABLE)
+AGGREGATES = tuple(
+    AggSpec(kind, attr, pred)
+    for kind, attr in (("id", None), ("project", "v"), ("count", None),
+                       ("sum", "v"), ("min", "v"), ("max", "v"),
+                       ("avg", "v"))
+    for pred in FILTERS)
+
+
+def exact(value):
+    """A value as something ``==`` compares exactly: ``Tup`` equality
+    goes through canonical keys, under which ``"NaN"`` differs from
+    itself and ``1`` equals ``"1.0"`` — here atoms compare by type and
+    spelling, nodes by identity, tuples by their bindings."""
+    if isinstance(value, Tup):
+        return tuple(sorted((a, exact(v)) for a, v in value.items()))
+    if isinstance(value, (list, tuple)):
+        return [exact(v) for v in value]
+    return id(value) if isinstance(value, Node) else repr(value)
+
+
+def agree(plan, store=None):
+    """Default ≡ reference: rows in order, scans and visits — or the
+    same error."""
+    store = Database().store if store is None else store
+    try:
+        reference = execute(plan, store, mode="reference")
+    except EvaluationError:
+        with pytest.raises(EvaluationError):
+            execute(plan, store)
+        return None
+    default = execute(plan, store)
+    assert exact(default.rows) == exact(reference.rows)
+    assert default.stats["document_scans"] \
+        == reference.stats["document_scans"]
+    assert default.stats["node_visits"] == reference.stats["node_visits"]
+    return default
+
+
+def tables(keys=KEYS, max_size=8):
+    """Rows ``(i, k1, k2, v)``: ``i`` tells equal-keyed rows apart."""
+    row = st.tuples(st.sampled_from(range(len(keys))),
+                    st.sampled_from(range(len(keys))),
+                    st.sampled_from(NUMBERS))
+    return st.lists(row, max_size=max_size).map(lambda rows: Table(
+        "T", ["i", "k1", "k2", "v"],
+        [{"i": i, "k1": keys[a], "k2": keys[b], "v": v}
+         for i, (a, b, v) in enumerate(rows)]))
+
+
+# ----------------------------------------------------------------------
+# Value columns
+# ----------------------------------------------------------------------
+@settings(max_examples=150, deadline=None)
+@given(tables(ATOMIC_KEYS), st.sampled_from(AGGREGATES), st.booleans())
+def test_group_unary_agrees(table, agg, two_keys):
+    by = ["k1", "k2"] if two_keys else ["k1"]
+    agree(GroupUnary(table, "g", by, "=", agg))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables(), st.sampled_from(AGGREGATES), st.booleans())
+def test_self_group_agrees(table, agg, two_keys):
+    keys = ["k1", "k2"] if two_keys else ["k1"]
+    agree(SelfGroup(table, "g", keys, agg))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables(), st.booleans(), st.booleans())
+def test_distinct_project_agrees(table, two_keys, renamed):
+    attrs = ["k1", "k2"] if two_keys else ["k1"]
+    agree(DistinctProject(table, attrs, {"k1": "z"} if renamed else None))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables(max_size=12), st.booleans(), st.booleans(), st.booleans())
+def test_sort_agrees(table, two_keys, first_desc, second_desc):
+    """Mixed types, NaN and empty ranks, ties (``i`` shows stability),
+    either direction per attribute."""
+    attrs = ["k1", "k2"] if two_keys else ["k1"]
+    agree(Sort(table, attrs, [first_desc, second_desc][:len(attrs)]))
+
+
+def test_empty_input():
+    empty = Table("T", ["i", "k1", "k2", "v"], [])
+    for agg in AGGREGATES:
+        assert agree(GroupUnary(empty, "g", ["k1"], "=", agg)).rows == []
+        assert agree(SelfGroup(empty, "g", ["k1"], agg)).rows == []
+    assert agree(DistinctProject(empty, ["k1"])).rows == []
+    assert agree(Sort(empty, ["k1"])).rows == []
+    assert agree(Unnest(empty, "v", ["x"], dedup=True,
+                        preserve_empty=True)).rows == []
+    # no grouping attribute: one group holding everything
+    table = Table("T", ["v"], [{"v": 1}, {"v": 4}])
+    assert agree(GroupUnary(table, "g", [], "=", AggSpec("sum", "v"))) \
+        .rows == [Tup({"g": 5.0})]
+
+
+def test_group_ids_number_groups_by_first_occurrence():
+    ids, firsts = group_ids(["b", "a", "b", "c", "a"])
+    assert ids == [0, 1, 0, 2, 1]
+    assert firsts == [0, 1, 3]
+    assert group_ids([]) == ([], [])
+
+
+ITEMS = (1, "1", 1.0, "x", "x", NAN, True, "", element("k", "x"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(
+    st.just(NULL), st.lists(st.sampled_from(range(len(ITEMS))),
+                            max_size=4)), max_size=6),
+       st.booleans(), st.booleans(), st.booleans())
+def test_unnest_agrees_on_sequence_values(sequences, dedup,
+                                          preserve_empty, tupled):
+    """Empty, NULL and duplicate-bearing sequences, of bare items and
+    of item tuples."""
+    def items(picks):
+        if picks is NULL:
+            return NULL
+        return [Tup({"x": ITEMS[i]}) if tupled else ITEMS[i]
+                for i in picks]
+    table = Table("T", ["i", "s"], [{"i": i, "s": items(picks)}
+                                    for i, picks in enumerate(sequences)])
+    agree(Unnest(table, "s", ["x"], dedup=dedup,
+                 preserve_empty=preserve_empty))
+
+
+def test_unnest_of_whole_groups():
+    """µ over Γ[id]: item tuples of several attributes."""
+    table = Table("T", ["k", "v"], [{"k": k, "v": v} for k, v in
+                                    ((1, "a"), (2, "b"), (1, "a"))])
+    grouped = Map(GroupUnary(table, "g", ["k"], "=", AggSpec("id")),
+                  "n", Const(0))
+    for dedup in (False, True):
+        agree(Unnest(grouped, "g", ["k", "v"], dedup=dedup))
+
+
+# ----------------------------------------------------------------------
+# Node columns over every arena kind
+# ----------------------------------------------------------------------
+TEXTS = ("1", "1.0", "x", "", "NaN", "I007", "-0.0", "2")
+
+
+def _entry(key: int, year: int | None, kids: list[int]):
+    attrs = {} if year is None else {"y": TEXTS[year], "z": "0"}
+    return element("e", element("k", TEXTS[key]),
+                   *(element("a", element("n", TEXTS[kid]))
+                     for kid in kids), **attrs)
+
+
+entries = st.lists(st.tuples(
+    st.sampled_from(range(len(TEXTS))),
+    st.one_of(st.none(), st.sampled_from(range(len(TEXTS)))),
+    st.lists(st.sampled_from(range(len(TEXTS))), max_size=3)),
+    min_size=1, max_size=7)
+
+
+def _databases(rows):
+    """The same document as a builder tree, as parsed text, and after
+    an ``Insert`` republished it."""
+    def tree(upto=None):
+        return element("r", *(_entry(*row) for row in rows[:upto]))
+    built, parsed, updated = Database(), Database(), Database()
+    built.register_tree("d.xml", tree())
+    from repro.xmldb.serialize import serialize
+    parsed.register_text("d.xml", serialize(tree()))
+    updated.register_tree("d.xml", tree(-1))
+    updated.update("d.xml", Insert(0, len(rows) - 1, _entry(*rows[-1])))
+    assert parse_document(serialize(tree())).root.string_value() \
+        == updated.store.get("d.xml").root.string_value()
+    return built, parsed, updated
+
+
+def _scan():
+    """``e`` per entry, ``k`` its key element (one per row), ``y`` its
+    ``@y`` (NULL where missing), ``v`` a number."""
+    def one(path):
+        return FuncCall("zero-or-one",
+                        [PathApply(AttrRef("e"), parse_path(path))])
+    plan = UnnestMap(Singleton(), "e", PathApply(
+        DocAccess("d.xml"),
+        Path(parse_path("//e").steps, absolute=False)))
+    plan = Map(Map(plan, "k", one("k")), "y", one("@y"))
+    return Map(plan, "v", Const(3))
+
+
+def _node_plans():
+    scan = _scan()
+    authors = Map(scan, "w", TupledSeq(
+        PathApply(AttrRef("e"), parse_path("a")), "w_i"))
+    plans = [
+        scan,
+        Select(scan, Comparison(AttrRef("y"), "<=", Const(1))),
+        Map(scan, "s", FuncCall("string", [AttrRef("k")])),
+        Map(scan, "s", FuncCall("data", [AttrRef("k")])),
+        Map(scan, "s", FuncCall("decimal", [AttrRef("k")])),
+        Map(scan, "s", FuncCall("number", [AttrRef("y")])),
+        Select(scan, FuncCall("contains", [AttrRef("k"), Const("0")])),
+        Select(scan, FuncCall("starts-with", [AttrRef("k"), Const("I")])),
+        Select(scan, FuncCall("contains", [AttrRef("k"), Const(0)])),
+        DistinctProject(scan, ["k"]),
+        DistinctProject(scan, ["y", "k"], {"y": "year"}),
+        Sort(scan, ["k"]), Sort(scan, ["y", "k"], [True, False]),
+        # the sequence column degrades for every other consumer
+        authors, Select(authors, Comparison(AttrRef("k"), "=", Const(1))),
+        SelfGroup(authors, "g", ["k"], AggSpec("id")),
+    ]
+    for agg in (AggSpec("count"), AggSpec("count", None, MASKABLE),
+                AggSpec("count", None, Comparison(
+                    AttrRef("y"), "<=", Const(1))),
+                AggSpec("min", "k"), AggSpec("project", "e"),
+                AggSpec("id", None, NOT_MASKABLE)):
+        plans.append(GroupUnary(scan, "g", ["k"], "=", agg))
+        plans.append(GroupUnary(scan, "g", ["y", "k"], "=", agg))
+        plans.append(SelfGroup(scan, "g", ["k"], agg))
+    for dedup in (False, True):
+        for preserve_empty in (False, True):
+            unnested = Unnest(Map(authors, "t", Const(0)), "w", ["w_i"],
+                              dedup=dedup, preserve_empty=preserve_empty)
+            plans.append(unnested)
+            plans.append(Sort(Map(unnested, "s", FuncCall(
+                "string", [AttrRef("w_i")])), ["s"]))
+    return plans
+
+
+@settings(max_examples=25, deadline=None)
+@given(entries)
+def test_node_columns_agree_on_every_arena_kind(rows):
+    for db in _databases(rows):
+        for plan in _node_plans():
+            agree(plan, db.store)
+
+
+def test_scan_columns_are_the_column_types_the_kernels_read():
+    """The differential above is about these lanes, not about a row
+    fallback that happens to agree."""
+    db = _databases([(0, 1, [2, 2]), (2, None, []), (0, 3, [4])])[1]
+    ctx = EvalContext(db.store)
+    batch = run_vectorized(_scan(), ctx)
+    assert type(batch.column("k")) is NodeColumn
+    assert batch.column("y")[1] is NULL          # no @y on the second
+    authors = run_vectorized(Map(_scan(), "w", TupledSeq(
+        PathApply(AttrRef("e"), parse_path("a")), "w_i")), ctx)
+    column = authors.column("w")
+    assert type(column) is SeqColumn
+    assert column.owners == [0, 0, 2] and type(column.items) is NodeColumn
+    assert [len(seq) for seq in column] == [2, 0, 1]
+    unnested = run_vectorized(Unnest(Map(_scan(), "w", TupledSeq(
+        PathApply(AttrRef("e"), parse_path("a")), "w_i")),
+        "w", ["w_i"], dedup=True), ctx)
+    assert type(unnested.column("w_i")) is NodeColumn
+    assert len(unnested) == 2
+    assert isinstance(Batch.from_rows([]).column("anything"), list)

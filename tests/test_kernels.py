@@ -1,6 +1,7 @@
-"""The hash-based row kernels (run through the vectorized engine) must
-agree with the reference semantics, and their hash paths must engage
-for equality predicates."""
+"""The hash kernels (row kernels for the joins, column kernels for
+grouping and ΠD — all run through the vectorized engine) must agree
+with the reference semantics, and their hash paths must engage for
+equality predicates."""
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.engine.vectorized import run_vectorized
 from repro.nal import (
     AggSpec,
     AntiJoin,
+    DistinctProject,
     GroupBinary,
     GroupUnary,
     Join,
@@ -119,6 +121,11 @@ def test_group_binary_agrees(ctx, r1, r2):
 
 def test_self_group_agrees(ctx, r2):
     both(SelfGroup(r2, "n", ["A2"], AggSpec("count")), ctx)
+
+
+def test_distinct_project_agrees(ctx, r2):
+    out = both(DistinctProject(r2, ["A2"], {"A2": "A"}), ctx)
+    assert [t["A"] for t in out] == [1, 2]
 
 
 def test_string_number_key_coercion_in_hash_join(ctx):

@@ -169,6 +169,29 @@ def test_reference_and_default_agree_on_paper_queries(key):
                                 f"{key}/{alt.label}")
 
 
+def test_nan_group_key_has_an_empty_group_in_every_plan():
+    """``NaN = NaN`` is false, so under Q6's shape an item numbered
+    ``NaN`` has no bids — whichever alternative answers, on either
+    engine.  (The default engine's Γ used to empty only NULL-keyed
+    groups, so its ``grouping`` plan let each NaN count itself.)"""
+    from repro.datagen import BIDS_DTD
+    db = Database()
+    db.register_text("bids.xml", "<bids>" + "".join(
+        f"<bidtuple><userid>u</userid><itemno>{no}</itemno>"
+        f"<bid>1</bid><biddate>d</biddate></bidtuple>"
+        for no in ("NaN", "7", "NaN", "x", "7")) + "</bids>",
+        dtd_text=BIDS_DTD)
+    q = compile_query(PAPER_QUERIES["q6"].text.replace(">= 3", ">= 1"),
+                      db)
+    assert {alt.label for alt in q.plans()} \
+        == {"nested", "grouping", "outerjoin", "nestjoin"}
+    for alt in q.plans():
+        for mode in ("vectorized", "reference"):
+            assert output_blocks(db.execute(alt.plan, mode=mode).output) \
+                == ["<popular-item>7</popular-item>",
+                    "<popular-item>x</popular-item>"], (alt.label, mode)
+
+
 @pytest.mark.parametrize("key,visits,all_tuples", (
     ("q3", 2240, 2240), ("q4", 11996, 12480), ("q5", 9724, 11968)))
 def test_first_witness_node_visits_are_exact(key, visits, all_tuples):

@@ -461,8 +461,8 @@ def test_lane_is_chosen_by_expression_type(lanes):
             (CONSTRUCT_QUERIES[1], True),      # {$x/b}: the step kernel
             (CONSTRUCT_QUERIES[10], False),    # data(path)
             (CONSTRUCT_QUERIES[9], False),     # count(path)
-            (CONSTRUCT_QUERIES[4], False),     # attribute axis
-            (CONSTRUCT_QUERIES[5], False),     # … after a columnar path
+            (CONSTRUCT_QUERIES[4], True),      # attribute axis: a step
+            (CONSTRUCT_QUERIES[5], True),      # … after a columnar path
             (CONSTRUCT_QUERIES[11], True)):    # {$t}: a χ's nested plan
         lanes.check(best(text), db.store, columnar=columnar)
     # observing does not change the lane
@@ -659,10 +659,15 @@ def _constructions(db: Database, plan, monkeypatch) -> tuple[int, int]:
     made: list[int] = []
     looked_up: list[int] = []
     new_tup, lookup = Tup.__init__, LazyNodes.__getitem__
+    adopt = Tup.adopt.__func__
 
     def counting_tup(self, data=None):
         made.append(1)
         new_tup(self, data)
+
+    def counting_adopt(cls, data):
+        made.append(1)
+        return adopt(cls, data)
 
     def counting_lookup(self, pre):
         looked_up.append(pre)
@@ -673,6 +678,7 @@ def _constructions(db: Database, plan, monkeypatch) -> tuple[int, int]:
     db.execute(plan)                    # builds the lazy indexes
     with monkeypatch.context() as patch:
         patch.setattr(Tup, "__init__", counting_tup)
+        patch.setattr(Tup, "adopt", classmethod(counting_adopt))
         patch.setattr(LazyNodes, "__getitem__", counting_lookup)
         result = db.execute(plan)
     assert result.output == db.execute(plan, mode="reference").output \
@@ -696,18 +702,50 @@ def test_served_templates_construct_no_tup_and_no_handle(
 
 def test_popular_items_constructs_only_gammas_rows(lazy_auction,
                                                    monkeypatch):
-    """``popular-items`` groups: ``string($w3)`` is a function call
-    per row (one handle each) and Γ is a row kernel, so its 400 input
-    rows become ``Tup``s holding their ``$r1`` / ``$w3`` handles, plus
-    a key and an output tuple per group — and nothing else constructs
-    anything, ×, Ξ and the result included."""
+    """``popular-items`` groups: ``string($w3)`` reads the string
+    values off the arena, Γ[count] folds group ids over the key column
+    and its output is a ``take`` of first rows plus one value column —
+    no ``Tup``, no handle, ×, σ, Ξ and the result included."""
     db = lazy_auction
     plan = compile_query(ledger_query(ledger.POPULAR_ITEMS, 3),
                          db).best().plan
-    bids = db.store.get("bids.xml").arena
-    groups = len(set(bids.string_values(bids.tag_rows("itemno"))))
-    assert _constructions(db, plan, monkeypatch) \
-        == (400 + 2 * groups, 3 * 400)
+    assert "Γ[" in plan_to_string(plan)
+    assert _constructions(db, plan, monkeypatch) == (0, 0)
+
+
+@pytest.fixture
+def lazy_paper() -> Database:
+    """The ``paper-unnested`` corpus at books=40 / bids=40 (after one
+    delete each), every document republished by that update."""
+    from repro.datagen import (BIB_DTD, PRICES_DTD, REVIEWS_DTD,
+                               generate_bib, generate_prices,
+                               generate_reviews)
+    db = Database()
+    for name, tree, dtd, tag in (
+            ("bib.xml", generate_bib(41, 2, seed=7), BIB_DTD, "book"),
+            ("prices.xml", generate_prices(41, seed=7), PRICES_DTD,
+             "book"),
+            ("reviews.xml", generate_reviews(21, seed=7), REVIEWS_DTD,
+             "entry"),
+            ("bids.xml", generate_bids(41, items=8, seed=7), BIDS_DTD,
+             "bidtuple")):
+        db.register_tree(name, tree, dtd_text=dtd)
+        db.update(name, Delete(db.store.get(name).arena.tag_rows(tag)[3]))
+    return db
+
+
+@pytest.mark.parametrize("key,operators", (
+    ("q1", ("µD[", "Sort[", "ΞG[")), ("q2", ("Γ[", "decimal(")),
+    ("q3", ("⋉[",)), ("q4", ("ΓSelf[", "contains(")),
+    ("q5", ("Γ[", "/@year")), ("q6", ("Γ[",))))
+def test_unnested_paper_plans_construct_no_tup_and_no_handle(
+        lazy_paper, monkeypatch, key, operators):
+    """The plans the rewriter chooses for Q1–Q6 go scan → group / sort
+    / unnest → output text on columns alone."""
+    from repro.bench.queries import PAPER_QUERIES
+    plan = compile_query(PAPER_QUERIES[key].text, lazy_paper).best().plan
+    assert all(op in plan_to_string(plan) for op in operators)
+    assert _constructions(lazy_paper, plan, monkeypatch) == (0, 0)
 
 
 def test_update_mix_reads_construct_no_tup_and_no_handle(
