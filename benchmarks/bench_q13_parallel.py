@@ -32,8 +32,6 @@ from __future__ import annotations
 import os
 import sys
 
-import pytest
-
 from repro.api import CompiledQuery, Database, compile_query
 from repro.bench.harness import write_json
 from repro.datagen import ITEMS_DTD, generate_items
@@ -57,8 +55,6 @@ return <pricey>{ $i1/itemno }</pricey>
 ''',
 }
 
-SIZES = ((150, 600), (400, 1600))
-
 _CACHE: dict[tuple[int, int],
              tuple[Database, dict[str, CompiledQuery]]] = {}
 
@@ -79,19 +75,6 @@ def compiled(per_shard: int, range_items: int, seed: int = 7
         _CACHE[key] = (db, {name: compile_query(text, db)
                             for name, text in Q13_QUERIES.items()})
     return _CACHE[key]
-
-
-@pytest.mark.parametrize("per_shard,range_items", SIZES)
-@pytest.mark.parametrize("mode", (DEFAULT_MODE, "parallel"))
-@pytest.mark.parametrize("query", tuple(Q13_QUERIES))
-def test_q13_by_size(benchmark, query, mode, per_shard, range_items):
-    db, queries = compiled(per_shard, range_items)
-    plan = queries[query].best().plan
-    benchmark.group = (f"q13 {query}, per_shard={per_shard} "
-                       f"range={range_items}")
-    workers = WORKERS if mode == "parallel" else None
-    benchmark(lambda: db.execute(plan, mode=mode,
-                                 workers=workers).output)
 
 
 def speedup_at(query: str, per_shard: int, range_items: int,

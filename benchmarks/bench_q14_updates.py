@@ -39,8 +39,6 @@ from __future__ import annotations
 import sys
 import time
 
-import pytest
-
 from repro.api import Database, compile_query
 from repro.bench.harness import write_json
 from repro.datagen import ITEMS_DTD, generate_items
@@ -94,29 +92,6 @@ def assert_differential(db: Database, plan) -> None:
         "updated store diverged from re-parse-from-scratch"
     assert serialize(db.store.get("items.xml").root) == \
         serialize(scratch.store.get("items.xml").root)
-
-
-@pytest.mark.parametrize("items", (500, 2000))
-def test_q14_update_latency(benchmark, items):
-    db = build_db(items)
-    counter = iter(range(10 ** 9))
-    benchmark.group = f"q14 update, items={items}"
-    benchmark(lambda: db.update(
-        "items.xml",
-        Replace(nth_item_pre(db, 0), replacement(next(counter)))))
-
-
-@pytest.mark.parametrize("items", (500, 2000))
-def test_q14_reregister_latency(benchmark, items):
-    db = build_db(items)
-    text = serialize(db.store.get("items.xml").root)
-    benchmark.group = f"q14 re-register, items={items}"
-
-    def rereg():
-        db.unregister("items.xml")
-        db.register_text("items.xml", text, dtd_text=ITEMS_DTD)
-
-    benchmark(rereg)
 
 
 def measure(items: int, seed: int = 7) -> dict:

@@ -28,7 +28,8 @@ Invariants (relied on throughout the vectorized engine):
   :meth:`Batch.to_rows` — which the result of an execution reaches
   only when somebody reads ``ExecutionResult.rows``.  A
   :class:`SeqColumn` keeps a column of item sequences flat the same
-  way, for µ.
+  way — for µ, for ``$outer ∈ seq`` and through ``take`` (the σ of a
+  nested plan selects rows of one; nobody reads it afterwards).
 - **Selection vectors are owned by their creator.**  A selection vector
   (an ``array('q')`` of row indices) is created, filled and consumed by
   exactly one operator invocation; it is never stored in a batch or
@@ -42,9 +43,16 @@ from __future__ import annotations
 
 import operator
 from array import array
+from itertools import accumulate
 from typing import Any, Iterator
 
-from repro.nal.values import Tup, general_compare, iter_items
+from repro.nal.values import (
+    Tup,
+    canonical_key,
+    general_compare,
+    iter_items,
+    text_key,
+)
 from repro.xmldb.node import Node, NodeSequence
 
 #: ints beyond 2**53 are not exactly representable as floats; columns
@@ -107,10 +115,11 @@ class SeqColumn:
     """A column of item-tuple sequences — what ``χ[a: path[item]]``
     binds — held flat, the way the path walk produced it: ``items``
     (one value per item, a column itself) and ``owners[i]``, the row
-    ``items[i]`` belongs to, ascending.  µ / µD read the two lists as
-    they are; as a sequence it degrades, like the other column types,
-    to what ``TupledSeq.evaluate`` returns per row: a list of
-    single-attribute ``Tup``s."""
+    ``items[i]`` belongs to, ascending.  µ / µD and the ``∈`` lane read
+    the two lists as they are, and :meth:`take` keeps them; as a
+    sequence it degrades, like the other column types, to what
+    ``TupledSeq.evaluate`` returns per row: a list of single-attribute
+    ``Tup``s."""
 
     __slots__ = ("attr", "owners", "items", "_length", "_lists")
 
@@ -139,10 +148,25 @@ class SeqColumn:
             self._lists = lists
         return self._lists
 
+    def take(self, indices) -> "SeqColumn":
+        """Still flat: the items of row ``indices[k]`` become the items
+        of row ``k``."""
+        ends = [0] * (self._length + 1)  # row r owns items[ends[r]:ends[r+1]]
+        for owner in self.owners:
+            ends[owner + 1] += 1
+        ends = list(accumulate(ends))
+        picked: list[int] = []
+        owners: list[int] = []
+        for row, source in enumerate(indices):
+            picked.extend(range(ends[source], ends[source + 1]))
+            owners.extend([row] * (ends[source + 1] - ends[source]))
+        return SeqColumn(self.attr, owners, _take(self.items, picked),
+                         len(indices))
+
 
 def _take(column, indices) -> list:
     """Rows ``indices`` of one column, in that order."""
-    if type(column) is NodeColumn:
+    if type(column) is NodeColumn or type(column) is SeqColumn:
         return column.take(indices)
     return [column[i] for i in indices]
 
@@ -401,12 +425,40 @@ def _item_number(item: Any):
         return _NOT_NUMERIC
 
 
+def key_column(values) -> list:
+    """``canonical_key`` of every row of one column.  A
+    :class:`NodeColumn` is keyed off the arena's string values (what
+    ``canonical_key`` does with a node handle, minus the handle)."""
+    if type(values) is NodeColumn:
+        return list(map(text_key, values.string_values()))
+    return list(map(canonical_key, values))
+
+
+def item_keys(values) -> list | None:
+    """:func:`key_column` of a column that holds exactly one atomic
+    item or node per row — or None, decided by the column's type
+    before any value is read (a broadcast boolean, NULL or sequence is
+    refused).  Equal keys then mean ``=``: a NaN key equals nothing,
+    because each one built from text holds a float of its own, and two
+    numbers never get here (the numeric lane compares them)."""
+    if type(values) is NodeColumn:
+        return key_column(values)
+    if type(values) is BroadcastColumn and values and (
+            type(values[0]) in (str, int, float)
+            or isinstance(values[0], Node)):
+        return [canonical_key(values[0])] * len(values)
+    return None
+
+
 def compare_columns(left: list, op: str, right: list) -> list[bool]:
     """Row-wise existential comparison of two raw-value columns.
 
     Semantically identical to calling
     :func:`~repro.nal.values.general_compare` per row; numeric columns
-    take a tight loop instead.
+    take a tight loop instead, and ``=`` between two
+    one-item-per-row columns (the correlation test of a nested plan:
+    ``attr = $outer``) compares canonical keys — the equivalence every
+    hash operator relies on.
     """
     left_nums = numeric_column(left)
     right_nums = None if left_nums is None else numeric_column(right)
@@ -416,6 +468,11 @@ def compare_columns(left: list, op: str, right: list) -> list[bool]:
             return list(map(compare, left_nums, right_nums))
         return [False if l is None or r is None else compare(l, r)
                 for l, r in zip(left_nums, right_nums)]
+    if op == "=":
+        left_keys = item_keys(left)
+        right_keys = None if left_keys is None else item_keys(right)
+        if right_keys is not None:
+            return list(map(operator.eq, left_keys, right_keys))
     return [general_compare(l, op, r) for l, r in zip(left, right)]
 
 

@@ -48,6 +48,11 @@ class EvalContext:
       and once per outer tuple of a nested subscript plan — when no
       deadline is set the cost is one attribute test, matching the
       tracer/metrics hook discipline.
+    - ``nested_engine`` — how the value of a nested subscript plan is
+      computed: the running engine's entry point
+      (:func:`~repro.engine.vectorized.run_vectorized` sets it for as
+      long as it runs), or ``None`` — the definitional ``evaluate``,
+      which is all the reference evaluator ever sees.
     - the Ξ output stream, appended to via :meth:`emit`.
     """
 
@@ -65,6 +70,7 @@ class EvalContext:
         #: message; the absolute ``deadline`` is what gets compared)
         self.deadline_budget = deadline_budget
         self.batch_buffers = BatchBuffers()
+        self.nested_engine = None
         self._output: list[str] = []
         #: when not None, the engine records per-operator (invocations,
         #: output rows) keyed by tree position (the pre-order path of

@@ -130,9 +130,11 @@ def execute(plan: Operator, store: DocumentStore,
     measure) uses the batch-at-a-time engine of
     :mod:`repro.engine.vectorized` — columns move through operators as
     flat arrays with selection-vector passes over the arena, joins and
-    groupings run the hash kernels of :mod:`repro.engine.kernels`, and
+    groupings run the hash kernels of :mod:`repro.engine.kernels`,
     quantifier / ``exists()`` subscripts stop at the first witness
-    (:mod:`repro.engine.pipeline`); ``mode="auto"`` resolves to it, or
+    (:mod:`repro.engine.pipeline`) and nested plans in value
+    subscripts run on the same engine, once per outer tuple;
+    ``mode="auto"`` resolves to it, or
     to ``"parallel"`` when a worker budget is set and the cost gate
     opens (:func:`repro.optimizer.cost.preferred_mode`);
     ``mode="reference"`` uses the definitional semantics (the oracle
@@ -162,8 +164,9 @@ def execute(plan: Operator, store: DocumentStore,
     the engine checks it at every operator invocation and once per
     outer tuple of a nested subscript plan, and abandons the execution
     with :class:`~repro.errors.DeadlineExceededError` once it passes.  The
-    reference evaluator has no hooks, so under ``mode="reference"``
-    only the pre-execution check applies.
+    reference evaluator has no per-operator hooks, so under
+    ``mode="reference"`` only the pre-execution and the
+    per-outer-tuple checks apply.
     """
     if mode not in MODES:
         raise ValueError(f"unknown execution mode {mode!r}")

@@ -17,9 +17,10 @@ hashes all NULLs together, so a key tuple containing NULL must neither
 probe nor be probed (see :func:`probe_keys`).
 
 Hash keys are built *column-wise*: :func:`probe_keys` turns the key
-columns of a :class:`~repro.engine.batch.Batch` into one key per row,
-and a node-valued :class:`~repro.engine.batch.NodeColumn` is keyed
-straight off the arena's string-value kernel — no handle, no ``Tup``.
+columns of a :class:`~repro.engine.batch.Batch` into one key per row
+(:func:`~repro.engine.batch.key_column`), and a node-valued
+:class:`~repro.engine.batch.NodeColumn` is keyed straight off the
+arena's string-value kernel — no handle, no ``Tup``.
 Every hash operator builds through it (:func:`_hash_buckets`); a
 semijoin/antijoin whose predicate is bare equalities never looks at a
 row at all (:func:`semi_anti_selection`).
@@ -36,14 +37,17 @@ NULL and NaN keys, boolean coercion, mixed-type keys — for top-level
 plans and, through :func:`~repro.engine.pipeline.stream_plan`'s batch
 arm, for the blocking operators of nested subscript plans alike.
 
-Crucially, *nested algebraic expressions cannot be helped by this layer*:
-a χ or σ whose subscript contains a :class:`~repro.nal.scalar.NestedPlan`
-or quantifier re-evaluates the inner plan once per outer tuple no matter
-how clever the outer operators are (a boolean subscript at least stops
-at its first witness — residual predicates are tested through
-:func:`~repro.engine.pipeline.boolean_subscript`).  That asymmetry —
-unavoidable quadratic work for nested plans, linear work after
-unnesting — is the paper's experimental story.
+Crucially, *nested algebraic expressions keep their shape under this
+layer*: a χ or σ whose subscript contains a
+:class:`~repro.nal.scalar.NestedPlan` or quantifier re-evaluates the
+inner plan once per outer tuple no matter how clever the outer
+operators are.  What the engine decides is only what each of those
+runs costs: a boolean subscript stops at its first witness (residual
+predicates are tested through
+:func:`~repro.engine.pipeline.boolean_subscript`), a value subscript's
+plan runs on these same kernels.  The asymmetry — quadratic work for
+nested plans, linear work after unnesting — is the paper's
+experimental story, and it is now a gap between plans on one engine.
 """
 
 from __future__ import annotations
@@ -51,7 +55,13 @@ from __future__ import annotations
 from collections import Counter
 from itertools import compress
 
-from repro.engine.batch import Batch, NodeColumn, SeqColumn, _take
+from repro.engine.batch import (
+    Batch,
+    NodeColumn,
+    SeqColumn,
+    _take,
+    key_column,
+)
 from repro.engine.pipeline import boolean_subscript
 from repro.nal.algebra import scalar_env
 from repro.nal.functions import call_function
@@ -63,11 +73,10 @@ from repro.nal.values import (
     NULL,
     Tup,
     canonical_key,
-    compare_atomic,
+    general_compare,
     iter_items,
     null_tuple,
     sort_key,
-    text_key,
     text_sort_key,
 )
 
@@ -113,15 +122,6 @@ def _as_equi_pair(conjunct: ScalarExpr, left_attrs: frozenset[str],
 
 
 _NULL_KEY = canonical_key(NULL)
-
-
-def key_column(values) -> list:
-    """``canonical_key`` of every row of one column.  A
-    :class:`NodeColumn` is keyed off the arena's string values (what
-    ``canonical_key`` does with a node handle, minus the handle)."""
-    if type(values) is NodeColumn:
-        return list(map(text_key, values.string_values()))
-    return list(map(canonical_key, values))
 
 
 def _zip_rows(columns: list[list], count: int) -> list[tuple]:
@@ -373,7 +373,7 @@ def group_binary_rows(plan: GroupBinary, left: Batch, right: Batch,
     result = []
     for l in left_rows:
         group = [r for r in right_rows
-                 if all(compare_atomic(l[a], plan.theta, r[b])
+                 if all(general_compare(l[a], plan.theta, r[b])
                         for a, b in zip(plan.left_attrs,
                                         plan.right_attrs))]
         result.append(l.extend(plan.group_attr,

@@ -29,8 +29,10 @@ What streams is only what can stop early:
 Nested plans that contain a Ξ (construction is a side effect on the
 output stream) are always drained through the definitional semantics,
 so stopping early never changes the constructed output.  Value
-contexts (a χ binding a nested plan's whole sequence) have nothing to
-stop for and evaluate as before.
+contexts (a χ binding a nested plan's whole sequence, an aggregate
+over it) have nothing to stop for and never come here: the streamer's
+χ evaluates its subscript, and ``NestedPlan.evaluate`` hands the plan
+to the batch engine whole (see :mod:`repro.engine.vectorized`).
 
 Differential tests assert :func:`stream_plan` ≡ ``evaluate``, order
 included, on randomized plans over every operator type.
@@ -41,7 +43,6 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.nal.algebra import Operator, bind_item, scalar_env
-from repro.nal.construct import contains_construct
 from repro.nal.scalar import (
     And,
     Exists,
@@ -151,7 +152,7 @@ def iter_subscript(expr: ScalarExpr, env: Tup, ctx):
         # deadline is checked here, as NestedPlan.evaluate does.
         if ctx.deadline is not None:
             ctx.check_deadline()
-        if contains_construct(expr.plan):
+        if expr.constructs():
             # Ξ writes to the output stream as a side effect; the plan
             # must run to completion no matter how little the consumer
             # pulls, so short-circuiting is unsafe here.

@@ -54,10 +54,11 @@ whole tuples) and Γ[``id``]'s groups (they *are* tuples); the batch of
 any operator whose subscript bails out to the scalar interpreter, which
 evaluates against a bound tuple (nested plans, quantifiers, predicated
 paths) — for an aggregate's σ that computes the mask and nothing else;
-and Ξ's row loop, which a ``{…}`` of that kind — or a function over a
-path — still takes.  The final batch is *not* turned into rows: it is
-returned as it is, and ``ExecutionResult.rows`` materializes it when
-somebody asks.
+the result of a nested plan in a value context (χ binds it as a
+sequence of tuples); and Ξ's row loop, which a ``{…}`` of that kind —
+or a function over a path — still takes.  The final batch is *not*
+turned into rows: it is returned as it is, and
+``ExecutionResult.rows`` materializes it when somebody asks.
 
 Invariants: batches are immutable (operators derive new ones, see
 :mod:`repro.engine.batch`); selection vectors are scratch state owned by
@@ -66,9 +67,16 @@ a single operator invocation, drawn from the request-scoped
 predicate evaluated row at a time goes through
 :func:`~repro.engine.pipeline.boolean_subscript`, so a nested plan
 under a quantifier, ``exists()`` or ``empty()`` is pulled only up to
-its first witness; nested plans in value contexts evaluate through the
-reference semantics; either way they are charged to their host
-operator.
+its first witness; a nested plan in a value context (``χ[t: ⟨plan⟩]``,
+``min(⟨plan⟩)``, a ``{…}``, a comparison operand) runs through
+:func:`run_vectorized` itself, once per outer tuple with that tuple as
+its environment — ``NestedPlan.evaluate`` asks the context, and
+:func:`run_vectorized` names itself there while it runs — so the
+correlation predicate it carries (``attr = $outer``: the ``=`` lane of
+:func:`~repro.engine.batch.compare_columns`; ``$outer ∈ seq``:
+:func:`_membership_mask`) is a comparison of key columns; only a plan
+holding a Ξ is drained through its definition.  Either way nested
+operators are charged to their host operator.
 """
 
 from __future__ import annotations
@@ -83,6 +91,8 @@ from repro.engine.batch import (
     SeqColumn,
     _PY_OPS,
     compare_columns,
+    item_keys,
+    key_column,
     selection_vector,
 )
 from repro.engine.kernels import (
@@ -118,6 +128,7 @@ from repro.nal.scalar import (
     Const,
     DocAccess,
     FuncCall,
+    In,
     Not,
     Or,
     PartitionedPath,
@@ -171,9 +182,15 @@ def run_vectorized(plan: Operator, ctx, env: Tup = EMPTY_TUPLE,
     are inclusive of children; the span nesting attributes time.
     ``path=None`` runs the plan unobserved: it is how
     :mod:`repro.engine.pipeline` has the blocking operators of a nested
-    subscript plan produced, and those stay charged to their host.
+    subscript plan produced, and how a nested plan in a value context
+    runs (``ctx.nested_engine``, asked by ``NestedPlan.evaluate``):
+    those stay charged to their host.
     """
-    return _run(plan, ctx, env, path)
+    outer, ctx.nested_engine = ctx.nested_engine, run_vectorized
+    try:
+        return _run(plan, ctx, env, path)
+    finally:
+        ctx.nested_engine = outer
 
 
 def _run(plan: Operator, ctx, env: Tup, path) -> Batch:
@@ -320,7 +337,7 @@ def _source_values(source, batch: Batch, env: Tup, ctx):
     if isinstance(source, AttrRef):
         if source.name in batch.attrs:
             return batch.column(source.name)
-        if source.name in env.attrs():
+        if source.name in env:
             return BroadcastColumn([env[source.name]] * len(batch))
         return None
     if isinstance(source, DocAccess):
@@ -520,9 +537,10 @@ def _zero_or_one_column(expr: PathApply, batch: Batch, env: Tup, ctx):
 def _predicate_mask(pred, batch: Batch, env: Tup, ctx
                     ) -> list[bool] | None:
     """``pred`` as a boolean mask over the batch (one vectorized pass
-    per comparison; any other expression :func:`_expr_column` takes,
-    by effective boolean value), or None when the predicate needs the
-    row-at-a-time interpreter (quantifiers, nested plans...)."""
+    per comparison or ``∈``; any other expression :func:`_expr_column`
+    takes, by effective boolean value), or None when the predicate
+    needs the row-at-a-time interpreter (quantifiers, nested
+    plans...)."""
     if isinstance(pred, And) or isinstance(pred, Or):
         masks = []
         for term in pred.terms:
@@ -546,12 +564,34 @@ def _predicate_mask(pred, batch: Batch, env: Tup, ctx
         if right is None:
             return None
         return compare_columns(left, pred.op, right)
+    if isinstance(pred, In):
+        return _membership_mask(pred, batch, env, ctx)
     if isinstance(pred, FuncCall) and _applies_path(pred):
         # exists(path) and the like are decided row by row: the
         # evaluator stops a walk at its first witness
         return None
     values = _expr_column(pred, batch, env, ctx)
     return None if values is None else list(map(effective_boolean, values))
+
+
+def _membership_mask(pred: In, batch: Batch, env: Tup, ctx
+                     ) -> list[bool] | None:
+    """``item ∈ seq`` — the correlation test of Eqvs. 4/5 — on key
+    columns: one item per row on the left, a flat
+    :class:`SeqColumn` on the right, a row true when the keys of its
+    own items hold its item's key.  None for any other pair."""
+    sequences = _expr_column(pred.seq, batch, env, ctx)
+    if type(sequences) is not SeqColumn:
+        return None
+    items = _expr_column(pred.item, batch, env, ctx)
+    keys = None if items is None else item_keys(items)
+    if keys is None:
+        return None
+    mask = [False] * len(batch)
+    for owner, key in zip(sequences.owners, key_column(sequences.items)):
+        if key == keys[owner]:
+            mask[owner] = True
+    return mask
 
 
 def _row_mask(pred, batch: Batch, env: Tup, ctx) -> list[bool]:

@@ -29,8 +29,8 @@ from repro.nal.values import (
     NULL,
     Tup,
     canonical_key,
-    compare_atomic,
     effective_boolean,
+    general_compare,
 )
 
 _AGG_KINDS = ("id", "project", "count", "sum", "min", "max", "avg")
@@ -113,7 +113,9 @@ class AggSpec:
 
 def _keys_match(key: Tup, row: Tup, key_attrs: Sequence[str],
                 row_attrs: Sequence[str], theta: str) -> bool:
-    return all(compare_atomic(key[ka], theta, row[ra])
+    # Γ is defined through σ_{A1 θ A2}, so its θ is σ's: existential
+    # over a sequence-valued attribute (Eqv. 1 over ``path[a]``).
+    return all(general_compare(key[ka], theta, row[ra])
                for ka, ra in zip(key_attrs, row_attrs))
 
 

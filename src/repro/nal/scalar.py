@@ -485,6 +485,16 @@ class NestedPlan(ScalarExpr):
 
     def __init__(self, plan):
         self.plan = plan
+        self._constructs: bool | None = None
+
+    def constructs(self) -> bool:
+        """Whether the plan holds a Ξ, whose output is a side effect:
+        such a plan is always drained through its definition.  Plans
+        are immutable, so the walk happens once, not per outer tuple."""
+        if self._constructs is None:
+            from repro.nal.construct import contains_construct
+            self._constructs = contains_construct(self.plan)
+        return self._constructs
 
     def evaluate(self, env: Tup, ctx) -> list[Tup]:
         # The nested-loop hot path: one inner-plan evaluation per outer
@@ -493,7 +503,13 @@ class NestedPlan(ScalarExpr):
         # engines' own checks only run between operator invocations).
         if ctx.deadline is not None:
             ctx.check_deadline()
-        return self.plan.evaluate(ctx, env)
+        # Still once per outer tuple, but on the engine that is running
+        # the host plan; with none (the definitional evaluator, the
+        # oracle) the inner plan is evaluated by its definition too.
+        engine = ctx.nested_engine
+        if engine is None or self.constructs():
+            return self.plan.evaluate(ctx, env)
+        return engine(self.plan, ctx, env, None).to_rows()
 
     def free_attrs(self) -> frozenset[str]:
         return self.plan.free_vars()

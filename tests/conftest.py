@@ -41,6 +41,20 @@ def _load_ledger_workloads():
 ledger = _load_ledger_workloads()
 
 
+def exact(value):
+    """A value as something ``==`` compares exactly: ``Tup`` equality
+    goes through canonical keys, under which ``"NaN"`` differs from
+    itself and ``1`` equals ``"1.0"`` — here atoms compare by type and
+    spelling, nodes by identity, tuples by their bindings."""
+    from repro.nal.values import Tup
+    from repro.xmldb.node import Node
+    if isinstance(value, Tup):
+        return tuple(sorted((a, exact(v)) for a, v in value.items()))
+    if isinstance(value, (list, tuple)):
+        return [exact(v) for v in value]
+    return id(value) if isinstance(value, Node) else repr(value)
+
+
 def ledger_query(template: str, constant: int) -> str:
     """A ledger request shape instantiated with one constant."""
     return template.replace(ledger.SLOT, str(constant))

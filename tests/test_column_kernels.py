@@ -1,7 +1,9 @@
 """The default engine's column kernels — Γ (θ ``=``), ΓSelf, ΠD, Sort,
 µ / µD, the ``@attr`` step and χ's function lanes — against
 ``mode="reference"`` on generated batches: equal rows in equal order,
-equal ``document_scans`` and ``node_visits``.
+equal ``document_scans`` and ``node_visits``; and the two correlation
+lanes of a nested plan's σ (``attr = $outer``, ``$outer ∈ seq``)
+against ``general_compare`` row by row.
 
 Batches come as ``Table`` rows (plain value columns, builder-tree
 nodes among them) and as scans of one generated document registered
@@ -17,11 +19,17 @@ from hypothesis import strategies as st
 
 from repro import Insert
 from repro.api import Database
-from repro.engine.batch import Batch, NodeColumn, SeqColumn
+from repro.engine.batch import (
+    Batch,
+    BroadcastColumn,
+    NodeColumn,
+    SeqColumn,
+    compare_columns,
+)
 from repro.engine.context import EvalContext
 from repro.engine.executor import execute
 from repro.engine.kernels import group_ids
-from repro.engine.vectorized import run_vectorized
+from repro.engine.vectorized import _predicate_mask, run_vectorized
 from repro.errors import EvaluationError
 from repro.nal import (
     NULL,
@@ -48,10 +56,12 @@ from repro.nal.scalar import (
     PathApply,
     TupledSeq,
 )
-from repro.xmldb.node import Node, element
+from repro.nal.values import general_compare
+from repro.xmldb.node import element
 from repro.xmldb.parser import parse_document
 from repro.xpath.ast import Path
 from repro.xpath.parser import parse_path
+from tests.conftest import exact
 
 NAN = float("nan")
 #: every value kind a key column can hold; sequences last
@@ -70,18 +80,6 @@ AGGREGATES = tuple(
                        ("sum", "v"), ("min", "v"), ("max", "v"),
                        ("avg", "v"))
     for pred in FILTERS)
-
-
-def exact(value):
-    """A value as something ``==`` compares exactly: ``Tup`` equality
-    goes through canonical keys, under which ``"NaN"`` differs from
-    itself and ``1`` equals ``"1.0"`` — here atoms compare by type and
-    spelling, nodes by identity, tuples by their bindings."""
-    if isinstance(value, Tup):
-        return tuple(sorted((a, exact(v)) for a, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return [exact(v) for v in value]
-    return id(value) if isinstance(value, Node) else repr(value)
 
 
 def agree(plan, store=None):
@@ -317,3 +315,109 @@ def test_scan_columns_are_the_column_types_the_kernels_read():
     assert type(unnested.column("w_i")) is NodeColumn
     assert len(unnested) == 2
     assert isinstance(Batch.from_rows([]).column("anything"), list)
+
+
+# ----------------------------------------------------------------------
+# The correlation lanes: attr = $outer, $outer ∈ seq
+# ----------------------------------------------------------------------
+def _correlated(ctx):
+    """The batch a nested plan's σ sees: ``k`` one node per row, ``w``
+    a flat sequence column, ``y`` a plain list with NULLs."""
+    batch = run_vectorized(Map(_scan(), "w", TupledSeq(
+        PathApply(AttrRef("e"), parse_path("a/n")), "w_i")), ctx)
+    assert type(batch.column("k")) is NodeColumn
+    assert type(batch.column("w")) is SeqColumn
+    return batch
+
+
+@settings(max_examples=25, deadline=None)
+@given(entries)
+def test_correlation_lanes_agree_with_general_compare(rows):
+    """Every outer value kind against a node column and a sequence
+    column of every arena kind: the lane answers what
+    ``general_compare`` answers for each row, or refuses (None)."""
+    outer = KEYS + tuple(TEXTS)
+    for db in _databases(rows):
+        ctx = EvalContext(db.store)
+        batch = _correlated(ctx)
+        tuples = batch.to_rows()
+        taken = 0
+        for value in outer + (tuples[0]["k"], tuples[-1]["e"]):
+            env = Tup({"o": value})
+            for pred in (Comparison(AttrRef("k"), "=", AttrRef("o")),
+                         Comparison(AttrRef("o"), "=", AttrRef("k")),
+                         Comparison(AttrRef("o"), "=", AttrRef("o")),
+                         Comparison(AttrRef("k"), "=", AttrRef("k")),
+                         Comparison(AttrRef("k"), "=", AttrRef("y")),
+                         Comparison(AttrRef("k"), "=", AttrRef("w")),
+                         In(AttrRef("o"), AttrRef("w")),
+                         In(AttrRef("k"), AttrRef("w")),
+                         In(AttrRef("y"), AttrRef("w")),
+                         In(AttrRef("o"), AttrRef("k"))):
+                try:
+                    expected = [bool(pred.evaluate(env.concat(row), ctx))
+                                for row in tuples]
+                except EvaluationError:
+                    continue
+                mask = _predicate_mask(pred, batch, env, ctx)
+                assert mask is None or mask == expected, (pred, value)
+                taken += mask is not None
+        assert taken >= 6 * len(outer)   # the lanes, not the refusals
+
+
+def test_equality_lane_on_broadcast_pairs():
+    """Both sides broadcast — 1 / "1" / 1.0 / -0.0 / NaN / "NaN" / ""
+    / NULL / booleans / builder nodes / multi-item and empty
+    sequences, each against each (and against itself: one NaN object
+    on both sides still equals nothing)."""
+    for left in KEYS:
+        for right in KEYS:
+            mask = compare_columns(BroadcastColumn([left] * 3), "=",
+                                   BroadcastColumn([right] * 3))
+            assert mask == [general_compare(left, "=", right)] * 3, \
+                (left, right)
+
+
+def test_correlation_lanes_are_taken_for_the_shapes_of_q1_and_q2(
+        monkeypatch):
+    """Not a row fallback that happens to agree: the two lanes never
+    call ``general_compare``; any other operator on text still does,
+    once per row."""
+    from repro.engine import batch as batch_module
+    db = _databases([(0, 1, [2, 0]), (2, None, []), (1, 3, [4])])[1]
+    ctx = EvalContext(db.store)
+    batch = _correlated(ctx)
+    calls = []
+    monkeypatch.setattr(
+        batch_module, "general_compare",
+        lambda *args: calls.append(args) or general_compare(*args))
+    env = Tup({"o": "x", "n": element("k", "1")})
+    assert _predicate_mask(Comparison(AttrRef("k"), "=", AttrRef("o")),
+                           batch, env, ctx) == [False, True, False]
+    assert _predicate_mask(Comparison(AttrRef("n"), "=", AttrRef("k")),
+                           batch, env, ctx) == [True, False, True]
+    assert _predicate_mask(In(AttrRef("n"), AttrRef("w")),
+                           batch, env, ctx) == [True, False, False]
+    assert not calls
+    assert _predicate_mask(Comparison(AttrRef("k"), "<", AttrRef("o")),
+                           batch, env, ctx) == [True, False, True]
+    assert len(calls) == 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(NUMBERS), max_size=3), max_size=6),
+       st.data())
+def test_seq_column_take_stays_flat(sequences, data):
+    """``take`` (with repetition, as ``replicate`` uses it) keeps the
+    column flat and denotes the rows the degraded lists denote."""
+    owners = [row for row, seq in enumerate(sequences) for _ in seq]
+    column = SeqColumn("v", owners, [v for seq in sequences for v in seq],
+                       len(sequences))
+    indices = data.draw(st.lists(st.sampled_from(range(len(sequences))),
+                                 max_size=8)) if sequences else []
+    taken = column.take(indices)
+    assert type(taken) is SeqColumn and len(taken) == len(indices)
+    assert taken.owners == sorted(taken.owners)
+    assert exact(list(taken)) == exact([column[i] for i in indices])
+    batch = Batch.from_columns({"s": column}, len(sequences))
+    assert type(batch.take(indices).column("s")) is SeqColumn

@@ -7,7 +7,11 @@ its generator handlers and its batch-engine arm run — produce exactly
 the sequence the definitional (reference) semantics produces — order
 included.  This generalizes the per-operator tests: operator
 *compositions* are where order-preservation bugs hide (e.g. a hash
-join that emits probe matches in build order).
+join that emits probe matches in build order).  The same trees are
+also hosted in value contexts — ``χ[g:⟨plan⟩]``, ``χ[c:count(⟨plan⟩)]``,
+``χ[m:min(⟨Π[a]…⟩)]`` — where the default mode runs them on the column
+engine, once per outer tuple, against ``mode="reference"``: rows
+exactly, ``document_scans`` and ``node_visits`` equal.
 
 Key attributes draw from a mix of integers, booleans, numeric strings
 and NULL: booleans pin the ``compare_atomic`` ⇔ ``canonical_key``
@@ -24,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine.context import EvalContext
 from repro.engine.executor import execute
+from repro.errors import EvaluationError
 from repro.engine.pipeline import stream_plan
 from repro.engine.vectorized import run_vectorized
 from repro.nal import (
@@ -35,6 +40,7 @@ from repro.nal import (
     GroupBinary,
     GroupUnary,
     Join,
+    Map,
     OuterJoin,
     Project,
     ProjectAway,
@@ -50,6 +56,7 @@ from repro.nal import (
 from repro.nal.scalar import AttrRef, Comparison, Const, FuncCall, In, \
     NestedPlan
 from repro.xmldb.document import DocumentStore
+from tests.conftest import exact
 
 OUTER = Table("O", ["o"], [{"o": 1}])
 
@@ -79,7 +86,33 @@ def run_both(plan, store=None):
     # outer tuple survives exactly when the plan yields something.
     probe = Select(OUTER, FuncCall("exists", [NestedPlan(plan)]))
     assert execute(probe, store).rows == (OUTER.rows if reference else [])
+    assert_value_hosts(plan, store)
     return reference, vectorized
+
+
+def outcome(plan, store, mode):
+    """Everything one execution shows: rows, constructed output, scans
+    and visits — or the error type."""
+    try:
+        result = execute(plan, store, mode=mode)
+    except EvaluationError as error:
+        return type(error)
+    return (exact(result.rows), result.output,
+            result.stats["document_scans"], result.stats["node_visits"])
+
+
+def assert_value_hosts(plan, store, outer=OUTER):
+    """``plan`` as the value of a χ subscript of every ``outer`` tuple
+    — bound whole, counted, and its first attribute minimized — under
+    the default mode and under the oracle: a value context has nothing
+    to stop for, so even the visits are equal."""
+    first = sorted(plan.attrs())[0]
+    for expr in (NestedPlan(plan),
+                 FuncCall("count", [NestedPlan(plan)]),
+                 FuncCall("min", [NestedPlan(Project(plan, [first]))])):
+        host = Map(outer, "host", expr)
+        assert outcome(host, store, "vectorized") \
+            == outcome(host, store, "reference"), expr
 
 
 @st.composite
@@ -348,3 +381,73 @@ def test_every_operator_type_streams_like_evaluate():
         oracle = execute(probe, store, mode="reference")
         assert default.rows == oracle.rows == OUTER.rows
         assert default.output == oracle.output == reference.output_text()
+
+
+def test_correlated_value_subscripts_over_a_document(monkeypatch):
+    """Correlated inner plans over a document, hosted as χ values of
+    every outer tuple: the ``=`` and ``∈`` correlation lanes, blocking
+    operators inside the inner plan, a second level of nesting (the
+    innermost plan reads the outer tuple through a non-empty enclosing
+    environment) and an inner plan holding a Ξ — which is drained by
+    its definition, so the constructed output keeps its order.  Scans
+    and visits equal the oracle's; and no inner plan without a Ξ is
+    evaluated through ``Operator.evaluate`` under the default mode."""
+    from repro.nal import Construct, Lit, Out, Singleton, UnnestMap
+    from repro.nal.scalar import DocAccess, PathApply, TupledSeq
+    from repro.xmldb.node import element
+    from repro.xpath.parser import parse_path
+
+    store = DocumentStore()
+    store.register_tree("t.xml", element(
+        "r", *(element("it", element("k", key),
+                       *(element("v", v) for v in vs))
+               for key, vs in (("1", ["2", "x"]), ("x", []), ("1.0", ["1"]),
+                               ("NaN", ["NaN", "01"]), ("2", ["2", "2"])))))
+
+    def scan(item, key, seq):
+        def one(path):
+            return FuncCall("zero-or-one", [PathApply(
+                AttrRef(item), parse_path(path))])
+        plan = UnnestMap(Singleton(), item, PathApply(
+            DocAccess("t.xml"), parse_path("//it")))
+        return Map(Map(plan, key, one("k")), seq, TupledSeq(
+            PathApply(AttrRef(item), parse_path("v")), seq + "_i"))
+
+    outer = Map(scan("i", "k", "w"), "s", FuncCall("string",
+                                                   [AttrRef("k")]))
+    inner = scan("j", "k2", "w2")
+    equal = Select(inner, Comparison(AttrRef("k2"), "=", AttrRef("s")))
+    member = Select(inner, In(AttrRef("k"), AttrRef("w2")))
+    innermost = Project(Select(scan("h", "k3", "w3"), In(
+        AttrRef("s"), AttrRef("w3"))), ["k3"])       # s: two levels up
+    plans = {
+        "=": Project(equal, ["k2"]),
+        "∈": Project(member, ["j"]),
+        "blocking": Sort(GroupUnary(member, "g", ["k2"], "=",
+                                    AggSpec("count")), ["k2"], [True]),
+        "join": Project(Join(equal, Table("R", ["C"], [{"C": 1}, {"C": 1}]),
+                             Comparison(AttrRef("k2"), "=", AttrRef("C"))),
+                        ["k2", "C"]),
+        "two levels": Project(Map(equal, "n", FuncCall(
+            "count", [NestedPlan(innermost)])), ["k2", "n"]),
+        "Ξ": Construct(Project(equal, ["k2"]),
+                       [Lit("<in>"), Out(AttrRef("k2")), Lit("</in>")]),
+    }
+    for name, plan in plans.items():
+        assert_value_hosts(plan, store, outer)
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                type(plan), "evaluate",
+                lambda self, ctx, env, original=type(plan).evaluate:
+                calls.append(self) or original(self, ctx, env))
+            rows = execute(Map(outer, "host", NestedPlan(plan)), store).rows
+        assert any(row["host"] for row in rows), name   # not vacuous
+        assert len(calls) == (len(rows) if name == "Ξ" else 0), name
+    wrapped = Construct(outer, [Lit("<o>"), Out(NestedPlan(plans["Ξ"])),
+                                Lit("</o>")])
+    ones = "<o><in><k>1</k></in><in><k>1.0</k></in><k>1</k><k>1.0</k></o>"
+    assert execute(wrapped, store).output \
+        == execute(wrapped, store, mode="reference").output \
+        == ones + "<o><in><k>x</k></in><k>x</k></o>" + ones \
+        + "<o></o><o><in><k>2</k></in><k>2</k></o>"

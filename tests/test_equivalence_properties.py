@@ -115,6 +115,64 @@ def test_eqv1(e1, e2, theta, agg):
     assert evaluate(lhs) == evaluate(rhs)
 
 
+@settings(max_examples=120, deadline=None)
+@given(e1=r1_tables(), e2=nested_r2_tables(),
+       theta=st.sampled_from(["!=", "<", ">="]),
+       agg=st.sampled_from([AggSpec("count"), AggSpec("id"),
+                            AggSpec("sum", "B")]))
+def test_eqv1_theta_is_existential_over_a_sequence(e1, e2, theta, agg):
+    """Γ is defined through σ_{A1 θ A2}, so over a sequence-valued A2
+    (the ``path[a]`` binding of a child without a DTD fact) its θ is
+    the σ's existential comparison, not an atomization error."""
+    corr = Comparison(AttrRef("A1"), theta, AttrRef("a2"))
+    lhs = Map(e1, "g", agg_as_scalar(agg, Select(e2, corr)))
+    rhs = GroupBinary(e1, e2, "g", ["A1"], theta, ["a2"], agg)
+    assert evaluate(lhs) == evaluate(rhs)
+
+
+THETA_COUNT = '''
+let $d1 := doc("d.xml")
+for $k1 in distinct-values($d1//v)
+let $c1 := count(for $x2 in $d1//x where $x2/v %s $k1 return $x2)
+return <o>{$k1}:{$c1}</o>
+'''
+
+
+@pytest.mark.parametrize("theta", ("!=", "<", ">="))
+@pytest.mark.parametrize("multi", (False, True))
+def test_theta_correlation_from_both_sides_of_the_dtd_fact(theta, multi):
+    """The θ form of Eqvs. 1/3 on a child the DTD makes single-valued
+    (``zero-or-one``) and on one nothing is known about (a tupled
+    sequence, compared existentially): every alternative on both
+    engines — and so the default ``execute``, which used to raise on
+    the best-ranked ``nestjoin`` — gives the ``nested`` plan's answer
+    under the definitional evaluator."""
+    from repro import Database, compile_query
+    db = Database()
+    if multi:
+        db.register_text(
+            "d.xml", '<r><x k="1"><v>1</v><v>1.0</v></x><x k="2">'
+            '<v>NaN</v></x><x k="3"><v>a</v><v>2</v></x><x k="4"/>'
+            '<x k="5"><v>2</v></x></r>')
+    else:
+        db.register_text(
+            "d.xml", "<r><x><v>1</v></x><x><v>NaN</v></x><x><v>a</v></x>"
+            "<x><v>1.0</v></x><x><v>2</v></x></r>",
+            dtd_text="<!ELEMENT r (x*)><!ELEMENT x (v)>"
+                     "<!ELEMENT v (#PCDATA)>")
+    query = compile_query(THETA_COUNT % theta, db)
+    labels = [alt.label for alt in query.plans()]
+    assert "nestjoin" in labels and ("grouping" in labels) != multi
+    expected = db.execute(query.plan_named("nested").plan,
+                          mode="reference").output
+    assert expected.count("<o>") == 4
+    for alt in query.plans():
+        for mode in ("vectorized", "reference"):
+            assert db.execute(alt.plan, mode=mode).output == expected, \
+                (alt.label, mode)
+    assert query.run().output == expected
+
+
 # ----------------------------------------------------------------------
 # Eqv. 2: equality case via outer join + unary Γ
 # ----------------------------------------------------------------------

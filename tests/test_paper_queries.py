@@ -210,6 +210,68 @@ def test_first_witness_node_visits_are_exact(key, visits, all_tuples):
         all_tuples
 
 
+#: ``nested`` plans at size 40 under the default engine: the scans of
+#: the document the inner plan re-reads, and the node visits (equal
+#: ``mode="reference"``'s where nothing stops early: q1–q3, q6)
+NESTED_AT_40 = {
+    "q1": (("bib.xml", 78), 33960, 33960),
+    "q2": (("prices.xml", 41), 21584, 21584),
+    "q3": (("reviews.xml", 40), 3440, 3440),
+    "q4": (("bib.xml", 81), 18668, 19440),
+    "q5": (("bib.xml", 78), 15017, 18560),
+    "q6": (("bids.xml", 9), 1640, 1640),
+}
+
+
+@pytest.mark.parametrize("key", sorted(NESTED_AT_40))
+def test_nested_plans_read_what_they_always_read(key, monkeypatch):
+    """Running a value subscript on the column engine changes what an
+    inner-plan run costs, not how many there are or what they read:
+    scans and visits of all six ``nested`` plans at books=40 / bids=40
+    are the numbers of the engine that interpreted them, and the
+    oracle's.  The oracle stays independent — ``mode="reference"``
+    never enters ``run_vectorized`` — while the default enters it once
+    per outer tuple for Q1/Q2/Q6's χ and never evaluates their inner
+    plan by its definition."""
+    from repro.bench.queries import make_database, size_keyword
+    from repro.engine import vectorized
+    from repro.nal.pretty import _nested_plans
+    (document, scans), visits, all_tuples = NESTED_AT_40[key]
+    db = make_database(key, **{size_keyword(key): 40})
+    plan = compile_query(PAPER_QUERIES[key].text, db) \
+        .plan_named("nested").plan
+    (inner,) = [nested for op in plan.walk()
+                for expr in op.scalar_exprs()
+                for nested in _nested_plans(expr)]
+    entered, defined = [], []
+    real = vectorized.run_vectorized
+    monkeypatch.setattr(
+        vectorized, "run_vectorized",
+        lambda plan, *args, **kw: entered.append(plan)
+        or real(plan, *args, **kw))
+    monkeypatch.setattr(
+        type(inner), "evaluate",
+        lambda self, ctx, env, original=type(inner).evaluate:
+        defined.append(self) or original(self, ctx, env))
+
+    reference = db.execute(plan, mode="reference")
+    assert not entered and inner in defined
+    assert reference.stats["document_scans"][document] == scans
+    assert reference.stats["node_visits"] == all_tuples
+
+    del defined[:]
+    default = db.execute(plan)
+    assert default.output == reference.output
+    assert default.stats["document_scans"] \
+        == reference.stats["document_scans"]
+    assert default.stats["node_visits"] == visits
+    if key in ("q1", "q2", "q6"):     # value contexts
+        outer_tuples = scans - 1      # one scan is the outer plan's
+        assert entered.count(inner) == outer_tuples and not defined
+    else:                             # streamed, first witness
+        assert inner not in entered
+
+
 LEDGER_SHAPES = {
     "items-scan": ledger_query(ledger.ITEMS_SCAN, 250),
     "bids-scan": ledger_query(ledger.BIDS_SCAN, 500),

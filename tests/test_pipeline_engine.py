@@ -262,13 +262,23 @@ def _no_counter_example_q5():
     return db, PAPER_QUERIES["q5"].text
 
 
-@pytest.mark.parametrize("build", (_no_witness_q8, _no_counter_example_q5))
-def test_deadline_fires_inside_streamed_subscripts(build):
+def _value_subscript_q2():
+    """Q2 (``min`` over a correlated inner plan): a value subscript,
+    run on the column engine once per title."""
+    from repro.bench.queries import PAPER_QUERIES, make_database
+    return make_database("q2", books=128), PAPER_QUERIES["q2"].text
+
+
+@pytest.mark.parametrize("build", (_no_witness_q8, _no_counter_example_q5,
+                                   _value_subscript_q2))
+def test_deadline_fires_inside_nested_subscripts(build):
     """First-witness evaluation bypasses ``NestedPlan.evaluate``, where
     nested-loop plans check the cooperative deadline; the streamer
-    checks it once per outer tuple instead.  On a corpus where no
-    subscript stops early, a 5 ms budget ends the request long before
-    the ≥100 ms it needs, and database and session stay usable."""
+    checks it once per outer tuple instead, and a value subscript
+    still goes through ``NestedPlan.evaluate`` whichever engine then
+    runs its plan.  On a corpus where no subscript stops early, a 5 ms
+    budget ends the request long before the ≥100 ms the oracle needs,
+    and database and session stay usable."""
     import time
 
     db, text = build()
@@ -286,3 +296,21 @@ def test_deadline_fires_inside_streamed_subscripts(build):
         assert time.perf_counter() - start < 0.05
     assert session.execute(text, label="nested").output == expected.output
     assert db.execute(plan).output == expected.output
+
+
+def test_value_subscript_checks_the_deadline_per_outer_tuple():
+    """Exactly: one check per operator invocation, and one more per
+    outer tuple where ``NestedPlan.evaluate`` hands the inner plan to
+    the column engine."""
+    from repro.engine.vectorized import run_vectorized
+    from repro.nal import Map
+    outer = Table("O", ["o"], [{"o": 1}, {"o": 2}, {"o": 3}])
+    host = Map(outer, "g", NestedPlan(Select(SOME_LEFT, Comparison(
+        AttrRef("A"), "<", AttrRef("o")))))
+    ctx = EvalContext(DocumentStore(), deadline=float("inf"))
+    checks = []
+    ctx.check_deadline = lambda: checks.append(1)
+    rows = run_vectorized(host, ctx).to_rows()
+    assert [len(row["g"]) for row in rows] == [0, 1, 2]
+    # χ and its Table; per outer tuple: NestedPlan, σ, Table
+    assert len(checks) == 2 + 3 * 3
