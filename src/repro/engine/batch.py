@@ -428,10 +428,33 @@ def _item_number(item: Any):
 def key_column(values) -> list:
     """``canonical_key`` of every row of one column.  A
     :class:`NodeColumn` is keyed off the arena's string values (what
-    ``canonical_key`` does with a node handle, minus the handle)."""
-    if type(values) is NodeColumn:
-        return list(map(text_key, values.string_values()))
-    return list(map(canonical_key, values))
+    ``canonical_key`` does with a node handle, minus the handle)
+    through the arena's per-version ``key_memo``: the rows it lacks are
+    keyed in one pass and stored in bulk — except a NaN key, which
+    stays a fresh float per call (tuples holding one shared NaN object
+    compare equal, so a stored one would let a repeated row match
+    itself)."""
+    if type(values) is not NodeColumn:
+        return list(map(canonical_key, values))
+    arena, rows = values.arena, values.pres
+    memo = arena.key_memo
+    keys = None
+    if memo:  # an empty one is the first read of the version: all miss
+        keys = list(map(memo.get, rows))
+        if None not in keys:
+            return keys
+        rows = [pre for pre, key in zip(rows, keys) if key is None]
+    fresh = list(map(text_key, arena.string_values(rows)))
+    parts = list(map(operator.itemgetter(1), fresh))
+    if all(map(operator.eq, parts, parts)):
+        memo.update(zip(rows, fresh))
+    else:
+        memo.update(pair for pair in zip(rows, fresh)
+                    if pair[1][1] == pair[1][1])
+    if keys is None:
+        return fresh
+    fresh = iter(fresh)
+    return [next(fresh) if key is None else key for key in keys]
 
 
 def item_keys(values) -> list | None:

@@ -20,7 +20,8 @@ Hash keys are built *column-wise*: :func:`probe_keys` turns the key
 columns of a :class:`~repro.engine.batch.Batch` into one key per row
 (:func:`~repro.engine.batch.key_column`), and a node-valued
 :class:`~repro.engine.batch.NodeColumn` is keyed straight off the
-arena's string-value kernel — no handle, no ``Tup``.
+arena's string-value kernel, once per arena version — no handle, no
+``Tup``.
 Every hash operator builds through it (:func:`_hash_buckets`); a
 semijoin/antijoin whose predicate is bare equalities never looks at a
 row at all (:func:`semi_anti_selection`).
@@ -61,6 +62,7 @@ from repro.engine.batch import (
     SeqColumn,
     _take,
     key_column,
+    numeric_column,
 )
 from repro.engine.pipeline import boolean_subscript
 from repro.nal.algebra import scalar_env
@@ -290,25 +292,52 @@ def group_values(agg: AggSpec, batch: Batch, ids: list[int], groups: int,
     """``agg`` of every group (``AggSpec.apply``, for all groups at
     once): ``ids[i]`` is the group of row ``i``, ``mask`` the
     aggregate's σ decided per row (None: no filter).  A group without
-    rows gets f(ε)."""
+    rows gets f(ε).
+
+    ``min`` / ``max`` / ``sum`` / ``avg`` of a column that is one
+    number per row fold each group's floats, in row order, with the
+    builtin ``min`` / ``max`` / ``sum`` that ``fn_min`` / ``fn_max`` /
+    ``fn_sum`` / ``fn_avg`` apply to ``_numbers`` — so NaN, ±0.0 and
+    summation order come out identical; any other column takes
+    ``call_function`` per group, which also raises the proper
+    errors."""
     rows = range(len(ids))
     if mask is not None:
         rows, ids = list(compress(rows, mask)), list(compress(ids, mask))
     if agg.kind == "count":
         tally = Counter(ids)
         return [tally[group] for group in range(groups)]
-    members: list[list[int]] = [[] for _ in range(groups)]
+    column = batch.to_rows() if agg.kind == "id" \
+        else batch.column(agg.attr)
+    fold = _NUMBER_FOLDS.get(agg.kind)
+    if fold is not None:
+        # numeric_column never yields a boolean; None is an empty row
+        numbers = numeric_column(column)
+        if numbers is None or None in numbers:
+            fold = None
+        else:
+            column = list(map(float, numbers))
+    members: list[list] = [[] for _ in range(groups)]
     for group, row in zip(ids, rows):
-        members[group].append(row)
+        members[group].append(column[row])
+    if fold is not None:
+        return list(map(fold, members))
     if agg.kind == "id":
-        tuples = batch.to_rows()
-        return [[tuples[i] for i in group] for group in members]
-    column = batch.column(agg.attr)
+        return members
     if agg.kind == "project":
-        return [[Tup.adopt({agg.attr: column[i]}) for i in group]
+        return [[Tup.adopt({agg.attr: value}) for value in group]
                 for group in members]
-    return [call_function(agg.kind, [[column[i] for i in group]])
-            for group in members]
+    return [call_function(agg.kind, [group]) for group in members]
+
+
+#: the number-column folds of :func:`group_values`: f of one group's
+#: floats, f(ε) for an empty group
+_NUMBER_FOLDS = {
+    "min": lambda numbers: min(numbers) if numbers else NULL,
+    "max": lambda numbers: max(numbers) if numbers else NULL,
+    "sum": sum,
+    "avg": lambda numbers: sum(numbers) / len(numbers) if numbers else NULL,
+}
 
 
 def sort_permutation(plan: Sort, batch: Batch) -> list[int]:

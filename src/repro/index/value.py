@@ -36,7 +36,7 @@ from repro.errors import EvaluationError
 from repro.index.structural import TagPath
 from repro.nal.values import _as_number, canonical_key
 from repro.xmldb.arena import Arena, arena_for
-from repro.xmldb.node import Node, NodeKind
+from repro.xmldb.node import Node
 
 
 RANGE_OPS = ("<", "<=", ">", ">=")
@@ -155,15 +155,14 @@ class ValueIndex:
     def __init__(self, root: Node, arena: Arena | None = None):
         arena = arena if arena is not None else arena_for(root)
         self._arena = arena
-        kinds, child_lists = arena.kinds, arena.child_lists
+        has_element_children = arena.has_element_children
         grouped: dict[TagPath, list[tuple[str, int]]] = {}
         non_atomic: set[TagPath] = set()
         for pre, path in arena.iter_paths():
             # Indexable rows: attributes, and elements with no element
             # children (their string value is their own text, not a
             # concatenation of a subtree).
-            if kinds[pre] is NodeKind.ATTRIBUTE or not any(
-                    c.kind is NodeKind.ELEMENT for c in child_lists[pre]):
+            if not has_element_children(pre):
                 grouped.setdefault(path, []).append(
                     (arena.string_value(pre), pre))
             else:
@@ -319,12 +318,7 @@ class ValueIndex:
         for path, path_values in self._values.items():
             if path not in touched:
                 values[path] = path_values._remapped(remap)
-        kinds, child_lists = arena.kinds, arena.child_lists
-
-        def is_atomic(pre: int) -> bool:
-            return kinds[pre] is NodeKind.ATTRIBUTE or not any(
-                c.kind is NodeKind.ELEMENT for c in child_lists[pre])
-
+        has_element_children = arena.has_element_children
         for path in touched:
             rows = path_index.rows_at(path)
             if not rows:
@@ -334,7 +328,7 @@ class ValueIndex:
                 entries: list[tuple[str, int]] = []
                 atomic = True
                 for pre in rows:
-                    if is_atomic(pre):
+                    if not has_element_children(pre):
                         entries.append((arena.string_value(pre), pre))
                     else:
                         atomic = False
@@ -353,7 +347,7 @@ class ValueIndex:
             for pre in rows:
                 if pre in carried:
                     continue
-                if is_atomic(pre):
+                if not has_element_children(pre):
                     inserted.append((arena.string_value(pre), pre))
                 else:
                     atomic = False

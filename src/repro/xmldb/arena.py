@@ -40,6 +40,21 @@ alone, and a handle somebody still holds keeps its identity and its
 arena's columns for as long as it is held.  The arena therefore only
 keeps a *weak* reference to its document (plus plain copies of the
 name and registration sequence the hot paths need).
+
+**Per-version memos.**  An arena is one immutable version, so what the
+column engine derives from a row is fixed for the arena's life.  Two
+dicts fill on reads, never eagerly: ``pre → string value`` for the
+elements :meth:`Arena.string_values` has to concatenate (the
+``<t>text</t>`` arm and text / attribute rows never enter it), and
+``pre → hash key`` (:attr:`Arena.key_memo`, filled by
+:func:`repro.engine.batch.key_column`, which never stores a NaN key).
+They hold only strings and tuples of atoms — no handles, no cycles —
+so they die with their arena and :meth:`Arena.release_handles` leaves
+them alone.  A post-update arena (``delta._assemble``) and a
+shared-memory view in a worker start with empty ones; nothing is
+spliced or exported.  Concurrent readers may compute and store the
+same entry twice: the value is deterministic, so the race is benign.
+:meth:`Arena.string_value` stays the uncached definition.
 """
 
 from __future__ import annotations
@@ -158,7 +173,8 @@ class Arena:
                  "ends", "child_counts", "names", "nodes",
                  "child_lists", "attr_lists", "_name_to_id",
                  "_tag_pres", "_elem_pres", "_text_pres", "_flat_tags",
-                 "_avg_fanout", "__weakref__")
+                 "_avg_fanout", "_string_memo", "key_memo",
+                 "__weakref__")
 
     def __init__(self, document=None):
         self.document = document
@@ -192,6 +208,12 @@ class Arena:
         #: memoized :meth:`average_fanout` — the cost model asks on
         #: every estimate, and the columns never change once frozen
         self._avg_fanout: float | None = None
+        #: pre → string value of the rows :meth:`string_values` had to
+        #: concatenate (see "Per-version memos" above)
+        self._string_memo: dict[int, str] = {}
+        #: pre → hash key, filled and read by
+        #: :func:`repro.engine.batch.key_column` (never a NaN key)
+        self.key_memo: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # Ownership
@@ -372,8 +394,21 @@ class Arena:
             if kinds[row] is not attribute:
                 yield row
 
+    def has_element_children(self, pre: int) -> bool:
+        """Whether an element row lies inside ``(pre, ends[pre])`` —
+        the value index's atomicity test, off the interval columns
+        (no handle, no child tuple).  False for text and attribute
+        rows."""
+        rows = self._elem_pres
+        i = bisect_right(rows, pre)
+        return i < len(rows) and rows[i] < self.ends[pre]
+
     def string_value(self, pre: int) -> str:
-        """Concatenated text of the subtree (XQuery string value)."""
+        """Concatenated text of the subtree (XQuery string value) — the
+        definition, recomputed on every call: node handles, and so
+        ``mode="reference"``, read this and not the memo of
+        :meth:`string_values`, so a memo bug cannot hide in the
+        oracle."""
         if self.kinds[pre] is not NodeKind.ELEMENT:
             return self.texts[pre] or ""
         rows = self._text_pres
@@ -484,14 +519,23 @@ class Arena:
     def string_values(self, pres) -> list[str]:
         """The string value of every row of a column, straight off the
         columns: the overwhelmingly common ``<tag>text</tag>`` shape is
-        the one text row at ``pre + 1``, anything else concatenates the
-        subtree's text rows (:meth:`string_value`)."""
+        the one text row at ``pre + 1``; any other element concatenates
+        the subtree's text rows (:meth:`string_value`) once per version
+        and is memoized; a text or attribute row is its own text."""
         ends, kinds, texts = self.ends, self.kinds, self.texts
         text_kind = NodeKind.TEXT
-        string_value = self.string_value
+        memo = self._string_memo
+        concatenation = self._concatenation
         return [(texts[pre + 1] or "")
                 if ends[pre] == pre + 2 and kinds[pre + 1] is text_kind
-                else string_value(pre) for pre in pres]
+                else memo[pre] if pre in memo
+                else concatenation(pre) for pre in pres]
+
+    def _concatenation(self, pre: int) -> str:
+        if self.kinds[pre] is not NodeKind.ELEMENT:
+            return self.texts[pre] or ""
+        value = self._string_memo[pre] = self.string_value(pre)
+        return value
 
     # ------------------------------------------------------------------
     # Statistics (exact, read straight off the columns)

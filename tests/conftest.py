@@ -9,6 +9,7 @@ import re
 import sys
 
 import pytest
+from hypothesis import settings
 
 from repro.api import Database
 from repro.datagen import (
@@ -39,6 +40,10 @@ def _load_ledger_workloads():
 
 
 ledger = _load_ledger_workloads()
+
+#: CI runs ``pytest --hypothesis-profile=ci``: the same example counts,
+#: derandomized, so a red run reproduces; locally the seed stays random
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 def exact(value):

@@ -1,12 +1,17 @@
 """The interval-encoded arena document store: column invariants,
-O(1) containment, freeze semantics, frozen ≡ builder-tree axes, and
-the deterministic multi-document order behind the evaluator's dedup."""
+O(1) containment, freeze semantics, frozen ≡ builder-tree axes, the
+deterministic multi-document order behind the evaluator's dedup, and
+the per-version string-value / hash-key memos."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import Delete, Insert, Replace
 from repro.api import Database, compile_query
+from repro.bench.queries import PAPER_QUERIES
 from repro.datagen import (
     BIDS_DTD,
     ITEMS_DTD,
@@ -14,14 +19,19 @@ from repro.datagen import (
     generate_bids,
     generate_items,
 )
+from repro.engine.batch import NodeColumn, key_column
 from repro.errors import FrozenDocumentError
+from repro.index.value import ValueIndex
+from repro.nal.values import canonical_key, text_key
 from repro.xmldb.arena import arena_for
 from repro.xmldb.document import DocumentStore
 from repro.xmldb.node import Node, NodeKind, assign_order_keys, \
     element, global_order_key
 from repro.xmldb.parser import parse_document
+from repro.xmldb.serialize import serialize
 from repro.xpath.evaluator import _document_order_dedup, evaluate_path
 from repro.xpath.parser import parse_path
+from tests.conftest import ledger, ledger_query
 
 DOC = """
 <bib>
@@ -355,3 +365,179 @@ def test_multi_document_query_order_is_deterministic():
     runs = [evaluate_path(roots, parse_path("//t")) for _ in range(5)]
     texts = [[n.string_value() for n in run] for run in runs]
     assert texts == [["B1", "B2", "R1"]] * 5
+
+
+# ----------------------------------------------------------------------
+# Per-version memos: string values and hash keys
+# ----------------------------------------------------------------------
+#: texts whose keys are NaN, infinities, signed zero, numbers that are
+#: spelled two ways, text, and nothing
+MEMO_TEXTS = ("NaN", "nan", "INF", "-0", "1.0", "01", "x", "", " 7 ")
+
+#: a tree as nested ``(tag, attributes, children)`` with text leaves —
+#: mixed content, empty elements, attributes (built fresh per arena,
+#: since registering a builder tree freezes it)
+tree_specs = st.recursive(
+    st.sampled_from(MEMO_TEXTS),
+    lambda kids: st.tuples(
+        st.sampled_from("abc"),
+        st.dictionaries(st.sampled_from("xy"), st.sampled_from(MEMO_TEXTS),
+                        max_size=2),
+        st.lists(kids, max_size=3)),
+    max_leaves=10)
+
+
+def _build(spec):
+    if isinstance(spec, str):
+        return spec
+    tag, attrs, kids = spec
+    return element(tag, *map(_build, kids), **attrs)
+
+
+def _document(specs) -> Node:
+    return element("r", *map(_build, specs))
+
+
+def _memo_arenas(specs):
+    """The same generated document's arena as a builder tree, as parsed
+    text, after an ``Insert`` / ``Delete`` / ``Replace`` (each version
+    read before its update), and once its document is gone
+    (``release_handles``)."""
+    built = Database()
+    built.register_tree("d.xml", _document(specs))
+    yield built.store.get("d.xml").arena
+    parsed = Database()
+    parsed.register_text("d.xml", serialize(_document(specs)))
+    yield parsed.store.get("d.xml").arena
+    for op in (Insert(0, 0, _document(specs)), Delete(1),
+               Replace(1, _document(specs))):
+        db = Database()
+        db.register_tree("d.xml", _document(specs))
+        old = db.store.get("d.xml").arena
+        _check_memos(old)
+        db.update("d.xml", op)
+        arena = db.store.get("d.xml").arena
+        assert arena is not old
+        assert arena._string_memo == {} and arena.key_memo == {}
+        yield arena
+    released = Database()
+    released.register_tree("d.xml", _document(specs))
+    arena = released.store.get("d.xml").arena
+    released.unregister("d.xml")
+    assert arena.document is None and arena.nodes._refs is not None
+    yield arena
+
+
+def _check_memos(arena):
+    rows = list(range(len(arena)))
+    rows += rows[::-1]   # every row twice in one column
+    before = dict(arena._string_memo)
+    fresh = [arena.string_value(pre) for pre in rows]
+    assert arena._string_memo == before      # the definition is uncached
+    for _ in range(2):
+        handles = [arena.nodes[pre] for pre in rows]
+        assert arena.string_values(rows) == fresh \
+            == [node.string_value() for node in handles]
+        keys = key_column(NodeColumn(arena, rows))
+        assert list(map(repr, keys)) == list(map(repr, map(text_key, fresh))) \
+            == [repr(canonical_key(node)) for node in handles]
+        # a NaN key is a float of its own in every row, even a repeated one
+        nans = [key[1] for key in keys if key[1] != key[1]]
+        assert len(set(map(id, nans))) == len(nans)
+    kinds, ends = arena.kinds, arena.ends
+    for pre in arena._string_memo:    # never the <t>text</t> arm
+        assert kinds[pre] is NodeKind.ELEMENT
+        assert not (ends[pre] == pre + 2 and kinds[pre + 1] is NodeKind.TEXT)
+    assert all(key[1] == key[1] for key in arena.key_memo.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(tree_specs, min_size=1, max_size=4))
+def test_memoized_string_values_and_keys_equal_a_fresh_computation(specs):
+    for arena in _memo_arenas(specs):
+        _check_memos(arena)
+
+
+def test_second_execution_of_the_paper_queries_adds_no_memo_entries():
+    """Q1–Q6, every alternative, at books=40: the first run fills the
+    memos, the second reads them."""
+    db = Database()
+    for name, text in ledger.corpus({"books": 40, "bids": 40}, 7).items():
+        db.register_text(name, text)
+    plans = [alt.plan for key in ("q1", "q2", "q3", "q4", "q5", "q6")
+             for alt in compile_query(PAPER_QUERIES[key].text, db).plans()]
+    arenas = [db.store.get(name).arena
+              for name in ("bib.xml", "prices.xml", "reviews.xml",
+                           "bids.xml")]
+
+    def sizes():
+        return [(len(a._string_memo), len(a.key_memo)) for a in arenas]
+
+    for plan in plans:
+        db.execute(plan)
+    first = sizes()
+    assert first[0][0] and all(keys for _, keys in first)
+    for plan in plans:
+        db.execute(plan)
+    assert sizes() == first
+
+
+def test_superseded_version_is_reclaimed_with_its_memos():
+    """The memos hold no handles and no cycles: with the cyclic GC off,
+    a read-and-superseded version dies by reference count, and its
+    successor starts with empty memos."""
+    import gc
+    import weakref
+
+    text = ledger_query(ledger.ITEMS_WITH_BID, 900)
+    gc.collect()
+    gc.disable()
+    try:
+        db = Database()
+        db.register_tree("items.xml", generate_items(30, seed=7),
+                         dtd_text=ITEMS_DTD)
+        db.register_tree("bids.xml", generate_bids(90, items=30, seed=7),
+                         dtd_text=BIDS_DTD)
+        output = compile_query(text, db).run().output
+        arena = db.store.get("items.xml").arena
+        assert arena.key_memo
+        old = weakref.ref(arena)
+        assert "I00003" in output
+        row = arena.tag_rows("itemtuple")[2]        # I00003
+        del arena
+        db.update("items.xml", Replace(row, element(
+            "itemtuple", element("itemno", "N0000"),
+            element("description", "d"), element("offered_by", "U00001"),
+            element("reserveprice", "450"))))
+        assert old() is None
+        arena = db.store.get("items.xml").arena
+        assert arena._string_memo == {} and arena.key_memo == {}
+        assert compile_query(text, db).run().output \
+            == output.replace("<wanted><itemno>I00003</itemno></wanted>", "")
+        assert arena.key_memo
+    finally:
+        gc.enable()
+
+
+def test_value_index_reads_atomicity_off_the_columns():
+    """A value index over a lazy arena (a post-update version) decides
+    "no element children" from the interval columns: it creates no
+    handle, in a scratch build and in the incremental update path."""
+    db = Database(index_mode="eager")
+    db.register_tree("items.xml", generate_items(20, seed=7),
+                     dtd_text=ITEMS_DTD)
+    row = db.store.get("items.xml").arena.tag_rows("itemtuple")[3]
+    db.update("items.xml", Delete(row))
+    document = db.store.get("items.xml")
+    arena = document.arena
+    assert arena.nodes._cache.keys() <= {0}      # the root handle only
+    handles = dict(arena.nodes._cache)
+    index = ValueIndex(document.root, arena)
+    assert index.is_indexed(("items", "itemtuple", "itemno"))
+    assert not index.is_indexed(("items", "itemtuple"))
+    db.update("items.xml", Insert(0, 0, element(
+        "itemtuple", element("itemno", "N9"), element("description", "d"),
+        element("offered_by", "U1"), element("reserveprice", "7"))))
+    assert arena.nodes._cache == handles
+    latest = db.store.get("items.xml").arena
+    assert latest.nodes._cache.keys() <= {0}

@@ -3,7 +3,8 @@
 ``mode="reference"`` on generated batches: equal rows in equal order,
 equal ``document_scans`` and ``node_visits``; and the two correlation
 lanes of a nested plan's σ (``attr = $outer``, ``$outer ∈ seq``)
-against ``general_compare`` row by row.
+against ``general_compare`` row by row; Γ's number fold against
+``call_function``; and NaN keys through the arena's key memo.
 
 Batches come as ``Table`` rows (plain value columns, builder-tree
 nodes among them) and as scans of one generated document registered
@@ -13,12 +14,14 @@ as :class:`~repro.engine.batch.NodeColumn` over every arena kind."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Insert
-from repro.api import Database
+from repro.api import Database, compile_query
 from repro.engine.batch import (
     Batch,
     BroadcastColumn,
@@ -28,7 +31,7 @@ from repro.engine.batch import (
 )
 from repro.engine.context import EvalContext
 from repro.engine.executor import execute
-from repro.engine.kernels import group_ids
+from repro.engine.kernels import group_ids, group_values
 from repro.engine.vectorized import _predicate_mask, run_vectorized
 from repro.errors import EvaluationError
 from repro.nal import (
@@ -56,6 +59,7 @@ from repro.nal.scalar import (
     PathApply,
     TupledSeq,
 )
+from repro.nal.functions import call_function
 from repro.nal.values import general_compare
 from repro.xmldb.node import element
 from repro.xmldb.parser import parse_document
@@ -421,3 +425,133 @@ def test_seq_column_take_stays_flat(sequences, data):
     assert exact(list(taken)) == exact([column[i] for i in indices])
     batch = Batch.from_columns({"s": column}, len(sequences))
     assert type(batch.take(indices).column("s")) is SeqColumn
+
+
+# ----------------------------------------------------------------------
+# Γ's number fold, and NaN keys through the per-version key memo
+# ----------------------------------------------------------------------
+NUMERIC_VALUES = (1, 2.5, -0.0, 0.0, NAN, float("inf"), -3, 2 ** 53,
+                  "3", "NaN", "-0", " 7 ", "1e3")
+#: the lane refuses these: ints past 2**53, text that is no number,
+#: booleans, empty and multi-item sequences
+OTHER_VALUES = (2 ** 53 + 1, "x", "", True, False, [], [1, 2], NULL)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("min", "max", "sum", "avg")), st.booleans(),
+       st.data())
+def test_number_fold_equals_call_function(kind, numeric, data):
+    """Per group, in row order: empty groups, NaN first / middle /
+    last, ``-0.0`` / ``0.0`` in either order, mixed int / float — the
+    fold's answer is ``call_function``'s, value and type; where the
+    lane refuses, the same answer or the same error."""
+    pool = NUMERIC_VALUES if numeric else NUMERIC_VALUES + OTHER_VALUES
+    rows = data.draw(st.lists(st.tuples(st.integers(0, 3),
+                                        st.sampled_from(pool)),
+                              max_size=12))
+    groups = data.draw(st.integers(0, 2)) \
+        + max((group for group, _ in rows), default=-1) + 1
+    ids = [group for group, _ in rows]
+    values = [value for _, value in rows]
+    mask = data.draw(st.one_of(st.none(), st.lists(
+        st.booleans(), min_size=len(rows), max_size=len(rows))))
+    members = [[v for i, v in zip(ids, values) if i == group]
+               for group in range(groups)] if mask is None else \
+        [[v for i, v, m in zip(ids, values, mask) if i == group and m]
+         for group in range(groups)]
+    batch = Batch.from_columns({"v": values}, len(values))
+    try:
+        expected = [call_function(kind, [group]) for group in members]
+    except EvaluationError as error:
+        with pytest.raises(EvaluationError, match=re.escape(str(error))):
+            group_values(AggSpec(kind, "v"), batch, ids, groups, mask)
+        return
+    assert exact(group_values(AggSpec(kind, "v"), batch, ids, groups,
+                              mask)) == exact(expected)
+
+
+def test_number_fold_calls_no_function(monkeypatch):
+    """A number column — plain values or a node column — never reaches
+    ``call_function``; booleans do, and raise what they always raised."""
+    from repro.engine import kernels
+    db = _databases([(0, 1, []), (7, 2, []), (0, 6, [])])[1]
+    nodes = run_vectorized(_scan(), EvalContext(db.store)).column("k")
+    assert type(nodes) is NodeColumn
+    monkeypatch.setattr(kernels, "call_function", None)
+    for kind in ("min", "max", "sum", "avg"):
+        agg = AggSpec(kind, "v")
+        assert exact(group_values(agg, Batch.from_columns(
+            {"v": [1, NAN, -0.0, "2"]}, 4), [1, 1, 0, 1], 3, None)) \
+            == exact([call_function(kind, [group]) for group in
+                      ([-0.0], [1, NAN, "2"], [])])
+        assert exact(group_values(agg, Batch.from_columns({"v": nodes}, 3),
+                                  [0, 1, 0], 2, None)) \
+            == exact([call_function(kind, [[1.0, 1.0]]),
+                      call_function(kind, [[2.0]])])
+    monkeypatch.undo()
+    with pytest.raises(EvaluationError, match="cannot aggregate booleans"):
+        group_values(AggSpec("sum", "v"), Batch.from_columns(
+            {"v": [1, True]}, 2), [0, 0], 1, None)
+
+
+#: ``<w><v>…</v></w>`` rows: two ``NaN``s, a ``nan``, ``1`` and ``1.0``
+#: (equal), ``x``; a ``w``'s string value is its ``v``'s, concatenated
+NAN_DOC = "<r>" + "".join(f"<w><v>{v}</v></w>" for v in (
+    "NaN", "1", "NaN", "nan", "1.0", "x")) + "</r>"
+NAN_MATCHES = "<m><v>1</v></m><m><v>1.0</v></m><m><v>x</v></m>"
+#: name → query, expected output per alternative (every alternative, both
+#: engines).  The ``grouping`` alternative of a self-comparison answers
+#: as if ``=`` were reflexive, so its NaN rows find themselves — the
+#: rewrite's behaviour before the memo too, the same on both engines.
+NAN_QUERIES = {
+    "join": ('''for $a in doc("n.xml")//v, $b in doc("n.xml")//v
+       where $a = $b
+       return <p>{ $a }{ $b }</p>''', {
+        "nested": "<p><v>1</v><v>1</v></p><p><v>1</v><v>1.0</v></p>"
+                  "<p><v>1.0</v><v>1</v></p><p><v>1.0</v><v>1.0</v></p>"
+                  "<p><v>x</v><v>x</v></p>"}),
+    "distinct": ('''for $v in distinct-values(doc("n.xml")//v)
+       return <d>{ $v }</d>''', {
+        "nested": "<d>NaN</d><d>1</d><d>NaN</d><d>nan</d><d>x</d>"}),
+    "group": ('''let $d1 := doc("n.xml")
+       for $a1 in distinct-values($d1//v)
+       return <g><k>{ $a1 }</k>{
+         let $d2 := doc("n.xml")
+         for $w2 in $d2/w[$a1 = v]
+         return $w2/v }</g>''', dict.fromkeys(
+        ("outerjoin", "nested"),
+        "<g><k>NaN</k></g><g><k>1</k><v>1</v><v>1.0</v></g>"
+        "<g><k>NaN</k></g><g><k>nan</k></g><g><k>x</k><v>x</v></g>")),
+    "some": ('''for $t1 in doc("n.xml")//w
+       where some $t2 in doc("n.xml")//w satisfies $t1 = $t2
+       return <m>{ $t1/v }</m>''', {
+        "semijoin": NAN_MATCHES, "nested": NAN_MATCHES,
+        "grouping": "<m><v>NaN</v></m><m><v>1</v></m><m><v>NaN</v></m>"
+                    "<m><v>nan</v></m><m><v>1.0</v></m><m><v>x</v></m>"}),
+    "exists": ('''let $d1 := doc("n.xml")
+       for $b1 in $d1//w, $a1 in $b1/v
+       where exists(for $b2 in $d1//w, $a2 in $b2/v
+                    where contains($a2, "a") and $b1 = $b2
+                    return $b2)
+       return <e>{ $a1 }</e>''', {
+        "semijoin": "", "nested": "",
+        "grouping": "<e><v>NaN</v></e><e><v>NaN</v></e><e><v>nan</v></e>"}),
+}
+
+
+@pytest.mark.parametrize("name", NAN_QUERIES)
+def test_nan_keys_match_nothing_on_every_alternative(name):
+    """``NaN = NaN`` is false: a ``<v>NaN</v>`` row (or a ``<w>`` whose
+    string value is ``NaN``) that appears twice — both sides of a join,
+    a semijoin of a document with itself — must not match itself, on
+    the first run and once its keys sit in the arena's memo."""
+    db = Database()
+    db.register_text("n.xml", NAN_DOC)
+    text, expected = NAN_QUERIES[name]
+    plans = compile_query(text, db).plans()
+    assert {alt.label for alt in plans} == set(expected)
+    for _ in range(2):
+        for alt in plans:
+            for mode in ("vectorized", "reference"):
+                assert db.execute(alt.plan, mode=mode).output \
+                    == expected[alt.label], (alt.label, mode)
