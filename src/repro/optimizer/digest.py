@@ -23,9 +23,10 @@ parameter (predicates, attribute lists, sort directions, probe
 descriptors), so the rendering is injective for the plan shapes the
 translator and rewriter produce.
 
-:func:`referenced_documents` extracts the document names a plan touches
-(``doc("…")`` accesses inside subscripts, and ``IndexScan`` probes) —
-the other half of the result-cache key ``(document versions, digest)``.
+:func:`referenced_sources` extracts the document names a plan touches
+(``doc("…")`` accesses inside subscripts, and ``IndexScan`` probes)
+and its ``collection()`` patterns — the other half of the result-cache
+key ``(document versions, digest)``.
 """
 
 from __future__ import annotations
@@ -72,33 +73,34 @@ def plan_digest(plan: Operator) -> str:
 
 
 def referenced_documents(plan: Operator) -> frozenset[str]:
-    """Names of every document the plan can read.
+    """Names of every document the plan can read (the first half of
+    :func:`referenced_sources`)."""
+    return referenced_sources(plan)[0]
+
+
+def referenced_sources(plan: Operator
+                       ) -> tuple[frozenset[str], frozenset[str]]:
+    """``(document names, collection patterns)`` the plan can read, in
+    one walk.
 
     Walks the operator tree — including nested subscript plans — and
     collects the names of :class:`~repro.nal.scalar.DocAccess`
-    expressions plus the documents ``IndexScan`` probes are bound to.
-    The result-cache key pairs these names with their registration
-    sequence numbers, so re-registering any referenced document
-    invalidates the entry."""
+    expressions plus the documents ``IndexScan`` probes are bound to,
+    and the pattern of every ``collection("...")`` leaf.  The
+    result-cache key pairs the names with their registration sequence
+    numbers, so re-registering any referenced document invalidates the
+    entry.  A pattern's *resolved member set* depends on the store's
+    current contents, so result-cache keys resolve each pattern against
+    the store at key time (see ``Session.doc_versions``): registering
+    or removing a matching document changes the key and invalidates."""
     names: set[str] = set()
-    _collect_docs(plan, names)
-    return frozenset(names)
-
-
-def referenced_collections(plan: Operator) -> frozenset[str]:
-    """Patterns of every ``collection("...")`` leaf the plan can read.
-
-    A pattern's *resolved member set* depends on the store's current
-    contents, so result-cache keys resolve each pattern against the
-    store at key time (see ``Session._doc_versions``): registering or
-    removing a matching document changes the key and invalidates."""
     patterns: set[str] = set()
-    _collect_docs(plan, set(), patterns)
-    return frozenset(patterns)
+    _collect_docs(plan, names, patterns)
+    return frozenset(names), frozenset(patterns)
 
 
 def _collect_docs(plan: Operator, names: set[str],
-                  patterns: set[str] | None = None) -> None:
+                  patterns: set[str]) -> None:
     from repro.nal.scalar import CollectionAccess, DocAccess, NestedPlan
 
     probe = getattr(plan, "probe", None)
@@ -109,7 +111,7 @@ def _collect_docs(plan: Operator, names: set[str],
     def collect_expr(expr) -> None:
         if isinstance(expr, DocAccess):
             names.add(expr.name)
-        if isinstance(expr, CollectionAccess) and patterns is not None:
+        if isinstance(expr, CollectionAccess):
             patterns.add(expr.pattern)
         if isinstance(expr, NestedPlan):
             _collect_docs(expr.plan, names, patterns)

@@ -82,6 +82,8 @@ class RewriteResult:
     cost: "PlanCost | None" = None
     #: memoized canonical plan digest (see :meth:`digest`)
     _digest: str | None = None
+    #: memoized documents and collection patterns (see :meth:`sources`)
+    _sources: tuple[frozenset[str], frozenset[str]] | None = None
 
     def digest(self) -> str:
         """The plan's canonical, process-stable digest (see
@@ -93,6 +95,16 @@ class RewriteResult:
             from repro.optimizer.digest import plan_digest
             self._digest = plan_digest(self.plan)
         return self._digest
+
+    def sources(self) -> tuple[frozenset[str], frozenset[str]]:
+        """``(document names, collection patterns)`` the plan reads
+        (:func:`repro.optimizer.digest.referenced_sources`), computed
+        once per alternative like :meth:`digest`.  The memo lives on
+        the alternative, so it dies with its plan-cache entry."""
+        if self._sources is None:
+            from repro.optimizer.digest import referenced_sources
+            self._sources = referenced_sources(self.plan)
+        return self._sources
 
     @property
     def rank(self) -> float:

@@ -24,33 +24,44 @@ JSON out, ``Connection: close`` per exchange.  Three endpoints:
   ``version``, rows, chain length) plus the store's live snapshot
   count.
 
-**Single-flight coalescing.**  Before executing, a request's *work
-identity* is computed: canonical plan digest + the referenced
-documents' versions + mode/plan/timeout (``_coalesce_key``, cheap
-under the plan cache).  If an identical key is already in flight, the
-request becomes a *follower*: it releases its admission slot and
-awaits the leader's future instead of re-executing — a thundering herd
-of identical dashboard queries occupies one worker thread, not
-``max_concurrency`` of them.  Followers share the leader's outcome,
-errors included; ``coalesced_total`` in ``/stats`` counts them.
+**Threading model.**  The asyncio loop parses protocol and answers
+result-cache hits: :meth:`~repro.session.Session.lookup` is one dict
+lookup per cache (it never compiles or executes), so a hit leaves the
+loop zero times and is served *before* admission — a saturated server
+still answers it.  Everything else is CPU-bound Python and makes
+exactly one hop onto a :class:`~concurrent.futures.ThreadPoolExecutor`
+sized to ``max_concurrency``: compile if the plan cache missed,
+coalesce, execute.  That is safe because everything requests share —
+frozen arenas, immutable plans, the session caches, the in-flight map
+— is either immutable or lock-guarded (see :mod:`repro.session` and
+the :class:`~repro.xmldb.document.DocumentStore` concurrency contract).
+Each request counts exactly one plan-cache and one result-cache lookup
+(none for a request rejected before its lookup), so ``/stats`` hit
+rates are shares of requests.
 
-**Threading model.**  The asyncio loop only parses protocol; query
-evaluation is CPU-bound Python, so it runs on a
-:class:`~concurrent.futures.ThreadPoolExecutor` sized to
-``max_concurrency``.  That is safe because everything requests share —
-frozen arenas, immutable plans, the session caches — is either
-immutable or lock-guarded (see :mod:`repro.session` and the
-:class:`~repro.xmldb.document.DocumentStore` concurrency contract).
+**Single-flight coalescing.**  On the worker, before executing, a
+request's *work identity* is computed: canonical plan digest + the
+referenced documents' versions + mode/plan/timeout.  If an identical
+key is already in flight (a lock-guarded map of
+:class:`concurrent.futures.Future`), the request becomes a *follower*:
+the hop hands the leader's future back, the loop releases the
+follower's admission slot and awaits it (``asyncio.wrap_future``)
+instead of re-executing — a thundering herd of identical dashboard
+queries occupies one worker thread, not ``max_concurrency`` of them.
+Followers share the leader's outcome, errors included;
+``coalesced_total`` in ``/stats`` counts them.
 
 **Admission control.**  :class:`AdmissionController` admits at most
-``max_concurrency`` executing requests and ``queue_depth`` waiters;
+``max_concurrency`` executing requests (result-cache hits execute
+nothing and are not admitted) and ``queue_depth`` waiters;
 anything beyond that is rejected *immediately* with
 :class:`~repro.errors.ServerSaturatedError` (HTTP 503 +
 ``Retry-After``), which keeps tail latency bounded under overload
 instead of letting the queue grow without limit.
 
 **Deadlines.**  Each request gets a cooperative deadline
-(``timeout`` field, capped by the server's ``max_timeout``): the
+(``timeout`` field: a positive, finite number of seconds, capped by
+the server's ``max_timeout``): the
 engines abandon evaluation at the next operator/tuple boundary past it
 and the request returns HTTP 504.
 
@@ -73,7 +84,9 @@ from __future__ import annotations
 
 import asyncio
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.engine.executor import DEFAULT_MODE
@@ -196,11 +209,13 @@ class QueryServer:
         #: single-flight coalescing: semantically identical requests
         #: (same plan digest, document versions, mode, label, timeout)
         #: in flight at the same time execute once; followers await the
-        #: leader's future.  Event-loop confined — no lock needed.
-        self._inflight: dict[tuple, asyncio.Future] = {}
+        #: leader's thread-safe future.  Read and written on the worker
+        #: threads, under the lock.
+        self._inflight: dict[tuple, Future] = {}
+        self._inflight_lock = threading.Lock()
         self.coalesced_total = 0
         #: optional test/diagnostics hook run on the worker thread
-        #: right before execution (used to hold workers busy
+        #: right before a leader executes (used to hold workers busy
         #: deterministically in the saturation tests)
         self.before_execute = None
 
@@ -375,50 +390,26 @@ class QueryServer:
                          "kind": "bad-query"}
         timeout = self.config.default_timeout
         if request.get("timeout") is not None:
-            try:
-                timeout = min(float(request["timeout"]),
-                              self.config.max_timeout)
-            except (TypeError, ValueError):
-                return 400, {"error": "timeout must be a number",
+            timeout = _positive_seconds(request["timeout"])
+            if timeout is None:
+                return 400, {"error": "timeout must be a positive, "
+                                      "finite number of seconds",
                              "kind": "bad-query"}
+            timeout = min(timeout, self.config.max_timeout)
         mode = request.get("mode") or self.config.default_mode
         label = request.get("plan")
+        text = request["query"]
         try:
-            await self.admission.acquire()
+            # On the loop: a dict lookup per cache, no compile, no
+            # execution — a hit is answered here, before admission.
+            prepared, result = self.session.lookup(text, mode, label)
+            if result is not None:
+                plan_label = prepared.alternative(label).label
+            else:
+                result, plan_label = await self._execute_missed(
+                    text, mode, label, timeout, prepared)
         except ServerSaturatedError as exc:
             return 503, {"error": str(exc), "kind": "saturated"}
-        released = False
-        try:
-            loop = asyncio.get_running_loop()
-            # Cheap under the plan cache; raises the same query errors
-            # a full execution would, mapped identically below.
-            key = await loop.run_in_executor(
-                self._executor, self._coalesce_key,
-                request["query"], mode, label, timeout)
-            leader_future = self._inflight.get(key)
-            if leader_future is not None:
-                # Follower: same work is already executing — free our
-                # admission slot (we only await, we don't occupy a
-                # worker thread) and share the leader's outcome.
-                self.coalesced_total += 1
-                self.admission.release()
-                released = True
-                result, plan_label = await leader_future
-            else:
-                leader_future = loop.create_future()
-                self._inflight[key] = leader_future
-                try:
-                    result, plan_label = await loop.run_in_executor(
-                        self._executor, self._execute_blocking,
-                        request["query"], mode, label, timeout)
-                except BaseException as exc:
-                    leader_future.set_exception(exc)
-                    leader_future.exception()  # mark retrieved
-                    raise
-                else:
-                    leader_future.set_result((result, plan_label))
-                finally:
-                    self._inflight.pop(key, None)
         except DeadlineExceededError as exc:
             self.timeouts_total += 1
             return 504, {"error": str(exc), "kind": "deadline"}
@@ -432,9 +423,6 @@ class QueryServer:
             return 400, {"error": str(exc), "kind": "bad-query"}
         except ReproError as exc:  # pragma: no cover - defensive
             return 500, {"error": str(exc), "kind": "internal"}
-        finally:
-            if not released:
-                self.admission.release()
         return 200, {
             "output": result.output,
             "rows": result.row_count,
@@ -527,28 +515,80 @@ class QueryServer:
                              f'string')
         return parse_document(xml).root
 
-    def _coalesce_key(self, text: str, mode: str, label: str | None,
-                      timeout: float | None) -> tuple:
-        """Runs on a worker thread: the identity of one request's
-        *work* — canonical plan digest plus the referenced documents'
-        versions (the result cache's freshness key) plus everything
-        that changes execution semantics.  Requests with equal keys in
-        flight together would compute byte-identical results, so the
-        server runs one and fans its outcome out."""
-        prepared = self.session.prepare(text)
-        alt = prepared.best() if label is None \
-            else prepared.plan_named(label)
-        return (alt.digest(), self.session._doc_versions(alt.plan),
-                mode, label, timeout)
+    async def _execute_missed(self, text: str, mode: str,
+                              label: str | None, timeout: float | None,
+                              prepared):
+        """A request the caches could not answer: admission, then
+        exactly one worker hop (:meth:`_compile_and_execute`).  A
+        follower frees its slot as soon as the hop returns and awaits
+        the leader's outcome without occupying a worker."""
+        await self.admission.acquire()
+        try:
+            outcome = await asyncio.get_running_loop().run_in_executor(
+                self._executor, self._compile_and_execute,
+                text, mode, label, timeout, prepared)
+        finally:
+            self.admission.release()
+        if isinstance(outcome, Future):
+            self.coalesced_total += 1
+            return await asyncio.wrap_future(outcome)
+        return outcome
 
-    def _execute_blocking(self, text: str, mode: str,
-                          label: str | None, timeout: float | None):
-        """Runs on a worker thread: the whole prepare/execute path."""
-        if self.before_execute is not None:
-            self.before_execute()
-        prepared = self.session.prepare(text)
-        alt = prepared.best() if label is None \
-            else prepared.plan_named(label)
-        result = prepared.execute(mode=mode, label=label,
-                                  timeout=timeout)
-        return result, alt.label
+    def _compile_and_execute(self, text: str, mode: str,
+                             label: str | None, timeout: float | None,
+                             prepared):
+        """Runs on a worker thread — the request's only hop.  Compiles
+        after a plan miss (then makes the result lookup the loop could
+        not make), computes the request's *work* identity — canonical
+        plan digest plus the referenced documents' versions (the result
+        cache's freshness key) plus everything that changes execution
+        semantics — and either joins an identical request in flight
+        (returns its :class:`~concurrent.futures.Future`) or leads:
+        executes, publishes the outcome to the followers and returns
+        ``(result, plan label)``."""
+        session = self.session
+        if prepared is None:
+            prepared = session.compile(text)
+            result = prepared.lookup(mode, label)
+            if result is not None:
+                return result, prepared.alternative(label).label
+        alt = prepared.alternative(label)
+        key = (alt.digest(), session.doc_versions(alt), mode, label,
+               timeout)
+        with self._inflight_lock:
+            leader = self._inflight.get(key)
+            if leader is not None:
+                return leader
+            future = Future()
+            # Running: a follower whose task is cancelled cannot
+            # cancel it under the leader.
+            future.set_running_or_notify_cancel()
+            self._inflight[key] = future
+        try:
+            if self.before_execute is not None:
+                self.before_execute()
+            outcome = (prepared.execute(mode=mode, label=label,
+                                        timeout=timeout, looked_up=True),
+                       alt.label)
+        except BaseException as exc:
+            future.set_exception(exc)
+            raise
+        else:
+            future.set_result(outcome)
+        finally:
+            with self._inflight_lock:
+                del self._inflight[key]
+        return outcome
+
+
+def _positive_seconds(value) -> float | None:
+    """``value`` as a positive, finite number of seconds, or None —
+    ``json.loads`` accepts ``NaN`` and ``Infinity``, and a NaN
+    deadline would never fire."""
+    if isinstance(value, bool):
+        return None
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if math.isfinite(seconds) and seconds > 0 else None

@@ -30,7 +30,16 @@ Cache keys, exactly:
 - result cache: ``(plan digest, ((doc name, doc seq), …))`` — the
   referenced documents in sorted name order with their registration
   sequence numbers, so a re-registered document (new ``seq``) can never
-  serve a stale entry even before eviction runs.
+  serve a stale entry even before eviction runs.  The digest and the
+  referenced documents are memoized on the plan alternative; a disabled
+  result cache builds no key at all.
+
+One request counts one lookup per cache.  :meth:`Session.execute` does
+both lookups itself; a caller that must not block (the server's event
+loop) splits it: :meth:`Session.lookup` (cache dicts only — never
+compiles or executes), then on a miss :meth:`Session.compile` /
+:meth:`PreparedQuery.lookup` and ``PreparedQuery.execute(...,
+looked_up=True)``, which store the result without looking again.
 
 Observability: when a :class:`~repro.obs.metrics.MetricsRegistry` rides
 along on a request, the session records ``session.plan_cache.hit/miss``
@@ -58,8 +67,6 @@ from typing import Callable
 
 from repro.engine.executor import DEFAULT_MODE, ExecutionResult, execute
 from repro.obs.trace import maybe_span
-from repro.optimizer.digest import referenced_collections, \
-    referenced_documents
 from repro.optimizer.rewriter import RewriteResult
 
 #: "not passed" marker for per-request overrides of session defaults
@@ -147,6 +154,10 @@ class PreparedQuery:
     def best(self) -> RewriteResult:
         return self.alternatives[0]
 
+    def alternative(self, label: str | None = None) -> RewriteResult:
+        """The best plan, or the one named ``label``."""
+        return self.best() if label is None else self.plan_named(label)
+
     def plan_named(self, label: str) -> RewriteResult:
         for alt in self.alternatives:
             if alt.label == label:
@@ -181,17 +192,31 @@ class PreparedQuery:
         return resolved
 
     # ------------------------------------------------------------------
+    def lookup(self, mode: str | None = None,
+               label: str | None = None) -> ExecutionResult | None:
+        """The result-cache half of :meth:`execute`: the cached result
+        of this request, or None; never executes.  Counts one
+        result-cache lookup, and raises on a bad mode or label exactly
+        as :meth:`execute` does.  Continue a miss with
+        ``execute(..., looked_up=True)``."""
+        session = self.session
+        _, alt, _ = session._request(self, mode, label, _UNSET)
+        return session._cached(session._result_key(alt, None))
+
     def execute(self, mode: str | None = None, label: str | None = None,
                 analyze: bool = False, tracer=None, metrics=None,
                 timeout=_UNSET, use_result_cache: bool = True,
-                workers=_UNSET, snapshot=None) -> ExecutionResult:
+                workers=_UNSET, snapshot=None,
+                looked_up: bool = False) -> ExecutionResult:
         """One request: execute the best plan (or the alternative named
         ``label``) with a fresh request-scoped context.
 
         The session's result cache is consulted first (unless
         ``use_result_cache=False``, ``analyze=True`` or a ``tracer`` is
         attached — observed requests always execute so their recordings
-        describe real work).  ``timeout`` defaults to the session's
+        describe real work; or ``looked_up=True``: the caller already
+        missed in :meth:`lookup`, so the result is stored without a
+        second lookup).  ``timeout`` defaults to the session's
         ``default_timeout``; ``workers`` to its ``default_workers``
         (the parallel worker budget ``mode="auto"`` weighs and
         ``mode="parallel"`` uses).  ``snapshot`` (a
@@ -204,7 +229,7 @@ class PreparedQuery:
             self, mode=mode, label=label, analyze=analyze,
             tracer=tracer, metrics=metrics, timeout=timeout,
             use_result_cache=use_result_cache, workers=workers,
-            snapshot=snapshot)
+            snapshot=snapshot, looked_up=looked_up)
 
 
 class Session:
@@ -284,16 +309,44 @@ class Session:
                  tracer=None) -> tuple[PreparedQuery, bool]:
         """(prepared, plan_cache_hit) — the hit flag feeds per-request
         metrics without re-deriving it from shared counters."""
-        ranking = self.ranking if ranking is None else ranking
-        key = (text, ranking, self.database.store.epoch)
-        prepared = self._plan_cache.get(key)
+        prepared = self._plan_cache.get(self._plan_key(text, ranking))
         if prepared is not None:
             return prepared, True
-        with maybe_span(tracer, "prepare", "session",
-                        ranking=ranking):
-            prepared = PreparedQuery(self, text, ranking, tracer=tracer)
+        return self.compile(text, ranking, tracer), False
+
+    def _plan_key(self, text: str, ranking: str | None) -> tuple:
+        ranking = self.ranking if ranking is None else ranking
+        return (text, ranking, self.database.store.epoch)
+
+    def compile(self, text: str, ranking: str | None = None,
+                tracer=None) -> PreparedQuery:
+        """The plan-miss half of :meth:`prepare`: compile ``text`` and
+        file it in the plan cache *without* looking the cache up — for
+        a caller whose :meth:`lookup` already counted the miss."""
+        key = self._plan_key(text, ranking)
+        with maybe_span(tracer, "prepare", "session", ranking=key[1]):
+            prepared = PreparedQuery(self, text, key[1], tracer=tracer)
         self._plan_cache.put(key, prepared)
-        return prepared, False
+        return prepared
+
+    def lookup(self, text: str, mode: str | None = None,
+               label: str | None = None
+               ) -> tuple[PreparedQuery | None, ExecutionResult | None]:
+        """The cache half of :meth:`execute`: never compiles, never
+        executes, so an event loop may call it.  Looks the plan cache
+        up, and — when the plan is cached — the result cache; returns
+        ``(prepared, result)`` with None for a miss (``(None, None)`` on
+        a plan miss: the result key needs the plan).  A bad mode or an
+        unknown label raises as :meth:`execute` would.
+
+        Continue a miss so the request counts one lookup per cache:
+        :meth:`compile` then :meth:`PreparedQuery.lookup` after a plan
+        miss, then :meth:`PreparedQuery.execute` with
+        ``looked_up=True``."""
+        prepared = self._plan_cache.get(self._plan_key(text, None))
+        if prepared is None:
+            return None, None
+        return prepared, prepared.lookup(mode, label)
 
     # ------------------------------------------------------------------
     # Execute (result cache)
@@ -315,7 +368,7 @@ class Session:
                                 use_result_cache=use_result_cache,
                                 workers=workers, snapshot=snapshot)
 
-    def _doc_versions(self, plan, resolver=None) -> tuple:
+    def doc_versions(self, alt: RewriteResult, resolver=None) -> tuple:
         """The referenced documents' ``(name, seq)`` pairs in sorted
         name order — the freshness half of the result-cache key.
         ``collection()`` patterns are resolved against ``resolver``
@@ -325,8 +378,9 @@ class Session:
         update/re-registration and a membership change (register/
         unregister of a matching name) both rotate the key."""
         store = self.database.store if resolver is None else resolver
-        names = set(referenced_documents(plan))
-        for pattern in referenced_collections(plan):
+        documents, patterns = alt.sources()
+        names = set(documents)
+        for pattern in patterns:
             names.update(store.collection_names(pattern))
         versions = []
         for name in sorted(names):
@@ -336,46 +390,67 @@ class Session:
             versions.append((name, seq))
         return tuple(versions)
 
-    def _execute_prepared(self, prepared: PreparedQuery,
-                          mode: str | None, label: str | None,
-                          analyze: bool, tracer, metrics, timeout,
-                          use_result_cache: bool,
-                          workers=_UNSET, snapshot=None) -> ExecutionResult:
+    def _request(self, prepared: PreparedQuery, mode: str | None,
+                 label: str | None, workers) -> tuple:
+        """``(mode, alternative, workers)`` of one request, validated
+        before any result-cache lookup so a bogus mode or label fails
+        identically on hits and misses."""
         mode = self.default_mode if mode is None else mode
-        # Validate before the result-cache shortcut so a bogus mode
-        # fails identically on hits and misses.
         from repro.engine.executor import MODES, resolve_workers
         if mode not in MODES:
             raise ValueError(f"unknown execution mode {mode!r}")
-        if timeout is _UNSET:
-            timeout = self.default_timeout
         if workers is _UNSET:
             workers = self.default_workers
         workers = resolve_workers(workers,
                                   explicit_parallel=(mode == "parallel"))
-        alt = prepared.best() if label is None \
-            else prepared.plan_named(label)
-        if mode != "reference":
-            mode = prepared.resolve_mode(mode, alt, workers=workers)
-        cacheable = (use_result_cache and not analyze and tracer is None)
-        key = None
-        if cacheable:
-            key = (alt.digest(), self._doc_versions(alt.plan, snapshot))
-            start = time.perf_counter()
-            entry = self._result_cache.get(key)
-            if entry is not None:
-                rows, output, stats = entry
-                lookup = time.perf_counter() - start
-                if metrics is not None:
-                    metrics.counter("session.result_cache.hit").inc()
-                hit_stats = dict(stats)
-                hit_stats["result_cache_hit"] = True
-                return ExecutionResult(rows, output, hit_stats,
-                                       lookup, operator_counts=None,
-                                       trace=tracer, metrics=metrics,
-                                       cached=True)
+        return mode, prepared.alternative(label), workers
+
+    def _result_key(self, alt: RewriteResult, snapshot) -> tuple | None:
+        """The result-cache key, or None while the cache is disabled —
+        a cache that cannot hit is worth no digest and no document
+        walk."""
+        if self._result_cache.max_size <= 0:
+            return None
+        return (alt.digest(), self.doc_versions(alt, snapshot))
+
+    def _cached(self, key: tuple | None,
+                metrics=None) -> ExecutionResult | None:
+        """One result-cache lookup (a disabled cache's None key counts
+        as a miss): the hit as a ``cached=True`` result, or None."""
+        start = time.perf_counter()
+        entry = self._result_cache.get(key)
+        if entry is None:
             if metrics is not None:
                 metrics.counter("session.result_cache.miss").inc()
+            return None
+        rows, output, stats = entry
+        lookup = time.perf_counter() - start
+        if metrics is not None:
+            metrics.counter("session.result_cache.hit").inc()
+        hit_stats = dict(stats)
+        hit_stats["result_cache_hit"] = True
+        return ExecutionResult(rows, output, hit_stats, lookup,
+                               operator_counts=None, metrics=metrics,
+                               cached=True)
+
+    def _execute_prepared(self, prepared: PreparedQuery,
+                          mode: str | None, label: str | None,
+                          analyze: bool, tracer, metrics, timeout,
+                          use_result_cache: bool, workers=_UNSET,
+                          snapshot=None,
+                          looked_up: bool = False) -> ExecutionResult:
+        mode, alt, workers = self._request(prepared, mode, label, workers)
+        if timeout is _UNSET:
+            timeout = self.default_timeout
+        key = None
+        if use_result_cache and not analyze and tracer is None:
+            key = self._result_key(alt, snapshot)
+            if not looked_up:
+                hit = self._cached(key, metrics)
+                if hit is not None:
+                    return hit
+        if mode != "reference":
+            mode = prepared.resolve_mode(mode, alt, workers=workers)
         target = self.database.store if snapshot is None else snapshot
         result = execute(alt.plan, target, mode=mode,
                          analyze=analyze, tracer=tracer, metrics=metrics,

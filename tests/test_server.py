@@ -1,11 +1,16 @@
 """Tests for the query server (:mod:`repro.server`): HTTP contract,
-error → status mapping, admission control, and the CLI's ``--server``
-client mode with its exit codes."""
+error → status mapping, the request path (hits on the loop, one worker
+hop otherwise, one lookup per cache), admission control, coalescing,
+and the CLI's ``--server`` client mode with its exit codes."""
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import gc
+import itertools
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -25,11 +30,29 @@ from repro.engine.executor import DEFAULT_MODE
 from repro.server.app import AdmissionController, QueryServer, \
     ServerConfig
 
+#: the futures of a coalesced request cross threads: a leaked or
+#: unretrieved one must fail the suite, not print to stderr
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning",
+    "error::pytest.PytestUnraisableExceptionWarning")
+
 TITLES_QUERY = 'for $t in doc("bib.xml")//title return $t'
+
+_cold = itertools.count()
+
+
+def cold_query() -> str:
+    """A query no earlier request has run: its element name makes the
+    plan digest — and so the result-cache key — unique."""
+    tag = f"cold{next(_cold)}"
+    return f'for $t in doc("bib.xml")//title return <{tag}>{{$t}}</{tag}>'
 
 
 class ServerHandle:
-    """A QueryServer running on its own event-loop thread (port 0)."""
+    """A QueryServer running on its own event-loop thread (port 0).
+    Every context the loop's exception handler sees ("Future exception
+    was never retrieved", a destroyed pending task, a failing
+    callback) is recorded in :attr:`loop_errors`."""
 
     def __init__(self, **config):
         self.db = Database(index_mode="lazy")
@@ -39,6 +62,9 @@ class ServerHandle:
         self.server = QueryServer(self.session,
                                   ServerConfig(port=0, **config))
         self.loop = asyncio.new_event_loop()
+        self.loop_errors: list[dict] = []
+        self.loop.set_exception_handler(
+            lambda loop, context: self.loop_errors.append(context))
         ready = threading.Event()
 
         async def run() -> None:
@@ -59,11 +85,36 @@ class ServerHandle:
         self.base = f"http://{host}:{port}"
 
     def stop(self) -> None:
+        asyncio.run_coroutine_threadsafe(
+            self._drain(), self.loop).result(timeout=10)
         self.loop.call_soon_threadsafe(
             lambda: [task.cancel()
                      for task in asyncio.all_tasks(self.loop)])
         self.thread.join(timeout=5)
+        assert not self.thread.is_alive(), "server loop did not stop"
+        self.loop.run_until_complete(self.server.stop())
+        self.loop.close()
         self.session.close()
+
+    @staticmethod
+    async def _drain() -> None:
+        """Waits for open connections: a client has its reply before
+        the server finishes closing the socket, and Python 3.11's
+        stream callback reports the ``CancelledError`` of a connection
+        task cancelled that late."""
+        connections = [task for task in asyncio.all_tasks()
+                       if task.get_coro().__name__ == "_handle_connection"]
+        if connections:
+            await asyncio.wait(connections, timeout=5)
+
+    def assert_no_loop_errors(self) -> None:
+        # An unretrieved future sits in a cycle with its traceback's
+        # frame: it reports only when the collector frees it.
+        gc.collect()
+        assert self.loop_errors == [], \
+            "the server loop swallowed errors: " \
+            + "; ".join(str(context.get("message"))
+                        for context in self.loop_errors)
 
     # -- tiny HTTP client ------------------------------------------------
     def get(self, path: str) -> tuple[int, dict]:
@@ -95,6 +146,40 @@ def server():
     handle = ServerHandle(max_concurrency=2, queue_depth=0)
     yield handle
     handle.stop()
+    handle.assert_no_loop_errors()
+
+
+@contextlib.contextmanager
+def saturated(server):
+    """Both workers held in ``before_execute`` by result-cache-cold
+    requests; with ``queue_depth=0`` the next miss is rejected.  Yields
+    the list the occupiers' replies land in once the gate opens."""
+    gate = threading.Event()
+    server.server.before_execute = lambda: gate.wait(15)
+    results: list[tuple] = []
+
+    def occupy(query: str) -> None:
+        results.append(server.post({"query": query, "timeout": None}))
+
+    # Structurally distinct and cold: identical plans would coalesce
+    # instead of occupying two workers, and a hit never reaches a
+    # worker at all.
+    workers = [threading.Thread(target=occupy, args=(cold_query(),))
+               for _ in range(2)]
+    try:
+        for worker in workers:
+            worker.start()
+        deadline = time.monotonic() + 10
+        while server.server.admission.active < 2:
+            assert time.monotonic() < deadline, \
+                "workers never became busy"
+            time.sleep(0.01)
+        yield results
+    finally:
+        gate.set()
+        for worker in workers:
+            worker.join(timeout=15)
+        server.server.before_execute = None
 
 
 # ----------------------------------------------------------------------
@@ -146,6 +231,17 @@ def test_malformed_body_is_bad_query(server):
     assert (status, payload["kind"]) == (400, "bad-query")
 
 
+@pytest.mark.parametrize("timeout", [float("nan"), float("inf"), -5, 0,
+                                     True])
+def test_timeout_must_be_positive_and_finite(server, timeout):
+    """``json.loads`` accepts ``NaN``: a NaN deadline never fires and
+    ``min(nan, max_timeout)`` is NaN, so it must be refused."""
+    status, payload, _ = server.post({"query": TITLES_QUERY,
+                                      "timeout": timeout})
+    assert (status, payload["kind"]) == (400, "bad-query")
+    assert "timeout" in payload["error"]
+
+
 def test_parse_error_is_bad_query(server):
     status, payload, _ = server.post({"query": "for $x in ("})
     assert (status, payload["kind"]) == (400, "bad-query")
@@ -186,41 +282,28 @@ def test_deadline_is_gateway_timeout(server):
 # Admission control
 # ----------------------------------------------------------------------
 def test_saturation_rejects_with_503_and_retry_after(server):
-    gate = threading.Event()
-    server.server.before_execute = lambda: gate.wait(15)
-    try:
-        results: list[tuple] = []
-        # Structurally distinct queries: identical plans would now
-        # single-flight coalesce instead of occupying two workers.
-        occupiers = [TITLES_QUERY,
-                     'for $a in doc("bib.xml")//author return $a']
-
-        def occupy(i: int) -> None:
-            results.append(server.post(
-                {"query": occupiers[i], "timeout": None}))
-
-        workers = [threading.Thread(target=occupy, args=(i,))
-                   for i in range(2)]
-        for worker in workers:
-            worker.start()
-        deadline = time.monotonic() + 10
-        while server.server.admission.active < 2:
-            assert time.monotonic() < deadline, \
-                "workers never became busy"
-            time.sleep(0.01)
-        status, payload, headers = server.post({"query": TITLES_QUERY})
+    with saturated(server) as results:
+        status, payload, headers = server.post({"query": cold_query()})
         assert (status, payload["kind"]) == (503, "saturated")
         assert headers.get("Retry-After") == "1"
         assert "saturated" in payload["error"]
-    finally:
-        gate.set()
-        for worker in workers:
-            worker.join(timeout=15)
-        server.server.before_execute = None
+    assert len(results) == 2
     assert all(result[0] == 200 for result in results), \
         "occupying requests must complete once the gate opens"
     _, stats = server.get("/stats")
     assert stats["server"]["rejected_total"] >= 1
+
+
+def test_saturated_server_still_answers_cache_hits(server):
+    """A hit executes nothing, so it is answered on the loop before
+    admission: it never waits behind misses for a worker slot."""
+    warm = cold_query()
+    assert server.post({"query": warm})[0] == 200
+    with saturated(server):
+        status, payload, _ = server.post({"query": warm})
+        assert (status, payload["cached"]) == (200, True)
+        status, payload, _ = server.post({"query": cold_query()})
+        assert (status, payload["kind"]) == (503, "saturated")
 
 
 def test_single_flight_coalescing(server):
@@ -270,6 +353,163 @@ def test_single_flight_coalescing(server):
     assert stats["server"]["coalesced_total"] >= base + 2
 
 
+@contextlib.contextmanager
+def leader_held(server, request: dict):
+    """Posts ``request`` and holds it in ``before_execute`` as the
+    leader of its work.  Yields ``(follow, replies)``: ``follow()``
+    posts the same request from another thread and returns once it has
+    joined the leader.  On exit the leader runs, and every reply —
+    leader's and followers' — lands in ``replies``."""
+    gate, entered = threading.Event(), threading.Event()
+
+    def hold() -> None:
+        entered.set()
+        gate.wait(15)
+
+    results: list[tuple] = []
+    threads: list[threading.Thread] = []
+
+    def post() -> None:
+        results.append(server.post(request))
+
+    def follow() -> None:
+        joined = server.server.coalesced_total + 1
+        threads.append(threading.Thread(target=post))
+        threads[-1].start()
+        deadline = time.monotonic() + 10
+        while server.server.coalesced_total < joined:
+            assert time.monotonic() < deadline, "request did not coalesce"
+            time.sleep(0.01)
+
+    server.server.before_execute = hold
+    threads.append(threading.Thread(target=post))
+    threads[0].start()
+    try:
+        assert entered.wait(10), "leader never reached execution"
+        yield follow, results
+    finally:
+        gate.set()
+        for thread in threads:
+            thread.join(timeout=15)
+        server.server.before_execute = None
+
+
+def test_concurrent_identical_requests_are_each_answered_once():
+    """More client threads than cores on a few cold shapes, with a
+    short switch interval: every request is exactly one of result hit,
+    leader or follower, and the in-flight map drains."""
+    handle = ServerHandle(max_concurrency=8, queue_depth=64)
+    leaders = itertools.count()
+    handle.server.before_execute = lambda: next(leaders)
+    queries = [cold_query() for _ in range(3)]
+    replies: list[tuple] = []
+
+    def client() -> None:
+        for query in queries:
+            replies.append(handle.post({"query": query}))
+
+    threads = [threading.Thread(target=client) for _ in range(12)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _, before = handle.get("/stats")
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        _, after = handle.get("/stats")
+    finally:
+        sys.setswitchinterval(interval)
+        handle.stop()
+    assert len(replies) == 36
+    assert all(status == 200 for status, _, _ in replies)
+    assert len({payload["output"] for _, payload, _ in replies}) == 3
+    hits = after["result_cache"]["hits"] - before["result_cache"]["hits"]
+    followers = after["server"]["coalesced_total"] \
+        - before["server"]["coalesced_total"]
+    assert next(leaders) + followers + hits == 36
+    assert handle.server._inflight == {}
+    handle.assert_no_loop_errors()
+
+
+def test_followers_share_the_leaders_error(server):
+    # The deadline is checked as execution starts, after the gate.
+    with leader_held(server, {"query": cold_query(),
+                              "timeout": 1e-9}) as (follow, replies):
+        follow()
+        follow()
+    assert [(status, payload["kind"]) for status, payload, _
+            in replies] == [(504, "deadline")] * 3
+
+
+# ----------------------------------------------------------------------
+# The request path: hits on the loop, one hop otherwise, one lookup
+# per cache
+# ----------------------------------------------------------------------
+def test_a_hit_stays_on_the_loop_and_a_miss_makes_one_hop(server,
+                                                         monkeypatch):
+    executor = server.server._executor
+    submitted = []
+    submit = executor.submit
+
+    def spy(fn, *args, **kwargs):
+        submitted.append(fn)
+        return submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(executor, "submit", spy)
+
+    def hops(query: str) -> tuple[int, bool]:
+        before = len(submitted)
+        status, payload, _ = server.post({"query": query})
+        assert status == 200
+        return len(submitted) - before, payload["cached"]
+
+    plan_miss = cold_query()
+    assert hops(plan_miss) == (1, False)
+    assert hops(plan_miss) == (0, True)
+    result_miss = cold_query()
+    server.session.prepare(result_miss)
+    assert hops(result_miss) == (1, False)
+
+
+def test_each_request_counts_one_lookup_per_cache(server):
+    """``/stats`` hit rates are shares of requests: each request counts
+    one plan-cache and one result-cache lookup — none when it fails
+    before its lookup, only its plan miss when its text does not
+    compile (a result key needs a plan)."""
+    def lookups(send) -> dict:
+        _, before = server.get("/stats")
+        send()
+        _, after = server.get("/stats")
+        return {cache: tuple(after[cache][field] - before[cache][field]
+                             for field in ("hits", "misses"))
+                for cache in ("plan_cache", "result_cache")}
+
+    def post(request: dict, status: int = 200):
+        def send() -> None:
+            assert server.post(request)[0] == status
+        return send
+
+    query = cold_query()
+    assert lookups(post({"query": query})) == \
+        {"plan_cache": (0, 1), "result_cache": (0, 1)}  # plan miss
+    assert lookups(post({"query": query})) == \
+        {"plan_cache": (1, 0), "result_cache": (1, 0)}  # result hit
+    query = cold_query()
+    server.session.prepare(query)
+    assert lookups(post({"query": query})) == \
+        {"plan_cache": (1, 0), "result_cache": (0, 1)}  # result miss
+    with leader_held(server, {"query": cold_query()}) as (follow, _):
+        assert lookups(follow) == \
+            {"plan_cache": (1, 0), "result_cache": (0, 1)}  # follower
+    assert lookups(post({"query": query, "timeout": float("nan")},
+                        400)) == \
+        {"plan_cache": (0, 0), "result_cache": (0, 0)}
+    assert lookups(post({"query": "for $x in ("}, 400)) == \
+        {"plan_cache": (0, 1), "result_cache": (0, 0)}
+
+
 def test_admission_controller_counts():
     from repro.errors import ServerSaturatedError
 
@@ -317,30 +557,10 @@ def test_cli_client_mode_exit_codes(server, capsys):
 
 
 def test_cli_client_mode_saturated_exit_code(server, capsys):
-    gate = threading.Event()
-    server.server.before_execute = lambda: gate.wait(15)
-    try:
-        occupiers = [TITLES_QUERY,
-                     'for $a in doc("bib.xml")//author return $a']
-        workers = [threading.Thread(
-            target=lambda i=i: server.post(
-                {"query": occupiers[i], "timeout": None}))
-            for i in range(2)]
-        for worker in workers:
-            worker.start()
-        deadline = time.monotonic() + 10
-        while server.server.admission.active < 2:
-            assert time.monotonic() < deadline
-            time.sleep(0.01)
-        code = main(["--query", TITLES_QUERY,
-                     "--server", server.base])
+    with saturated(server):
+        code = main(["--query", cold_query(), "--server", server.base])
         assert code == EXIT_SERVER_SATURATED
         assert "saturated" in capsys.readouterr().err
-    finally:
-        gate.set()
-        for worker in workers:
-            worker.join(timeout=15)
-        server.server.before_execute = None
 
 
 def test_cli_client_mode_unreachable_server(capsys):

@@ -4,7 +4,9 @@ deadlines, and concurrent execution equivalence."""
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import pytest
 
@@ -18,7 +20,7 @@ from repro.datagen import (
 from repro.errors import DeadlineExceededError, UnknownDocumentError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.session import LRUCache
+from repro.session import LRUCache, Session
 
 NESTED_QUERY = '''
 let $d1 := doc("bib.xml")
@@ -204,6 +206,55 @@ def test_result_cache_disabled_by_size_zero(db):
     with db.session(result_cache_size=0) as session:
         session.execute(TITLES_QUERY)
         assert session.execute(TITLES_QUERY).cached is False
+
+
+def test_disabled_result_cache_is_never_keyed(db, monkeypatch):
+    """A cache that cannot hit costs no digest and no document walk;
+    each request still counts its one (missing) lookup."""
+    monkeypatch.setattr(Session, "doc_versions", lambda *args: pytest.fail(
+        "keyed a disabled result cache"))
+    with db.session(result_cache_size=0) as session:
+        session.execute(TITLES_QUERY)
+        session.execute(TITLES_QUERY)
+        assert session.prepare(TITLES_QUERY).best()._digest is None
+        assert session.cache_stats()["result_cache"]["misses"] == 2
+
+
+def test_document_references_die_with_their_plan(db):
+    """``RewriteResult.sources()`` is memoized on the alternative, so an
+    evicted plan takes its memo along instead of pinning it."""
+    with db.session(plan_cache_size=1) as session:
+        session.execute(NESTED_QUERY)
+        alt = session.prepare(NESTED_QUERY).best()
+        assert alt.sources() is alt.sources()
+        assert alt.sources() == (frozenset({"bib.xml"}), frozenset())
+        alive = weakref.ref(alt)
+        del alt
+        session.execute(TITLES_QUERY)  # evicts NESTED_QUERY's plan
+        gc.collect()
+        assert alive() is None
+
+
+def test_lookup_never_compiles_or_executes(db):
+    with db.session() as session:
+        assert session.lookup(TITLES_QUERY) == (None, None)
+        assert session.cache_stats()["plan_cache"]["size"] == 0
+        prepared = session.prepare(TITLES_QUERY)
+        assert session.lookup(TITLES_QUERY) == (prepared, None)
+        assert len(session._result_cache) == 0
+        miss = prepared.execute(looked_up=True)
+        prepared_again, hit = session.lookup(TITLES_QUERY)
+        assert prepared_again is prepared
+        assert hit.cached and hit.output == miss.output
+        with pytest.raises(ValueError):
+            session.lookup(TITLES_QUERY, mode="bogus")
+        with pytest.raises(KeyError):
+            session.lookup(TITLES_QUERY, label="no-such-plan")
+        stats = session.cache_stats()
+        assert (stats["plan_cache"]["hits"],
+                stats["plan_cache"]["misses"]) == (4, 2)
+        assert (stats["result_cache"]["hits"],
+                stats["result_cache"]["misses"]) == (1, 1)
 
 
 def test_unknown_mode_rejected_even_on_cache_hit(db):
