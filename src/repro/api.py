@@ -26,7 +26,7 @@ from repro.xmldb.document import Document, DocumentStore
 from repro.xmldb.dtd import parse_dtd
 from repro.xmldb.node import Node
 from repro.xquery.normalize import normalize
-from repro.xquery.parser import parse_xquery
+from repro.xquery.parser import parse_query
 from repro.xquery.translate import Translation, translate
 
 
@@ -52,7 +52,8 @@ class Database:
     def session(self, **kwargs) -> "Session":
         """A long-lived :class:`~repro.session.Session` over this
         database: plan cache (query shape → optimized alternatives),
-        result cache keyed by ``(plan digest, document versions)``,
+        result cache keyed by ``(plan digest, constants, document
+        versions)``,
         per-request timeouts — the request-lifecycle layer the query
         server (:mod:`repro.server`) and repeated-execution callers go
         through.  Keyword arguments: ``plan_cache_size``,
@@ -156,7 +157,11 @@ class CompiledQuery:
         self.ranking = ranking
         self.tracer = tracer
         with maybe_span(tracer, "lex/parse", "compile", chars=len(text)):
-            self.ast = parse_xquery(text)
+            self.ast, slots = parse_query(text)
+        #: the literals the parser read as values, in slot order, and
+        #: their spans in ``text``
+        self.values = tuple(slot.value for slot in slots)
+        self.spans = tuple((slot.start, slot.end) for slot in slots)
         with maybe_span(tracer, "normalize", "compile"):
             self.normalized = normalize(self.ast)
         with maybe_span(tracer, "translate", "compile"):

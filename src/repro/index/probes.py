@@ -40,6 +40,9 @@ class IndexProbe:
     value: Any = None
     #: number of trailing steps to strip from value-probe results
     lift: int = 0
+    #: the query literal ``value`` came from (see
+    #: :mod:`repro.optimizer.binding`), or None
+    slot: int | None = None
 
     def pattern_string(self) -> str:
         """The pattern in XPath-ish syntax (for labels and errors)."""

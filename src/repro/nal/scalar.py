@@ -64,10 +64,14 @@ class ScalarExpr:
 
 
 class Const(ScalarExpr):
-    """A literal value."""
+    """A literal value.  ``slot`` numbers a literal that came from the
+    query text (see :mod:`repro.optimizer.binding`); it takes part in
+    equality, so no rewrite decision can hinge on two literals holding
+    equal values."""
 
-    def __init__(self, value: Any):
+    def __init__(self, value: Any, slot: int | None = None):
         self.value = value
+        self.slot = slot
 
     def evaluate(self, env: Tup, ctx) -> Any:
         return self.value
@@ -76,7 +80,7 @@ class Const(ScalarExpr):
         return frozenset()
 
     def _signature(self) -> tuple:
-        return (repr(self.value),)
+        return (repr(self.value), self.slot)
 
     def __repr__(self) -> str:
         return repr(self.value)
@@ -362,7 +366,7 @@ class PathApply(ScalarExpr):
         return PathApply(children[0], self.path)
 
     def _signature(self) -> tuple:
-        return (self.source, str(self.path))
+        return (self.source, str(self.path), self.path.slots())
 
     def __repr__(self) -> str:
         path_text = str(self.path)

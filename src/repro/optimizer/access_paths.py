@@ -28,9 +28,18 @@ Rewrites also descend into nested subscript plans, so even the paper's
 scans.  A rewritten plan is kept only if the cost model prices it below
 the scan plan — the "whenever there are alternative applications, the
 most efficient plan should be chosen" rule the paper leaves implicit.
+
+That comparison is the one rewrite decision that reads a query
+literal's value: a value probe's price is the index's count of matching
+values.  When a probe's value came from the query text,
+:func:`choose_access_path` returns the decision as a
+:class:`ProbeChoice`, which a plan bound to other constants re-prices
+(:mod:`repro.session`).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from repro.index.probes import IndexProbe
 from repro.nal.algebra import Operator
@@ -61,22 +70,58 @@ def apply_access_paths(plan: Operator, store: DocumentStore,
                        model: CostModel | None = None) -> Operator | None:
     """The plan with scans replaced by index probes, or ``None`` when no
     site matched or the cost model did not prefer the rewrite."""
+    return choose_access_path(plan, store, model)[0]
+
+
+@dataclass(frozen=True)
+class ProbeChoice:
+    """An access-path decision that read a query literal: the probe
+    plan, the scan plan's estimated cost, and whether the probe won."""
+
+    candidate: Operator
+    scan_cost: float
+    taken: bool
+
+    def holds(self, values, model: CostModel) -> bool:
+        """Whether the same decision stands with the slots bound to
+        ``values`` (the scan plan's price reads no literal)."""
+        from repro.optimizer.binding import bind_plan
+        probe = bind_plan(self.candidate, values)
+        return _probe_wins(model.estimate(probe).total,
+                           self.scan_cost) == self.taken
+
+
+def choose_access_path(plan: Operator, store: DocumentStore,
+                       model: CostModel | None = None
+                       ) -> tuple[Operator | None, ProbeChoice | None]:
+    """``(probe plan or None, the decision when it read a literal)``:
+    :func:`apply_access_paths` plus the :class:`ProbeChoice` a binding
+    must re-check — None when no value probe's value is a slot."""
     rewriter = _Rewriter(store)
     rewritten = rewriter.rewrite(plan)
     if rewriter.sites == 0:
-        return None
+        return None, None
     model = model if model is not None else CostModel(store)
+    scan_cost = model.estimate(plan).total
+    taken = _probe_wins(model.estimate(rewritten).total, scan_cost)
+    choice = None
+    if rewriter.slotted:
+        choice = ProbeChoice(rewritten, scan_cost, taken)
+    return (rewritten if taken else None), choice
+
+
+def _probe_wins(probe_cost: float, scan_cost: float) -> bool:
     # Ties go to the probe: on trivial documents the estimates can
     # coincide, and a probe never does more work than a scan.
-    if model.estimate(rewritten).total > model.estimate(plan).total:
-        return None
-    return rewritten
+    return probe_cost <= scan_cost
 
 
 class _Rewriter:
     def __init__(self, store: DocumentStore):
         self.store = store
         self.sites = 0
+        #: whether a value probe took its value from a query literal
+        self.slotted = False
         self._bindings: dict[str, str] = {}
 
     def rewrite(self, plan: Operator) -> Operator:
@@ -214,14 +259,15 @@ class _Rewriter:
             return None
         op = part.op
         if isinstance(part.right, Const):
-            path_side, value = part.left, part.right.value
+            path_side, const = part.left, part.right
         elif isinstance(part.left, Const):
-            path_side, value = part.right, part.left.value
+            path_side, const = part.right, part.left
             op = _FLIP.get(op, "!=")
         else:
             return None
         if op not in _FLIP:
             return None
+        value = const.value
         if isinstance(value, bool) or \
                 not isinstance(value, (int, float, str)):
             return None
@@ -249,8 +295,10 @@ class _Rewriter:
         if not self.store.indexes.can_value_probe(structural.doc,
                                                   pattern):
             return None
+        self.slotted = self.slotted or const.slot is not None
         return IndexProbe(structural.doc, "value", pattern, op=op,
-                          value=value, lift=len(rel_steps))
+                          value=value, lift=len(rel_steps),
+                          slot=const.slot)
 
     def _document_of(self, expr: ScalarExpr) -> str | None:
         if isinstance(expr, DocAccess):

@@ -17,6 +17,13 @@ key across processes and interpreter restarts:
   ``PYTHONHASHSEED``; ``tests/test_digest.py`` runs the digest under
   different seeds in subprocesses and asserts byte equality.
 
+- **Shape, not constants.**  A value that came from a query literal
+  (a *slot*, see :mod:`repro.optimizer.binding`) renders as ``?i:type``:
+  the digest names the plan's shape, so every binding of one compiled
+  plan shares it, and the result cache pairs it with the bound values.
+  Two plans with one digest hold the same slots in the same places, so
+  binding both to the same values gives the same plan.
+
 Structurally *different* plans that happen to render identically would
 collide, but ``label()`` includes every semantically meaningful
 parameter (predicates, attribute lists, sort directions, probe
@@ -37,7 +44,7 @@ from repro.nal.algebra import Operator
 
 #: bumped whenever the canonical serialization changes shape, so stale
 #: digests from older code can never alias fresh ones
-DIGEST_VERSION = 1
+DIGEST_VERSION = 2
 
 
 def canonical_plan_text(plan: Operator) -> str:
@@ -48,9 +55,10 @@ def canonical_plan_text(plan: Operator) -> str:
     marker, exactly like the EXPLAIN tree rendering (kept separate from
     :func:`repro.nal.pretty.plan_to_string` only by the version header,
     so cosmetic EXPLAIN changes cannot silently invalidate caches
-    without a version bump)."""
+    without a version bump), slot values rendered as placeholders."""
+    from repro.optimizer.binding import shape_plan
     lines: list[str] = [f"#digest-v{DIGEST_VERSION}"]
-    _serialize(plan, 0, lines)
+    _serialize(shape_plan(plan), 0, lines)
     return "\n".join(lines)
 
 

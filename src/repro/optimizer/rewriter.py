@@ -84,6 +84,9 @@ class RewriteResult:
     _digest: str | None = None
     #: memoized documents and collection patterns (see :meth:`sources`)
     _sources: tuple[frozenset[str], frozenset[str]] | None = None
+    #: the access-path decision for this plan's ``+index`` variant,
+    #: when it read a query literal (a binding re-checks it)
+    probe_choice: "ProbeChoice | None" = None
 
     def digest(self) -> str:
         """The plan's canonical, process-stable digest (see
@@ -171,13 +174,14 @@ def unnest_plan(plan: Operator, store: DocumentStore,
         access_paths = store.indexes.enabled
     model = None   # one CostModel (and its tag statistics) for both uses
     if access_paths:
-        from repro.optimizer.access_paths import apply_access_paths
+        from repro.optimizer.access_paths import choose_access_path
         from repro.optimizer.cost import CostModel
         with maybe_span(tracer, "access-paths", "optimize") as span:
             model = CostModel(store)
             indexed: list[RewriteResult] = []
             for result in results:
-                rewritten = apply_access_paths(result.plan, store, model)
+                rewritten, result.probe_choice = choose_access_path(
+                    result.plan, store, model)
                 if rewritten is not None:
                     indexed.append(RewriteResult(
                         result.label + "+index", rewritten,

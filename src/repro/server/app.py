@@ -18,30 +18,35 @@ JSON out, ``Connection: close`` per exchange.  Three endpoints:
   keep their pinned snapshot; queries admitted afterwards see the new
   version.
 - ``GET /healthz`` — liveness.
-- ``GET /stats`` — session cache counters, server admission counters
-  (requests, rejections, timeouts, coalesced requests), update
+- ``GET /stats`` — session cache counters (``plan_cache.bindings``:
+  plan hits bound to constants other than the template's), server
+  admission counters (requests, admissions, rejections, timeouts,
+  coalesced requests), update
   counters, and per-document version info (current ``seq``,
   ``version``, rows, chain length) plus the store's live snapshot
   count.
 
 **Threading model.**  The asyncio loop parses protocol and answers
 result-cache hits: :meth:`~repro.session.Session.lookup` is one dict
-lookup per cache (it never compiles or executes), so a hit leaves the
-loop zero times and is served *before* admission — a saturated server
-still answers it.  Everything else is CPU-bound Python and makes
-exactly one hop onto a :class:`~concurrent.futures.ThreadPoolExecutor`
-sized to ``max_concurrency``: compile if the plan cache missed,
-coalesce, execute.  That is safe because everything requests share —
-frozen arenas, immutable plans, the session caches, the in-flight map
-— is either immutable or lock-guarded (see :mod:`repro.session` and
-the :class:`~repro.xmldb.document.DocumentStore` concurrency contract).
+lookup per cache (it never compiles, binds or executes), so a hit
+leaves the loop zero times and is served *before* admission — a
+saturated server still answers it.  Everything else is CPU-bound
+Python and makes exactly one hop onto a
+:class:`~concurrent.futures.ThreadPoolExecutor` sized to
+``max_concurrency``: compile if the plan cache missed, coalesce, bind
+the plan to the query's constants, execute.  That is safe because
+everything requests share — frozen arenas, immutable plans, the
+session caches, the in-flight map — is either immutable or
+lock-guarded (see :mod:`repro.session` and the
+:class:`~repro.xmldb.document.DocumentStore` concurrency contract).
 Each request counts exactly one plan-cache and one result-cache lookup
 (none for a request rejected before its lookup), so ``/stats`` hit
 rates are shares of requests.
 
 **Single-flight coalescing.**  On the worker, before executing, a
-request's *work identity* is computed: canonical plan digest + the
-referenced documents' versions + mode/plan/timeout.  If an identical
+request's *work identity* is formed: the result key the lookup built
+(canonical plan digest + the query's constants + the referenced
+documents' versions) + mode/plan/timeout.  If an identical
 key is already in flight (a lock-guarded map of
 :class:`concurrent.futures.Future`), the request becomes a *follower*:
 the hop hands the leader's future back, the loop releases the
@@ -53,7 +58,9 @@ Followers share the leader's outcome, errors included;
 
 **Admission control.**  :class:`AdmissionController` admits at most
 ``max_concurrency`` executing requests (result-cache hits execute
-nothing and are not admitted) and ``queue_depth`` waiters;
+nothing and are not admitted, so ``admitted_total`` in ``/stats``
+counts executing requests and updates only — never a loop hit) and
+``queue_depth`` waiters;
 anything beyond that is rejected *immediately* with
 :class:`~repro.errors.ServerSaturatedError` (HTTP 503 +
 ``Retry-After``), which keeps tail latency bounded under overload
@@ -402,12 +409,13 @@ class QueryServer:
         try:
             # On the loop: a dict lookup per cache, no compile, no
             # execution — a hit is answered here, before admission.
-            prepared, result = self.session.lookup(text, mode, label)
+            prepared, key, result = self.session.lookup(text, mode,
+                                                        label)
             if result is not None:
-                plan_label = prepared.alternative(label).label
+                plan_label = prepared.template.alternative(label).label
             else:
                 result, plan_label = await self._execute_missed(
-                    text, mode, label, timeout, prepared)
+                    text, mode, label, timeout, prepared, key)
         except ServerSaturatedError as exc:
             return 503, {"error": str(exc), "kind": "saturated"}
         except DeadlineExceededError as exc:
@@ -517,7 +525,7 @@ class QueryServer:
 
     async def _execute_missed(self, text: str, mode: str,
                               label: str | None, timeout: float | None,
-                              prepared):
+                              prepared, key: tuple | None):
         """A request the caches could not answer: admission, then
         exactly one worker hop (:meth:`_compile_and_execute`).  A
         follower frees its slot as soon as the hop returns and awaits
@@ -526,7 +534,7 @@ class QueryServer:
         try:
             outcome = await asyncio.get_running_loop().run_in_executor(
                 self._executor, self._compile_and_execute,
-                text, mode, label, timeout, prepared)
+                text, mode, label, timeout, prepared, key)
         finally:
             self.admission.release()
         if isinstance(outcome, Future):
@@ -536,40 +544,42 @@ class QueryServer:
 
     def _compile_and_execute(self, text: str, mode: str,
                              label: str | None, timeout: float | None,
-                             prepared):
+                             prepared, key: tuple | None):
         """Runs on a worker thread — the request's only hop.  Compiles
         after a plan miss (then makes the result lookup the loop could
-        not make), computes the request's *work* identity — canonical
-        plan digest plus the referenced documents' versions (the result
-        cache's freshness key) plus everything that changes execution
-        semantics — and either joins an identical request in flight
-        (returns its :class:`~concurrent.futures.Future`) or leads:
-        executes, publishes the outcome to the followers and returns
-        ``(result, plan label)``."""
-        session = self.session
+        not make, which builds the result key), computes the request's
+        *work* identity — the result key (plan digest, constants,
+        referenced documents' versions) plus everything that changes
+        execution semantics — and either joins an identical request in
+        flight (returns its :class:`~concurrent.futures.Future`) or
+        leads: binds and executes, publishes the outcome to the
+        followers and returns ``(result, plan label)``."""
         if prepared is None:
-            prepared = session.compile(text)
-            result = prepared.lookup(mode, label)
+            prepared = self.session.compile(text)
+            key, result = prepared.lookup(mode, label)
             if result is not None:
                 return result, prepared.alternative(label).label
-        alt = prepared.alternative(label)
-        key = (alt.digest(), session.doc_versions(alt), mode, label,
-               timeout)
+        elif key is None:
+            # A label the template lacks: re-pricing the binding (here,
+            # off the loop) tells whether its compile has it.
+            key = self.session.result_key(prepared,
+                                          prepared.alternative(label))
+        work = (key, mode, label, timeout)
         with self._inflight_lock:
-            leader = self._inflight.get(key)
+            leader = self._inflight.get(work)
             if leader is not None:
                 return leader
             future = Future()
             # Running: a follower whose task is cancelled cannot
             # cancel it under the leader.
             future.set_running_or_notify_cancel()
-            self._inflight[key] = future
+            self._inflight[work] = future
         try:
             if self.before_execute is not None:
                 self.before_execute()
-            outcome = (prepared.execute(mode=mode, label=label,
-                                        timeout=timeout, looked_up=True),
-                       alt.label)
+            result = prepared.execute(mode=mode, label=label,
+                                      timeout=timeout, key=key)
+            outcome = (result, prepared.alternative(label).label)
         except BaseException as exc:
             future.set_exception(exc)
             raise
@@ -577,7 +587,7 @@ class QueryServer:
             future.set_result(outcome)
         finally:
             with self._inflight_lock:
-                del self._inflight[key]
+                del self._inflight[work]
         return outcome
 
 

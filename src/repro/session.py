@@ -7,17 +7,19 @@ API re-lexes, re-normalizes and re-optimizes on every call.  This
 module splits the lifecycle into three explicit layers:
 
 - :class:`Session` (long-lived) — wraps a
-  :class:`~repro.api.Database` with a **plan cache** (query text →
+  :class:`~repro.api.Database` with a **plan cache** (query *shape* →
   compiled/optimized alternatives, keyed by the store's registration
   epoch so any document change invalidates wholesale) and a **result
-  cache** (canonical plan digest + the referenced documents' versions →
-  rows/output, evicted entry-by-entry when a referenced document is
-  re-registered or removed).  Safe to share between threads and asyncio
-  tasks.
+  cache** (canonical plan digest + bound constants + the referenced
+  documents' versions → rows/output, evicted entry-by-entry when a
+  referenced document is re-registered or removed).  Safe to share
+  between threads and asyncio tasks.
 - :class:`PreparedQuery` (per query shape) — the product of
   ``lex → parse → normalize → translate → unnest/optimize``, computed
-  once.  Holds the ranked plan alternatives and their process-stable
-  digests (:mod:`repro.optimizer.digest`).
+  once per shape: a *template*.  A text that differs from the
+  template's only in constants gets a :class:`BoundQuery` of it
+  (:meth:`PreparedQuery.bind`), which builds its own plans only when it
+  executes (:mod:`repro.optimizer.binding`).
 - Execution (per request) — every :meth:`PreparedQuery.execute` call
   builds a fresh request-scoped
   :class:`~repro.engine.context.EvalContext` (scan stats, metrics,
@@ -26,20 +28,51 @@ module splits the lifecycle into three explicit layers:
 
 Cache keys, exactly:
 
-- plan cache: ``(query text, ranking, store.epoch)``;
-- result cache: ``(plan digest, ((doc name, doc seq), …))`` — the
-  referenced documents in sorted name order with their registration
-  sequence numbers, so a re-registered document (new ``seq``) can never
-  serve a stale entry even before eviction runs.  The digest and the
-  referenced documents are memoized on the plan alternative; a disabled
-  result cache builds no key at all.
+- plan cache: ``(shape, ranking, store.epoch)``.  The shape is the text
+  with each literal replaced by its type
+  (:func:`~repro.xquery.lexer.query_shape`; ``doc()`` names stay in
+  it).  The entry is the shape's first template, and it serves every
+  text of the shape that has the template's text at each *fixed*
+  literal — a literal whose value cannot be rebound.  A literal is
+  fixed when the parser did not read it as a value (a digit in a
+  comment or in constructor text: the pre-scan and the parser disagree,
+  and then every literal is fixed — one template per text), when some
+  plan alternative does not hold it (it was consumed structurally),
+  or, under ``ranking="cost"``, when it feeds an index probe (the
+  ranking reads its value).  A template for other text at the fixed
+  literals is filed under ``(shape, ranking, store.epoch, fixed
+  literals, their text)``.  Which literals are fixed is worked out the
+  first time the template meets a text other than its own.
+- result cache: ``(plan digest, values, ((doc name, doc seq), …))`` —
+  the digest of the *template's* alternative, which renders constants
+  as typed slot placeholders (``?0:int``, :mod:`repro.optimizer.digest`),
+  the request's constants, and the referenced documents in sorted name
+  order with their registration sequence numbers, so a re-registered
+  document (new ``seq``) can never serve a stale entry even before
+  eviction runs.  Two texts that differ in a constant never share an
+  entry, nor do ``5`` and ``5.0`` (equal values, different types: the
+  placeholders differ).  The digest and the referenced documents are
+  memoized on the template's alternative; :meth:`Session.execute` with
+  a disabled result cache builds no key at all.
+
+Binding.  A binding's plans are the template's with the constants
+replaced — except where a compile decision read a constant.  The one
+such decision is the access-path cost comparison
+(:class:`~repro.optimizer.access_paths.ProbeChoice`): a binding
+re-prices it for its own constants, and if the outcome flips the text
+is compiled afresh (not filed, and its result is not cached).  A hit
+never binds: the key needs only the template.  The exception is a plan
+label the template lacks: only the re-pricing can tell whether this
+text's compile has it (a flip adds or drops a ``+index`` alternative),
+so such a request has no key until it executes.
 
 One request counts one lookup per cache.  :meth:`Session.execute` does
 both lookups itself; a caller that must not block (the server's event
 loop) splits it: :meth:`Session.lookup` (cache dicts only — never
-compiles or executes), then on a miss :meth:`Session.compile` /
-:meth:`PreparedQuery.lookup` and ``PreparedQuery.execute(...,
-looked_up=True)``, which store the result without looking again.
+compiles, binds or executes; it builds the result key once), then on a
+miss :meth:`Session.compile` / :meth:`PreparedQuery.lookup` and
+``PreparedQuery.execute(..., key=key)``, which stores the result under
+that key without looking again.
 
 Observability: when a :class:`~repro.obs.metrics.MetricsRegistry` rides
 along on a request, the session records ``session.plan_cache.hit/miss``
@@ -67,7 +100,9 @@ from typing import Callable
 
 from repro.engine.executor import DEFAULT_MODE, ExecutionResult, execute
 from repro.obs.trace import maybe_span
+from repro.optimizer.binding import bind_plan, plan_slots
 from repro.optimizer.rewriter import RewriteResult
+from repro.xquery.lexer import QueryShape, query_shape
 
 #: "not passed" marker for per-request overrides of session defaults
 _UNSET = object()
@@ -87,14 +122,27 @@ class LRUCache:
         self.hits = 0
         self.misses = 0
 
-    def get(self, key):
+    def get(self, key, count: bool = True):
+        """The entry under ``key`` or None; ``count=False`` leaves the
+        hit/miss tally to a later :meth:`count`."""
         with self._lock:
-            if key in self._entries:
+            entry = self._entries.get(key)
+            if entry is not None:
                 self._entries.move_to_end(key)
-                self.hits += 1
-                return self._entries[key]
+            if count:
+                self._count(entry is not None)
+            return entry
+
+    def count(self, hit: bool) -> None:
+        """Tally one lookup made with ``count=False``."""
+        with self._lock:
+            self._count(hit)
+
+    def _count(self, hit: bool) -> None:
+        if hit:
+            self.hits += 1
+        else:
             self.misses += 1
-            return None
 
     def put(self, key, value) -> None:
         if self.max_size <= 0:
@@ -127,43 +175,108 @@ class PreparedQuery:
     """A query shape taken through the whole compile/optimize pipeline
     exactly once, ready for repeated (concurrent) execution.
 
-    Everything here is immutable after construction — the alternatives
-    list, the plans inside it, the digests — so one instance can serve
-    any number of threads.  Obtain instances from
-    :meth:`Session.prepare`; the constructor itself performs the full
-    compilation (and is what the plan cache memoizes).
+    The constructor compiles ``text``: the result is a *template*,
+    holding the ranked alternatives for the template's own constants
+    (:attr:`values`, one per slot).  :meth:`bind` gives the same
+    template with another text's constants (a :class:`BoundQuery`).
+    Everything shared is immutable, so one instance can serve any number
+    of threads.  Obtain instances from :meth:`Session.prepare`.
     """
 
     def __init__(self, session: "Session", text: str, ranking: str,
-                 tracer=None):
+                 tracer=None, shape: QueryShape | None = None):
         from repro.api import compile_query
         self.session = session
         self.text = text
         self.ranking = ranking
         compiled = compile_query(text, session.database, ranking=ranking,
                                  tracer=tracer)
-        #: ranked plan alternatives, best first (immutable)
-        self.alternatives: tuple[RewriteResult, ...] = \
+        #: the template this query binds (itself, for a compiled one)
+        self.template = self
+        #: the constants, one per slot
+        self.values: tuple = compiled.values
+        self._alternatives: tuple[RewriteResult, ...] = \
             tuple(compiled.plans())
-        #: the translated-but-unoptimized plan (for EXPLAIN)
-        self.nested_plan = compiled.plan
+        self._nested_plan = compiled.plan
+        #: access-path decisions a binding re-checks
+        self._choices = tuple(alt.probe_choice for alt in self._alternatives
+                              if alt.probe_choice is not None)
+        #: the pre-scan of :attr:`text` (None: no plan cache, no shape
+        #: work), and whether the parser read exactly its literals
+        self.shape = shape
+        self.bindable = shape is not None and compiled.spans == shape.spans
+        self._fixed: tuple[int, ...] | None = None
         self._auto_modes: dict[str, str] = {}
         self._auto_lock = threading.Lock()
 
+    @property
+    def fixed(self) -> tuple[int, ...]:
+        """The pre-scan literals whose text is part of the plan-cache
+        key — all of them when the parser did not read exactly the
+        pre-scan's literals; otherwise those some plan does not hold,
+        and under ``ranking="cost"`` those feeding an index probe.
+        Worked out on first use: a shape only ever seen with its own
+        constants never needs it."""
+        if self._fixed is None:
+            every = tuple(range(len(self.shape.spans)))
+            if not self.bindable:
+                self._fixed = every
+            else:
+                held, probes = plan_slots(
+                    (self._nested_plan,
+                     *(alt.plan for alt in self._alternatives)))
+                if self.ranking != "cost":
+                    probes = frozenset()
+                self._fixed = tuple(i for i in every
+                                    if i not in held or i in probes)
+        return self._fixed
+
+    def serves(self, text: str, shape: QueryShape) -> bool:
+        """Whether ``text`` (of this template's shape) has this
+        template's text at every fixed literal."""
+        return text == self.text or not self.fixed or \
+            _fixed_text(text, shape, self.fixed) \
+            == _fixed_text(self.text, self.shape, self.fixed)
+
+    def bind(self, text: str, values: tuple) -> "PreparedQuery":
+        """This template with ``text``'s constants ``values`` (the
+        template itself when they are its own)."""
+        if values == self.values:
+            return self
+        return BoundQuery(self, text, values)
+
+    def _flipped(self) -> "PreparedQuery | None":
+        """A fresh compile of this text when an access-path decision the
+        template made goes the other way for its constants — never, for
+        the template itself."""
+        return None
+
+    def _keyed(self, label: str | None) -> RewriteResult | None:
+        """The alternative a request for ``label`` keys its result on:
+        the template's (a binding shares its digest), read without
+        binding or compiling anything."""
+        return self.alternative(label)
+
     # ------------------------------------------------------------------
+    @property
+    def alternatives(self) -> tuple[RewriteResult, ...]:
+        """The ranked plan alternatives, best first (immutable)."""
+        return self._alternatives
+
+    @property
+    def nested_plan(self):
+        """The translated-but-unoptimized plan (for EXPLAIN)."""
+        return self._nested_plan
+
     def best(self) -> RewriteResult:
-        return self.alternatives[0]
+        return self.alternative()
 
     def alternative(self, label: str | None = None) -> RewriteResult:
         """The best plan, or the one named ``label``."""
-        return self.best() if label is None else self.plan_named(label)
+        return _pick(self._alternatives, label)
 
     def plan_named(self, label: str) -> RewriteResult:
-        for alt in self.alternatives:
-            if alt.label == label:
-                return alt
-        known = sorted({a.label for a in self.alternatives})
-        raise KeyError(f"no plan labelled {label!r}; available: {known}")
+        return self.alternative(label)
 
     def explain(self, label: str | None = None) -> str:
         from repro.nal.pretty import plan_to_string
@@ -176,50 +289,56 @@ class PreparedQuery:
         """``"auto"`` resolved once per (alternative, worker budget,
         store epoch) — the cost model's verdict is a function of the
         frozen arenas and the parallelism on offer, so repeated
-        requests reuse it instead of re-walking the plan."""
+        requests reuse it instead of re-walking the plan.  A binding
+        shares its template's verdicts (every mode computes the same
+        output; ``auto`` only picks the fastest)."""
         if mode != "auto":
             return mode
+        template = self.template
         key = (alt.digest(), workers)
-        with self._auto_lock:
-            resolved = self._auto_modes.get(key)
+        with template._auto_lock:
+            resolved = template._auto_modes.get(key)
         if resolved is None:
             from repro.optimizer.cost import preferred_mode
             resolved = preferred_mode(alt.plan,
                                       self.session.database.store,
                                       workers=workers)
-            with self._auto_lock:
-                self._auto_modes[key] = resolved
+            with template._auto_lock:
+                template._auto_modes[key] = resolved
         return resolved
 
     # ------------------------------------------------------------------
-    def lookup(self, mode: str | None = None,
-               label: str | None = None) -> ExecutionResult | None:
-        """The result-cache half of :meth:`execute`: the cached result
-        of this request, or None; never executes.  Counts one
-        result-cache lookup, and raises on a bad mode or label exactly
-        as :meth:`execute` does.  Continue a miss with
-        ``execute(..., looked_up=True)``."""
+    def lookup(self, mode: str | None = None, label: str | None = None
+               ) -> tuple[tuple, ExecutionResult | None]:
+        """The result-cache half of :meth:`execute`: ``(key, the cached
+        result or None)``; never compiles, binds or executes.  Counts
+        one result-cache lookup, and raises on a bad mode or label
+        exactly as :meth:`execute` does — except a label only a
+        re-priced binding can have: that is a miss with a None key
+        (:meth:`Session.result_key` names it once the binding has
+        executed).  Continue a miss with ``execute(..., key=key)``."""
         session = self.session
-        _, alt, _ = session._request(self, mode, label, _UNSET)
-        return session._cached(session._result_key(alt, None))
+        _, keyed, _ = session._request(self, mode, label, _UNSET)
+        key = None if keyed is None else session.result_key(self, keyed)
+        return key, session._cached(key)
 
     def execute(self, mode: str | None = None, label: str | None = None,
                 analyze: bool = False, tracer=None, metrics=None,
                 timeout=_UNSET, use_result_cache: bool = True,
                 workers=_UNSET, snapshot=None,
-                looked_up: bool = False) -> ExecutionResult:
+                key: tuple | None = None) -> ExecutionResult:
         """One request: execute the best plan (or the alternative named
         ``label``) with a fresh request-scoped context.
 
         The session's result cache is consulted first (unless
         ``use_result_cache=False``, ``analyze=True`` or a ``tracer`` is
         attached — observed requests always execute so their recordings
-        describe real work; or ``looked_up=True``: the caller already
-        missed in :meth:`lookup`, so the result is stored without a
-        second lookup).  ``timeout`` defaults to the session's
-        ``default_timeout``; ``workers`` to its ``default_workers``
-        (the parallel worker budget ``mode="auto"`` weighs and
-        ``mode="parallel"`` uses).  ``snapshot`` (a
+        describe real work; or a ``key`` is given: the caller already
+        missed under it in :meth:`lookup`, so the result is stored under
+        it without a second lookup).  ``timeout`` defaults to the
+        session's ``default_timeout``; ``workers`` to its
+        ``default_workers`` (the parallel worker budget ``mode="auto"``
+        weighs and ``mode="parallel"`` uses).  ``snapshot`` (a
         :class:`~repro.xmldb.document.StoreSnapshot`) pins the request
         to previously captured document versions instead of the
         store's current ones; the result-cache key then carries the
@@ -229,7 +348,97 @@ class PreparedQuery:
             self, mode=mode, label=label, analyze=analyze,
             tracer=tracer, metrics=metrics, timeout=timeout,
             use_result_cache=use_result_cache, workers=workers,
-            snapshot=snapshot, looked_up=looked_up)
+            snapshot=snapshot, key=key)
+
+
+class BoundQuery(PreparedQuery):
+    """A template bound to another text's constants :attr:`values`.
+
+    It holds the template, the text, the constants and its own memos —
+    nothing else; what the plan cache needs (:attr:`shape`,
+    :attr:`fixed`, :meth:`serves`) is the template's business.  It builds
+    its plans only when :meth:`alternative` / :attr:`alternatives` ask,
+    and only the ones asked for.  Before the first, it re-prices the
+    template's access-path decisions for its constants
+    (:meth:`_flipped`)."""
+
+    def __init__(self, template: PreparedQuery, text: str, values: tuple):
+        self.template = template
+        self.session = template.session
+        self.ranking = template.ranking
+        self.text = text
+        self.values = values
+        self._alternatives: tuple[RewriteResult, ...] | None = None
+        #: the alternatives built so far, by label
+        self._bound: dict[str, RewriteResult] = {}
+        #: whether the re-pricing ran, and its fresh compile on a flip
+        self._checked = not template._choices
+        self._fresh: PreparedQuery | None = None
+
+    def _flipped(self) -> PreparedQuery | None:
+        """A fresh compile of this text when an access-path decision
+        the template made goes the other way for these constants; None
+        when the template's plans hold."""
+        if not self._checked:
+            from repro.optimizer.cost import CostModel
+            model = CostModel(self.session.database.store)
+            if not all(choice.holds(self.values, model)
+                       for choice in self.template._choices):
+                self._fresh = PreparedQuery(self.session, self.text,
+                                            self.ranking)
+            self._checked = True
+        return self._fresh
+
+    def _keyed(self, label: str | None) -> RewriteResult | None:
+        """The template's alternative ``label``; when the template has
+        none, what the re-pricing says — None while it has not run."""
+        try:
+            return self.template.alternative(label)
+        except KeyError:
+            if not self._checked:
+                return None
+            return self.alternative(label)
+
+    def _bind(self, alt: RewriteResult) -> RewriteResult:
+        return RewriteResult(alt.label, bind_plan(alt.plan, self.values),
+                             alt.applied, cost=alt.cost)
+
+    @property
+    def alternatives(self) -> tuple[RewriteResult, ...]:
+        if self._alternatives is None:
+            fresh = self._flipped()
+            self._alternatives = fresh.alternatives if fresh else tuple(
+                self._bind(alt) for alt in self.template.alternatives)
+        return self._alternatives
+
+    @property
+    def nested_plan(self):
+        return bind_plan(self.template.nested_plan, self.values)
+
+    def alternative(self, label: str | None = None) -> RewriteResult:
+        """The best plan, or the one named ``label``; builds only this
+        one."""
+        if self._alternatives is not None:
+            return _pick(self._alternatives, label)
+        fresh = self._flipped()
+        if fresh is not None:
+            return fresh.alternative(label)
+        shared = self.template.alternative(label)
+        bound = self._bound.get(shared.label)
+        if bound is None:
+            bound = self._bound[shared.label] = self._bind(shared)
+        return bound
+
+
+def _pick(alternatives: tuple[RewriteResult, ...],
+          label: str | None) -> RewriteResult:
+    if label is None:
+        return alternatives[0]
+    for alt in alternatives:
+        if alt.label == label:
+            return alt
+    known = sorted({a.label for a in alternatives})
+    raise KeyError(f"no plan labelled {label!r}; available: {known}")
 
 
 class Session:
@@ -254,6 +463,9 @@ class Session:
         self.ranking = ranking
         self._plan_cache = LRUCache(plan_cache_size)
         self._result_cache = LRUCache(result_cache_size)
+        #: plan hits that bound constants other than the template's
+        self._bindings = 0
+        self._bindings_lock = threading.Lock()
         self._listener = self._on_store_change
         database.store.add_listener(self._listener)
         self._closed = False
@@ -291,62 +503,99 @@ class Session:
         current = store.get(name).seq if name in store else None
         self._result_cache.evict_if(
             lambda key: any(doc == name and seq != current
-                            for doc, seq in key[1]))
+                            for doc, seq in key[2]))
 
     # ------------------------------------------------------------------
     # Prepare (plan cache)
     # ------------------------------------------------------------------
     def prepare(self, text: str, ranking: str | None = None,
                 tracer=None) -> PreparedQuery:
-        """The compiled/optimized form of ``text``, from the plan cache
-        when the same shape was prepared before under the current store
-        epoch.  Compilation runs outside the cache lock, so two threads
-        racing on a cold shape may both compile — one result wins, both
-        are correct (plans are immutable)."""
+        """The compiled/optimized form of ``text``: from the plan cache
+        when a text of the same shape was prepared before under the
+        current store epoch (bound to ``text``'s constants), compiled
+        otherwise.  Compilation runs outside the cache lock, so two
+        threads racing on a cold shape may both compile — one result
+        wins, both are correct (plans are immutable)."""
         return self._prepare(text, ranking, tracer)[0]
 
     def _prepare(self, text: str, ranking: str | None,
                  tracer=None) -> tuple[PreparedQuery, bool]:
         """(prepared, plan_cache_hit) — the hit flag feeds per-request
         metrics without re-deriving it from shared counters."""
-        prepared = self._plan_cache.get(self._plan_key(text, ranking))
+        prepared = self._find(text, ranking)
         if prepared is not None:
             return prepared, True
         return self.compile(text, ranking, tracer), False
 
-    def _plan_key(self, text: str, ranking: str | None) -> tuple:
+    def _find(self, text: str,
+              ranking: str | None) -> PreparedQuery | None:
+        """The plan cache's one lookup for ``text``: its shape's
+        template bound to its constants, or None.  A disabled cache
+        counts the miss and scans nothing."""
+        cache = self._plan_cache
+        if cache.max_size <= 0:
+            cache.count(False)
+            return None
+        shape = query_shape(text)
+        key = self._plan_key(shape.key, ranking)
+        entry = cache.get(key, count=False)
+        if entry is not None and not entry.serves(text, shape):
+            entry = cache.get(_fixed_key(key, text, shape, entry.fixed),
+                              count=False)
+        cache.count(entry is not None)
+        if entry is None or not entry.bindable:
+            return entry
+        bound = entry.bind(text, shape.values)
+        if bound is not entry:
+            with self._bindings_lock:
+                self._bindings += 1
+        return bound
+
+    def _plan_key(self, shape_key: tuple, ranking: str | None) -> tuple:
         ranking = self.ranking if ranking is None else ranking
-        return (text, ranking, self.database.store.epoch)
+        return (shape_key, ranking, self.database.store.epoch)
 
     def compile(self, text: str, ranking: str | None = None,
                 tracer=None) -> PreparedQuery:
         """The plan-miss half of :meth:`prepare`: compile ``text`` and
         file it in the plan cache *without* looking the cache up — for
-        a caller whose :meth:`lookup` already counted the miss."""
-        key = self._plan_key(text, ranking)
-        with maybe_span(tracer, "prepare", "session", ranking=key[1]):
-            prepared = PreparedQuery(self, text, key[1], tracer=tracer)
-        self._plan_cache.put(key, prepared)
+        a caller whose :meth:`lookup` already counted the miss.  The
+        first template of a shape is filed under the shape; one that
+        the shape's template cannot serve (other text at a fixed
+        literal), under the shape plus that text."""
+        ranking = self.ranking if ranking is None else ranking
+        cache = self._plan_cache
+        shape = query_shape(text) if cache.max_size > 0 else None
+        with maybe_span(tracer, "prepare", "session", ranking=ranking):
+            prepared = PreparedQuery(self, text, ranking, tracer=tracer,
+                                     shape=shape)
+        if shape is not None:
+            key = self._plan_key(shape.key, ranking)
+            first = cache.get(key, count=False)
+            if first is not None and not first.serves(text, shape):
+                key = _fixed_key(key, text, shape, first.fixed)
+            cache.put(key, prepared)
         return prepared
 
     def lookup(self, text: str, mode: str | None = None,
-               label: str | None = None
-               ) -> tuple[PreparedQuery | None, ExecutionResult | None]:
+               label: str | None = None) -> tuple:
         """The cache half of :meth:`execute`: never compiles, never
-        executes, so an event loop may call it.  Looks the plan cache
-        up, and — when the plan is cached — the result cache; returns
-        ``(prepared, result)`` with None for a miss (``(None, None)`` on
-        a plan miss: the result key needs the plan).  A bad mode or an
-        unknown label raises as :meth:`execute` would.
+        binds a plan, never executes, so an event loop may call it.
+        Looks the plan cache up, and — when the plan is cached — builds
+        the result key and looks the result cache up; returns
+        ``(prepared, key, result)`` with None for a miss
+        (``(None, None, None)`` on a plan miss: the key needs the
+        plan).  A bad mode or an unknown label raises as
+        :meth:`execute` would.
 
-        Continue a miss so the request counts one lookup per cache:
-        :meth:`compile` then :meth:`PreparedQuery.lookup` after a plan
-        miss, then :meth:`PreparedQuery.execute` with
-        ``looked_up=True``."""
-        prepared = self._plan_cache.get(self._plan_key(text, None))
+        Continue a miss so the request counts one lookup per cache and
+        builds its key once: :meth:`compile` then
+        :meth:`PreparedQuery.lookup` after a plan miss, then
+        :meth:`PreparedQuery.execute` with ``key=key``."""
+        prepared = self._find(text, None)
         if prepared is None:
-            return None, None
-        return prepared, prepared.lookup(mode, label)
+            return None, None, None
+        return (prepared, *prepared.lookup(mode, label))
 
     # ------------------------------------------------------------------
     # Execute (result cache)
@@ -392,9 +641,12 @@ class Session:
 
     def _request(self, prepared: PreparedQuery, mode: str | None,
                  label: str | None, workers) -> tuple:
-        """``(mode, alternative, workers)`` of one request, validated
-        before any result-cache lookup so a bogus mode or label fails
-        identically on hits and misses."""
+        """``(mode, keyed alternative, workers)`` of one request,
+        validated before any result-cache lookup so a bogus mode or
+        label fails identically on hits and misses.  The alternative is
+        the one the result key is built from — the template's: no plan
+        is bound for a lookup — or None when the label is one only a
+        re-priced binding may have (see :meth:`PreparedQuery.lookup`)."""
         mode = self.default_mode if mode is None else mode
         from repro.engine.executor import MODES, resolve_workers
         if mode not in MODES:
@@ -403,15 +655,25 @@ class Session:
             workers = self.default_workers
         workers = resolve_workers(workers,
                                   explicit_parallel=(mode == "parallel"))
-        return mode, prepared.alternative(label), workers
+        return mode, prepared._keyed(label), workers
 
-    def _result_key(self, alt: RewriteResult, snapshot) -> tuple | None:
-        """The result-cache key, or None while the cache is disabled —
-        a cache that cannot hit is worth no digest and no document
-        walk."""
-        if self._result_cache.max_size <= 0:
+    def result_key(self, prepared: PreparedQuery, alt: RewriteResult,
+                   snapshot=None) -> tuple:
+        """The result-cache key of ``prepared`` run as ``alt`` (the
+        template's alternative, or a binding's own): the alternative's
+        digest (constants as typed placeholders), the request's
+        constants, the document versions."""
+        return (alt.digest(), prepared.values,
+                self.doc_versions(alt, snapshot))
+
+    def _result_key(self, prepared: PreparedQuery,
+                    alt: RewriteResult | None, snapshot) -> tuple | None:
+        """:meth:`result_key`, or None while the cache is disabled — a
+        cache that cannot hit is worth no digest and no document walk —
+        or while ``alt`` is unknown."""
+        if self._result_cache.max_size <= 0 or alt is None:
             return None
-        return (alt.digest(), self.doc_versions(alt, snapshot))
+        return self.result_key(prepared, alt, snapshot)
 
     def _cached(self, key: tuple | None,
                 metrics=None) -> ExecutionResult | None:
@@ -438,19 +700,25 @@ class Session:
                           analyze: bool, tracer, metrics, timeout,
                           use_result_cache: bool, workers=_UNSET,
                           snapshot=None,
-                          looked_up: bool = False) -> ExecutionResult:
-        mode, alt, workers = self._request(prepared, mode, label, workers)
+                          key: tuple | None = None) -> ExecutionResult:
+        mode, keyed, workers = self._request(prepared, mode, label,
+                                             workers)
         if timeout is _UNSET:
             timeout = self.default_timeout
-        key = None
-        if use_result_cache and not analyze and tracer is None:
-            key = self._result_key(alt, snapshot)
-            if not looked_up:
-                hit = self._cached(key, metrics)
-                if hit is not None:
-                    return hit
+        if not use_result_cache or analyze or tracer is not None:
+            key = None
+        elif key is None:
+            key = self._result_key(prepared, keyed, snapshot)
+            hit = self._cached(key, metrics)
+            if hit is not None:
+                return hit
+        alt = prepared.alternative(label)
+        if prepared._flipped() is not None:
+            # Not the plan the key names: run it, file nothing.
+            key = None
         if mode != "reference":
-            mode = prepared.resolve_mode(mode, alt, workers=workers)
+            mode = prepared.resolve_mode(
+                mode, alt if keyed is None else keyed, workers=workers)
         target = self.database.store if snapshot is None else snapshot
         result = execute(alt.plan, target, mode=mode,
                          analyze=analyze, tracer=tracer, metrics=metrics,
@@ -477,8 +745,22 @@ class Session:
         plan, result = self._plan_cache, self._result_cache
         return {
             "plan_cache": {"size": len(plan), "hits": plan.hits,
-                           "misses": plan.misses},
+                           "misses": plan.misses,
+                           "bindings": self._bindings},
             "result_cache": {"size": len(result), "hits": result.hits,
                              "misses": result.misses},
             "store_epoch": self.database.store.epoch,
         }
+
+
+def _fixed_text(text: str, shape: QueryShape, fixed: tuple) -> tuple:
+    """The source text of the pre-scan literals numbered ``fixed``."""
+    return tuple(text[slice(*shape.spans[i])] for i in fixed)
+
+
+def _fixed_key(key: tuple, text: str, shape: QueryShape,
+               fixed: tuple) -> tuple:
+    """Where a template for ``text`` is filed when its shape's first
+    template cannot serve it: the shape key plus the fixed literals
+    and their text."""
+    return key + (fixed, _fixed_text(text, shape, fixed))

@@ -59,11 +59,15 @@ class PathPredicate:
 
 @dataclass(frozen=True)
 class ComparisonPredicate:
-    """Value predicate: ``[relative/path OP literal]``."""
+    """Value predicate: ``[relative/path OP literal]``.  ``slot`` is the
+    literal's number when it came from a query text (see
+    :mod:`repro.optimizer.binding`); it takes part in equality, so
+    predicates from two different literals never compare equal."""
 
     path: "Path"
     op: str  # one of = != < <= > >=
     value: Any
+    slot: int | None = None
 
     def __str__(self) -> str:
         value = self.value
@@ -127,6 +131,12 @@ class Path:
 
     def has_predicates(self) -> bool:
         return any(step.predicates for step in self.steps)
+
+    def slots(self) -> tuple[int | None, ...]:
+        """The slots of the path's comparison predicates, in order."""
+        return tuple(p.slot for step in self.steps
+                     for p in step.predicates
+                     if isinstance(p, ComparisonPredicate))
 
     def simple_steps(self) -> list[tuple[str, str]] | None:
         """The ``(axis, name)`` form used by :class:`SchemaInfo`, or

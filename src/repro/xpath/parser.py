@@ -10,9 +10,15 @@ as plain strings in tests, examples and the data-generation tooling::
 
 Predicates are restricted to the two self-contained forms the evaluator
 supports (existence and comparison-with-literal).
+
+:func:`scan_number` is the one lexical rule for numeric literals: this
+parser, the XQuery lexer and the XQuery literal pre-scan
+(:func:`repro.xquery.lexer.query_shape`) all read numbers through it.
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.errors import XPathError
 from repro.xpath.ast import (
@@ -27,6 +33,28 @@ from repro.xpath.ast import (
 )
 
 _OPERATORS = ("!=", "<=", ">=", "=", "<", ">")
+
+#: the characters a numeric literal's token runs over: ASCII digits and
+#: dots (no sign, no exponent, no other script's digits)
+_NUMBER_RUN = re.compile(r"[0-9.]*")
+
+
+def scan_number(text: str, pos: int) -> tuple[int | float | None, int]:
+    """The numeric literal token at ``text[pos:]``: ``(value, end)``,
+    the token being the longest run of ASCII digits and dots (see
+    :func:`number_value`) — the caller raises its own error, with the
+    position, when the value is None."""
+    end = _NUMBER_RUN.match(text, pos).end()
+    return number_value(text[pos:end]), end
+
+
+def number_value(token: str) -> int | float | None:
+    """A run of ASCII digits and dots as a number: well-formed when it
+    holds a digit and at most one "." — an ``int``, or a ``float`` when
+    it holds the "." — and None otherwise."""
+    if token.count(".") > 1 or not token.strip("."):
+        return None
+    return float(token) if "." in token else int(token)
 
 
 class _Scanner:
@@ -136,7 +164,8 @@ def _parse_predicate(scanner: _Scanner) -> Predicate:
     value = _parse_literal(scanner)
     scanner.skip_ws()
     if not scanner.take("]"):
-        raise XPathError("expected ']' closing predicate")
+        raise XPathError(f"expected ']' closing predicate at position "
+                         f"{scanner.pos} in {scanner.text!r}")
     return ComparisonPredicate(inner, op, value)
 
 
@@ -178,14 +207,10 @@ def _parse_literal(scanner: _Scanner):
         value = scanner.text[scanner.pos:end]
         scanner.pos = end + 1
         return value
-    start = scanner.pos
-    while (not scanner.eof()
-           and (scanner.text[scanner.pos].isdigit()
-                or scanner.text[scanner.pos] in "+-.")):
-        scanner.pos += 1
-    raw = scanner.text[start:scanner.pos]
-    if not raw:
-        raise XPathError("expected a literal in predicate comparison")
-    if "." in raw:
-        return float(raw)
-    return int(raw)
+    value, end = scan_number(scanner.text, scanner.pos)
+    if value is None:
+        raise XPathError(
+            f"expected a string or number literal at position "
+            f"{scanner.pos} in {scanner.text!r}")
+    scanner.pos = end
+    return value

@@ -27,6 +27,10 @@ class VarRef:
 @dataclass(frozen=True)
 class Literal:
     value: Any
+    #: the parser's number for a literal read from the query text (None
+    #: for one the front end made up); it rides along to the plan so a
+    #: compiled plan can be bound to another text's constants
+    slot: int | None = field(default=None, compare=False)
 
     def __str__(self) -> str:
         if isinstance(self.value, str):

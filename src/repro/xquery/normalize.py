@@ -317,7 +317,8 @@ def _predicate_to_expr(predicate, var: str) -> ast.Expr:
                             (ast.PathExpr(base, predicate.path),))
     if isinstance(predicate, ComparisonPredicate):
         return ast.Comparison(ast.PathExpr(base, predicate.path),
-                              predicate.op, ast.Literal(predicate.value))
+                              predicate.op,
+                              ast.Literal(predicate.value, predicate.slot))
     if isinstance(predicate, OpaquePredicate):
         return _rebase_context(predicate.payload, base)
     raise TranslationError(f"cannot lift predicate {predicate!r}")
@@ -545,6 +546,7 @@ def _retarget_range(var: str, pred, source: ast.FLWR,
     instead, so the quantifier ranges over the values the predicate needs
     (the paper's Q5 rewrite).  Requires the range to return a variable."""
     paths: set[str] = set()
+    objects: set[Path] = set()
     bare = [False]
 
     def scan(node) -> None:
@@ -552,6 +554,7 @@ def _retarget_range(var: str, pred, source: ast.FLWR,
             if isinstance(node.source, ast.VarRef) and \
                     node.source.name == var:
                 paths.add(str(node.path))
+                objects.add(node.path)
             else:
                 scan(node.source)
             return
@@ -590,9 +593,15 @@ def _retarget_range(var: str, pred, source: ast.FLWR,
         return False
 
     value_var = fresh.fresh("y")
-    from repro.xpath.parser import parse_path
-    let = ast.LetClause(value_var,
-                        ast.PathExpr(source.ret, parse_path(the_path)))
+    if len(objects) == 1:
+        value_path = next(iter(objects))
+    else:
+        # Equal text from different literals (``[a = 5]`` twice): the
+        # re-read path carries no slots, so the literals' values become
+        # part of the plan's cache key instead of being bound.
+        from repro.xpath.parser import parse_path
+        value_path = parse_path(the_path)
+    let = ast.LetClause(value_var, ast.PathExpr(source.ret, value_path))
     new_source = ast.FLWR(source.clauses + (let,), source.where,
                           ast.VarRef(value_var))
 

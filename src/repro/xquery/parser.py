@@ -24,9 +24,20 @@ Grammar (simplified)::
 in predicate position parse as context-relative paths.  Step predicates
 are converted to the XPath layer's self-contained forms when possible and
 kept opaque otherwise (the normalizer lifts those into ``where``).
+
+Every literal the parser reads as a value is numbered: its *slot*
+(:attr:`repro.xquery.ast.Literal.slot`, and the ``slot`` of the
+:class:`~repro.xpath.ast.ComparisonPredicate` it may become), in text
+order.  :func:`parse_query` also returns each slot's span and value, so
+the session can check them against the pre-scan
+(:func:`repro.xquery.lexer.query_shape`) before it shares a compiled
+plan between texts of one shape.  A ``doc()`` name is not a value: it
+gets no slot.
 """
 
 from __future__ import annotations
+
+from typing import Any, NamedTuple
 
 from repro.errors import XQueryParseError
 from repro.xpath.ast import (
@@ -41,13 +52,27 @@ from repro.xpath.ast import (
     TextTest,
 )
 from repro.xquery import ast
-from repro.xquery.lexer import NAME_START, Scanner
+from repro.xquery.lexer import DIGITS, NAME_START, Scanner
 
 _COMPARISON_OPS = ("!=", "<=", ">=", "=", "<", ">")
 
 
+class Slot(NamedTuple):
+    """One literal the parser read as a value."""
+
+    start: int
+    end: int
+    value: Any
+
+
 def parse_xquery(text: str) -> ast.Expr:
     """Parse an XQuery string into an AST."""
+    return parse_query(text)[0]
+
+
+def parse_query(text: str) -> tuple[ast.Expr, tuple[Slot, ...]]:
+    """Parse an XQuery string: ``(AST, slots)``, the slots in text
+    order (slot ``i`` is ``slots[i]``)."""
     scanner = Scanner(text)
     expr = _parse_expr_single(scanner)
     scanner.skip_ws()
@@ -55,7 +80,7 @@ def parse_xquery(text: str) -> ast.Expr:
         raise scanner.error(
             f"unexpected trailing input: "
             f"{scanner.text[scanner.pos:scanner.pos + 20]!r}")
-    return expr
+    return expr, tuple(scanner.slots)
 
 
 # ----------------------------------------------------------------------
@@ -198,10 +223,11 @@ def _parse_primary(s: Scanner) -> ast.Expr:
         return expr
     if ch == "$":
         return ast.VarRef(s.read_variable())
-    if ch in ("'", '"'):
-        return ast.Literal(s.read_string())
-    if ch.isdigit():
-        return ast.Literal(s.read_number())
+    if ch in ("'", '"') or ch in DIGITS:
+        start = s.pos
+        value = s.read_number() if ch in DIGITS else s.read_string()
+        s.slots.append(Slot(start, s.pos, value))
+        return ast.Literal(value, len(s.slots) - 1)
     if ch == "<":
         return _parse_element_ctor(s)
     if ch == "@":
@@ -235,6 +261,8 @@ def _parse_call(s: Scanner, name: str) -> ast.Expr:
     if name in ("doc", "document", "collection"):
         if len(args) != 1 or not isinstance(args[0], ast.Literal):
             raise s.error(f"{name}() expects one string literal")
+        # A document name is structure, not a value: it takes no slot.
+        s.slots.pop()
         return ast.DocCall(str(args[0].value),
                            collection=(name == "collection"))
     return ast.FuncCall(name, tuple(args))
@@ -321,7 +349,8 @@ def _classify_predicate(expr: ast.Expr) -> Predicate:
                 and isinstance(left.source, ast.ContextItem)
                 and isinstance(right, ast.Literal)
                 and not left.path.has_predicates()):
-            return ComparisonPredicate(left.path, op, right.value)
+            return ComparisonPredicate(left.path, op, right.value,
+                                       right.slot)
     return OpaquePredicate(expr)
 
 

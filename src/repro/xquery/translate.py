@@ -323,7 +323,7 @@ class _Translator:
         if isinstance(expr, ast.VarRef):
             return S.AttrRef(expr.name)
         if isinstance(expr, ast.Literal):
-            return S.Const(expr.value)
+            return S.Const(expr.value, expr.slot)
         if isinstance(expr, ast.DocCall):
             if expr.collection:
                 return S.CollectionAccess(expr.name)

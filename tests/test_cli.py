@@ -193,6 +193,14 @@ def test_parse_error_fails_cleanly(data_dir, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_malformed_number_fails_cleanly(data_dir, capsys):
+    code = main(["--query", 'for $x in doc("a.xml")//b '
+                            'where $x/c = 1.2.3 return $x',
+                 "--docs", str(data_dir)])
+    assert code == EXIT_BAD_QUERY
+    assert "malformed number '1.2.3'" in capsys.readouterr().err
+
+
 def test_bad_doc_spec_rejected(data_dir):
     with pytest.raises(SystemExit):
         main(["--query", "for $x in doc('a')//b return $x",

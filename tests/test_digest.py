@@ -71,7 +71,7 @@ def test_digest_is_memoized_and_versioned():
     alt = compile_query(NESTED_QUERY, db).best()
     assert alt.digest() is alt.digest()
     text = canonical_plan_text(alt.plan)
-    assert text.startswith("#digest-v1\n")
+    assert text.startswith("#digest-v2\n")
     assert len(alt.digest()) == 64  # sha-256 hex
     assert alt.digest() == plan_digest(alt.plan)
 

@@ -76,6 +76,11 @@ def test_malformed_dtd_raises(text):
     "book[",         # unterminated predicate
     "",              # empty
     "book@year",     # @ without step separator
+    "//b[c = 5-3]",  # arithmetic is not a literal
+    "//b[c = +]",    # a sign alone
+    "//b[c = -]",
+    "//b[c = 1.2.3]",  # two dots
+    "//b[c = ٣]",    # a digit of another script
 ])
 def test_malformed_xpath_raises(text):
     with pytest.raises((XPathError, ReproError)):
@@ -93,10 +98,35 @@ def test_malformed_xpath_raises(text):
     "some $x in (1,2) return $x",         # quantifier without satisfies
     "for $x in doc('a.xml') return <a>",  # unterminated constructor
     "",                                   # empty query
+    "1.2.3",                              # two dots in a number
+    "²",                                  # a superscript is no digit
+    "٣",                                  # nor an Arabic-Indic digit
+    "for $x in doc('a.xml')//b where $x/c = 1..2 return $x",
 ])
 def test_malformed_xquery_raises(text):
     with pytest.raises(XQueryParseError):
         parse_xquery(text)
+
+
+@pytest.mark.parametrize("text", ["1.2.3", "²"])
+def test_malformed_number_error_carries_location(text):
+    with pytest.raises(XQueryParseError) as info:
+        parse_xquery(text)
+    assert "column 1" in str(info.value)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("5", 5), ("5.", 5.0), ("5.25", 5.25), ("007", 7)])
+def test_numeric_literals_are_ascii_digits_with_one_dot(text, value):
+    literal = parse_xquery(text)
+    assert literal.value == value
+    assert type(literal.value) is type(value)
+
+
+def test_malformed_number_in_xpath_names_its_position():
+    with pytest.raises(XPathError) as info:
+        parse_path("//b[c = 1.2.3]")
+    assert "position 8" in str(info.value)
 
 
 def test_xquery_error_carries_location():

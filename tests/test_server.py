@@ -510,6 +510,84 @@ def test_each_request_counts_one_lookup_per_cache(server):
         {"plan_cache": (0, 1), "result_cache": (0, 0)}
 
 
+def test_each_request_walks_its_documents_once(server, monkeypatch):
+    """The result key the lookup builds is the one the coalescing map
+    and the result store use: ``Session.doc_versions`` runs once per
+    request for a result hit, a result miss, a plan miss and a
+    follower."""
+    from repro.session import Session
+    walks = []
+    doc_versions = Session.doc_versions
+
+    def spy(self, *args, **kwargs):
+        walks.append(1)
+        return doc_versions(self, *args, **kwargs)
+
+    monkeypatch.setattr(Session, "doc_versions", spy)
+
+    def count(send) -> int:
+        before = len(walks)
+        send()
+        return len(walks) - before
+
+    def post(query: str):
+        return lambda: server.post({"query": query})
+
+    query = cold_query()
+    assert count(post(query)) == 1                     # plan miss
+    assert count(post(query)) == 1                     # result hit
+    query = cold_query()
+    server.session.prepare(query)
+    assert count(post(query)) == 1                     # result miss
+    with leader_held(server, {"query": cold_query()}) as (follow, _):
+        assert count(follow) == 1                      # follower
+
+
+def test_texts_of_one_shape_share_a_plan_not_a_result(server):
+    """A text that differs from a cached one only in a constant is a
+    plan hit that binds (``plan_cache.bindings``) and a result miss,
+    and its answer is its own."""
+    template = ('for $b in doc("bib.xml")//book where $b/@year > {} '
+                'return <shape-test>{{ $b/title }}</shape-test>')
+    _, before = server.get("/stats")
+    replies = [server.post({"query": template.format(year)})
+               for year in (1990, 2000, 1990)]
+    _, after = server.get("/stats")
+    assert [status for status, _, _ in replies] == [200] * 3
+    assert [payload["cached"] for _, payload, _ in replies] == \
+        [False, False, True]
+    delta = {field: after["plan_cache"][field] - before["plan_cache"][field]
+             for field in ("hits", "misses", "bindings")}
+    assert delta == {"hits": 2, "misses": 1, "bindings": 1}
+    for (_, payload, _), year in zip(replies, (1990, 2000)):
+        with server.db.session() as fresh:
+            assert payload["output"] == \
+                fresh.execute(template.format(year)).output
+
+
+def test_a_label_only_a_repriced_binding_has_is_served(server,
+                                                       monkeypatch):
+    """The template did not take the value probe, so it has no
+    ``+index`` plan; a text whose constant makes the probe win does,
+    and naming that plan is a 200, as it is for a fresh compile."""
+    from repro.optimizer import access_paths
+    tag = f"cold{next(_cold)}"
+    template = ('for $b in doc("bib.xml")//book where $b/@year > {} '
+                'return <TAG>{{ $b/title }}</TAG>').replace("TAG", tag)
+    with monkeypatch.context() as patch:
+        patch.setattr(access_paths, "_probe_wins",
+                      lambda probe_cost, scan_cost: False)
+        status, payload, _ = server.post({"query": template.format(1990)})
+    assert (status, payload["plan"]) == (200, "nested")
+    text = template.format(1995)
+    status, payload, _ = server.post({"query": text,
+                                      "plan": "nested+index"})
+    assert (status, payload["plan"]) == (200, "nested+index")
+    with server.db.session() as fresh:
+        assert payload["output"] == \
+            fresh.execute(text, label="nested+index").output
+
+
 def test_admission_controller_counts():
     from repro.errors import ServerSaturatedError
 

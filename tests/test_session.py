@@ -94,8 +94,26 @@ def test_prepare_reuses_compiled_query(db):
         first = session.prepare(NESTED_QUERY)
         second = session.prepare(NESTED_QUERY)
         assert first is second, \
-            "the same shape must come back from the plan cache"
+            "the same text must come back from the plan cache"
         assert session.cache_stats()["plan_cache"]["hits"] == 1
+
+
+def test_plan_cache_is_keyed_by_shape(db):
+    """Texts that differ only in constants share one compiled template;
+    each gets it bound to its own constants."""
+    template = ('for $b in doc("bib.xml")//book where $b/@year > {} '
+                'return $b/title')
+    with db.session() as session:
+        old = session.prepare(template.format(1990))
+        new = session.prepare(template.format(2000))
+        assert new.template is old and new is not old
+        assert (old.values, new.values) == ((1990,), (2000,))
+        assert "2000" in new.explain() and "1990" not in new.explain()
+        stats = session.cache_stats()["plan_cache"]
+        assert (stats["size"], stats["hits"], stats["misses"],
+                stats["bindings"]) == (1, 1, 1, 1)
+        # The template's own constants (however spelt) bind nothing.
+        assert session.prepare(template.format("01990")) is old
 
 
 def test_plan_cache_keyed_by_ranking(db):
@@ -237,14 +255,15 @@ def test_document_references_die_with_their_plan(db):
 
 def test_lookup_never_compiles_or_executes(db):
     with db.session() as session:
-        assert session.lookup(TITLES_QUERY) == (None, None)
+        assert session.lookup(TITLES_QUERY) == (None, None, None)
         assert session.cache_stats()["plan_cache"]["size"] == 0
         prepared = session.prepare(TITLES_QUERY)
-        assert session.lookup(TITLES_QUERY) == (prepared, None)
+        found, key, result = session.lookup(TITLES_QUERY)
+        assert (found, result) == (prepared, None)
         assert len(session._result_cache) == 0
-        miss = prepared.execute(looked_up=True)
-        prepared_again, hit = session.lookup(TITLES_QUERY)
-        assert prepared_again is prepared
+        miss = prepared.execute(key=key)
+        prepared_again, key_again, hit = session.lookup(TITLES_QUERY)
+        assert prepared_again is prepared and key_again == key
         assert hit.cached and hit.output == miss.output
         with pytest.raises(ValueError):
             session.lookup(TITLES_QUERY, mode="bogus")
@@ -455,5 +474,6 @@ def test_cache_stats_shape(db):
         session.execute(TITLES_QUERY)
         stats = session.cache_stats()
         assert stats["plan_cache"]["size"] == 1
+        assert stats["plan_cache"]["bindings"] == 0
         assert stats["result_cache"]["hits"] == 1
         assert stats["store_epoch"] == db.store.epoch
