@@ -517,6 +517,8 @@ class QueryServer:
 
     @staticmethod
     def _decode_tree(raw):
+        """The op's ``"xml"`` fragment, parsed: the root handle of its
+        arena, whose columns the update splices as they are."""
         xml = raw.get("xml")
         if not isinstance(xml, str):
             raise ValueError(f'{raw["op"]} needs an "xml" fragment '

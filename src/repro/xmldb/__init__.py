@@ -3,11 +3,12 @@
 This subpackage provides:
 
 - :mod:`repro.xmldb.node` — the node model (elements, text, attributes)
-  with global document order: mutable builder trees that freeze into
-  lightweight ``(arena, pre)`` handles at registration;
+  with global document order: lightweight ``(arena, pre)`` handles, and
+  mutable builder trees that freeze into handles at registration;
 - :mod:`repro.xmldb.arena` — the interval-encoded (pre/post/level)
   struct-of-arrays document storage behind finalized documents;
-- :mod:`repro.xmldb.parser` — a from-scratch, non-validating XML parser;
+- :mod:`repro.xmldb.parser` — a from-scratch, non-validating XML parser
+  that fills arena columns in one tokenizing pass;
 - :mod:`repro.xmldb.serialize` — serialization back to XML text;
 - :mod:`repro.xmldb.dtd` — a DTD parser and the :class:`SchemaInfo`
   structural reasoner used by the unnesting optimizer's side conditions;

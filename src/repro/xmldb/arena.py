@@ -1,9 +1,9 @@
-"""Interval-encoded arena storage for finalized documents.
+"""Interval-encoded arena storage for documents.
 
-When a document is registered with a :class:`~repro.xmldb.document.
-DocumentStore` its builder tree is *finalized* into an :class:`Arena`:
-a struct-of-arrays encoding in which every node occupies one row,
-numbered in document order (``pre``), with parallel columns
+Every document a :class:`~repro.xmldb.document.DocumentStore` holds is
+an :class:`Arena`: a struct-of-arrays encoding in which every node
+occupies one row, numbered in document order (``pre``), with parallel
+columns
 
 - ``kinds``   — :class:`~repro.xmldb.node.NodeKind` per row,
 - ``name_ids`` — interned tag/attribute name (index into ``names``),
@@ -26,10 +26,16 @@ whole-column kernels the default engine runs path steps and
 atomization through: a column of context rows in, result rows out,
 reading only the int columns above — no ``Node`` handle is created.
 
+The parser (:mod:`repro.xmldb.parser`) appends XML text straight to
+these columns; :meth:`Arena.from_tree` encodes a builder tree; the
+splice of :mod:`repro.xmldb.delta` builds the next version's columns.
+All three end in :meth:`Arena.from_columns`, which derives the rest.
+
 **Handles and what keeps them.**  ``nodes`` / ``child_lists`` /
-``attr_lists`` hand out interned :class:`~repro.xmldb.node.Node`
-handles (the builder tree's own nodes after registration,
-:class:`LazyNodes` for spliced and shared-memory versions).  A handle
+``attr_lists`` (:class:`LazyNodes` / :class:`LazyLists`) hand out
+interned :class:`~repro.xmldb.node.Node` handles, made on first
+access — a registered builder tree's own nodes are put in the table
+up front and become the handles.  A handle
 references its arena, and the arena's tables reference the handles —
 a reference cycle that is deliberate while the version is *pinned*
 (interning must not depend on who else holds a handle) and is cut the
@@ -50,7 +56,7 @@ elements :meth:`Arena.string_values` has to concatenate (the
 :func:`repro.engine.batch.key_column`, which never stores a NaN key).
 They hold only strings and tuples of atoms — no handles, no cycles —
 so they die with their arena and :meth:`Arena.release_handles` leaves
-them alone.  A post-update arena (``delta._assemble``) and a
+them alone.  A post-update arena (``delta.apply_delta``) and a
 shared-memory view in a worker start with empty ones; nothing is
 spliced or exported.  Concurrent readers may compute and store the
 same entry twice: the value is deterministic, so the race is benign.
@@ -114,10 +120,18 @@ class LazyNodes:
     def release(self) -> None:
         """Stop keeping handles alive.  Everything interned so far
         stays findable through weak references, so a node somebody
-        still holds keeps its identity."""
-        self._refs = {pre: weakref.ref(node)
-                      for pre, node in self._cache.items()}
-        self._cache = {}
+        still holds keeps its identity.  The table is emptied one
+        handle at a time, so a handle nobody else holds dies as it
+        leaves and only held ones leave a weak reference behind (a
+        builder tree's arena interned every row)."""
+        cache, self._cache = self._cache, {}
+        refs = self._refs = {}
+        while cache:
+            pre, node = cache.popitem()
+            ref = weakref.ref(node)
+            del node
+            if ref() is not None:
+                refs[pre] = ref
 
 
 class LazyLists:
@@ -189,15 +203,16 @@ class Arena:
         #: step from the row scans, without building the child list
         self.child_counts: list[int] = []
         self.names: list[str] = []
-        #: one Node handle per row; handles are interned so node
-        #: identity (``is`` / ``id()``) keeps working across lookups
-        self.nodes: list[Node] = []
+        #: one Node handle per row, made on first access; handles are
+        #: interned so node identity (``is`` / ``id()``) keeps working
+        #: across lookups
+        self.nodes = LazyNodes(self)
         #: per-row child/attribute handles as *tuples* — handed out
         #: directly by the Node properties, so they must be immutable
         #: (a mutable list would let callers bypass the freeze and
         #: desynchronize the interval columns)
-        self.child_lists: list[tuple[Node, ...]] = []
-        self.attr_lists: list[tuple[Node, ...]] = []
+        self.child_lists = LazyLists(self, "children")
+        self.attr_lists = LazyLists(self, "attrs")
         self._name_to_id: dict[str, int] = {}
         #: element rows per tag name, in pre (= document) order
         self._tag_pres: dict[str, list[int]] = {}
@@ -242,97 +257,112 @@ class Arena:
         columns go away with the last handle somebody still holds —
         by reference count, without waiting for the cyclic collector.
         Handles alive at this moment keep their identity."""
-        nodes = self.nodes
-        if isinstance(nodes, LazyNodes):
-            nodes.release()
-        else:
-            # A builder arena: its prebuilt tables become lazy ones
-            # that still find every node somebody holds.  The list is
-            # emptied from the end, so a node nobody else holds dies
-            # as it is popped and only held ones leave a weak
-            # reference behind (no second table of the whole document
-            # while the first is being let go).
-            lazy = self.nodes = LazyNodes(self)
-            self.child_lists = LazyLists(self, "children")
-            self.attr_lists = LazyLists(self, "attrs")
-            refs = lazy._refs = {}
-            while nodes:
-                ref = weakref.ref(nodes.pop())
-                if ref() is not None:
-                    refs[len(nodes)] = ref
+        self.nodes.release()
         self.child_lists._cache = self.attr_lists._cache = None
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_tree(cls, root: Node, document=None) -> "Arena":
-        """Encode the tree under ``root``.
-
-        With ``document`` given, every node is *frozen* into a handle:
-        its builder-mode links are dropped and all further reads go
-        through the arena; mutation afterwards raises
-        :class:`~repro.errors.FrozenDocumentError`.  Without a
-        document the nodes are left untouched (the arena is then a
-        read-only view, as the index subsystem builds over loose
-        trees)."""
-        arena = cls(document)
-        arena._build(root)
-        if document is not None:
-            for pre, node in enumerate(arena.nodes):
-                node._freeze(arena, pre)
+    def from_columns(cls, *, kinds, name_ids, texts, levels, parents,
+                     ends, child_counts, names, name_to_id) -> "Arena":
+        """Adopt finished row columns (the lists are taken, not copied)
+        and derive the rest: post-order ranks and the per-tag /
+        element / text pre lists.  Parsed text, builder trees
+        (:meth:`from_tree`) and spliced versions
+        (:func:`repro.xmldb.delta.apply_delta`) all end here."""
+        arena = cls()
+        arena.kinds = kinds
+        arena.name_ids = name_ids
+        arena.texts = texts
+        arena.levels = levels
+        arena.parents = parents
+        arena.ends = ends
+        arena.child_counts = child_counts
+        arena.names = names
+        arena._name_to_id = name_to_id
+        # When a row closes, everything numbered before it has closed
+        # except its ``level`` ancestors, and so have its
+        # ``ends - pre - 1`` descendants: ``post = ends - level - 1``.
+        arena.posts = [end - level - 1 for end, level in zip(ends, levels)]
+        tag_pres: dict[str, list[int]] = {}
+        elem_pres: list[int] = []
+        text_pres: list[int] = []
+        element, text = NodeKind.ELEMENT, NodeKind.TEXT
+        for pre, kind in enumerate(kinds):
+            if kind is element:
+                tag_pres.setdefault(names[name_ids[pre]], []).append(pre)
+                elem_pres.append(pre)
+            elif kind is text:
+                text_pres.append(pre)
+        arena._tag_pres = tag_pres
+        arena._elem_pres = elem_pres
+        arena._text_pres = text_pres
         return arena
 
-    def _intern(self, name: str) -> int:
-        name_id = self._name_to_id.get(name)
-        if name_id is None:
-            name_id = len(self.names)
-            self._name_to_id[name] = name_id
-            self.names.append(name)
-        return name_id
+    @classmethod
+    def from_tree(cls, root: Node, freeze: bool = False) -> "Arena":
+        """Encode the builder tree under ``root``; its nodes are the
+        arena's handles.
 
-    def _build(self, root: Node) -> None:
-        _OPEN, _CLOSE = 0, 1
-        kinds, texts = self.kinds, self.texts
-        post_counter = 0
-        stack: list[tuple[int, object, int, int]] = [(_OPEN, root, -1, 0)]
+        With ``freeze`` every node becomes a handle proper: its
+        builder-mode links are dropped and all further reads go
+        through the arena; mutation afterwards raises
+        :class:`~repro.errors.FrozenDocumentError`.  Without it the
+        nodes are left untouched (the arena is then a read-only view,
+        as the index subsystem and update patches build over loose
+        trees)."""
+        kinds: list[NodeKind] = []
+        name_ids: list[int] = []
+        texts: list[str | None] = []
+        levels: list[int] = []
+        parents: list[int] = []
+        ends: list[int] = []
+        child_counts: list[int] = []
+        names: list[str] = []
+        name_to_id: dict[str, int] = {}
+        nodes: list[Node] = []
+        stack: list[tuple[Node | None, int, int]] = [(root, -1, 0)]
         while stack:
-            action, payload, parent_pre, level = stack.pop()
-            if action == _CLOSE:
-                pre = payload  # type: ignore[assignment]
-                self.ends[pre] = len(kinds)
-                self.posts[pre] = post_counter
-                post_counter += 1
+            node, parent_pre, level = stack.pop()
+            if node is None:
+                # the close marker of row ``parent_pre``
+                ends[parent_pre] = len(kinds)
                 continue
-            node: Node = payload  # type: ignore[assignment]
             pre = len(kinds)
-            kind = node.kind
-            kinds.append(kind)
+            nodes.append(node)
+            kinds.append(node.kind)
             name = node.name
-            self.name_ids.append(-1 if name is None else self._intern(name))
+            if name is None:
+                name_ids.append(-1)
+            else:
+                name_id = name_to_id.get(name)
+                if name_id is None:
+                    name_id = name_to_id[name] = len(names)
+                    names.append(name)
+                name_ids.append(name_id)
             texts.append(node.text)
-            self.parents.append(parent_pre)
-            self.levels.append(level)
-            self.posts.append(-1)
-            self.ends.append(-1)
-            self.nodes.append(node)
-            attrs = tuple(node.attributes)
-            children = tuple(node.children)
-            self.attr_lists.append(attrs)
-            self.child_lists.append(children)
-            self.child_counts.append(len(children))
-            if kind is NodeKind.ELEMENT:
-                self._tag_pres.setdefault(name, []).append(pre)
-                self._elem_pres.append(pre)
-            elif kind is NodeKind.TEXT:
-                self._text_pres.append(pre)
+            parents.append(parent_pre)
+            levels.append(level)
+            ends.append(-1)
+            children = node.children
+            child_counts.append(len(children))
             # LIFO: attributes pop first (rows right after the element),
             # then the children subtrees, then the close marker.
-            stack.append((_CLOSE, pre, parent_pre, level))
+            stack.append((None, pre, level))
             for child in reversed(children):
-                stack.append((_OPEN, child, pre, level + 1))
-            for attr in reversed(attrs):
-                stack.append((_OPEN, attr, pre, level + 1))
+                stack.append((child, pre, level + 1))
+            for attr in reversed(node.attributes):
+                stack.append((attr, pre, level + 1))
+        arena = cls.from_columns(
+            kinds=kinds, name_ids=name_ids, texts=texts, levels=levels,
+            parents=parents, ends=ends, child_counts=child_counts,
+            names=names, name_to_id=name_to_id)
+        arena.nodes._cache = dict(enumerate(nodes))
+        if freeze:
+            for pre, node in enumerate(nodes):
+                node._freeze(arena, pre)
+        return arena
 
     # ------------------------------------------------------------------
     # Structural axes (O(log n) + output size)
@@ -625,10 +655,11 @@ class Arena:
 
 
 def arena_for(root: Node) -> Arena:
-    """An arena whose row 0 is ``root`` — the document's own arena when
-    ``root`` is a finalized document root, otherwise a fresh read-only
-    encoding of the subtree (used by the index subsystem over
-    unregistered trees, and over subtrees of finalized documents: a
+    """An arena whose row 0 is ``root`` — its own arena when ``root``
+    is row 0 of one (a document root, or a parsed update fragment),
+    otherwise a fresh read-only encoding of the subtree (used by the
+    index subsystem and :mod:`repro.xmldb.delta` over builder trees,
+    and over subtrees of finalized documents: a
     frozen *non-root* node must not alias the whole-document arena, or
     indexes built over the subtree would silently cover the entire
     document)."""

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import EvaluationError
-from repro.xmldb.arena import Arena, LazyLists, LazyNodes, TagPath
+from repro.xmldb.arena import Arena, TagPath, arena_for
 from repro.xmldb.node import Node, NodeKind
 
 
@@ -64,8 +64,10 @@ class Insert:
     or a frozen :class:`Node` handle of that version); ``index`` ranges
     over the element's child nodes (attributes are not children), with
     ``index == len(children)`` appending.  ``tree`` is a mutable
-    builder tree (element or text root); it is encoded, not adopted —
-    the caller keeps it and may insert it elsewhere again."""
+    builder tree (element or text root), encoded on apply, or the root
+    of a parsed fragment (``parse_document(text).root``), whose
+    columns are spliced as they are; either way the caller keeps it
+    and may insert it elsewhere again."""
 
     parent: "Node | int"
     index: int
@@ -153,10 +155,12 @@ def _pre_of(ref, arena: Arena, what: str) -> int:
 def _check_patch(tree: Node) -> None:
     if not isinstance(tree, Node):
         raise DeltaError(f"patch must be a Node tree; got {tree!r}")
-    if tree.arena is not None:
+    arena = tree.arena
+    if arena is not None and (tree.pre or arena.doc_name is not None):
         raise DeltaError(
-            "patch tree is frozen into an arena; updates take mutable "
-            "builder trees (parse or build a fresh subtree)")
+            "patch tree is frozen into a document; updates take mutable "
+            "builder trees or parsed fragments (parse or build a fresh "
+            "subtree)")
     if tree.kind is NodeKind.ATTRIBUTE:
         raise DeltaError(
             "attribute nodes cannot be spliced directly; replace the "
@@ -281,14 +285,6 @@ class _Working:
                          if name_ids[row] >= 0)
 
 
-def _derive_posts(ends: list[int], levels: list[int]) -> list[int]:
-    """Post-order ranks straight off the interval and level columns:
-    when a row closes, everything numbered before it has closed except
-    its ``level`` ancestors, and so have its ``ends - pre - 1``
-    descendants — ``post = pre - level + (ends - pre - 1)``."""
-    return [end - level - 1 for end, level in zip(ends, levels)]
-
-
 def apply_delta(document, ops) -> tuple[Arena, list[SpliceRecord]]:
     """Apply ``ops`` (a sequence of :class:`Insert` / :class:`Delete` /
     :class:`Replace`) to ``document``'s current arena and return the
@@ -317,7 +313,7 @@ def apply_delta(document, ops) -> tuple[Arena, list[SpliceRecord]]:
                     f"{len(starts)} children)")
             pos = starts[op.index] if op.index < len(starts) \
                 else work.ends[parent]
-            patch = Arena.from_tree(op.tree)
+            patch = arena_for(op.tree)
             record = SpliceRecord(
                 kind="insert", pos=pos, removed=0,
                 inserted=len(patch.kinds), patch=patch,
@@ -354,7 +350,7 @@ def apply_delta(document, ops) -> tuple[Arena, list[SpliceRecord]]:
                 work.splice(pos, removed, None, anchor, 0)
             else:
                 _check_patch(op.tree)
-                patch = Arena.from_tree(op.tree)
+                patch = arena_for(op.tree)
                 record = SpliceRecord(
                     kind="replace", pos=pos, removed=removed,
                     inserted=len(patch.kinds), patch=patch,
@@ -365,7 +361,12 @@ def apply_delta(document, ops) -> tuple[Arena, list[SpliceRecord]]:
                 work.splice(pos, removed, patch, anchor,
                             work.levels[target])
         records.append(record)
-    return _assemble(work), records
+    # one O(rows) pass (the per-tag row lists), no per-row objects
+    return Arena.from_columns(
+        kinds=work.kinds, name_ids=work.name_ids, texts=work.texts,
+        levels=work.levels, parents=work.parents, ends=work.ends,
+        child_counts=work.child_counts, names=work.names,
+        name_to_id=work.name_to_id), records
 
 
 def _op_pre(ref, work: _Working, what: str) -> int:
@@ -382,41 +383,6 @@ def _op_pre(ref, work: _Working, what: str) -> int:
         raise DeltaError(f"{what} row {pre} is out of range "
                          f"({len(work.kinds)} rows after earlier ops)")
     return pre
-
-
-def _assemble(work: _Working) -> Arena:
-    """Finalize the spliced columns into a fresh arena with lazy node
-    views: one O(rows) pass (per-tag row lists) and no per-row object
-    allocation."""
-    arena = Arena(document=None)
-    arena.kinds = work.kinds
-    arena.name_ids = work.name_ids
-    arena.texts = work.texts
-    arena.levels = work.levels
-    arena.parents = work.parents
-    arena.ends = work.ends
-    arena.child_counts = work.child_counts
-    arena.names = work.names
-    arena._name_to_id = work.name_to_id
-    arena.posts = _derive_posts(work.ends, work.levels)
-    tag_pres: dict[str, list[int]] = {}
-    elem_pres: list[int] = []
-    text_pres: list[int] = []
-    element, text = NodeKind.ELEMENT, NodeKind.TEXT
-    names, name_ids = work.names, work.name_ids
-    for pre, kind in enumerate(work.kinds):
-        if kind is element:
-            tag_pres.setdefault(names[name_ids[pre]], []).append(pre)
-            elem_pres.append(pre)
-        elif kind is text:
-            text_pres.append(pre)
-    arena._tag_pres = tag_pres
-    arena._elem_pres = elem_pres
-    arena._text_pres = text_pres
-    arena.nodes = LazyNodes(arena)
-    arena.child_lists = LazyLists(arena, "children")
-    arena.attr_lists = LazyLists(arena, "attrs")
-    return arena
 
 
 def affected_names(records) -> tuple[frozenset, frozenset]:

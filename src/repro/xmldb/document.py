@@ -40,11 +40,12 @@ class Document:
     """One immutable *version* of a named XML document plus its
     (optional) DTD-derived schema.
 
-    Construction *finalizes* the tree: it is encoded into an
-    interval-ordered :class:`~repro.xmldb.arena.Arena` (struct-of-arrays
-    columns, interned tag names, pre/post/level numbering) and every
-    node becomes a frozen handle into it.  Mutating the tree afterwards
-    raises :class:`~repro.errors.FrozenDocumentError` — live data goes
+    Construction adopts an interval-ordered
+    :class:`~repro.xmldb.arena.Arena` (struct-of-arrays columns,
+    interned tag names, pre/post/level numbering — parsed straight
+    from text, or encoded from a builder tree) whose rows are reached
+    through frozen handles.  Mutating a handle raises
+    :class:`~repro.errors.FrozenDocumentError` — live data goes
     through :meth:`DocumentStore.update`, which splices a *new*
     ``Document`` version (fresh ``seq``, ``version + 1``) out of this
     one via :mod:`repro.xmldb.delta` and publishes it in the store.
@@ -61,19 +62,20 @@ class Document:
     garbage collector.
     """
 
-    def __init__(self, name: str, root: Node, dtd: DTD | None = None):
+    def __init__(self, name: str, arena: Arena, dtd: DTD | None = None):
         self.name = name
-        self.root = root
         self.dtd = dtd
         #: process-wide registration rank; nodes of earlier-registered
         #: documents sort first in multi-document sequences.  Every
         #: version gets a fresh ``seq`` — caches and shared-memory
         #: exports key on ``(name, seq)``.
         self.seq = next(_DOC_SEQ)
+        self.arena = arena
+        arena.document = self
+        self.root = arena.nodes[0]
         self.schema: SchemaInfo | None = None
         if dtd is not None:
-            self.schema = SchemaInfo(dtd, root=root.name)
-        self.arena = Arena.from_tree(root, document=self)
+            self.schema = SchemaInfo(dtd, root=self.root.name)
         #: cached data-derived order guarantees, keyed by
         #: ``(context steps, relative steps)`` — see
         #: :func:`repro.optimizer.properties.value_order_guarantee`.
@@ -400,7 +402,7 @@ class DocumentStore:
         effective_dtd_text = dtd_text or result.dtd_text
         if effective_dtd_text:
             dtd = parse_dtd(effective_dtd_text)
-        return self.register_tree(name, result.root, dtd)
+        return self._publish(name, result.arena, dtd)
 
     def register_tree(self, name: str, root: Node,
                       dtd: DTD | None = None) -> Document:
@@ -410,15 +412,24 @@ class DocumentStore:
         is already registered — replacing a document under a running
         optimizer would silently invalidate cached schema facts.
 
-        Registration finalizes the tree into the document's arena; the
-        arena's ``pre`` numbering becomes the nodes' ``order_key`` (it
-        coincides with :func:`~repro.xmldb.node.assign_order_keys`
-        numbering from 0) and the tree is frozen against mutation.
+        Registration encodes the tree into the document's arena
+        (:meth:`~repro.xmldb.arena.Arena.from_tree`); the arena's
+        ``pre`` numbering becomes the nodes' ``order_key`` and the tree
+        is frozen against mutation.
         """
+        with self._lock:
+            # checked before freezing, so a refused tree stays mutable
+            if name in self._documents:
+                raise DuplicateDocumentError(name)
+            return self._publish(name, Arena.from_tree(root, freeze=True),
+                                 dtd)
+
+    def _publish(self, name: str, arena: Arena,
+                 dtd: DTD | None) -> Document:
         with self._lock:
             if name in self._documents:
                 raise DuplicateDocumentError(name)
-            document = Document(name, root, dtd)
+            document = Document(name, arena, dtd)
             self._documents[name] = document
             self.indexes.on_register(document)
             self.epoch += 1

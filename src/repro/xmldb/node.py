@@ -4,17 +4,18 @@ NAL (the paper's algebra) manipulates *node handles* pointing into
 documents stored in the database, rather than materialized trees.  Our
 :class:`Node` is that handle, and it lives in one of two modes:
 
-- **builder mode** — while a tree is being constructed (by the parser,
-  the data generators or tests) a node is a small mutable object with
-  ``parent``/``children``/``attributes`` links;
-- **frozen mode** — when a document is registered with a
-  :class:`~repro.xmldb.document.DocumentStore` the tree is finalized
-  into an interval-encoded :class:`~repro.xmldb.arena.Arena` and every
-  node becomes a lightweight handle ``(arena, pre)``: its axis methods
+- **builder mode** — while a tree is being constructed (by the data
+  generators, :func:`element` or tests) a node is a small mutable
+  object with ``parent``/``children``/``attributes`` links;
+- **frozen mode** — a lightweight handle ``(arena, pre)`` into an
+  interval-encoded :class:`~repro.xmldb.arena.Arena`: its axis methods
   and properties read the arena's struct-of-arrays columns, and any
   mutation raises :class:`~repro.errors.FrozenDocumentError` (which is
   what makes the ``string_value`` cache safe — a frozen subtree's text
-  can never change under the cache).
+  can never change under the cache).  Parsed text is only ever handles
+  (the parser fills arena columns, no tree); a builder tree becomes
+  handles when it is registered with a
+  :class:`~repro.xmldb.document.DocumentStore`.
 
 Node identity is object identity in both modes (handles are interned in
 the arena, one per row); node equality in the algebra layer is *by
@@ -81,7 +82,7 @@ class Node:
         self._strval: str | None = None
 
     # ------------------------------------------------------------------
-    # Finalization (called by Arena.from_tree)
+    # Finalization (called by Arena.from_tree and LazyNodes)
     # ------------------------------------------------------------------
     def _freeze(self, arena, pre: int) -> None:
         """Turn this builder node into an arena handle: drop the object
@@ -266,30 +267,6 @@ class Node:
         if self.kind is NodeKind.ATTRIBUTE:
             return f"<Node @{self.name}={self.text!r} #{self.order_key}>"
         return f"<Node text {self.text!r} #{self.order_key}>"
-
-
-def assign_order_keys(root: Node, start: int = 0) -> int:
-    """Assign pre-order ``order_key`` values to the tree under ``root``.
-
-    Attributes are numbered immediately after their owner element, before
-    its children, which keeps document order total.  Returns the next free
-    key, so several trees can share one key space if desired.  (The walk
-    is iterative — parsed documents can be arbitrarily deep.)
-
-    The numbering is exactly the arena's ``pre`` numbering, so a tree
-    finalized at registration keeps its order keys.
-    """
-    counter = start
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        node.order_key = counter
-        counter += 1
-        for attr in node.attributes:
-            attr.order_key = counter
-            counter += 1
-        stack.extend(reversed(node.children))
-    return counter
 
 
 def element(name: str, *children: Node | str, **attrs: str) -> Node:

@@ -55,7 +55,7 @@ from __future__ import annotations
 from array import array
 from multiprocessing import shared_memory
 
-from repro.xmldb.arena import Arena, LazyLists, LazyNodes
+from repro.xmldb.arena import Arena
 from repro.xmldb.node import NodeKind
 
 #: NodeKind ↔ byte code used in the ``kinds`` section
@@ -307,9 +307,6 @@ class ShmArena(Arena):
                           for tag, (start, stop)
                           in manifest["tag_spans"].items()}
         self._views.extend(self._tag_pres.values())
-        self.nodes = LazyNodes(self)
-        self.child_lists = LazyLists(self, "children")
-        self.attr_lists = LazyLists(self, "attrs")
 
     def __len__(self) -> int:
         return len(self._raw_kinds)

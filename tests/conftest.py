@@ -24,6 +24,7 @@ from repro.datagen import (
 )
 from repro.nal.unary_ops import Table
 from repro.xmldb.document import DocumentStore
+from repro.xmldb.node import Node, NodeKind
 
 
 def _load_ledger_workloads():
@@ -119,3 +120,40 @@ def output_blocks(text: str) -> list[str]:
     tag = match.group(1)
     return sorted(re.findall(rf"<{tag}[ >].*?</{tag}>|<{tag}>.*?</{tag}>",
                              text))
+
+
+def assign_order_keys(root: Node, start: int = 0) -> int:
+    """Number an unregistered builder tree in document order — the
+    ``pre`` numbering an arena gives it (attributes right after their
+    element, before its children) — so the XPath evaluator's pointer
+    walk can order its results.  Returns the next free key."""
+    counter = start
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        node.order_key = counter
+        counter += 1
+        for attr in node.attributes:
+            attr.order_key = counter
+            counter += 1
+        stack.extend(reversed(node.children))
+    return counter
+
+
+def builder_copy(node: Node) -> Node:
+    """A mutable builder tree equal to ``node``'s subtree (parsing
+    yields arena handles; this is how a test gets a pointer-walk tree
+    out of text), numbered by :func:`assign_order_keys`."""
+    def copy(node: Node) -> Node:
+        if node.kind is NodeKind.TEXT:
+            return Node(NodeKind.TEXT, text=node.text)
+        twin = Node(NodeKind.ELEMENT, name=node.name)
+        for attr in node.attributes:
+            twin.set_attribute(attr.name, attr.text)
+        for child in node.children:
+            twin.append_child(copy(child))
+        return twin
+
+    root = copy(node)
+    assign_order_keys(root)
+    return root

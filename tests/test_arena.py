@@ -25,13 +25,13 @@ from repro.index.value import ValueIndex
 from repro.nal.values import canonical_key, text_key
 from repro.xmldb.arena import arena_for
 from repro.xmldb.document import DocumentStore
-from repro.xmldb.node import Node, NodeKind, assign_order_keys, \
-    element, global_order_key
+from repro.xmldb.node import Node, NodeKind, element, global_order_key
 from repro.xmldb.parser import parse_document
 from repro.xmldb.serialize import serialize
 from repro.xpath.evaluator import _document_order_dedup, evaluate_path
 from repro.xpath.parser import parse_path
-from tests.conftest import ledger, ledger_query
+from tests.conftest import assign_order_keys, builder_copy, ledger, \
+    ledger_query
 
 DOC = """
 <bib>
@@ -197,9 +197,9 @@ def described(nodes) -> list[tuple]:
 
 
 def builder_root(text: str) -> Node:
-    """The parsed tree, never registered: ``arena is None``, so every
-    axis takes the pointer walk."""
-    root = parse_document(text).root
+    """The parsed tree as a builder tree, never registered: ``arena is
+    None``, so every axis takes the pointer walk."""
+    root = builder_copy(parse_document(text).root)
     assert root.arena is None
     return root
 

@@ -273,6 +273,15 @@ def test_bad_document_xml_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_bad_character_reference_exit_code(tmp_path, capsys):
+    (tmp_path / "broken.xml").write_text("<a><t>&#xZZ;</t></a>")
+    code = main(["--query",
+                 'for $t in doc("broken.xml")//t return $t',
+                 "--docs", str(tmp_path)])
+    assert code == EXIT_BAD_DOCUMENT
+    assert "character reference &#xZZ;" in capsys.readouterr().err
+
+
 def test_malformed_workers_env_fails_loudly(data_dir, capsys,
                                            monkeypatch):
     """``REPRO_WORKERS=two`` used to run serial without a word; it is

@@ -183,6 +183,18 @@ def test_duplicate_document_registration_raises():
         db.register_text("a.xml", "<r/>")
 
 
+@pytest.mark.parametrize("text", [
+    "<r>&#xZZ;</r>", "<r>&#;</r>", "<r>&#99999999;</r>",
+    '<r><a b="&#x110000;"/></r>', '<r><a b="1" b="2"/></r>',
+])
+def test_bad_reference_or_attribute_fails_registration(text):
+    db = Database()
+    with pytest.raises(XMLParseError) as info:
+        db.register_text("bad.xml", text)
+    assert 0 <= info.value.position < len(text)
+    assert "bad.xml" not in db.store
+
+
 def test_errors_share_base_class():
     for exc_type in (XMLParseError, DTDParseError, XPathError,
                      XQueryParseError, TranslationError,

@@ -19,7 +19,8 @@ from repro.index import (
 from repro.nal.unary_ops import IndexScan
 from repro.xmldb.delta import Insert
 from repro.xmldb.document import DocumentStore, ScanStats
-from repro.xmldb.node import assign_order_keys, element
+from repro.xmldb.node import element
+from tests.conftest import assign_order_keys
 
 
 def tree():

@@ -12,6 +12,7 @@ byte-identical to scratch builds, and the session result cache evicts
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import threading
 import urllib.error
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Database, Delete, Insert, Replace
+from repro import Database, Delete, Insert, Replace, compile_query
 from repro.datagen import ITEMS_DTD, generate_items
 from repro.engine.executor import execute
 from repro.errors import (
@@ -31,8 +32,10 @@ from repro.errors import (
 )
 from repro.index.structural import PathIndex
 from repro.index.value import ValueIndex
+from repro.xmldb.arena import Arena
 from repro.xmldb.delta import DeltaError, apply_delta
 from repro.xmldb.node import NodeKind, element
+from repro.xmldb.parser import parse_document
 from repro.xmldb.serialize import serialize
 
 ENGINE_MODES = ("reference", "vectorized")
@@ -175,6 +178,45 @@ def test_frozen_tree_rejected_as_patch():
     with pytest.raises(DeltaError):
         db.update("bib.xml", Insert(db.store.get("bib.xml").root, 0,
                                     frozen))
+
+
+def test_superseded_root_rejected_as_patch():
+    """A document's root stays a frozen tree once its version is gone:
+    it is not mistaken for a parsed fragment, however soon the old
+    Document is collected."""
+    db = bib_db()
+    old_root = db.store.get("bib.xml").root
+    db.update("bib.xml", Delete(db.store.get("bib.xml").root.children[0]))
+    gc.collect()
+    assert old_root.arena.document is None     # nothing pins it now
+    with pytest.raises(DeltaError, match="frozen into a document"):
+        db.update("bib.xml", Insert(0, 0, old_root))
+
+
+def test_parsed_fragment_is_spliced_from_its_columns(monkeypatch):
+    """A fragment given as text is spliced from the columns the parser
+    filled — no builder tree, no second encoding — and lands exactly
+    where the same fragment as a builder tree does."""
+    fragment = '<book year="2001"><title>T &amp; U</title></book>'
+    built, parsed = bib_db(index_mode="eager"), bib_db(index_mode="eager")
+    tree = element("book", element("title", "T & U"), year="2001")
+    built.update("bib.xml", [Insert(0, 1, tree), Replace(1, tree)])
+    patch = parse_document(fragment).root
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a parsed fragment was re-encoded")
+
+    monkeypatch.setattr(Arena, "from_tree", refuse)
+    parsed.update("bib.xml", [Insert(0, 1, patch), Replace(1, patch)])
+    assert serialize(parsed.store.get("bib.xml").root) \
+        == serialize(built.store.get("bib.xml").root)
+    assert serialize(patch) == fragment     # the caller keeps it
+    query = 'for $b in doc("bib.xml")//book where $b/@year = 2001 ' \
+        'return $b/title'
+    assert [parsed.execute(alt.plan).output
+            for alt in compile_query(query, parsed).plans()] \
+        == [built.execute(alt.plan).output
+            for alt in compile_query(query, built).plans()]
 
 
 def test_unknown_document_rejected():
@@ -797,6 +839,18 @@ def test_server_update_validation(update_server):
                  "xml": "<broken>"}],
     })
     assert status == 400 and reply["kind"] == "bad-update"
+
+
+def test_server_update_rejects_a_bad_character_reference(update_server):
+    for xml in ("<book>&#xZZ;</book>", "<book t='&#x110000;'/>",
+                "<book a='1' a='2'/>"):
+        status, reply = update_server.post("/update", {
+            "document": "bib.xml",
+            "ops": [{"op": "insert", "parent": 0, "index": 0,
+                     "xml": xml}],
+        })
+        assert status == 400 and reply["kind"] == "bad-update"
+        assert reply["error"].startswith("bad XML fragment: "), reply
 
 
 def test_server_stats_reports_versions(update_server):

@@ -10,7 +10,7 @@ from repro.xmldb.parser import parse_document
 def test_single_element():
     result = parse_document("<a/>")
     assert result.root.name == "a"
-    assert result.root.children == []
+    assert list(result.root.children) == []
 
 
 def test_text_content():
