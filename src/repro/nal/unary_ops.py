@@ -511,18 +511,20 @@ class ElidedSort(Sort):
     instead of silently reordering output.
 
     ``proof`` records what a *data-derived* elision rests on: the
-    ``(document name, registration seq)`` whose frozen contents the
-    sortedness guarantee was checked against.  Documents can be rotated
-    (``unregister`` + re-register under the same name), which formally
-    invalidates compiled plans — but rather than silently mis-ordering,
-    an elided sort whose proof no longer matches the store *falls back
-    to actually sorting*.  Structural elisions (≤1 row, sorted-prefix)
-    carry no proof and stay unconditional.
+    ``(document name, guarantee key)`` of the sortedness guarantee
+    (:func:`repro.optimizer.properties.guarantee_key`).  A plan outlives
+    the version it was compiled against — a session keeps it across
+    content updates — so every execution asks the version it runs on
+    (:meth:`proof_holds`; answered from the version's cache after the
+    first ask), and an elided sort whose guarantee no longer holds
+    *falls back to actually sorting* rather than silently mis-ordering.
+    Structural elisions (≤1 row, sorted-prefix) carry no proof and stay
+    unconditional.
     """
 
     def __init__(self, child: Operator, attributes: Sequence[str],
                  descending: Sequence[bool] | None = None,
-                 proof: tuple[str, int] | None = None):
+                 proof: tuple[str, tuple] | None = None):
         super().__init__(child, attributes, descending)
         self.proof = proof
 
@@ -538,12 +540,15 @@ class ElidedSort(Sort):
         return properties.debug_enabled()
 
     def proof_holds(self, ctx) -> bool:
-        """Whether the guarantee document is still the one the elision
-        was proven against (always true for structural elisions)."""
+        """Whether the guarantee the elision rests on holds in the
+        document version ``ctx`` reads (always true for structural
+        elisions)."""
         if self.proof is None:
             return True
-        doc_name, seq = self.proof
-        return doc_name in ctx.store and ctx.store.get(doc_name).seq == seq
+        from repro.optimizer.properties import order_guarantee
+        doc_name, key = self.proof
+        return doc_name in ctx.store \
+            and order_guarantee(ctx.store.get(doc_name), key)
 
     def _record_elision(self, ctx, taken: bool) -> None:
         # Metrics are request-scoped and optional (ctx may be any
@@ -558,7 +563,8 @@ class ElidedSort(Sort):
     def checked_rows(self, rows: list[Tup], ctx) -> list[Tup]:
         """Materialized identity pass (shared with the vectorized
         engine); verifies sortedness pairwise when debug checks are on,
-        and sorts for real if the proof document was rotated away."""
+        and sorts for real if its guarantee does not hold in this
+        version."""
         if not self.proof_holds(ctx):
             self._record_elision(ctx, taken=False)
             return sorted(rows, key=self.sort_tuple)

@@ -53,8 +53,8 @@ def _elide(plan: Operator, inference: _Inference) -> Operator:
         if satisfies_sort(props, sort_requirement(plan)):
             # A structural elision (≤1 row / established prefix) needs
             # no proof; one resting on a data-derived guarantee carries
-            # the (document, seq) it was checked against, so document
-            # rotation degrades it to a real sort at runtime.
+            # the (document, guarantee key), so a version where the
+            # guarantee fails degrades it to a real sort at runtime.
             proof = None if props.at_most_one else props.sorted_proof
             return ElidedSort(child, plan.attributes, plan.descending,
                               proof=proof)

@@ -27,14 +27,17 @@ such work redundant:
 - :func:`satisfies_sort` — the requirement check
   :mod:`repro.optimizer.elide_order` uses to remove provably redundant
   ``Sort`` operators;
-- :func:`value_order_guarantee` — a *data-derived* guarantee: because
-  registered documents are frozen (mutation raises
-  ``FrozenDocumentError``), the store can check **once** whether a
-  path's values are non-decreasing under ``sort_key`` in document
-  order, cache the answer on the document, and let the optimizer treat
-  ``order by $x/itemno`` as already satisfied by document order.
-  The check is exact (it evaluates the real path and the real sort
-  keys), O(n) once per ``(document, path)``, and can never go stale;
+- :func:`order_guarantee` — a *data-derived* guarantee: because
+  document versions are frozen (mutation raises
+  ``FrozenDocumentError``; an update publishes a new version), the
+  store can check **once** per version whether a path's values are
+  non-decreasing under ``sort_key`` in document order, cache the
+  answer on the document under :func:`guarantee_key`, and let the
+  optimizer treat ``order by $x/itemno`` as already satisfied by
+  document order.  The check is exact (it evaluates the real path and
+  the real sort keys), O(n) once per ``(document version, path)``, and
+  can never go stale: an elided sort names the key it rests on and
+  asks the version it runs on;
 - the :func:`debug_checks` switch (also enabled by the
   ``REPRO_ORDER_DEBUG`` environment variable): both engines verify at
   runtime — by differential comparison of the actual tuple stream —
@@ -125,11 +128,12 @@ class OrderProperties:
     at_most_one: bool = False
     doc_order_attr: str | None = None
     aliases: tuple[tuple[str, str], ...] = ()
-    #: set when ``sorted_on`` rests on a *data-derived* guarantee: the
-    #: ``(document name, registration seq)`` it was checked against.
-    #: Elisions built on it carry the proof into the plan so a rotated
-    #: document degrades to a real sort instead of wrong order.
-    sorted_proof: tuple[str, int] | None = None
+    #: set when ``sorted_on`` rests on a *data-derived* guarantee:
+    #: ``(document name, guarantee key)`` (:func:`guarantee_key`).
+    #: Elisions built on it carry the proof into the plan, which checks
+    #: it against the version it runs on, so a plan kept across updates
+    #: degrades to a real sort instead of wrong order.
+    sorted_proof: tuple[str, tuple] | None = None
 
     @property
     def in_document_order(self) -> bool:
@@ -206,40 +210,46 @@ def _path_from_steps(steps) -> Path:
     return Path(tuple(Step(axis, NameTest(name)) for axis, name in steps))
 
 
-def value_order_guarantee(store: DocumentStore,
-                          origin: ColumnOrigin | None,
-                          rel_path: Path) -> bool:
-    """Is the value sequence of ``rel_path``, evaluated per context node
-    of ``origin`` in document order, non-decreasing under ``sort_key``?
-
-    Exact, checked once per ``(document, context path, relative path)``
-    and cached on the :class:`~repro.xmldb.document.Document` — sound
-    because document *versions* are frozen: an update publishes a new
-    version whose cache carries an entry forward only when the splice
-    provably touched none of the tags the key names (so invalidation is
-    per version and per tag set, never global).  Missing values key as
-    NULL, which ``sort_key`` ranks least ("empty least"): leading
-    empties therefore keep the guarantee (the elided sort would have
-    placed them first anyway), while an empty *after* any non-null
-    value vetoes it — exactly when a real sort would have moved
-    rows."""
+def guarantee_key(origin: ColumnOrigin | None,
+                  rel_path: Path) -> tuple | None:
+    """The key a data-derived guarantee about ``rel_path``'s values per
+    context node of ``origin`` is cached under on the document —
+    ``(context steps, relative steps)`` — or None when no such
+    guarantee can be checked (no plain document origin, a predicate, an
+    absolute or non-simple path)."""
     if origin is None or origin.distinct or origin.values:
-        return False
-    if origin.doc not in store:
-        return False
+        return None
     if rel_path.has_predicates() or rel_path.absolute:
-        return False
+        return None
     rel_steps = rel_path.simple_steps()
     if rel_steps is None:
-        return False
-    document = store.get(origin.doc)
-    key = (origin.steps, tuple(rel_steps))
+        return None
+    return (origin.steps, tuple(rel_steps))
+
+
+def order_guarantee(document, key: tuple) -> bool:
+    """Is the value sequence of the key's relative path, evaluated per
+    context node of its context path in document order, non-decreasing
+    under ``sort_key`` in ``document``?
+
+    Exact, checked once per ``(document version, key)`` and cached on
+    the :class:`~repro.xmldb.document.Document` — sound because
+    document *versions* are frozen: an update publishes a new version
+    whose cache carries an entry forward only when the splice provably
+    touched none of the tags the key names, and checks it afresh
+    otherwise (so invalidation is per version and per tag set, never
+    global).  Missing values key as NULL, which ``sort_key`` ranks
+    least ("empty least"): leading empties therefore keep the guarantee
+    (the elided sort would have placed them first anyway), while an
+    empty *after* any non-null value vetoes it — exactly when a real
+    sort would have moved rows."""
     cache = document.order_guarantees
     cached = cache.get(key)
     if cached is not None:
         return cached
     from repro.xpath.evaluator import evaluate_path
-    contexts = evaluate_path(document.root, _path_from_steps(origin.steps))
+    context_steps, rel_steps = key
+    contexts = evaluate_path(document.root, _path_from_steps(context_steps))
     rel = _path_from_steps(rel_steps)
     ok = True
     previous = None
@@ -404,11 +414,12 @@ class _Inference:
             # frozen data says those values are non-decreasing in
             # document order, the stream is born sorted on the new key.
             origin = attr_origin(op.children[0], source[0])
-            if value_order_guarantee(self.store, origin, source[1]):
-                document = self.store.get(origin.doc)
+            key = guarantee_key(origin, source[1])
+            if key is not None and origin.doc in self.store \
+                    and order_guarantee(self.store.get(origin.doc), key):
                 return replace(props,
                                sorted_on=((op.attr, False),),
-                               sorted_proof=(origin.doc, document.seq))
+                               sorted_proof=(origin.doc, key))
         return props
 
     def _unnest_map(self, op: UnnestMap) -> OrderProperties:

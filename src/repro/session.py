@@ -1,94 +1,83 @@
 """The request lifecycle's long-lived layer: sessions, prepared
-queries, plan and result caches.
+queries, plan and result caches (``docs/serving.md`` walks through
+both caches with examples).
 
 The paper's algebra assumes a database *server* context — the same
-query shapes arrive repeatedly over stable documents — but the one-shot
-API re-lexes, re-normalizes and re-optimizes on every call.  This
-module splits the lifecycle into three explicit layers:
+query shapes arrive repeatedly over stable documents.  This module
+splits the lifecycle into three layers:
 
-- :class:`Session` (long-lived) — wraps a
-  :class:`~repro.api.Database` with a **plan cache** (query *shape* →
-  compiled/optimized alternatives, keyed by the store's registration
-  epoch so any document change invalidates wholesale) and a **result
-  cache** (canonical plan digest + bound constants + the referenced
-  documents' versions → rows/output, evicted entry-by-entry when a
-  referenced document is re-registered or removed).  Safe to share
-  between threads and asyncio tasks.
-- :class:`PreparedQuery` (per query shape) — the product of
-  ``lex → parse → normalize → translate → unnest/optimize``, computed
-  once per shape: a *template*.  A text that differs from the
-  template's only in constants gets a :class:`BoundQuery` of it
+- :class:`Session` (long-lived) — a :class:`~repro.api.Database` with a
+  **plan cache** (query *shape* → compiled alternatives) and a
+  **result cache** (plan digest + constants + the referenced documents'
+  versions → rows/output).  Safe to share between threads and asyncio
+  tasks.
+- :class:`PreparedQuery` (per shape) — ``lex → parse → normalize →
+  translate → unnest/optimize``, computed once: a *template*.  A text
+  that differs from it only in constants gets a :class:`BoundQuery`
   (:meth:`PreparedQuery.bind`), which builds its own plans only when it
   executes (:mod:`repro.optimizer.binding`).
-- Execution (per request) — every :meth:`PreparedQuery.execute` call
-  builds a fresh request-scoped
-  :class:`~repro.engine.context.EvalContext` (scan stats, metrics,
-  trace, cooperative deadline), so concurrent requests cannot observe
-  each other; only the immutable plan and arena columns are shared.
+- Execution (per request) — every :meth:`PreparedQuery.execute` builds
+  a fresh :class:`~repro.engine.context.EvalContext`, so concurrent
+  requests share only immutable plans and arena columns.
 
 Cache keys, exactly:
 
-- plan cache: ``(shape, ranking, store.epoch)``.  The shape is the text
+- plan cache: ``(shape, ranking, generation)``.  The shape is the text
   with each literal replaced by its type
-  (:func:`~repro.xquery.lexer.query_shape`; ``doc()`` names stay in
-  it).  The entry is the shape's first template, and it serves every
-  text of the shape that has the template's text at each *fixed*
-  literal — a literal whose value cannot be rebound.  A literal is
-  fixed when the parser did not read it as a value (a digit in a
-  comment or in constructor text: the pre-scan and the parser disagree,
-  and then every literal is fixed — one template per text), when some
-  plan alternative does not hold it (it was consumed structurally),
-  or, under ``ranking="cost"``, when it feeds an index probe (the
-  ranking reads its value).  A template for other text at the fixed
-  literals is filed under ``(shape, ranking, store.epoch, fixed
-  literals, their text)``.  Which literals are fixed is worked out the
-  first time the template meets a text other than its own.
+  (:func:`~repro.xquery.lexer.query_shape`; ``doc()`` names stay).  The
+  entry is the shape's first template; it serves every text of the
+  shape with the template's text at each *fixed* literal — one the
+  parser did not read as a value (then every literal is fixed), one
+  some plan alternative does not hold, or under ``ranking="cost"`` one
+  feeding an index probe.  A template for other text at the fixed
+  literals goes under ``(shape, ranking, generation, fixed literals,
+  their text)``; which literals are fixed is worked out the first time
+  the template meets another text.  The *generation* counts the
+  registrations and removals the session has seen, read before a
+  compile starts: a compile racing a registration files its plan where
+  no lookup finds it.
 - result cache: ``(plan digest, values, ((doc name, doc seq), …))`` —
-  the digest of the *template's* alternative, which renders constants
-  as typed slot placeholders (``?0:int``, :mod:`repro.optimizer.digest`),
-  the request's constants, and the referenced documents in sorted name
-  order with their registration sequence numbers, so a re-registered
-  document (new ``seq``) can never serve a stale entry even before
-  eviction runs.  Two texts that differ in a constant never share an
-  entry, nor do ``5`` and ``5.0`` (equal values, different types: the
-  placeholders differ).  The digest and the referenced documents are
-  memoized on the template's alternative; :meth:`Session.execute` with
-  a disabled result cache builds no key at all.
+  the digest of the *template's* alternative (constants as typed
+  placeholders, ``?0:int``: ``5`` and ``5.0`` never share an entry),
+  the request's constants, and the referenced documents' versions in
+  name order, so a superseded version never serves, even before
+  eviction runs.  Digest and documents are memoized on the
+  alternative; a disabled result cache builds no key.
+
+What a store change evicts.  A registration or removal bumps the
+generation, so every plan goes: plans bake in root names, DTD facts and
+which documents exist.  An update changes none of those, so it evicts
+only templates that decided something from the document's *content*
+(:meth:`PreparedQuery.stale_after_update`: the cost ranking, or access
+paths when the store keeps indexes) — a heuristic, index-free plan
+survives every update.  An elided sort in a kept plan checks its order
+guarantee on the version it runs on and sorts for real where it no
+longer holds (:meth:`~repro.nal.unary_ops.ElidedSort.proof_holds`).
+Results: entries pinning a superseded version of the changed document.
 
 Binding.  A binding's plans are the template's with the constants
-replaced — except where a compile decision read a constant.  The one
-such decision is the access-path cost comparison
+replaced — except where the access-path cost comparison read one
 (:class:`~repro.optimizer.access_paths.ProbeChoice`): a binding
-re-prices it for its own constants, and if the outcome flips the text
-is compiled afresh (not filed, and its result is not cached).  A hit
-never binds: the key needs only the template.  The exception is a plan
-label the template lacks: only the re-pricing can tell whether this
-text's compile has it (a flip adds or drops a ``+index`` alternative),
-so such a request has no key until it executes.
+re-prices it, and if the outcome flips the text is compiled afresh (not
+filed, result not cached).  A hit never binds; only a plan label the
+template lacks (a flip adds or drops ``+index``) has no key until the
+binding executes.
 
-One request counts one lookup per cache.  :meth:`Session.execute` does
-both lookups itself; a caller that must not block (the server's event
-loop) splits it: :meth:`Session.lookup` (cache dicts only — never
-compiles, binds or executes; it builds the result key once), then on a
-miss :meth:`Session.compile` / :meth:`PreparedQuery.lookup` and
-``PreparedQuery.execute(..., key=key)``, which stores the result under
-that key without looking again.
+One request counts one lookup per cache.  A caller that must not block
+(the server's event loop) splits :meth:`Session.execute`:
+:meth:`Session.lookup` (cache dicts only; builds the result key once),
+then on a miss :meth:`Session.compile` / :meth:`PreparedQuery.lookup`
+and ``PreparedQuery.execute(..., key=key)``.  With a
+:class:`~repro.obs.metrics.MetricsRegistry` attached, a request records
+``session.plan_cache.hit/miss`` and ``session.result_cache.hit/miss``;
+:meth:`Session.cache_stats` has the cumulative tallies.  A cached
+:class:`~repro.engine.executor.ExecutionResult` has ``cached=True`` and
+the populating run's stats plus a ``result_cache_hit`` marker.
 
-Observability: when a :class:`~repro.obs.metrics.MetricsRegistry` rides
-along on a request, the session records ``session.plan_cache.hit/miss``
-and ``session.result_cache.hit/miss`` counters into it; cumulative
-session-level tallies are available from :meth:`Session.cache_stats`.
-A cached :class:`~repro.engine.executor.ExecutionResult` has
-``cached=True`` and a ``result_cache_hit`` marker in its stats — the
-stats snapshot the populating execution, not work done on the hit.
-
-Concurrency contract: the caches serialize under per-cache locks held
-only for dict operations (never across a compile or an execution), the
-store serializes registration under its own lock, and everything else
-the execution path touches is either immutable (plans, arenas) or
-request-scoped (the context).  ``tests/test_session.py`` hammers one
-session from many threads and asserts byte-identical results to serial
-runs with no metric cross-contamination.
+Concurrency: the caches lock only around dict operations (never across
+a compile or an execution); the store serializes mutation under its own
+lock; everything else is immutable or request-scoped.
+``tests/test_session.py`` hammers one session from many threads.
 """
 
 from __future__ import annotations
@@ -96,6 +85,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from fnmatch import fnmatchcase
 from typing import Callable
 
 from repro.engine.executor import DEFAULT_MODE, ExecutionResult, execute
@@ -144,20 +134,25 @@ class LRUCache:
         else:
             self.misses += 1
 
-    def put(self, key, value) -> None:
+    def put(self, key, value, admit: Callable | None = None) -> None:
+        """File ``value`` under ``key`` — unless ``admit()``, asked
+        under the cache lock, says no."""
         if self.max_size <= 0:
             return
         with self._lock:
+            if admit is not None and not admit():
+                return
             self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_size:
                 self._entries.popitem(last=False)
 
     def evict_if(self, predicate: Callable) -> int:
-        """Drop every entry whose *key* satisfies ``predicate``;
+        """Drop every entry for which ``predicate(key, value)`` holds;
         returns how many were dropped."""
         with self._lock:
-            doomed = [k for k in self._entries if predicate(k)]
+            doomed = [k for k, v in self._entries.items()
+                      if predicate(k, v)]
             for k in doomed:
                 del self._entries[k]
             return len(doomed)
@@ -201,12 +196,17 @@ class PreparedQuery:
         #: access-path decisions a binding re-checks
         self._choices = tuple(alt.probe_choice for alt in self._alternatives
                               if alt.probe_choice is not None)
+        #: whether a compile decision read document statistics: the
+        #: cost ranking, or access paths over a store with indexes
+        self._priced = ranking == "cost" \
+            or session.database.store.indexes.enabled
         #: the pre-scan of :attr:`text` (None: no plan cache, no shape
         #: work), and whether the parser read exactly its literals
         self.shape = shape
         self.bindable = shape is not None and compiled.spans == shape.spans
         self._fixed: tuple[int, ...] | None = None
-        self._auto_modes: dict[str, str] = {}
+        #: (digest, workers) → (store epoch, resolved mode)
+        self._auto_modes: dict[tuple, tuple[int, str]] = {}
         self._auto_lock = threading.Lock()
 
     @property
@@ -237,6 +237,17 @@ class PreparedQuery:
         return text == self.text or not self.fixed or \
             _fixed_text(text, shape, self.fixed) \
             == _fixed_text(self.text, self.shape, self.fixed)
+
+    def stale_after_update(self, name: str) -> bool:
+        """Whether an update of document ``name`` invalidates this
+        template: it priced its plans with statistics and a plan reads
+        ``name`` (by ``doc()`` or a ``collection()`` pattern).  Nothing
+        else a compile reads can change under an update."""
+        return self._priced and any(
+            name in documents or any(fnmatchcase(name, pattern)
+                                     for pattern in patterns)
+            for documents, patterns in (alt.sources()
+                                        for alt in self._alternatives))
 
     def bind(self, text: str, values: tuple) -> "PreparedQuery":
         """This template with ``text``'s constants ``values`` (the
@@ -287,36 +298,32 @@ class PreparedQuery:
     def resolve_mode(self, mode: str, alt: RewriteResult,
                      workers: int | None = None) -> str:
         """``"auto"`` resolved once per (alternative, worker budget,
-        store epoch) — the cost model's verdict is a function of the
-        frozen arenas and the parallelism on offer, so repeated
-        requests reuse it instead of re-walking the plan.  A binding
-        shares its template's verdicts (every mode computes the same
-        output; ``auto`` only picks the fastest)."""
+        store epoch): the cost model's verdict is a function of the
+        frozen arenas and the parallelism on offer.  A binding shares
+        its template's verdicts (``auto`` only picks the fastest)."""
         if mode != "auto":
             return mode
         template = self.template
-        key = (alt.digest(), workers)
+        store = self.session.database.store
+        key, epoch = (alt.digest(), workers), store.epoch
         with template._auto_lock:
             resolved = template._auto_modes.get(key)
-        if resolved is None:
+        if resolved is None or resolved[0] != epoch:
             from repro.optimizer.cost import preferred_mode
-            resolved = preferred_mode(alt.plan,
-                                      self.session.database.store,
-                                      workers=workers)
+            resolved = (epoch, preferred_mode(alt.plan, store,
+                                              workers=workers))
             with template._auto_lock:
                 template._auto_modes[key] = resolved
-        return resolved
+        return resolved[1]
 
     # ------------------------------------------------------------------
     def lookup(self, mode: str | None = None, label: str | None = None
                ) -> tuple[tuple, ExecutionResult | None]:
         """The result-cache half of :meth:`execute`: ``(key, the cached
         result or None)``; never compiles, binds or executes.  Counts
-        one result-cache lookup, and raises on a bad mode or label
-        exactly as :meth:`execute` does — except a label only a
-        re-priced binding can have: that is a miss with a None key
-        (:meth:`Session.result_key` names it once the binding has
-        executed).  Continue a miss with ``execute(..., key=key)``."""
+        one lookup and raises on a bad mode or label as :meth:`execute`
+        does — a label only a re-priced binding can have is a miss with
+        a None key.  Continue a miss with ``execute(..., key=key)``."""
         session = self.session
         _, keyed, _ = session._request(self, mode, label, _UNSET)
         key = None if keyed is None else session.result_key(self, keyed)
@@ -330,20 +337,15 @@ class PreparedQuery:
         """One request: execute the best plan (or the alternative named
         ``label``) with a fresh request-scoped context.
 
-        The session's result cache is consulted first (unless
+        The result cache is consulted first, unless
         ``use_result_cache=False``, ``analyze=True`` or a ``tracer`` is
-        attached — observed requests always execute so their recordings
-        describe real work; or a ``key`` is given: the caller already
-        missed under it in :meth:`lookup`, so the result is stored under
-        it without a second lookup).  ``timeout`` defaults to the
-        session's ``default_timeout``; ``workers`` to its
-        ``default_workers`` (the parallel worker budget ``mode="auto"``
-        weighs and ``mode="parallel"`` uses).  ``snapshot`` (a
+        attached (observed requests always execute), or a ``key`` is
+        given (the caller missed under it in :meth:`lookup`; the result
+        is stored under it).  ``timeout`` / ``workers`` default to the
+        session's.  ``snapshot`` (a
         :class:`~repro.xmldb.document.StoreSnapshot`) pins the request
-        to previously captured document versions instead of the
-        store's current ones; the result-cache key then carries the
-        *pinned* versions, so old-snapshot requests neither serve nor
-        clobber entries of newer versions."""
+        to captured document versions; the result key then carries the
+        *pinned* versions."""
         return self.session._execute_prepared(
             self, mode=mode, label=label, analyze=analyze,
             tracer=tracer, metrics=metrics, timeout=timeout,
@@ -463,6 +465,9 @@ class Session:
         self.ranking = ranking
         self._plan_cache = LRUCache(plan_cache_size)
         self._result_cache = LRUCache(result_cache_size)
+        #: registrations and removals seen (the plan-cache key's third
+        #: element)
+        self._generation = 0
         #: plan hits that bound constants other than the template's
         self._bindings = 0
         self._bindings_lock = threading.Lock()
@@ -488,34 +493,35 @@ class Session:
         self.close()
 
     def _on_store_change(self, event: str, name: str) -> None:
-        """Store mutation hook (runs under the store lock): evict every
-        plan-cache entry compiled under a previous epoch (plans bake in
-        schema facts and access paths), and the result-cache entries
-        whose pinned version of the changed document is *superseded* —
-        entries keyed to the version that is still current stay put.
-        That version-awareness matters under updates: an entry
-        populated by a query pinned to the new version (or by any query
-        of an *unchanged* document) is still exact, and dropping it
-        would turn every update into a full cache flush for the name."""
+        """Store mutation hook (runs under the store lock).  Plans: a
+        registration or removal bumps the generation and evicts every
+        plan filed under an older one; an update evicts the templates
+        :meth:`PreparedQuery.stale_after_update` names.  Results: the
+        entries pinning a *superseded* version of the changed document
+        — one populated against the current version is still exact."""
+        if event == "update":
+            self._plan_cache.evict_if(
+                lambda _, prepared: prepared.stale_after_update(name))
+        else:
+            self._generation += 1
+            generation = self._generation
+            self._plan_cache.evict_if(lambda key, _: key[2] != generation)
         store = self.database.store
-        epoch = store.epoch
-        self._plan_cache.evict_if(lambda key: key[2] != epoch)
         current = store.get(name).seq if name in store else None
         self._result_cache.evict_if(
-            lambda key: any(doc == name and seq != current
-                            for doc, seq in key[2]))
+            lambda key, _: any(doc == name and seq != current
+                               for doc, seq in key[2]))
 
     # ------------------------------------------------------------------
     # Prepare (plan cache)
     # ------------------------------------------------------------------
     def prepare(self, text: str, ranking: str | None = None,
                 tracer=None) -> PreparedQuery:
-        """The compiled/optimized form of ``text``: from the plan cache
-        when a text of the same shape was prepared before under the
-        current store epoch (bound to ``text``'s constants), compiled
-        otherwise.  Compilation runs outside the cache lock, so two
-        threads racing on a cold shape may both compile — one result
-        wins, both are correct (plans are immutable)."""
+        """The compiled/optimized form of ``text``: its shape's filed
+        template bound to ``text``'s constants, compiled otherwise.
+        Compilation runs outside the cache lock, so two threads racing
+        on a cold shape may both compile — one result wins, both are
+        correct (plans are immutable)."""
         return self._prepare(text, ranking, tracer)[0]
 
     def _prepare(self, text: str, ranking: str | None,
@@ -537,7 +543,7 @@ class Session:
             cache.count(False)
             return None
         shape = query_shape(text)
-        key = self._plan_key(shape.key, ranking)
+        key = self._plan_key(shape.key, ranking, self._generation)
         entry = cache.get(key, count=False)
         if entry is not None and not entry.serves(text, shape):
             entry = cache.get(_fixed_key(key, text, shape, entry.fixed),
@@ -551,9 +557,10 @@ class Session:
                 self._bindings += 1
         return bound
 
-    def _plan_key(self, shape_key: tuple, ranking: str | None) -> tuple:
+    def _plan_key(self, shape_key: tuple, ranking: str | None,
+                  generation: int) -> tuple:
         ranking = self.ranking if ranking is None else ranking
-        return (shape_key, ranking, self.database.store.epoch)
+        return (shape_key, ranking, generation)
 
     def compile(self, text: str, ranking: str | None = None,
                 tracer=None) -> PreparedQuery:
@@ -566,32 +573,32 @@ class Session:
         ranking = self.ranking if ranking is None else ranking
         cache = self._plan_cache
         shape = query_shape(text) if cache.max_size > 0 else None
+        store = self.database.store
+        generation, epoch = self._generation, store.epoch
         with maybe_span(tracer, "prepare", "session", ranking=ranking):
             prepared = PreparedQuery(self, text, ranking, tracer=tracer,
                                      shape=shape)
         if shape is not None:
-            key = self._plan_key(shape.key, ranking)
+            key = self._plan_key(shape.key, ranking, generation)
             first = cache.get(key, count=False)
             if first is not None and not first.serves(text, shape):
                 key = _fixed_key(key, text, shape, first.fixed)
-            cache.put(key, prepared)
+            # A priced plan is not filed if the store changed while it
+            # compiled (the epoch moves before the eviction runs).
+            cache.put(key, prepared,
+                      admit=lambda: not prepared._priced
+                      or store.epoch == epoch)
         return prepared
 
     def lookup(self, text: str, mode: str | None = None,
                label: str | None = None) -> tuple:
-        """The cache half of :meth:`execute`: never compiles, never
-        binds a plan, never executes, so an event loop may call it.
-        Looks the plan cache up, and — when the plan is cached — builds
-        the result key and looks the result cache up; returns
-        ``(prepared, key, result)`` with None for a miss
-        (``(None, None, None)`` on a plan miss: the key needs the
-        plan).  A bad mode or an unknown label raises as
-        :meth:`execute` would.
-
-        Continue a miss so the request counts one lookup per cache and
-        builds its key once: :meth:`compile` then
-        :meth:`PreparedQuery.lookup` after a plan miss, then
-        :meth:`PreparedQuery.execute` with ``key=key``."""
+        """The cache half of :meth:`execute`: never compiles, binds or
+        executes, so an event loop may call it.  Returns ``(prepared,
+        key, result)``, None for a miss (``(None, None, None)`` on a
+        plan miss: the key needs the plan); a bad mode or label raises
+        as :meth:`execute` would.  Continue a miss with
+        :meth:`compile` then :meth:`PreparedQuery.lookup` (plan miss),
+        then :meth:`PreparedQuery.execute` with ``key=key``."""
         prepared = self._find(text, None)
         if prepared is None:
             return None, None, None
@@ -620,12 +627,10 @@ class Session:
     def doc_versions(self, alt: RewriteResult, resolver=None) -> tuple:
         """The referenced documents' ``(name, seq)`` pairs in sorted
         name order — the freshness half of the result-cache key.
-        ``collection()`` patterns are resolved against ``resolver``
-        (a pinned :class:`~repro.xmldb.document.StoreSnapshot`, when
-        the request carries one; the live store otherwise) *at key
-        time*: every member contributes its version, so a member's
-        update/re-registration and a membership change (register/
-        unregister of a matching name) both rotate the key."""
+        ``collection()`` patterns resolve against ``resolver`` (the
+        request's pinned snapshot, else the live store) *at key time*,
+        so a member's new version and a membership change both rotate
+        the key."""
         store = self.database.store if resolver is None else resolver
         documents, patterns = alt.sources()
         names = set(documents)
@@ -643,9 +648,8 @@ class Session:
                  label: str | None, workers) -> tuple:
         """``(mode, keyed alternative, workers)`` of one request,
         validated before any result-cache lookup so a bogus mode or
-        label fails identically on hits and misses.  The alternative is
-        the one the result key is built from — the template's: no plan
-        is bound for a lookup — or None when the label is one only a
+        label fails alike on hits and misses.  The alternative is the
+        template's (the result key's), or None for a label only a
         re-priced binding may have (see :meth:`PreparedQuery.lookup`)."""
         mode = self.default_mode if mode is None else mode
         from repro.engine.executor import MODES, resolve_workers
@@ -724,12 +728,9 @@ class Session:
                          analyze=analyze, tracer=tracer, metrics=metrics,
                          timeout=timeout, workers=workers)
         if key is not None:
-            # The result as the engine left it + output text + stats
-            # snapshot: the default engine's column batch is immutable
-            # and stored as it is — nothing is materialized for the
-            # cache; a row list (the other modes) is copied, its owner
-            # may mutate it.  A hit reads its rows through
-            # ``ExecutionResult.rows``, which copies on first access.
+            # The result as the engine left it: the default engine's
+            # column batch is immutable and stored as it is; a row list
+            # (the other modes) is copied, its owner may mutate it.
             rows = result.raw_rows
             self._result_cache.put(
                 key, (tuple(rows) if isinstance(rows, list) else rows,
@@ -760,7 +761,6 @@ def _fixed_text(text: str, shape: QueryShape, fixed: tuple) -> tuple:
 
 def _fixed_key(key: tuple, text: str, shape: QueryShape,
                fixed: tuple) -> tuple:
-    """Where a template for ``text`` is filed when its shape's first
-    template cannot serve it: the shape key plus the fixed literals
-    and their text."""
+    """Where a template for ``text`` goes when its shape's first cannot
+    serve it: the shape key plus the fixed literals and their text."""
     return key + (fixed, _fixed_text(text, shape, fixed))

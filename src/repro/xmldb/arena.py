@@ -27,9 +27,13 @@ atomization through: a column of context rows in, result rows out,
 reading only the int columns above — no ``Node`` handle is created.
 
 The parser (:mod:`repro.xmldb.parser`) appends XML text straight to
-these columns; :meth:`Arena.from_tree` encodes a builder tree; the
-splice of :mod:`repro.xmldb.delta` builds the next version's columns.
-All three end in :meth:`Arena.from_columns`, which derives the rest.
+these columns and :meth:`Arena.from_tree` encodes a builder tree; both
+end in :meth:`Arena.from_columns`, which derives the rest (``posts``
+and the per-tag / element / text pre lists) in one pass over the rows.
+The splice of :mod:`repro.xmldb.delta` builds the next version's
+columns, derived ones included, from the previous version's and hands
+them to :meth:`Arena.adopt`: an update costs its window and tail
+shifts, not a pass over every row.
 
 **Handles and what keeps them.**  ``nodes`` / ``child_lists`` /
 ``attr_lists`` (:class:`LazyNodes` / :class:`LazyLists`) hand out
@@ -56,9 +60,12 @@ elements :meth:`Arena.string_values` has to concatenate (the
 :func:`repro.engine.batch.key_column`, which never stores a NaN key).
 They hold only strings and tuples of atoms — no handles, no cycles —
 so they die with their arena and :meth:`Arena.release_handles` leaves
-them alone.  A post-update arena (``delta.apply_delta``) and a
-shared-memory view in a worker start with empty ones; nothing is
-spliced or exported.  Concurrent readers may compute and store the
+them alone.  A post-update arena (``delta.apply_delta``) starts with
+its predecessor's, carried through the splice: entries of rows in the
+replaced window and on the splice point's ancestor chain (whose string
+values changed) are dropped, entries after the window move by the
+splice's row delta.  A shared-memory view in a worker starts with
+empty ones; nothing is exported.  Concurrent readers may compute and store the
 same entry twice: the value is deterministic, so the race is benign.
 :meth:`Arena.string_value` stays the uncached definition.
 """
@@ -256,9 +263,12 @@ class Arena:
         the handle tables become weak-valued, so the arena and its
         columns go away with the last handle somebody still holds —
         by reference count, without waiting for the cyclic collector.
-        Handles alive at this moment keep their identity."""
-        self.nodes.release()
+        Handles alive at this moment keep their identity.  The child
+        and attribute tuples go first: a handle only they held dies
+        then, and the node table need not keep a weak reference to
+        it."""
         self.child_lists._cache = self.attr_lists._cache = None
+        self.nodes.release()
 
     # ------------------------------------------------------------------
     # Construction
@@ -267,24 +277,15 @@ class Arena:
     def from_columns(cls, *, kinds, name_ids, texts, levels, parents,
                      ends, child_counts, names, name_to_id) -> "Arena":
         """Adopt finished row columns (the lists are taken, not copied)
-        and derive the rest: post-order ranks and the per-tag /
-        element / text pre lists.  Parsed text, builder trees
-        (:meth:`from_tree`) and spliced versions
-        (:func:`repro.xmldb.delta.apply_delta`) all end here."""
-        arena = cls()
-        arena.kinds = kinds
-        arena.name_ids = name_ids
-        arena.texts = texts
-        arena.levels = levels
-        arena.parents = parents
-        arena.ends = ends
-        arena.child_counts = child_counts
-        arena.names = names
-        arena._name_to_id = name_to_id
+        and derive the rest in one pass over the rows: post-order ranks
+        and the per-tag / element / text pre lists.  Parsed text and
+        builder trees (:meth:`from_tree`) end here; a spliced version
+        (:func:`repro.xmldb.delta.apply_delta`) splices the derived
+        columns too and goes to :meth:`adopt` directly."""
         # When a row closes, everything numbered before it has closed
         # except its ``level`` ancestors, and so have its
         # ``ends - pre - 1`` descendants: ``post = ends - level - 1``.
-        arena.posts = [end - level - 1 for end, level in zip(ends, levels)]
+        posts = [end - level - 1 for end, level in zip(ends, levels)]
         tag_pres: dict[str, list[int]] = {}
         elem_pres: list[int] = []
         text_pres: list[int] = []
@@ -295,9 +296,39 @@ class Arena:
                 elem_pres.append(pre)
             elif kind is text:
                 text_pres.append(pre)
+        return cls.adopt(
+            kinds=kinds, name_ids=name_ids, texts=texts, levels=levels,
+            parents=parents, ends=ends, child_counts=child_counts,
+            names=names, name_to_id=name_to_id, posts=posts,
+            tag_pres=tag_pres, elem_pres=elem_pres, text_pres=text_pres)
+
+    @classmethod
+    def adopt(cls, *, kinds, name_ids, texts, levels, parents, ends,
+              child_counts, names, name_to_id, posts, tag_pres,
+              elem_pres, text_pres, string_memo=None,
+              key_memo=None) -> "Arena":
+        """An arena over complete columns, derived ones and (optionally)
+        memos included — all taken as they are, nothing is checked or
+        derived.  ``tests/test_updates.py`` pins that the splice's
+        derived columns equal :meth:`from_columns`' for the same rows."""
+        arena = cls()
+        arena.kinds = kinds
+        arena.name_ids = name_ids
+        arena.texts = texts
+        arena.levels = levels
+        arena.parents = parents
+        arena.ends = ends
+        arena.child_counts = child_counts
+        arena.names = names
+        arena._name_to_id = name_to_id
+        arena.posts = posts
         arena._tag_pres = tag_pres
         arena._elem_pres = elem_pres
         arena._text_pres = text_pres
+        if string_memo is not None:
+            arena._string_memo = string_memo
+        if key_memo is not None:
+            arena.key_memo = key_memo
         return arena
 
     @classmethod

@@ -13,8 +13,11 @@ Why splicing instead of an overlay/tombstone view: a subtree is a
 *contiguous* row interval ``[pre, ends[pre])`` in the interval
 encoding, so insert/delete/replace-subtree are single list splices —
 the tail copy runs at C speed — plus O(depth) interval fix-ups on the
-ancestor chain and one O(rows) Python pass (the per-tag row lists;
-post-order ranks are a closed form of two columns).  Every read after
+ancestor chain.  The derived columns (post-order ranks, the per-tag /
+element / text pre lists) are spliced the same way, by bisecting each
+sorted list to the window — no pass classifies every row again — and
+the arena's per-version memos carry to the new version minus the rows
+whose string values the splice changed.  Every read after
 that is exactly as fast as a freshly registered document: no per-row
 indirection, no tombstone checks on the hot axes, and the shared-memory exporter and the vectorized engine work
 on the new version unchanged.  The expensive parts of full
@@ -41,6 +44,7 @@ version for tags the splice provably did not touch.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from repro.errors import EvaluationError
@@ -168,10 +172,15 @@ def _check_patch(tree: Node) -> None:
 
 
 class _Working:
-    """Mutable column state while a multi-op update applies."""
+    """Mutable column state while a multi-op update applies: the row
+    columns, the derived ones (``posts``, the per-tag / element / text
+    pre lists) and the per-version memos, each kept equal to what its
+    from-scratch producer would give for the current rows."""
 
     __slots__ = ("kinds", "name_ids", "texts", "levels", "parents",
-                 "ends", "child_counts", "names", "name_to_id")
+                 "ends", "child_counts", "names", "name_to_id", "posts",
+                 "tag_pres", "elem_pres", "text_pres", "string_memo",
+                 "key_memo")
 
     def __init__(self, base: Arena):
         self.kinds = list(base.kinds)
@@ -183,6 +192,16 @@ class _Working:
         self.child_counts = list(base.child_counts)
         self.names = list(base.names)
         self.name_to_id = dict(base._name_to_id)
+        self.posts = list(base.posts)
+        # The pre lists are replaced, never mutated, so the base's are
+        # shared until a splice changes them.
+        self.tag_pres = dict(base._tag_pres)
+        self.elem_pres = base._elem_pres
+        self.text_pres = base._text_pres
+        # ``dict.copy`` runs without a thread switch, so a reader of
+        # the base version filling its memo cannot tear the copy.
+        self.string_memo = base._string_memo.copy()
+        self.key_memo = base.key_memo.copy()
 
     def intern(self, name: str) -> int:
         name_id = self.name_to_id.get(name)
@@ -223,22 +242,28 @@ class _Working:
                anchor: int, depth: int) -> None:
         """Replace rows ``[pos, pos + removed)`` with the patch subtree
         (``anchor`` is the new parent row, ``depth`` the patch root's
-        level).  All tail copies are list-slice assignments (C speed);
-        only the ancestor-chain interval fix-up walks Python rows."""
+        level).  All tail copies are list-slice assignments or one
+        comprehension per column; only the ancestor chain is walked
+        row by row."""
         w_end = pos + removed
-        plen = 0 if patch is None else len(patch.kinds)
-        shift = plen - removed
-        ends, parents = self.ends, self.parents
-        # 1. Grow/shrink every interval on the ancestor chain.  Rows
-        # strictly containing the window are exactly the anchor and its
-        # ancestors (subtrees are contiguous intervals), and the anchor
-        # interval must grow even when the splice lands at its very end
-        # (ends[anchor] == pos), which a ">= pos" scan would miss.
+        shift = (0 if patch is None else len(patch.kinds)) - removed
+        ends, parents, posts = self.ends, self.parents, self.posts
+        # Rows strictly containing the window are exactly the anchor
+        # and its ancestors (subtrees are contiguous intervals); the
+        # anchor interval must grow even when the splice lands at its
+        # very end (ends[anchor] == pos), which a ">= pos" scan would
+        # miss.  Their string values change whatever the shift.
+        chain = []
+        row = anchor
+        while row >= 0:
+            chain.append(row)
+            row = parents[row]
+        # 1. Grow/shrink every interval on the ancestor chain; a row's
+        # post rank (``ends - level - 1``) moves with its end.
         if shift:
-            row = anchor
-            while row >= 0:
+            for row in chain:
                 ends[row] += shift
-                row = parents[row]
+                posts[row] += shift
         # The anchor gains the patch root and/or loses the window root
         # as a child (anchor < pos, so its own row never moves).
         self.child_counts[anchor] += (patch is not None) - (removed > 0)
@@ -248,41 +273,97 @@ class _Working:
         # they point past it.
         if shift:
             ends[w_end:] = [e + shift for e in ends[w_end:]]
+            posts[w_end:] = [p + shift for p in posts[w_end:]]
             parents[w_end:] = [p + shift if p >= w_end else p
                                for p in parents[w_end:]]
         # 3. Splice the patch columns in.
         if patch is None:
-            patch_kinds: list = []
-            patch_texts: list = []
+            patch = _EMPTY
             patch_ids: list[int] = []
-            patch_levels: list[int] = []
-            patch_parents: list[int] = []
-            patch_ends: list[int] = []
-            patch_counts: list[int] = []
         else:
-            patch_kinds = patch.kinds
-            patch_texts = patch.texts
             patch_names = patch.names
             patch_ids = [-1 if i < 0 else self.intern(patch_names[i])
                          for i in patch.name_ids]
-            patch_levels = [lvl + depth for lvl in patch.levels]
-            patch_parents = [pos + p if p >= 0 else anchor
-                             for p in patch.parents]
-            patch_ends = [e + pos for e in patch.ends]
-            patch_counts = patch.child_counts
-        self.kinds[pos:w_end] = patch_kinds
-        self.texts[pos:w_end] = patch_texts
+        self.kinds[pos:w_end] = patch.kinds
+        self.texts[pos:w_end] = patch.texts
         self.name_ids[pos:w_end] = patch_ids
-        self.levels[pos:w_end] = patch_levels
-        parents[pos:w_end] = patch_parents
-        ends[pos:w_end] = patch_ends
-        self.child_counts[pos:w_end] = patch_counts
+        self.levels[pos:w_end] = [lvl + depth for lvl in patch.levels]
+        parents[pos:w_end] = [pos + p if p >= 0 else anchor
+                              for p in patch.parents]
+        ends[pos:w_end] = [e + pos for e in patch.ends]
+        posts[pos:w_end] = [p + pos - depth for p in patch.posts]
+        self.child_counts[pos:w_end] = patch.child_counts
+        # 4. The pre lists: the same cut, shift and insert per list.
+        tag_pres, patch_tags = self.tag_pres, patch._tag_pres
+        for tag in [*tag_pres, *(t for t in patch_tags
+                                 if t not in tag_pres)]:
+            rows = _spliced(tag_pres.get(tag, _NO_ROWS), pos, w_end,
+                            shift, patch_tags.get(tag, _NO_ROWS))
+            if rows:
+                tag_pres[tag] = rows
+            else:
+                tag_pres.pop(tag, None)
+        self.elem_pres = _spliced(self.elem_pres, pos, w_end, shift,
+                                  patch._elem_pres)
+        self.text_pres = _spliced(self.text_pres, pos, w_end, shift,
+                                  patch._text_pres)
+        # 5. The memos keep what the splice did not change.
+        self.string_memo = _carried(self.string_memo, pos, w_end, shift,
+                                    chain)
+        self.key_memo = _carried(self.key_memo, pos, w_end, shift, chain)
+
+    def arena(self) -> Arena:
+        """The finished columns as the next version's arena."""
+        return Arena.adopt(
+            kinds=self.kinds, name_ids=self.name_ids, texts=self.texts,
+            levels=self.levels, parents=self.parents, ends=self.ends,
+            child_counts=self.child_counts, names=self.names,
+            name_to_id=self.name_to_id, posts=self.posts,
+            tag_pres=self.tag_pres, elem_pres=self.elem_pres,
+            text_pres=self.text_pres, string_memo=self.string_memo,
+            key_memo=self.key_memo)
 
     def window_names(self, pos: int, w_end: int) -> frozenset:
         name_ids, names = self.name_ids, self.names
         return frozenset(names[name_ids[row]]
                          for row in range(pos, w_end)
                          if name_ids[row] >= 0)
+
+
+_NO_ROWS: list[int] = []
+#: the patch of a delete: no rows, no names
+_EMPTY = Arena()
+
+
+def _spliced(rows: list[int], pos: int, w_end: int, shift: int,
+             patch_rows: list[int]) -> list[int]:
+    """A sorted pre list after the splice: the rows before ``pos``
+    kept, those in ``[pos, w_end)`` cut, the patch's own rows (``pos``
+    on) inserted, the tail moved by ``shift``.  ``rows`` itself when
+    the splice leaves it unchanged — lists are never mutated, an old
+    version may share them."""
+    lo = bisect_left(rows, pos)
+    hi = bisect_left(rows, w_end, lo)
+    if lo == hi and not patch_rows and (not shift or hi == len(rows)):
+        return rows
+    tail = rows[hi:]
+    if shift:
+        tail = [row + shift for row in tail]
+    return rows[:lo] + [row + pos for row in patch_rows] + tail
+
+
+def _carried(memo: dict, pos: int, w_end: int, shift: int,
+             chain: list[int]) -> dict:
+    """A ``pre → value`` memo of string values (or keys made from them)
+    after the splice: the window's rows and the ancestor ``chain``'s
+    dropped, later rows moved by ``shift``."""
+    if memo:
+        memo = {(pre + shift if pre >= w_end else pre): value
+                for pre, value in memo.items()
+                if pre < pos or pre >= w_end}
+        for row in chain:
+            memo.pop(row, None)
+    return memo
 
 
 def apply_delta(document, ops) -> tuple[Arena, list[SpliceRecord]]:
@@ -361,12 +442,7 @@ def apply_delta(document, ops) -> tuple[Arena, list[SpliceRecord]]:
                 work.splice(pos, removed, patch, anchor,
                             work.levels[target])
         records.append(record)
-    # one O(rows) pass (the per-tag row lists), no per-row objects
-    return Arena.from_columns(
-        kinds=work.kinds, name_ids=work.name_ids, texts=work.texts,
-        levels=work.levels, parents=work.parents, ends=work.ends,
-        child_counts=work.child_counts, names=work.names,
-        name_to_id=work.name_to_id), records
+    return work.arena(), records
 
 
 def _op_pre(ref, work: _Working, what: str) -> int:

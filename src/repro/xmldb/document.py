@@ -78,7 +78,7 @@ class Document:
             self.schema = SchemaInfo(dtd, root=self.root.name)
         #: cached data-derived order guarantees, keyed by
         #: ``(context steps, relative steps)`` — see
-        #: :func:`repro.optimizer.properties.value_order_guarantee`.
+        #: :func:`repro.optimizer.properties.order_guarantee`.
         #: Living on the document (not the store) makes the cache's
         #: lifetime the version's, and the freeze makes it sound;
         #: delta versions carry entries forward when the splice provably
@@ -348,9 +348,9 @@ class DocumentStore:
         self._documents: dict[str, Document] = {}
         self.stats = ScanStats()
         self.indexes = IndexManager(self, index_mode)
-        #: bumped on every register/update/unregister; session-layer
-        #: plan caches key on it so any physical-design or schema change
-        #: invalidates compiled plans wholesale
+        #: bumped on every register/update/unregister — a monotone
+        #: "something changed" counter (snapshots carry it; a session
+        #: re-asks ``mode="auto"`` after it moves)
         self.epoch = 0
         #: fold a document's delta chain once it reaches this many
         #: update entries (see :meth:`Document.compact`)

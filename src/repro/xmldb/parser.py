@@ -17,6 +17,12 @@ It intentionally does *not* implement namespaces or external entities; the
 use-case documents need neither.  Errors raise :class:`XMLParseError` with a
 character position.
 
+Line ends are normalized first (XML 1.0 §2.11: ``\r\n`` and a lone
+``\r`` become ``\n``), and so is each attribute value (§3.3.3, every
+attribute read as CDATA: a literal tab or newline becomes a space; one
+written as a character reference stays).  Both are C-speed ``str``
+replacements; an error position counts in the line-normalized text.
+
 One compiled alternation (:data:`_TOKEN`) matches the next token — a
 start tag with its attribute run, an end tag, a comment, a CDATA
 section, a PI or a run of character data — and each token is appended
@@ -52,15 +58,16 @@ _WS = "[ \t\r\n]"
 #: the lookahead keeps a name from giving characters back, so
 #: ``<ab="1">`` cannot be read as ``<a b="1">``
 _NAME = r"[A-Za-z_:][A-Za-z0-9_:.\-]*(?![A-Za-z0-9_:.\-])"
-_ATTRIBUTE = rf"({_NAME}){_WS}*={_WS}*(?:\"([^\"]*)\"|'([^']*)')"
-_ANY_ATTRIBUTE = rf"{_NAME}{_WS}*={_WS}*(?:\"[^\"]*\"|'[^']*')"
+#: a quoted value holds no ``<`` (WFC: No < in Attribute Values)
+_ATTRIBUTE = rf"({_NAME}){_WS}*={_WS}*(?:\"([^\"<]*)\"|'([^'<]*)')"
+_ANY_ATTRIBUTE = rf"{_NAME}{_WS}*={_WS}*(?:\"[^\"<]*\"|'[^'<]*')"
 
 #: the next token of element content; ``lastindex`` tells which:
 #: 1 character data, 4 start tag (2 name, 3 attribute run, 4 ``/`` of
 #: an empty-element tag), 5 end tag, 6 CDATA, None comment or PI
 _TOKEN = re.compile(
     r"([^<]+)"
-    rf"|<({_NAME})((?:{_WS}*{_ANY_ATTRIBUTE})*)"
+    rf"|<({_NAME})((?:{_WS}+{_ANY_ATTRIBUTE})*)"
     rf"{_WS}*(/?)>"
     rf"|</({_NAME}){_WS}*>"
     r"|<!--.*?-->"
@@ -69,12 +76,15 @@ _TOKEN = re.compile(
 _ATTRIBUTES = re.compile(_ATTRIBUTE)
 #: the well-formed beginnings :func:`_diagnose` measures a bad tag by
 _START_TAG_HEAD = re.compile(
-    rf"<{_NAME}(?:{_WS}*{_ANY_ATTRIBUTE})*{_WS}*")
+    rf"<{_NAME}(?:{_WS}+{_ANY_ATTRIBUTE})*{_WS}*")
 _ATTRIBUTE_HEAD = re.compile(rf"{_NAME}{_WS}*(=?){_WS}*")
 _END_TAG_HEAD = re.compile(rf"</{_NAME}{_WS}*")
 #: what may surround the document element: whitespace, comments, PIs
 _MISC = re.compile(rf"(?:{_WS}+|<!--.*?-->|<\?.*?\?>)*", re.S)
-_DOCTYPE_MARKS = re.compile(r"[\[\]>]")
+#: a bracket or ``>`` of the DOCTYPE — or a quoted literal, comment or
+#: PI, whose brackets do not count
+_DOCTYPE_MARKS = re.compile(
+    r"[\[\]>]|\"[^\"]*\"|'[^']*'|<!--.*?-->|<\?.*?\?>", re.S)
 _CHARACTER_REFERENCE = re.compile(r"#(?:[xX]([0-9a-fA-F]+)|([0-9]+))")
 
 
@@ -100,6 +110,8 @@ def parse_document(text: str) -> ParseResult:
 
     Raises :class:`XMLParseError` on malformed input.
     """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     pos, dtd_text = _prolog(text)
     arena, pos = _parse_element(text, pos)
     end = _MISC.match(text, pos).end()
@@ -126,6 +138,8 @@ def _prolog(text: str) -> tuple[int, str | None]:
         dtd_text = None
         for mark in _DOCTYPE_MARKS.finditer(text, pos + 9):
             char, at = mark.group(), mark.start()
+            if len(char) > 1:
+                continue
             if char == "[":
                 depth += 1
                 if depth == 1:
@@ -256,6 +270,8 @@ def _attributes(run: str, at: int, owner: int, level: int, kinds,
         seen.add(name)
         if value is None:
             value = found.group(3)
+        # (line-end normalization left no ``\r``)
+        value = value.replace("\t", " ").replace("\n", " ")
         if "&" in value:
             value = _decode_entities(value, at + found.end() - 1
                                      - len(value))
@@ -341,10 +357,21 @@ def _diagnose(text: str, pos: int, open_name: str | None
         problem = "unterminated start tag"
     elif attribute is None:
         problem = "expected '>' or an attribute name"
+    elif text[at - 1] in "'\"":
+        problem = "expected whitespace before the attribute"
     else:
         at = attribute.end()
-        problem = "expected '='" if not attribute.group(1) \
-            else "attribute value must be quoted" \
-            if not text.startswith(("'", '"'), at) \
-            else "unterminated attribute value"
+        quote = text[at:at + 1]
+        if not attribute.group(1):
+            problem = "expected '='"
+        elif quote not in ("'", '"'):
+            problem = "attribute value must be quoted"
+        else:
+            close = text.find(quote, at + 1)
+            less = text.find("<", at + 1,
+                             len(text) if close < 0 else close)
+            if less >= 0:
+                problem, at = "'<' in an attribute value", less
+            else:
+                problem = "unterminated attribute value"
     return XMLParseError(problem, at)

@@ -6,14 +6,20 @@ from repro.xmldb.node import Node, NodeKind
 
 
 def escape_text(text: str) -> str:
-    """Character data as XML text: ``& < >`` escaped."""
+    """Character data as XML text: ``& < >`` escaped, and a carriage
+    return as a character reference — a parser turns a literal one
+    into a newline (XML 1.0 §2.11)."""
     return (text.replace("&", "&amp;")
                 .replace("<", "&lt;")
-                .replace(">", "&gt;"))
+                .replace(">", "&gt;")
+                .replace("\r", "&#13;"))
 
 
 def _escape_attr(text: str) -> str:
-    return escape_text(text).replace('"', "&quot;")
+    # a literal tab or newline in a value is read back as a space
+    # (§3.3.3)
+    return (escape_text(text).replace('"', "&quot;")
+            .replace("\t", "&#9;").replace("\n", "&#10;"))
 
 
 def serialize(node: Node, indent: int | None = None) -> str:

@@ -401,8 +401,8 @@ def _document(specs) -> Node:
 def _memo_arenas(specs):
     """The same generated document's arena as a builder tree, as parsed
     text, after an ``Insert`` / ``Delete`` / ``Replace`` (each version
-    read before its update), and once its document is gone
-    (``release_handles``)."""
+    read before its update, so the next one starts with its carried
+    memos), and once its document is gone (``release_handles``)."""
     built = Database()
     built.register_tree("d.xml", _document(specs))
     yield built.store.get("d.xml").arena
@@ -418,7 +418,7 @@ def _memo_arenas(specs):
         db.update("d.xml", op)
         arena = db.store.get("d.xml").arena
         assert arena is not old
-        assert arena._string_memo == {} and arena.key_memo == {}
+        _check_carried(arena)
         yield arena
     released = Database()
     released.register_tree("d.xml", _document(specs))
@@ -426,6 +426,15 @@ def _memo_arenas(specs):
     released.unregister("d.xml")
     assert arena.document is None and arena.nodes._refs is not None
     yield arena
+
+
+def _check_carried(arena):
+    """Every memo entry an update carried is what a fresh fill of the
+    new version computes for its row."""
+    for pre, value in arena._string_memo.items():
+        assert arena.string_value(pre) == value
+    for pre, key in arena.key_memo.items():
+        assert repr(key) == repr(text_key(arena.string_value(pre)))
 
 
 def _check_memos(arena):
@@ -485,7 +494,8 @@ def test_second_execution_of_the_paper_queries_adds_no_memo_entries():
 def test_superseded_version_is_reclaimed_with_its_memos():
     """The memos hold no handles and no cycles: with the cyclic GC off,
     a read-and-superseded version dies by reference count, and its
-    successor starts with empty memos."""
+    successor starts with the memos it carried: every entry but the
+    replaced item's rows."""
     import gc
     import weakref
 
@@ -504,6 +514,9 @@ def test_superseded_version_is_reclaimed_with_its_memos():
         old = weakref.ref(arena)
         assert "I00003" in output
         row = arena.tag_rows("itemtuple")[2]        # I00003
+        window = range(row, arena.ends[row])
+        carried = {pre for pre in arena.key_memo if pre not in window}
+        assert carried and len(carried) < len(arena.key_memo)
         del arena
         db.update("items.xml", Replace(row, element(
             "itemtuple", element("itemno", "N0000"),
@@ -511,7 +524,8 @@ def test_superseded_version_is_reclaimed_with_its_memos():
             element("reserveprice", "450"))))
         assert old() is None
         arena = db.store.get("items.xml").arena
-        assert arena._string_memo == {} and arena.key_memo == {}
+        assert set(arena.key_memo) == carried  # as many rows in as out
+        _check_carried(arena)
         assert compile_query(text, db).run().output \
             == output.replace("<wanted><itemno>I00003</itemno></wanted>", "")
         assert arena.key_memo

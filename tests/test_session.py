@@ -82,7 +82,7 @@ def test_lru_cache_evict_if():
     cache = LRUCache(8)
     for i in range(4):
         cache.put(("k", i), i)
-    assert cache.evict_if(lambda key: key[1] % 2 == 0) == 2
+    assert cache.evict_if(lambda key, _: key[1] % 2 == 0) == 2
     assert len(cache) == 2
 
 

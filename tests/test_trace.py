@@ -165,12 +165,15 @@ def test_elision_counters_taken_and_forced():
     assert counters.get("elision.sorts_taken", 0) >= 1
     assert counters.get("elision.sorts_forced", 0) == 0
 
-    # Rotate the proof document: same name, new registration — the
-    # data-derived sortedness guarantee no longer applies, so the
-    # elided Sort must fall back to a real sort (and say so).
+    # Rotate the proof document: same name, the same items in reverse
+    # order — the data-derived sortedness guarantee, checked on the
+    # version the plan runs on, no longer holds, so the elided Sort
+    # must fall back to a real sort (and say so).
     db.unregister("items.xml")
-    db.register_tree("items.xml", generate_items(30, seed=5),
-                     dtd_text=ITEMS_DTD)
+    items = generate_items(30, seed=5)
+    db.register_text("items.xml", "<items>" + "".join(
+        serialize(item) for item in reversed(items.children))
+        + "</items>", dtd_text=ITEMS_DTD)
     metrics = MetricsRegistry()
     rotated = db.execute(plan, metrics=metrics)
     counters = metrics.snapshot()["counters"]

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro import Database, Delete, Insert, Replace, compile_query
 from repro.datagen import ITEMS_DTD, generate_items
+from repro.engine.batch import NodeColumn, key_column
 from repro.engine.executor import execute
 from repro.errors import (
     EvaluationError,
@@ -32,9 +33,10 @@ from repro.errors import (
 )
 from repro.index.structural import PathIndex
 from repro.index.value import ValueIndex
+from repro.nal.values import text_key
 from repro.xmldb.arena import Arena
 from repro.xmldb.delta import DeltaError, apply_delta
-from repro.xmldb.node import NodeKind, element
+from repro.xmldb.node import Node, NodeKind, element
 from repro.xmldb.parser import parse_document
 from repro.xmldb.serialize import serialize
 
@@ -998,3 +1000,362 @@ def test_unregistered_builder_documents_die_by_reference_count():
         assert arena() is None
     finally:
         gc.enable()
+
+
+# ----------------------------------------------------------------------
+# Writes cost their delta: the splice builds the derived columns and
+# carries the memos, plans survive content updates
+# ----------------------------------------------------------------------
+_SPLICE_TEXTS = ("x", "07", " 1.5", "Ab")
+_SPLICE_SPECS = st.recursive(
+    st.sampled_from(_SPLICE_TEXTS),
+    lambda kids: st.tuples(
+        st.sampled_from(("a", "b", "c", "new")),
+        st.dictionaries(st.sampled_from(("y", "z")),
+                        st.sampled_from(_SPLICE_TEXTS + ("",)),
+                        max_size=2),
+        st.lists(kids, max_size=3)),
+    max_leaves=8)
+
+
+def _built(spec):
+    if isinstance(spec, str):
+        return spec
+    tag, attrs, kids = spec
+    return element(tag, *map(_built, kids), **attrs)
+
+
+def _patch(data, label: str):
+    """A patch as a builder tree, a text node or a parsed fragment."""
+    spec = data.draw(_SPLICE_SPECS, label=label)
+    tree = _built(spec)
+    if isinstance(tree, str):
+        return Node(NodeKind.TEXT, text=tree)
+    if data.draw(st.booleans(), label=f"{label}_parsed"):
+        return parse_document(serialize(tree)).root
+    return tree
+
+
+def _fill_memos(arena) -> None:
+    """Read every row the way the column engine does, so both memos
+    hold an entry for every row that has one."""
+    rows = list(range(len(arena)))
+    arena.string_values(rows)
+    key_column(NodeColumn(arena, rows))
+
+
+def _assert_derived_columns_and_memos(arena) -> None:
+    """The spliced derived columns are what the from-scratch derivation
+    makes of the same row columns; every carried memo entry is what a
+    fresh fill computes for its row."""
+    fresh = Arena.from_columns(
+        kinds=list(arena.kinds), name_ids=list(arena.name_ids),
+        texts=list(arena.texts), levels=list(arena.levels),
+        parents=list(arena.parents), ends=list(arena.ends),
+        child_counts=list(arena.child_counts), names=list(arena.names),
+        name_to_id=dict(arena._name_to_id))
+    assert arena.posts == fresh.posts
+    assert arena._tag_pres == fresh._tag_pres
+    assert arena._elem_pres == fresh._elem_pres
+    assert arena._text_pres == fresh._text_pres
+    for pre, value in arena._string_memo.items():
+        assert value == fresh.string_value(pre)
+    for pre, key in arena.key_memo.items():
+        assert repr(key) == repr(text_key(fresh.string_value(pre)))
+
+
+def _top_level_ops(data, db: Database, name: str, patch) -> list:
+    """One to three ops on distinct children of the root, in
+    descending row order — so each op's row still names the same node
+    in the coordinates the earlier ops leave (a splice only moves rows
+    after its window)."""
+    arena = db.store.get(name).arena
+    children = list(arena.child_lists[0])
+    picks = data.draw(st.lists(st.integers(0, len(children) - 1),
+                               min_size=1, max_size=3, unique=True),
+                      label="children")
+    ops = []
+    for index in sorted(picks, reverse=True):
+        child = children[index]
+        kind = data.draw(st.sampled_from(
+            ("insert", "delete", "replace", "replace-leaf")),
+            label=f"kind_{index}")
+        if kind == "insert":
+            ops.append(Insert(0, index, patch(f"patch_{index}")))
+        elif kind == "delete" and len(children) > 1:
+            ops.append(Delete(child.pre))
+        elif kind == "replace-leaf" and child.kind is NodeKind.ELEMENT \
+                and child.children:
+            leaf = data.draw(st.sampled_from(child.children),
+                             label=f"leaf_{index}")
+            ops.append(Replace(leaf.pre, patch(f"leaf_patch_{index}")))
+        else:
+            ops.append(Replace(child.pre, patch(f"patch_{index}")))
+    return ops
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_SPLICE_SPECS, min_size=1, max_size=4), st.data())
+def test_splice_derives_the_columns_and_carries_the_memos(specs, data):
+    """Random Insert / Delete / Replace sequences, multi-op updates
+    included, over mixed content with attributes: after every update
+    the spliced ``posts`` and per-tag / element / text pre lists equal
+    ``Arena.from_columns`` on the same columns, and the carried memos
+    equal a fresh fill."""
+    db = Database()
+    db.register_tree("d.xml", element("r", *map(_built, specs)))
+    for step in range(data.draw(st.integers(1, 4), label="updates")):
+        _fill_memos(db.store.get("d.xml").arena)
+        ops = _top_level_ops(
+            data, db, "d.xml", lambda label: _patch(data, label))
+        db.update("d.xml", ops)
+        _assert_derived_columns_and_memos(db.store.get("d.xml").arena)
+
+
+def test_update_does_not_rederive_the_document_columns(monkeypatch):
+    """``apply_delta`` splices the derived columns: the per-row
+    derivation runs for no arena of the document's size — only a
+    builder-tree patch is encoded (and derived) on its own."""
+    db = Database()
+    db.register_tree("items.xml", generate_items(30, seed=7),
+                     dtd_text=ITEMS_DTD)
+    rows = len(db.store.get("items.xml").arena)
+    derived = []
+    original = Arena.from_columns.__func__
+
+    def spy(cls, **columns):
+        derived.append(len(columns["kinds"]))
+        return original(cls, **columns)
+
+    monkeypatch.setattr(Arena, "from_columns", classmethod(spy))
+    fragment = parse_document(
+        "<itemtuple><itemno>N1</itemno></itemtuple>").root
+    derived.clear()
+    db.update("items.xml", [Replace(3, fragment), Delete(20)])
+    assert derived == []
+    db.update("items.xml", Insert(0, 1, element("itemtuple",
+                                                element("itemno", "N2"))))
+    assert derived == [3]                   # the patch alone
+    assert max(derived) < rows
+
+
+_ORDERED_ITEMS = '''
+let $d1 := doc("items.xml")
+for $i1 in $d1//itemtuple
+let $n1 := zero-or-one($i1/itemno)
+order by $n1
+return <i>{ $n1 }</i>
+'''
+
+
+def _session_queries() -> list[str]:
+    from repro.bench.queries import PAPER_QUERIES
+    from tests.conftest import ledger, ledger_query
+    return [PAPER_QUERIES[key].text
+            for key in ("q1", "q2", "q3", "q4", "q5", "q6")] + [
+        ledger_query(ledger.ITEMS_SCAN, 450),
+        ledger_query(ledger.ITEMS_WITH_BID, 700),
+        ledger_query(ledger.POPULAR_ITEMS, 2),
+        _ORDERED_ITEMS]
+
+
+def _corpus_db() -> tuple[Database, dict]:
+    from tests.conftest import ledger
+    texts = ledger.corpus({"books": 6, "items": 12, "bids": 30}, 7)
+    db = Database()
+    for name, text in texts.items():
+        db.register_text(name, text)
+    return db, texts
+
+
+def _fresh_copy(db: Database, texts: dict) -> Database:
+    """The live documents, serialized and registered into a new
+    database under their DTDs, in the same order."""
+    fresh = Database()
+    for name, text in texts.items():
+        doctype = text[:text.index("]>") + 2]
+        fresh.register_text(
+            name, doctype + serialize(db.store.get(name).root))
+    return fresh
+
+
+def _auction_patch(data, label: str, name: str):
+    """A DTD-valid top-level element for ``name`` — item numbers are
+    drawn so an update may keep or break the items' document order."""
+    number = data.draw(st.integers(0, 40), label=f"{label}_no")
+    if name == "items.xml":
+        tree = element("itemtuple", element("itemno", f"I{number:05d}"),
+                       element("description", "d"),
+                       element("offered_by", "U00001"),
+                       element("reserveprice", str(400 + number)))
+    elif name == "bids.xml":
+        tree = element("bidtuple", element("userid", "U00002"),
+                       element("itemno", f"I{number:05d}"),
+                       element("bid", str(number * 40)),
+                       element("biddate", "2001-01-01"))
+    else:
+        tree = element("book", element("title", f"T{number}"),
+                       element("author", element("last", f"L{number % 3}"),
+                               element("first", "F")),
+                       element("publisher", "P"),
+                       element("price", f"{number}.50"), year="1999")
+    return parse_document(serialize(tree)).root \
+        if data.draw(st.booleans(), label=f"{label}_parsed") else tree
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_long_lived_session_answers_like_a_fresh_registration(data):
+    """One session kept across random (multi-op) updates of the paper's
+    and the auction corpus answers Q1–Q6, the ledger's items / bids
+    templates and an ``order by`` whose plan elides its sort on a proof
+    byte for byte as a database freshly registered from the updated
+    documents' serialization — and, the plans being heuristic and
+    index-free, without compiling again."""
+    from repro.optimizer.elide_order import elided_sorts
+    db, texts = _corpus_db()
+    session = db.session()
+    queries = _session_queries()
+    for text in queries:
+        session.execute(text)
+    assert any(sort.proof is not None for sort in elided_sorts(
+        session.prepare(_ORDERED_ITEMS).best().plan))
+    compiled = session.cache_stats()["plan_cache"]["misses"]
+    for step in range(data.draw(st.integers(1, 3), label="updates")):
+        name = data.draw(st.sampled_from(("items.xml", "bids.xml",
+                                          "bib.xml")), label="doc")
+        db.update(name, _top_level_ops(
+            data, db, name,
+            lambda label: _auction_patch(data, label, name)))
+        fresh = _fresh_copy(db, texts).session()
+        for text in queries:
+            assert session.execute(text).output \
+                == fresh.execute(text).output, (step, text)
+    assert session.cache_stats()["plan_cache"]["misses"] == compiled
+
+
+def test_kept_plan_digest_equals_a_fresh_compile_unless_a_guarantee_flipped():
+    """A heuristic, index-free template kept across an update digests
+    like a fresh compile of the new version — except where the order
+    guarantee an elided sort rests on flipped: then the fresh compile
+    sorts for real, and the kept plan does so at run time."""
+    from repro.obs.metrics import MetricsRegistry
+    from repro.optimizer.elide_order import elided_sorts
+    db = Database()
+    db.register_tree("items.xml", generate_items(20, seed=7),
+                     dtd_text=ITEMS_DTD)
+    session = db.session()
+    kept = session.prepare(_ORDERED_ITEMS)
+
+    def digests(prepared):
+        return [alt.digest() for alt in prepared.alternatives]
+
+    def forced() -> int:
+        metrics = MetricsRegistry()
+        session.execute(_ORDERED_ITEMS, metrics=metrics,
+                        use_result_cache=False)
+        return metrics.snapshot()["counters"].get("elision.sorts_forced",
+                                                  0)
+
+    last = db.store.get("items.xml").arena.tag_rows("itemtuple")[-1]
+    db.update("items.xml", Replace(last, element(
+        "itemtuple", element("itemno", "I99999"),
+        element("description", "d"), element("offered_by", "U00001"),
+        element("reserveprice", "450"))))
+    assert session.prepare(_ORDERED_ITEMS) is kept
+    assert digests(kept) == digests(_fresh_template(db))
+    assert forced() == 0
+    # an item number that sorts first, appended last: the guarantee flips
+    db.update("items.xml", Insert(0, 20, element(
+        "itemtuple", element("itemno", "I00000"),
+        element("description", "d"), element("offered_by", "U00001"),
+        element("reserveprice", "450"))))
+    assert session.prepare(_ORDERED_ITEMS) is kept
+    fresh = _fresh_template(db)
+    assert not any(sort.proof for alt in fresh.alternatives
+                   for sort in elided_sorts(alt.plan))
+    assert digests(kept) != digests(fresh)
+    assert forced() >= 1
+    output = session.execute(_ORDERED_ITEMS).output
+    assert output.index("I00000") < output.index("I00001")
+    assert output == fresh.execute().output
+
+
+def _fresh_template(db: Database):
+    """A fresh session's template of the ``order by`` query."""
+    return db.session().prepare(_ORDERED_ITEMS)
+
+
+def test_registration_and_collection_membership_still_evict():
+    """Registering or removing a document — a referenced one, or a new
+    member of a ``collection()`` — empties the plan cache; an update
+    keeps a heuristic, index-free plan, but not a ``ranking="cost"``
+    one or one over a store with indexes."""
+    shards = 'for $i in collection("shard-*.xml")//itemno return $i'
+    items = 'for $i in doc("items.xml")//itemno return $i'
+
+    def misses(session):
+        return session.cache_stats()["plan_cache"]["misses"]
+
+    db = Database()
+    db.register_tree("items.xml", generate_items(5, seed=7),
+                     dtd_text=ITEMS_DTD)
+    db.register_tree("shard-0.xml", generate_items(3, seed=1),
+                     dtd_text=ITEMS_DTD)
+    session = db.session()
+    cost = db.session(ranking="cost")
+    for text in (shards, items):
+        session.execute(text)
+        cost.execute(text)
+    before, before_cost = misses(session), misses(cost)
+    db.update("items.xml", Delete(db.store.get("items.xml")
+                                  .arena.tag_rows("itemtuple")[0]))
+    db.update("shard-0.xml", Delete(1))
+    session.execute(shards)
+    session.execute(items)
+    assert misses(session) == before
+    cost.execute(shards)
+    cost.execute(items)
+    assert misses(cost) == before_cost + 2
+
+    db.register_tree("shard-1.xml", generate_items(2, seed=2),
+                     dtd_text=ITEMS_DTD)
+    assert session.execute(shards).output.count("<itemno>") == 2 + 2
+    assert misses(session) == before + 1
+    db.unregister("items.xml")
+    with pytest.raises(UnknownDocumentError):
+        session.execute(items)
+    assert misses(session) == before + 2
+
+    indexed = Database(index_mode="lazy")
+    indexed.register_tree("items.xml", generate_items(5, seed=7),
+                          dtd_text=ITEMS_DTD)
+    session = indexed.session()
+    session.execute(items)
+    indexed.update("items.xml", Delete(1))
+    session.execute(items)
+    assert misses(session) == 2
+
+
+def test_priced_compile_racing_an_update_is_not_filed(monkeypatch):
+    """A compile that read statistics while an update landed files
+    nothing; a heuristic, index-free one is filed regardless."""
+    from repro import session as session_module
+    items = 'for $i in doc("items.xml")//itemno return $i'
+    for ranking, filed in (("cost", 0), ("heuristic", 1)):
+        db = Database()
+        db.register_tree("items.xml", generate_items(5, seed=7),
+                         dtd_text=ITEMS_DTD)
+        session = db.session(ranking=ranking)
+        original = session_module.PreparedQuery.__init__
+
+        def racing(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            db.update("items.xml", Delete(1))
+
+        monkeypatch.setattr(session_module.PreparedQuery, "__init__",
+                            racing)
+        session.prepare(items)
+        monkeypatch.setattr(session_module.PreparedQuery, "__init__",
+                            original)
+        assert session.cache_stats()["plan_cache"]["size"] == filed

@@ -10,8 +10,13 @@
   empty one splits nothing.
 - Fuzz: whatever text it is given, the parser returns or raises
   :class:`XMLParseError` with a position inside the text.
-- Well-formedness: malformed character references and repeated
-  attribute names are parse errors with the reference's position.
+- Well-formedness: malformed character references, repeated
+  attribute names, ``<`` in an attribute value and attributes with no
+  whitespace between them are parse errors with the position; a
+  DOCTYPE's brackets inside quoted literals and comments do not count.
+- Normalization (XML 1.0 §2.11, §3.3.3): line ends become ``\n``, a
+  literal tab or newline in an attribute value a space; written as
+  character references they stay.
 """
 
 from __future__ import annotations
@@ -61,14 +66,17 @@ NAMED = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
 
 def _escaped(draw, text: str, quote: str | None = None) -> str:
     """``text`` as character data (or as an attribute value between
-    ``quote``s), each character in a spelling the draw picks."""
+    ``quote``s), each character in a spelling the draw picks.  A
+    character the parser normalizes — a carriage return, and a tab or
+    newline in an attribute value — is only ever a reference."""
+    normalized = "\r" if quote is None else "\r\t\n"
     out = []
     for char in text:
         spellings = [f"&#{ord(char)};", f"&#x{ord(char):x};",
                      f"&#X{ord(char):04X};"]
         if char in NAMED:
             spellings.append(NAMED[char])
-        if char not in "&<" and char != quote:
+        if char not in "&<" and char != quote and char not in normalized:
             spellings += [char, char, char]
         out.append(draw(st.sampled_from(spellings)))
         if quote is None and draw(st.integers(0, 9)) == 0:
@@ -85,7 +93,8 @@ def _misc(draw) -> str:
 def _written(draw, node: Node) -> str:
     if node.kind is NodeKind.TEXT:
         text = node.text
-        if "]]>" not in text and draw(st.booleans()):
+        if "]]>" not in text and "\r" not in text \
+                and draw(st.booleans()):
             return f"<![CDATA[{text}]]>"
         return _escaped(draw, text)
     parts = [f"<{node.name}"]
@@ -211,3 +220,50 @@ def test_arbitrary_text_parses_or_raises_a_positioned_parse_error(text):
         arena = result.arena
         assert arena.kinds[0] is NodeKind.ELEMENT
         assert arena.ends[0] == len(arena)
+
+
+def test_line_ends_and_attribute_whitespace_are_normalized():
+    """XML 1.0 §2.11 and §3.3.3: ``\r\n`` and a lone ``\r`` are one
+    ``\n``, and a literal tab or newline in an attribute value is a
+    space — written as character references, all three stay."""
+    root = parse_document('<a b="x\ny\tz">\r\n<c d="1\r\n2"/>\r</a>').root
+    assert root.attributes[0].text == "x y z"
+    assert [node.text for node in root.children if node.text] \
+        == ["\n", "\n"]
+    assert root.children[1].attributes[0].text == "1 2"
+    kept = parse_document('<a b="&#9;&#10;&#13;">&#13;\r\n</a>').root
+    assert kept.attributes[0].text == "\t\n\r"
+    assert kept.string_value() == "\r\n"
+    # the serializer writes them as references, so they round-trip
+    tree = element("a", "x\ry")
+    tree.set_attribute("b", "\t\n\r")
+    again = parse_document(serialize(tree)).root
+    assert again.string_value() == "x\ry"
+    assert again.attributes[0].text == "\t\n\r"
+
+
+@pytest.mark.parametrize("text, problem, at", [
+    ('<a b="<"/>', "'<' in an attribute value", 6),
+    ("<r><a b='x<y'/></r>", "'<' in an attribute value", 10),
+    ('<a c="1"d="2"/>', "whitespace before the attribute", 8),
+    ("<a c='1'd='2'></a>", "whitespace before the attribute", 8),
+])
+def test_attribute_well_formedness(text, problem, at):
+    """WFC: No < in Attribute Values, and production [40]: attributes
+    are separated by whitespace."""
+    with pytest.raises(XMLParseError, match=problem) as info:
+        parse_document(text)
+    assert info.value.position == at
+    assert parse_document('<a b="&lt;" c="1"\nd="2"/>').root \
+        .attributes[0].text == "<"
+
+
+def test_doctype_brackets_inside_literals_and_comments_do_not_count():
+    result = parse_document('<!DOCTYPE a [<!ATTLIST a b CDATA "]">]><a/>')
+    assert result.dtd_text == '<!ATTLIST a b CDATA "]">'
+    text = ("<!DOCTYPE a [<!-- ] [ -->\n<!ELEMENT a ANY>"
+            "<!ATTLIST a b CDATA '[['>]>\n<a b='1'/>")
+    result = parse_document(text)
+    assert result.dtd_text == ("<!-- ] [ -->\n<!ELEMENT a ANY>"
+                               "<!ATTLIST a b CDATA '[['>")
+    assert result.root.name == "a"
