@@ -258,8 +258,7 @@ def _path_slices(expr: PathApply, ctx, env: Tup):
     from repro.engine.vectorized import _apply_steps, _compile_steps
     nodes, path = _path_context(expr, env, ctx)
     steps = _compile_steps(path)
-    if len(nodes) != 1 or nodes[0].arena is None or not steps \
-            or steps[0][0] == "attribute":
+    if len(nodes) != 1 or not steps or steps[0][0] == "attribute":
         return None
     arena, pre = nodes[0].arena, nodes[0].pre
     if not all(arena.tag_is_flat(name)

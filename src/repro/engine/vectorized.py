@@ -360,7 +360,7 @@ def _context_runs(values):
     for i, value in enumerate(values):
         if value is NULL:
             continue
-        if not isinstance(value, Node) or value.arena is None:
+        if not isinstance(value, Node):
             return None
         if value.arena is not arena:
             arena = value.arena
@@ -824,8 +824,6 @@ def _unnest_map_partitioned(plan: UnnestMap, batch: Batch, env: Tup,
     for i, t in enumerate(batch.to_rows()):
         context, eff_path = expr.context_node(scalar_env(env, t), ctx)
         arena = context.arena
-        if arena is None:
-            return None
         rows = list(arena.descendants_by_tag(
             context.pre, eff_path.steps[0].test.name)
             [expr.start:expr.stop])

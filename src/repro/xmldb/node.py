@@ -58,7 +58,7 @@ class Node:
         elements (element string values are computed from descendants).
     """
 
-    __slots__ = ("_kind", "_name", "_text", "_parent", "_children",
+    __slots__ = ("_kind", "_name", "_text", "_children",
                  "_attributes", "order_key", "arena", "pre", "_strval",
                  "__weakref__")
 
@@ -67,7 +67,6 @@ class Node:
         self._kind = kind
         self._name = name
         self._text = text
-        self._parent: Node | None = None
         self._children: list[Node] = []
         self._attributes: list[Node] = []
         self.order_key: int = -1
@@ -93,7 +92,6 @@ class Node:
         self._kind = None
         self._name = None
         self._text = None
-        self._parent = None
         self._children = None  # type: ignore[assignment]
         self._attributes = None  # type: ignore[assignment]
         # A value cached while the tree was still mutable may predate
@@ -123,9 +121,8 @@ class Node:
 
     @property
     def parent(self) -> Node | None:
+        """The parent of a frozen node (None for a root)."""
         arena = self.arena
-        if arena is None:
-            return self._parent
         parent_pre = arena.parents[self.pre]
         return None if parent_pre < 0 else arena.nodes[parent_pre]
 
@@ -149,26 +146,18 @@ class Node:
 
     @property
     def document(self):
-        """The owning Document — None until the tree is registered, and
-        None again once nothing pins the version: a handle keeps its
-        arena's columns readable, not the Document alive (the store's
-        current map, a ``StoreSnapshot`` or a ``Document`` reference
-        pin a version; see ``docs/updates.md``)."""
-        arena = self.arena
-        return None if arena is None else arena.document
+        """The owning Document of a frozen node — None for an arena no
+        document owns (a parsed fragment), and None again once nothing
+        pins the version: a handle keeps its arena's columns readable,
+        not the Document alive (the store's current map, a
+        ``StoreSnapshot`` or a ``Document`` reference pin a version;
+        see ``docs/updates.md``)."""
+        return self.arena.document
 
     @property
     def level(self) -> int:
-        """Depth below the document root (frozen nodes read the arena
-        column; builder nodes count parent links)."""
-        arena = self.arena
-        if arena is not None:
-            return arena.levels[self.pre]
-        depth, node = 0, self._parent
-        while node is not None:
-            depth += 1
-            node = node._parent if node.arena is None else node.parent
-        return depth
+        """Depth of a frozen node below the document root."""
+        return self.arena.levels[self.pre]
 
     # ------------------------------------------------------------------
     # Tree construction (builder mode only)
@@ -182,7 +171,6 @@ class Node:
         self._require_mutable()
         if self._kind is not NodeKind.ELEMENT:
             raise ValueError("only elements can have children")
-        child._parent = self
         self._children.append(child)
         return child
 
@@ -192,7 +180,6 @@ class Node:
         if self._kind is not NodeKind.ELEMENT:
             raise ValueError("only elements can have attributes")
         attr = Node(NodeKind.ATTRIBUTE, name=name, text=value)
-        attr._parent = self
         self._attributes.append(attr)
         return attr
 

@@ -207,7 +207,7 @@ def _parse_element(text: str, pos: int) -> tuple[Arena, int]:
                 pending += token.group(1)
         elif which != 6 or token.group(6):
             if pending is not None:
-                text_row(_decode_entities(pending, pending_at)
+                text_row(decode_references(pending, pending_at)
                          if "&" in pending else pending, parent)
                 pending = None
             if which == 4:
@@ -273,8 +273,8 @@ def _attributes(run: str, at: int, owner: int, level: int, kinds,
         # (line-end normalization left no ``\r``)
         value = value.replace("\t", " ").replace("\n", " ")
         if "&" in value:
-            value = _decode_entities(value, at + found.end() - 1
-                                     - len(value))
+            value = decode_references(value, at + found.end() - 1
+                                      - len(value))
         kinds.append(NodeKind.ATTRIBUTE)
         name_ids.append(name_id(name))
         texts.append(value)
@@ -285,9 +285,10 @@ def _attributes(run: str, at: int, owner: int, level: int, kinds,
     ends[owner] = len(kinds)
 
 
-def _decode_entities(raw: str, position: int) -> str:
+def decode_references(raw: str, position: int) -> str:
     """Replace entity and character references in ``raw`` (which
-    starts at text position ``position``)."""
+    starts at text position ``position``) — XML text and attribute
+    values here, XQuery string literals in :mod:`repro.xquery.lexer`."""
     parts = raw.split("&")
     out = [parts[0]]
     at = position + len(parts[0])

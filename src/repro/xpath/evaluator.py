@@ -110,8 +110,8 @@ def _initial_order_state(nodes: list[Node]) -> str | None:
     if len(nodes) <= 1:
         return "disjoint"
     arena = nodes[0].arena
-    if arena is None or any(n.arena is not arena for n in nodes):
-        return None  # builder trees / multi-document contexts: bail
+    if any(n.arena is not arena for n in nodes):
+        return None  # multi-document contexts: bail
     ends = arena.ends
     state = "disjoint"
     previous = nodes[0].pre

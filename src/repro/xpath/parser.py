@@ -11,9 +11,11 @@ as plain strings in tests, examples and the data-generation tooling::
 Predicates are restricted to the two self-contained forms the evaluator
 supports (existence and comparison-with-literal).
 
-:func:`scan_number` is the one lexical rule for numeric literals: this
-parser, the XQuery lexer and the XQuery literal pre-scan
-(:func:`repro.xquery.lexer.query_shape`) all read numbers through it.
+:func:`scan_number` is the one lexical rule for numeric literals: a
+run of ASCII digits and dots read by :func:`number_value`.  This parser
+reads numbers through it; the XQuery scanner's token pattern and the
+XQuery literal pre-scan (:func:`repro.xquery.lexer.query_shape`) match
+the same run from a digit and read it with :func:`number_value`.
 """
 
 from __future__ import annotations

@@ -1,10 +1,17 @@
-"""Low-level scanner for the XQuery parser.
+"""Token scanner for the XQuery parser, and the literal pre-scan.
 
-XQuery keywords are contextual and element constructors switch the lexer
-into raw-text mode, so the parser drives a character cursor directly
-instead of consuming a pre-tokenized stream.  This module provides that
-cursor with position tracking for error messages and support for XQuery
-comments ``(: ... :)``.
+:class:`Scanner` holds one lookahead token — kind, text, start and end
+— and computes it once per position: one compiled pattern skips
+whitespace and matches a name, a string literal, a number, one of
+``//`` ``/>`` ``:=`` ``!=`` ``<=`` ``>=`` or a single character (``$``
+and the other punctuators).  Keywords are contextual: the parser
+compares a name token with ``for`` / ``return`` / … only where the
+grammar asks for a keyword, so ``$b/return`` is a path.  ``(: … :)``
+comments, nested ones included, are skipped by a short loop that runs
+only when ``(:`` is next.  Element constructor content and attribute
+values are raw text: the parser matches those runs itself and seeks
+the scanner back into tokens (:meth:`Scanner.seek`) where an
+``{expr}`` begins.
 
 It also holds the *literal pre-scan*, :func:`query_shape`: one regex
 pass that splits a query text into its shape (the text with every
@@ -13,7 +20,8 @@ plan cache is keyed by the shape, so texts that differ only in
 constants share one compiled plan.  The pre-scan is lexical only; the
 parser confirms it: it records the span of every literal it reads as a
 value, and a shape whose spans differ from the pre-scan's (a digit in a
-comment or in constructor text, say) is compiled per text.
+comment or in constructor text, say) is compiled per text.  Both read a
+string literal's value through :func:`string_value`.
 """
 
 from __future__ import annotations
@@ -22,20 +30,59 @@ import functools
 import re
 from typing import Any, NamedTuple
 
-from repro.errors import XQueryParseError
-from repro.xpath.parser import number_value, scan_number
+from repro.errors import XMLParseError, XQueryParseError
+from repro.xmldb.parser import decode_references
+from repro.xpath.parser import number_value
 
 NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 NAME_CHARS = NAME_START | set("0123456789-.")
-DIGITS = set("0123456789")
 
-#: what the pre-scan matches: a string literal, or a number token (the
-#: run of digits and dots :func:`~repro.xpath.parser.scan_number`
-#: reads) that does not start inside a name
+#: whitespace, then one token; ``lastindex`` is its kind — a name, a
+#: variable reference (``$`` and a name: the common case of a ``$``
+#: token), a number (the digit-and-dot run of :func:`~repro.xpath.
+#: parser.scan_number`), a string literal (a doubled quote is one quote
+#: character), the start of a comment, or a punctuator ("" at the end)
+_NAME = r"[A-Za-z_][A-Za-z0-9_.\-]*"
+_STRING = r"\"[^\"]*(?:\"\"[^\"]*)*\"|'[^']*(?:''[^']*)*'"
+_TOKEN = re.compile(
+    rf"[ \t\r\n]*(?:({_NAME})|(\${_NAME})|([0-9][0-9.]*)|({_STRING})|(\(:)"
+    r"|(//|/>|:=|!=|<=|>=|.|\Z))", re.S)
+_match_token = _TOKEN.match
+NAME, VARIABLE, NUMBER, STRING, _COMMENT = 1, 2, 3, 4, 5
+_COMMENT_MARKS = re.compile(r"\(:|:\)")
+
+#: what the pre-scan matches: a string literal, or a number token that
+#: does not start inside a name
 _LITERALS = re.compile(
-    r"""\"[^"]*"|'[^']*'|[0-9](?<![A-Za-z0-9_.\-][0-9])[0-9.]*""")
+    rf"{_STRING}|[0-9](?<![A-Za-z0-9_.\-][0-9])[0-9.]*")
 #: the calls whose string argument names a document
 _DOCUMENT_CALLS = ("doc", "document", "collection")
+
+
+def parse_error(text: str, pos: int, message: str) -> XQueryParseError:
+    """An :class:`XQueryParseError` at ``text[pos]``, with its line and
+    column."""
+    return XQueryParseError(message, line=text.count("\n", 0, pos) + 1,
+                            column=pos - text.rfind("\n", 0, pos))
+
+
+def string_value(text: str, start: int, end: int) -> str:
+    """The value of the string literal ``text[start:end]`` (quotes
+    included): a doubled quote is one quote, and the predefined entity
+    and character references are decoded (XQuery 1.0 §A.2.1)."""
+    quote = text[start]
+    pieces = text[start + 1:end - 1].split(quote * 2)
+    at = start + 1
+    for i, piece in enumerate(pieces):
+        if "&" in piece:
+            try:
+                pieces[i] = decode_references(piece, at)
+            except XMLParseError as exc:
+                raise parse_error(text, exc.position, "malformed entity "
+                                  "or character reference in a string "
+                                  "literal") from None
+        at += len(piece) + 2
+    return quote.join(pieces)
 
 
 def _names_a_document(text: str, start: int) -> bool:
@@ -67,24 +114,27 @@ def query_shape(text: str) -> QueryShape:
     """Split ``text`` into its literal-free shape and its literals.
 
     Two texts with equal keys differ only inside literal spans of equal
-    type — ``5`` and ``5.0`` are different types, and a malformed number
-    stays in the key (the parser rejects it).  Memoized per text: a
-    server sees the same texts again and again, and a repeated text
-    should cost a plan-cache hit no more than a dict lookup."""
+    type — ``5`` and ``5.0`` are different types, and a malformed
+    literal stays in the key (the parser rejects it).  Memoized per
+    text: a server sees the same texts again and again, and a repeated
+    text should cost a plan-cache hit no more than a dict lookup."""
     key: list = []
     values: list = []
     spans: list[tuple[int, int]] = []
     last = 0
     for match in _LITERALS.finditer(text):
         start, end = match.span()
-        if text[start] in DIGITS:
+        if text[start] not in "\"'":
             value = number_value(match.group())
             if value is None:
                 continue        # malformed: the parser rejects it
         elif _names_a_document(text, start):
             continue
         else:
-            value = text[start + 1:end - 1]
+            try:
+                value = string_value(text, start, end)
+            except XQueryParseError:
+                continue
         key += (text[last:start], type(value))
         values.append(value)
         spans.append((start, end))
@@ -94,126 +144,74 @@ def query_shape(text: str) -> QueryShape:
 
 
 class Scanner:
-    """Character cursor with line/column tracking."""
+    """The token stream of a query text: the current token is ``tok``
+    (its text; ``""`` at the end), of kind ``kind`` (:data:`NAME`,
+    :data:`VARIABLE`, :data:`NUMBER`, :data:`STRING` or another int for
+    a punctuator), at ``text[start:end]``."""
+
+    __slots__ = ("text", "kind", "tok", "start", "end", "slots")
 
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         #: the literals read as values so far (the parser's slots)
         self.slots: list = []
+        self.seek(0)
 
-    # ------------------------------------------------------------------
-    def error(self, message: str) -> XQueryParseError:
-        line = self.text.count("\n", 0, self.pos) + 1
-        last_newline = self.text.rfind("\n", 0, self.pos)
-        column = self.pos - last_newline
-        return XQueryParseError(message, line=line, column=column)
+    def seek(self, pos: int) -> None:
+        """Make the token at ``pos`` (after whitespace and comments)
+        the current one."""
+        match = _match_token(self.text, pos)
+        kind = match.lastindex
+        while kind == _COMMENT:
+            match = _match_token(self.text,
+                                 self._comment_end(match.start(kind)))
+            kind = match.lastindex
+        self.kind = kind
+        self.tok = tok = match[kind]
+        self.end = end = match.end()
+        self.start = end - len(tok)
 
-    # ------------------------------------------------------------------
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
+    def _comment_end(self, pos: int) -> int:
+        depth = 0
+        for mark in _COMMENT_MARKS.finditer(self.text, pos):
+            depth += 1 if mark.group() == "(:" else -1
+            if depth == 0:
+                return mark.end()
+        raise self.error("unterminated comment", len(self.text))
 
-    def peek(self, n: int = 1) -> str:
-        return self.text[self.pos:self.pos + n]
+    def error(self, message: str, pos: int | None = None
+              ) -> XQueryParseError:
+        """A parse error at ``pos`` (default: the current token)."""
+        return parse_error(self.text, self.start if pos is None else pos,
+                           message)
 
-    def advance(self, n: int = 1) -> None:
-        self.pos += n
+    def advance(self) -> str:
+        """Consume the current token; return its text."""
+        tok = self.tok
+        self.seek(self.end)
+        return tok
 
-    def skip_ws(self) -> None:
-        """Skip whitespace and ``(: ... :)`` comments (nestable)."""
-        while not self.eof():
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif self.peek(2) == "(:":
-                depth = 0
-                while not self.eof():
-                    if self.peek(2) == "(:":
-                        depth += 1
-                        self.pos += 2
-                    elif self.peek(2) == ":)":
-                        depth -= 1
-                        self.pos += 2
-                        if depth == 0:
-                            break
-                    else:
-                        self.pos += 1
-                if depth != 0:
-                    raise self.error("unterminated comment")
-            else:
-                return
-
-    # ------------------------------------------------------------------
-    def take(self, literal: str) -> bool:
-        """Consume ``literal`` if it is next (no word-boundary check)."""
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
+    def take(self, tok: str) -> bool:
+        """Consume the current token if its text is ``tok``."""
+        if self.tok == tok:
+            self.seek(self.end)
             return True
         return False
 
-    def expect(self, literal: str) -> None:
-        if not self.take(literal):
-            raise self.error(
-                f"expected {literal!r}, found "
-                f"{self.text[self.pos:self.pos + 12]!r}")
+    def check(self, tok: str) -> int:
+        """Fail unless the current token's text is ``tok``; return its
+        end without consuming it (raw text may follow)."""
+        if self.tok != tok:
+            raise self.error(f"expected {tok!r}, found "
+                             f"{self.text[self.start:self.start + 12]!r}")
+        return self.end
 
-    def peek_keyword(self, word: str) -> bool:
-        """True if ``word`` is next as a whole word (after whitespace)."""
-        self.skip_ws()
-        end = self.pos + len(word)
-        if not self.text.startswith(word, self.pos):
-            return False
-        if end < len(self.text) and self.text[end] in NAME_CHARS:
-            return False
-        return True
+    def expect(self, tok: str) -> None:
+        """Consume the current token, which must be ``tok``."""
+        self.seek(self.end if self.tok == tok else self.check(tok))
 
-    def take_keyword(self, word: str) -> bool:
-        if self.peek_keyword(word):
-            self.pos += len(word)
-            return True
-        return False
-
-    def expect_keyword(self, word: str) -> None:
-        if not self.take_keyword(word):
-            raise self.error(
-                f"expected keyword {word!r}, found "
-                f"{self.text[self.pos:self.pos + 12]!r}")
-
-    # ------------------------------------------------------------------
-    def read_name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        if self.eof() or self.text[self.pos] not in NAME_START:
+    def name(self) -> str:
+        """Consume the current token, which must be a name; return it."""
+        if self.kind != NAME:
             raise self.error("expected a name")
-        self.pos += 1
-        while not self.eof() and self.text[self.pos] in NAME_CHARS:
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def read_variable(self) -> str:
-        self.skip_ws()
-        self.expect("$")
-        return self.read_name()
-
-    def read_string(self) -> str:
-        self.skip_ws()
-        quote = self.peek()
-        if quote not in ("'", '"'):
-            raise self.error("expected a string literal")
-        self.advance()
-        end = self.text.find(quote, self.pos)
-        if end < 0:
-            raise self.error("unterminated string literal")
-        value = self.text[self.pos:end]
-        self.pos = end + 1
-        return value
-
-    def read_number(self):
-        """A numeric literal: ASCII digits with at most one "."."""
-        self.skip_ws()
-        value, end = scan_number(self.text, self.pos)
-        if value is None:
-            raise self.error(
-                f"malformed number {self.text[self.pos:end]!r}")
-        self.pos = end
-        return value
+        return self.advance()

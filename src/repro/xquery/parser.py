@@ -20,6 +20,14 @@ Grammar (simplified)::
     Steps        := Step (("/"|"//") Step)* ; Step := ("@")?name Pred*
     Pred         := "[" ExprSingle "]"
 
+The parser reads the :class:`~repro.xquery.lexer.Scanner`'s token
+stream, one lookahead token: each rule tests the current token's text
+(a keyword is a name token compared where the grammar allows one) and
+consumes it.  Element constructors read their content and attribute
+values as raw text, where ``{{`` / ``}}`` are literal braces and
+``<![CDATA[…]]>`` is escaped text, and hand each ``{expr}`` back to
+the token rules.
+
 ``doc(...)``/``document(...)`` calls become :class:`DocCall`; bare names
 in predicate position parse as context-relative paths.  Step predicates
 are converted to the XPath layer's self-contained forms when possible and
@@ -37,9 +45,10 @@ gets no slot.
 
 from __future__ import annotations
 
+import re
 from typing import Any, NamedTuple
 
-from repro.errors import XQueryParseError
+from repro.xmldb.serialize import escape_text
 from repro.xpath.ast import (
     AnyTest,
     ComparisonPredicate,
@@ -51,10 +60,23 @@ from repro.xpath.ast import (
     Step,
     TextTest,
 )
+from repro.xpath.parser import number_value
 from repro.xquery import ast
-from repro.xquery.lexer import DIGITS, NAME_START, Scanner
+from repro.xquery.lexer import (
+    NAME,
+    NAME_START,
+    NUMBER,
+    STRING,
+    VARIABLE,
+    Scanner,
+    string_value,
+)
 
-_COMPARISON_OPS = ("!=", "<=", ">=", "=", "<", ">")
+_COMPARISON_OPS = frozenset(("!=", "<=", ">=", "=", "<", ">"))
+#: the raw text of element content / of an attribute value in each
+#: quote, up to the next character with a meaning there
+_CONTENT_RUN = re.compile(r"[^{}<]*")
+_ATTRIBUTE_RUNS = {'"': re.compile(r'[^{}"]*'), "'": re.compile(r"[^{}']*")}
 
 
 class Slot(NamedTuple):
@@ -73,194 +95,159 @@ def parse_xquery(text: str) -> ast.Expr:
 def parse_query(text: str) -> tuple[ast.Expr, tuple[Slot, ...]]:
     """Parse an XQuery string: ``(AST, slots)``, the slots in text
     order (slot ``i`` is ``slots[i]``)."""
-    scanner = Scanner(text)
-    expr = _parse_expr_single(scanner)
-    scanner.skip_ws()
-    if not scanner.eof():
-        raise scanner.error(
-            f"unexpected trailing input: "
-            f"{scanner.text[scanner.pos:scanner.pos + 20]!r}")
-    return expr, tuple(scanner.slots)
+    s = Scanner(text)
+    expr = _parse_expr_single(s)
+    if s.tok:
+        raise s.error(f"unexpected trailing input: "
+                      f"{text[s.start:s.start + 20]!r}")
+    return expr, tuple(s.slots)
 
 
 # ----------------------------------------------------------------------
 # Expressions
 # ----------------------------------------------------------------------
 def _parse_expr_single(s: Scanner) -> ast.Expr:
-    s.skip_ws()
-    if s.peek_keyword("for") or s.peek_keyword("let"):
+    tok = s.tok
+    if tok == "for" or tok == "let":
         return _parse_flwr(s)
-    if s.peek_keyword("some") or s.peek_keyword("every"):
+    if tok == "some" or tok == "every":
         return _parse_quantified(s)
-    return _parse_or(s)
+    first = _parse_comparison(s)
+    if s.tok == "and" or s.tok == "or":
+        return _parse_or(s, first)
+    return first
 
 
 def _parse_flwr(s: Scanner) -> ast.FLWR:
     clauses: list[ast.ForClause | ast.LetClause] = []
-    while True:
-        if s.take_keyword("for"):
-            while True:
-                var = s.read_variable()
-                s.expect_keyword("in")
-                clauses.append(ast.ForClause(var, _parse_expr_single(s)))
-                s.skip_ws()
-                if not s.take(","):
-                    break
-        elif s.take_keyword("let"):
-            while True:
-                var = s.read_variable()
-                s.skip_ws()
-                s.expect(":=")
-                clauses.append(ast.LetClause(var, _parse_expr_single(s)))
-                s.skip_ws()
-                if not s.take(","):
-                    break
-        else:
-            break
-    where = None
-    if s.take_keyword("where"):
-        where = _parse_expr_single(s)
+    while s.tok == "for" or s.tok == "let":
+        clause, bind = ((ast.ForClause, "in") if s.advance() == "for"
+                        else (ast.LetClause, ":="))
+        while True:
+            var = _parse_variable(s)
+            s.expect(bind)
+            clauses.append(clause(var, _parse_expr_single(s)))
+            if not s.take(","):
+                break
+    where = _parse_expr_single(s) if s.take("where") else None
     order_by: list[ast.OrderSpec] = []
-    if s.peek_keyword("stable"):
-        # "stable order by" — our Sort is stable, so it is plain order by
-        s.take_keyword("stable")
-        s.expect_keyword("order")
-        s.expect_keyword("by")
-        _parse_order_keys(s, order_by)
-    elif s.take_keyword("order"):
-        s.expect_keyword("by")
-        _parse_order_keys(s, order_by)
-    s.expect_keyword("return")
+    # "stable order by" — our Sort is stable, so it is plain order by
+    if s.take("stable") or s.tok == "order":
+        s.expect("order")
+        s.expect("by")
+        while True:
+            key = _parse_expr_single(s)
+            descending = s.take("descending")
+            if not descending:
+                s.take("ascending")
+            order_by.append(ast.OrderSpec(key, descending))
+            if not s.take(","):
+                break
+    s.expect("return")
     ret = _parse_expr_single(s)
     return ast.FLWR(tuple(clauses), where, ret, tuple(order_by))
 
 
-def _parse_order_keys(s: Scanner, out: list[ast.OrderSpec]) -> None:
-    while True:
-        key = _parse_expr_single(s)
-        descending = bool(s.take_keyword("descending"))
-        if not descending:
-            s.take_keyword("ascending")
-        out.append(ast.OrderSpec(key, descending))
-        s.skip_ws()
-        if not s.take(","):
-            break
-
-
 def _parse_quantified(s: Scanner) -> ast.Quantified:
-    kind = "some" if s.take_keyword("some") else None
-    if kind is None:
-        s.expect_keyword("every")
-        kind = "every"
-    var = s.read_variable()
-    s.expect_keyword("in")
+    kind = s.advance()
+    var = _parse_variable(s)
+    s.expect("in")
     source = _parse_expr_single(s)
-    s.expect_keyword("satisfies")
-    pred = _parse_expr_single(s)
-    return ast.Quantified(kind, var, source, pred)
+    s.expect("satisfies")
+    return ast.Quantified(kind, var, source, _parse_expr_single(s))
 
 
-def _parse_or(s: Scanner) -> ast.Expr:
-    terms = [_parse_and(s)]
-    while s.take_keyword("or"):
-        terms.append(_parse_and(s))
-    if len(terms) == 1:
-        return terms[0]
-    return ast.BoolOp("or", tuple(terms))
+def _parse_variable(s: Scanner) -> str:
+    if s.kind == VARIABLE:
+        return s.advance()[1:]
+    s.expect("$")
+    return s.name()
 
 
-def _parse_and(s: Scanner) -> ast.Expr:
-    terms = [_parse_comparison(s)]
-    while s.take_keyword("and"):
-        terms.append(_parse_comparison(s))
-    if len(terms) == 1:
-        return terms[0]
-    return ast.BoolOp("and", tuple(terms))
+def _parse_or(s: Scanner, first: ast.Expr) -> ast.Expr:
+    """The ``or`` chain whose first comparison is ``first``."""
+    terms = [_parse_and(s, first)]
+    while s.take("or"):
+        terms.append(_parse_and(s, _parse_comparison(s)))
+    return terms[0] if len(terms) == 1 else ast.BoolOp("or", tuple(terms))
+
+
+def _parse_and(s: Scanner, first: ast.Expr) -> ast.Expr:
+    factors = [first]
+    while s.take("and"):
+        factors.append(_parse_comparison(s))
+    if len(factors) == 1:
+        return factors[0]
+    return ast.BoolOp("and", tuple(factors))
 
 
 def _parse_comparison(s: Scanner) -> ast.Expr:
-    left = _parse_path_expr(s)
-    s.skip_ws()
-    for op in _COMPARISON_OPS:
-        # Avoid consuming ":=" or "<elem" constructors.
-        if op in ("<", "<=") and _looks_like_constructor(s):
-            break
-        if s.take(op):
-            right = _parse_path_expr(s)
-            return ast.Comparison(left, op, right)
+    left = _parse_operand(s)
+    op = s.tok
+    # "<" directly followed by a name opens an element constructor
+    if op in _COMPARISON_OPS and not (
+            op == "<" and s.text[s.end:s.end + 1] in NAME_START):
+        s.advance()
+        return ast.Comparison(left, op, _parse_operand(s))
     return left
 
 
-def _looks_like_constructor(s: Scanner) -> bool:
-    if s.peek() != "<":
-        return False
-    following = s.peek(2)[1:]
-    return bool(following) and following in NAME_START
-
-
-def _parse_path_expr(s: Scanner) -> ast.Expr:
-    s.skip_ws()
-    if s.peek(2) == "//" or (s.peek() == "/" and s.peek(2) != "/>"):
+def _parse_operand(s: Scanner) -> ast.Expr:
+    """A primary expression and the path steps after it."""
+    tok, kind = s.tok, s.kind
+    if kind == VARIABLE or tok == "$":
+        expr: ast.Expr = ast.VarRef(_parse_variable(s))
+    elif kind == NAME:
+        name = s.advance()
+        if s.tok != "(":
+            # Bare name: a context-relative path (predicate position).
+            step = Step("child", NameTest(name),
+                        _parse_predicates(s) if s.tok == "[" else ())
+            return ast.PathExpr(ast.ContextItem(), _parse_steps(s, [step]))
+        expr = _parse_call(s, name)
+    elif tok == "/" or tok == "//":
         # Context-relative path (inside step predicates).
-        path = _parse_path(s, leading_required=True)
-        return ast.PathExpr(ast.ContextItem(), path)
-    primary = _parse_primary(s)
-    s.skip_ws()
-    if s.peek(2) == "//" or (s.peek() == "/" and s.peek(2) != "/>"):
-        path = _parse_path(s, leading_required=True)
-        return ast.PathExpr(primary, path)
-    return primary
-
-
-def _parse_primary(s: Scanner) -> ast.Expr:
-    s.skip_ws()
-    ch = s.peek()
-    if ch == "(":
+        return ast.PathExpr(ast.ContextItem(), _parse_steps(s, []))
+    elif tok == "@":
+        return ast.PathExpr(ast.ContextItem(),
+                            _parse_steps(s, [_parse_step(s, "child")]))
+    elif tok == "(":
         s.advance()
         expr = _parse_expr_single(s)
-        s.skip_ws()
         s.expect(")")
-        return expr
-    if ch == "$":
-        return ast.VarRef(s.read_variable())
-    if ch in ("'", '"') or ch in DIGITS:
-        start = s.pos
-        value = s.read_number() if ch in DIGITS else s.read_string()
-        s.slots.append(Slot(start, s.pos, value))
-        return ast.Literal(value, len(s.slots) - 1)
-    if ch == "<":
-        return _parse_element_ctor(s)
-    if ch == "@":
-        path = _parse_path(s, leading_required=False)
-        return ast.PathExpr(ast.ContextItem(), path)
-    if ch in NAME_START:
-        name = s.read_name()
-        s.skip_ws()
-        if s.peek() == "(" and s.peek(2) != "(:":
-            return _parse_call(s, name)
-        # Bare name: a context-relative child path (predicate position).
-        steps = [Step("child", NameTest(name),
-                      tuple(_parse_predicates(s)))]
-        steps.extend(_parse_more_steps(s))
-        return ast.PathExpr(ast.ContextItem(),
-                            Path(tuple(steps), absolute=False))
-    raise s.error(f"unexpected character {ch!r} in expression")
+    elif kind == NUMBER or kind == STRING:
+        value = (string_value(s.text, s.start, s.end) if kind == STRING
+                 else number_value(tok))
+        if value is None:
+            raise s.error(f"malformed number {tok!r}")
+        s.slots.append(Slot(s.start, s.end, value))
+        s.advance()
+        expr = ast.Literal(value, len(s.slots) - 1)
+    elif tok == "<":
+        expr, end = _parse_element_ctor(s)
+        s.seek(end)
+    elif tok == "'" or tok == '"':
+        raise s.error("unterminated string literal", s.start + 1)
+    else:
+        raise s.error(f"unexpected character "
+                      f"{s.text[s.start:s.start + 1]!r} in expression")
+    if s.tok == "/" or s.tok == "//":
+        return ast.PathExpr(expr, _parse_steps(s, []))
+    return expr
 
 
 def _parse_call(s: Scanner, name: str) -> ast.Expr:
-    s.expect("(")
+    s.advance()
     args: list[ast.Expr] = []
-    s.skip_ws()
-    if not s.take(")"):
-        while True:
+    if s.tok != ")":
+        args.append(_parse_expr_single(s))
+        while s.take(","):
             args.append(_parse_expr_single(s))
-            s.skip_ws()
-            if s.take(")"):
-                break
-            s.expect(",")
+    end = s.end
+    s.expect(")")
     if name in ("doc", "document", "collection"):
         if len(args) != 1 or not isinstance(args[0], ast.Literal):
-            raise s.error(f"{name}() expects one string literal")
+            raise s.error(f"{name}() expects one string literal", end)
         # A document name is structure, not a value: it takes no slot.
         s.slots.pop()
         return ast.DocCall(str(args[0].value),
@@ -271,65 +258,33 @@ def _parse_call(s: Scanner, name: str) -> ast.Expr:
 # ----------------------------------------------------------------------
 # Paths
 # ----------------------------------------------------------------------
-def _parse_path(s: Scanner, leading_required: bool) -> Path:
-    steps: list[Step] = []
-    first = True
-    while True:
-        s.skip_ws()
-        if s.take("//"):
-            axis = "descendant"
-        elif s.peek() == "/" and s.peek(2) not in ("/>",):
-            s.advance()
-            axis = "child"
-        elif first and not leading_required:
-            axis = "child"
-        else:
-            break
+def _parse_steps(s: Scanner, steps: list[Step]) -> Path:
+    """``steps`` followed by every further ``/`` or ``//`` step."""
+    while s.tok == "/" or s.tok == "//":
+        axis = "descendant" if s.advance() == "//" else "child"
         steps.append(_parse_step(s, axis))
-        first = False
-    if not steps:
-        raise s.error("empty path expression")
     return Path(tuple(steps), absolute=False)
 
 
-def _parse_more_steps(s: Scanner) -> list[Step]:
-    steps: list[Step] = []
-    while True:
-        s.skip_ws()
-        if s.take("//"):
-            axis = "descendant"
-        elif s.peek() == "/" and s.peek(2) != "/>":
-            s.advance()
-            axis = "child"
-        else:
-            return steps
-        steps.append(_parse_step(s, axis))
-
-
 def _parse_step(s: Scanner, axis: str) -> Step:
-    s.skip_ws()
     if s.take("@"):
         axis = "attribute"
     if s.take("*"):
         test: NameTest | AnyTest | TextTest = AnyTest()
-    elif s.take("text()"):
+    elif s.tok == "text" and s.text.startswith("()", s.end):
+        s.seek(s.end + 2)
         test = TextTest()
     else:
-        test = NameTest(s.read_name())
-    predicates = _parse_predicates(s)
-    return Step(axis, test, tuple(predicates))
+        test = NameTest(s.name())
+    return Step(axis, test, _parse_predicates(s) if s.tok == "[" else ())
 
 
-def _parse_predicates(s: Scanner) -> list[Predicate]:
+def _parse_predicates(s: Scanner) -> tuple[Predicate, ...]:
     predicates: list[Predicate] = []
-    while True:
-        s.skip_ws()
-        if not s.take("["):
-            return predicates
-        expr = _parse_expr_single(s)
-        s.skip_ws()
+    while s.take("["):
+        predicates.append(_classify_predicate(_parse_expr_single(s)))
         s.expect("]")
-        predicates.append(_classify_predicate(expr))
+    return tuple(predicates)
 
 
 def _classify_predicate(expr: ast.Expr) -> Predicate:
@@ -362,91 +317,84 @@ def _flip(op: str) -> str:
 # ----------------------------------------------------------------------
 # Element constructors
 # ----------------------------------------------------------------------
-def _parse_element_ctor(s: Scanner) -> ast.ElementCtor:
-    s.expect("<")
-    name = s.read_name()
+def _parse_element_ctor(s: Scanner) -> tuple[ast.ElementCtor, int]:
+    """The constructor whose ``<`` is the current token, and the text
+    position after it (raw text may follow: the caller seeks)."""
+    s.advance()
+    name = s.name()
     attributes: list[tuple[str, tuple]] = []
-    while True:
-        s.skip_ws()
-        if s.take("/>"):
-            return ast.ElementCtor(name, tuple(attributes), ())
-        if s.take(">"):
-            break
-        attr_name = s.read_name()
-        s.skip_ws()
+    while s.tok != ">" and s.tok != "/>":
+        attr_name = s.name()
         s.expect("=")
-        s.skip_ws()
-        quote = s.peek()
-        if quote not in ("'", '"'):
+        quote = s.tok[:1]
+        if quote != '"' and quote != "'":
             raise s.error("attribute value must be quoted")
-        s.advance()
-        attributes.append((attr_name, tuple(_parse_ctor_parts(s, quote))))
-    content = _parse_ctor_content(s, name)
-    return ast.ElementCtor(name, tuple(attributes), tuple(content))
+        parts, end = _parse_ctor_text(s, s.start + 1, quote)
+        attributes.append((attr_name, parts))
+        s.seek(end)
+    if s.tok == "/>":
+        return ast.ElementCtor(name, tuple(attributes), ()), s.end
+    content, end = _parse_ctor_text(s, s.end, "</" + name)
+    return ast.ElementCtor(name, tuple(attributes), content), end
 
 
-def _parse_ctor_parts(s: Scanner, terminator: str) -> list[ast.Part]:
-    """Raw text interleaved with ``{expr}`` until ``terminator``."""
-    parts: list[ast.Part] = []
+def _parse_ctor_text(s: Scanner, pos: int, close: str) -> tuple[tuple, int]:
+    """Raw constructor text from ``pos`` up to ``close`` — an attribute
+    value's quote, or ``</name`` (then element content, which may also
+    hold constructors and CDATA sections; whitespace-only text between
+    them is dropped): its parts, and the text position after it."""
+    text = s.text
+    content = close != '"' and close != "'"
+    run = _CONTENT_RUN if content else _ATTRIBUTE_RUNS[close]
+    parts: list = []
     buffer: list[str] = []
 
     def flush() -> None:
-        if buffer:
-            parts.append(ast.TextPart("".join(buffer)))
-            buffer.clear()
+        joined = "".join(buffer)
+        if joined.strip() if content else joined:
+            parts.append(ast.TextPart(joined))
+        buffer.clear()
 
     while True:
-        if s.eof():
-            raise s.error("unterminated attribute value")
-        ch = s.peek()
-        if ch == terminator:
-            s.advance()
+        end = run.match(text, pos).end()
+        buffer.append(text[pos:end])
+        pos = end
+        if pos == len(text):
+            raise s.error(f"unterminated element constructor <{close[2:]}>"
+                          if content else "unterminated attribute value",
+                          pos)
+        pair = text[pos:pos + 2]
+        if pair == "{{" or pair == "}}":
+            buffer.append(pair[0])
+            pos += 2
+        elif pair[0] == "{":
             flush()
-            return parts
-        if ch == "{":
-            s.advance()
-            flush()
+            s.seek(pos + 1)
             parts.append(ast.ExprPart(_parse_expr_single(s)))
-            s.skip_ws()
-            s.expect("}")
+            pos = s.check("}")
+        elif pair[0] == "}":
+            raise s.error("a '}' in constructor text is written '}}'", pos)
+        elif not content:
+            flush()
+            return tuple(parts), pos + 1
+        elif text.startswith(close, pos):
+            s.seek(pos + len(close))
+            flush()
+            return tuple(parts), s.check(">")
+        elif text.startswith("<![CDATA[", pos):
+            end = text.find("]]>", pos)
+            if end < 0:
+                raise s.error("unterminated CDATA section", pos)
+            buffer.append(escape_text(text[pos + 9:end]))
+            pos = end + 3
+        elif pair[1:] in NAME_START:
+            flush()
+            s.seek(pos)
+            ctor, pos = _parse_element_ctor(s)
+            parts.append(ctor)
+        elif pair == "</":
+            raise s.error(f"mismatched end tag inside <{close[2:]}> "
+                          f"constructor", pos)
         else:
-            buffer.append(ch)
-            s.advance()
-
-
-def _parse_ctor_content(s: Scanner,
-                        name: str) -> list[ast.Part | ast.ElementCtor]:
-    content: list[ast.Part | ast.ElementCtor] = []
-    buffer: list[str] = []
-
-    def flush() -> None:
-        if buffer:
-            text = "".join(buffer)
-            if text.strip():
-                content.append(ast.TextPart(text))
-            buffer.clear()
-
-    while True:
-        if s.eof():
-            raise s.error(f"unterminated element constructor <{name}>")
-        if s.take(f"</{name}"):
-            s.skip_ws()
-            s.expect(">")
-            flush()
-            return content
-        ch = s.peek()
-        if ch == "{":
-            s.advance()
-            flush()
-            content.append(ast.ExprPart(_parse_expr_single(s)))
-            s.skip_ws()
-            s.expect("}")
-        elif ch == "<" and _looks_like_constructor(s):
-            flush()
-            content.append(_parse_element_ctor(s))
-        elif s.peek(2) == "</":
-            raise s.error(
-                f"mismatched end tag inside <{name}> constructor")
-        else:
-            buffer.append(ch)
-            s.advance()
+            buffer.append("<")
+            pos += 1

@@ -5,6 +5,8 @@ its constants, and that must be indistinguishable from compiling it."""
 
 from __future__ import annotations
 
+import html
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +28,8 @@ from repro.datagen import (
 from repro.errors import TranslationError
 from repro.nal.pretty import plan_to_string
 from repro.optimizer.access_paths import ProbeChoice
+from repro.xquery.lexer import query_shape
+from repro.xquery.parser import parse_query
 
 # The four request templates of the ledger's serve-http workload.
 BIDS_SCAN = '''
@@ -255,6 +259,52 @@ def test_texts_differing_in_a_constant_never_share_a_result():
         stats = session.cache_stats()["plan_cache"]
         assert (stats["hits"], stats["misses"], stats["bindings"]) == \
             (2, 1, 1)
+
+
+# ----------------------------------------------------------------------
+# The pre-scan reads every literal the way the parser does
+# ----------------------------------------------------------------------
+#: what a string literal in each quote is drawn from: text, the other
+#: quote, the doubled quote, references, and characters that mean
+#: something outside a literal
+_LITERAL_PIECES = {
+    q: ["a", " ", other, q * 2, "&amp;", "&lt;", "&gt;", "&quot;",
+        "&apos;", "&#65;", "&#x42;", "{", "}", "<", "(:", "1"]
+    for q, other in (('"', "'"), ("'", '"'))}
+
+
+@st.composite
+def _escaped_literal(draw):
+    quote = draw(st.sampled_from(sorted(_LITERAL_PIECES)))
+    body = "".join(draw(st.lists(st.sampled_from(_LITERAL_PIECES[quote]),
+                                 max_size=6)))
+    return quote + body + quote, html.unescape(body.replace(quote * 2,
+                                                            quote))
+
+
+@settings(max_examples=40, deadline=None)
+@given(first=_escaped_literal(), second=_escaped_literal(),
+       number=st.integers(0, 2100))
+def test_the_pre_scan_reads_escaped_literals_as_the_parser_does(
+        first, second, number):
+    def text(title, year, word):
+        return ('for $b in doc("bib.xml")//book[title != ' + title
+                + '] where $b/@year > ' + str(year) + ' and contains('
+                + '$b/title, ' + word + ') return <r>{{ { $b/title } }}</r>')
+
+    query = text(first[0], number, second[0])
+    shape = query_shape(query)
+    slots = parse_query(query)[1]
+    assert shape.values == tuple(slot.value for slot in slots) == \
+        (first[1], number, second[1])
+    assert shape.spans == tuple((slot.start, slot.end) for slot in slots)
+    db = DATABASES["off"]
+    with db.session() as session:
+        session.prepare(text('"x"', 0, '""'))
+        bound = session.prepare(query)
+        assert session.cache_stats()["plan_cache"]["hits"] == 1
+        assert bound.execute(use_result_cache=False).output == \
+            db.execute(compile_query(query, db).best().plan).output
 
 
 # ----------------------------------------------------------------------

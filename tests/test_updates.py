@@ -1075,6 +1075,7 @@ def _top_level_ops(data, db: Database, name: str, patch) -> list:
                                min_size=1, max_size=3, unique=True),
                       label="children")
     ops = []
+    remaining = len(children)   # a root keeps one child for the next draw
     for index in sorted(picks, reverse=True):
         child = children[index]
         kind = data.draw(st.sampled_from(
@@ -1082,8 +1083,9 @@ def _top_level_ops(data, db: Database, name: str, patch) -> list:
             label=f"kind_{index}")
         if kind == "insert":
             ops.append(Insert(0, index, patch(f"patch_{index}")))
-        elif kind == "delete" and len(children) > 1:
+        elif kind == "delete" and remaining > 1:
             ops.append(Delete(child.pre))
+            remaining -= 1
         elif kind == "replace-leaf" and child.kind is NodeKind.ELEMENT \
                 and child.children:
             leaf = data.draw(st.sampled_from(child.children),

@@ -1,10 +1,23 @@
 """XQuery parser unit tests."""
 
-import pytest
+import json
+import pathlib
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import Database, compile_query
 from repro.errors import XQueryParseError
 from repro.xquery import ast
-from repro.xquery.parser import parse_xquery
+from repro.xquery.parser import parse_query, parse_xquery
+
+#: ``repr(ast)`` and the slots of every XQuery text in
+#: ``repro.bench.queries``, the ledger's templates, ``examples/``, the
+#: docs and the tests, and ``(type, line, column)`` of every malformed
+#: one — recorded from the character-cursor parser the token stream
+#: replaced, plus hand-written inputs for the error paths
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "data"
+                     / "xquery_golden.json").read_text(encoding="utf-8"))
 
 
 def test_let_for_return():
@@ -156,3 +169,125 @@ def test_string_roundtrip_smoke():
     q = parse_xquery(text)
     assert "distinct-values" in str(q)
     assert "<r>" in str(q)
+
+
+def test_golden_asts_slots_and_error_positions():
+    wrong = []
+    for record in GOLDEN:
+        try:
+            tree, slots = parse_query(record["text"])
+            got = {"ast": repr(tree),
+                   "slots": [[slot.start, slot.end, repr(slot.value)]
+                             for slot in slots]}
+        except XQueryParseError as exc:
+            got = {"error": [type(exc).__name__, exc.line, exc.column]}
+        want = {key: record[key] for key in ("ast", "slots", "error")
+                if key in record}
+        if got != want:
+            wrong.append((record["source"], record["text"]))
+    assert len(GOLDEN) > 300 and not wrong
+
+
+# ----------------------------------------------------------------------
+# Whitespace and comments between tokens
+# ----------------------------------------------------------------------
+#: queries as token lists; a piece holding raw constructor text (or
+#: ``text()``) takes no separator inside it
+TOKENIZED = [
+    ["let", "$d", ":=", "doc", "(", '"bib.xml"', ")", "for", "$", "b",
+     "in", "$d", "//", "book", "[", "@", "year", ">=", "1990", "]", ",",
+     "$a", "in", "$b", "/", "author", "where", "some", "$t", "in",
+     "$b", "/", "title", "/", "text()", "satisfies", "$t", "=", "$a",
+     "and", "(", "$b", "/", "@", "*", "!=", "5.", "or", "not", "(",
+     "$a", "<", "'x''y'", ")", ")", "order", "by", "$a", "descending",
+     ",", "$b", "return", '<r n="{', "$a", '}">{', "$b", "/", "title",
+     "}</r>"],
+    ["every", "$x", "in", "collection", "(", "'s-*.xml'", ")", "//",
+     "item", "[", "price", "<=", "10", "]", "satisfies", "count", "(",
+     "$x", "//", "bid", ")", ">", "2", "and", "exists", "(", "for",
+     "$y", "in", "$x", "/", "bid", "let", "$z", ":=", '"a&amp;b"',
+     "where", "$y", "=", "$z", "stable", "order", "by", "$y",
+     "ascending", "return", "<e><f>{", "$y", "}</f>{{<![CDATA[<>]]>}}</e>",
+     ")"],
+]
+SEPARATORS = [" ", "\n", "\t", "\r\n  ", "(: c :)", " (: a (: b :) :) ",
+              "(::)"]
+
+
+@pytest.mark.parametrize("pieces", TOKENIZED)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_whitespace_and_comments_between_tokens_change_nothing(pieces,
+                                                                data):
+    separators = data.draw(st.lists(st.sampled_from(SEPARATORS),
+                                    min_size=len(pieces) + 1,
+                                    max_size=len(pieces) + 1))
+    text = "".join(sep + piece for sep, piece in zip(separators, pieces))
+    expected, expected_slots = parse_query(" ".join(pieces))
+    tree, slots = parse_query(text + separators[-1])
+    assert repr(tree) == repr(expected)
+    assert [slot.value for slot in slots] == \
+        [slot.value for slot in expected_slots]
+    for slot in slots:
+        assert text[slot.start] in "\"'0123456789"
+
+
+# ----------------------------------------------------------------------
+# Escapes: string literals (XQuery 1.0 §A.2.1) and direct constructors
+# (§3.7.1.3)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("literal, value", [
+    ('"it""s"', 'it"s'), ("'it''s'", "it's"), ("\"it''s\"", "it''s"),
+    ('"a&amp;b"', "a&b"), ('"&lt;&gt;&quot;&apos;"', "<>\"'"),
+    ('"&#65;&#x42;&#x1F600;"', "AB\U0001F600"), ('""""', '"'),
+    ('"&amp;amp;"', "&amp;"), ('"&quot;&quot;"', '""'),
+])
+def test_string_literals_decode_their_escapes(literal, value):
+    tree, slots = parse_query(f"for $x in $d//b where $x = {literal} "
+                              f"return $x")
+    assert tree.where.right.value == value
+    assert [slot.value for slot in slots] == [value]
+
+
+@pytest.mark.parametrize("text, column", [
+    ('"a&b"', 3), ('"a&foo;"', 3), ('"x&#0;"', 3), ('"&#xD800;"', 2),
+    ('"a""b""c&;"', 9), ("<r>}</r>", 4), ('<r a="x}"/>', 8),
+    ("<r><![CDATA[x</r>", 4),
+])
+def test_malformed_escapes_are_positioned_errors(text, column):
+    with pytest.raises(XQueryParseError) as info:
+        parse_query(text)
+    assert (info.value.line, info.value.column) == (1, column)
+
+
+def test_constructor_braces_and_cdata_are_text():
+    ctor = parse_xquery('<r a="{{x}}">{{ y }}<![CDATA[<x>&]]>{ 1 }</r>')
+    assert ctor.attributes == (("a", (ast.TextPart("{x}"),)),)
+    assert ctor.content[0] == ast.TextPart("{ y }&lt;x&gt;&amp;")
+    assert isinstance(ctor.content[1], ast.ExprPart)
+
+
+def _escapes_db() -> Database:
+    db = Database()
+    db.register_text("e.xml", "<r><x><c>a&amp;b</c></x><x><c>it's</c>"
+                     "</x><x><c>q\"q</c></x></r>")
+    return db
+
+
+@pytest.mark.parametrize("text, output", [
+    ('for $x in doc("e.xml")//x where $x/c = "a&amp;b" return $x/c',
+     "<c>a&amp;b</c>"),
+    ("for $x in doc('e.xml')//x where $x/c = 'it''s' return $x/c",
+     "<c>it's</c>"),
+    ('for $x in doc("e.xml")//x where $x/c = "q""q" return $x/c',
+     '<c>q"q</c>'),
+    ('for $x in doc("e.xml")//x where $x/c = "a&#x26;b" '
+     'return <r a="{{{ $x/c/text() }}}">{{ {$x/c/text()} }}'
+     '<![CDATA[<y>&]]></r>',
+     '<r a="{a&amp;b}">{a&amp;b}&lt;y&gt;&amp;</r>'),
+])
+def test_escaped_queries_run_on_every_engine(text, output):
+    db = _escapes_db()
+    plan = compile_query(text, db).best().plan
+    assert db.execute(plan).output == output
+    assert db.execute(plan, mode="reference").output == output
