@@ -11,17 +11,17 @@ test:
 bench:
 	PYTHONPATH=src $(PYTHON) -m repro.bench
 
-# Re-run the standalone benchmarks at the CI sizes and rewrite the
-# tracked BENCH_<query>.json perf-trajectory baselines at the repo
-# root.  Run this (and commit the result) after an intentional perf
+# Re-run the standalone benchmark (Q14 updates) at the CI size and
+# rewrite the tracked BENCH_q14_updates.json perf-trajectory baseline at
+# the repo root.  Run this (and commit the result) after an intentional perf
 # change or a benchmark size bump; CI's trajectory gate fails on >20%
 # regression against these files.
 bench-update:
 	PYTHONPATH=src $(PYTHON) benchmarks/trajectory.py run-update
 
-# Run the same benchmarks and gate them against the committed
-# baselines without updating anything (what CI does).  The scripts and
-# sizes are listed once, in benchmarks/trajectory.py (CI_RUNS).
+# Run the same benchmark and gate it against the committed baseline
+# without updating anything (what CI does).  The script and its size
+# are listed once, in benchmarks/trajectory.py (CI_RUNS).
 bench-check:
 	PYTHONPATH=src $(PYTHON) benchmarks/trajectory.py run-check
 

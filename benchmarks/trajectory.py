@@ -43,7 +43,6 @@ REPO_ROOT = BENCHMARKS_DIR.parent
 
 #: the gated invocation of each standalone benchmark: (script, sizes)
 CI_RUNS = (
-    ("bench_q13_parallel.py", ("1200", "19200")),
     ("bench_q14_updates.py", ("4000",)),
 )
 

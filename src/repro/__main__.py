@@ -138,15 +138,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="print the plan annotated with per-operator "
                              "invocation and row counts (EXPLAIN ANALYZE)")
     parser.add_argument("--mode", choices=MODES, default=DEFAULT_MODE,
-                        help="execution engine ('auto' picks parallel "
-                             "when --workers is set and the cost gate "
-                             "opens; see docs/execution-modes.md)")
-    parser.add_argument("--workers", type=int, default=None,
-                        metavar="N",
-                        help="worker processes for --mode parallel "
-                             "(multi-process scatter/gather over "
-                             "shared-memory arenas; default: "
-                             "REPRO_WORKERS, else the machine's cores)")
+                        help="execution engine (see "
+                             "docs/execution-modes.md)")
     parser.add_argument("--timing", action="store_true",
                         help="trace the query lifecycle and print the "
                              "span tree plus per-operator metrics to "
@@ -419,8 +412,7 @@ def main(argv: list[str] | None = None) -> int:
         result = db.execute(alt.plan, mode=args.mode,
                             analyze=args.analyze,
                             tracer=tracer, metrics=metrics,
-                            timeout=args.timeout,
-                            workers=args.workers)
+                            timeout=args.timeout)
         print(result.output)
         if args.timing:
             print("== TRACE ==", file=sys.stderr)

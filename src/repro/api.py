@@ -110,34 +110,28 @@ class Database:
     def execute(self, plan: Operator, mode: str = DEFAULT_MODE,
                 analyze: bool = False,
                 tracer=None, metrics=None,
-                timeout: float | None = None,
-                workers: int | None = None) -> ExecutionResult:
+                timeout: float | None = None) -> ExecutionResult:
         """Run a plan; returns rows, constructed output and scan stats.
 
         ``mode`` is one of :data:`~repro.engine.executor.MODES`
         (default :data:`~repro.engine.executor.DEFAULT_MODE`) — see
         ``docs/execution-modes.md`` for the decision table.
         ``analyze=True`` records per-operator invocation/row counts
-        keyed by tree position (EXPLAIN ANALYZE; any mode but
-        reference/parallel).  ``tracer``/``metrics`` attach a
+        keyed by tree position (EXPLAIN ANALYZE; the default mode
+        only).  ``tracer``/``metrics`` attach a
         :class:`~repro.obs.trace.Tracer` and a request-scoped
         :class:`~repro.obs.metrics.MetricsRegistry` (see
         :mod:`repro.obs`).  ``timeout`` sets a cooperative per-request
         deadline in seconds (:class:`~repro.errors.
-        DeadlineExceededError` past it).  ``workers`` sizes the
-        parallel worker pool (default: the ``REPRO_WORKERS``
-        environment override, then the machine's cores)."""
+        DeadlineExceededError` past it)."""
         return execute(plan, self.store, mode=mode, analyze=analyze,
-                       tracer=tracer, metrics=metrics, timeout=timeout,
-                       workers=workers)
+                       tracer=tracer, metrics=metrics, timeout=timeout)
 
     def close(self) -> None:
-        """Deterministic resource teardown: stop the parallel worker
-        pool (if one was spawned for this database) and unlink its
-        shared-memory segments.  Idempotent; an unclosed database is
-        cleaned up by the pool's ``atexit`` hook instead."""
-        from repro.engine.parallel import close_pool
-        close_pool(self.store)
+        """Release the database.  A database holds no process, thread
+        or operating-system resource of its own, so this does nothing;
+        it stays so callers can scope a database the way they scope
+        any resource.  Idempotent."""
 
 
 class CompiledQuery:

@@ -1,21 +1,20 @@
 """Perf-trajectory gate: tracked baselines vs. fresh benchmark runs.
 
-Each standalone benchmark (``benchmarks/bench_q13_parallel.py``,
-``bench_q14_updates.py``) writes a ``repro-bench/1`` JSON artifact.
-This module consolidates those artifacts into one tracked baseline file
-per query at the repository root — ``BENCH_q13_parallel.json``,
-``BENCH_q14_updates.json`` — and compares fresh artifacts against them,
-failing on a >20% regression.
+Each standalone benchmark (``benchmarks/bench_q14_updates.py``) writes
+a ``repro-bench/1`` JSON artifact.  This module consolidates those
+artifacts into one tracked baseline file per query at the repository
+root — ``BENCH_q14_updates.json`` — and compares fresh artifacts
+against them, failing on a >20% regression.
 
 Timings on shared CI runners are noisy, so the gate never compares raw
 seconds across runs.  It gates on
 
-* **dimensionless speedup ratios** (serial/parallel,
-  re-registration/update) — both legs of a ratio ride the same
-  machine, so the ratio is machine-independent, and
-* **deterministic counters** (scatter tasks, incremental index
-  applies) — the documents are seeded, so these are exact and any
-  drift is a real plan- or engine-level change.
+* **dimensionless speedup ratios** (re-registration/update) — both
+  legs of a ratio ride the same machine, so the ratio is
+  machine-independent, and
+* **deterministic counters** (incremental index applies) — the
+  documents are seeded, so these are exact and any drift is a real
+  plan- or engine-level change.
 
 Baseline records are matched to fresh records by their identifying
 parameters (query label, document sizes).  A fresh artifact measured at
@@ -45,12 +44,6 @@ PARAM_KEYS = ("query", "items", "updates")
 #: per-query gated metrics and their good direction.  Only
 #: machine-independent metrics appear here — see the module docstring.
 GATE_RULES: dict[str, dict[str, str]] = {
-    # q13 gates the scatter width (deterministic: one task per pool
-    # worker); the parallel-vs-serial speedup rides along and only
-    # starts gating once a baseline from a >=4-CPU runner clears the
-    # noise floor — 1-CPU hosts measure ~1x by construction.
-    "q13_parallel": {"speedup": "higher",
-                     "parallel_tasks": "lower"},
     # q14 gates the incremental-update path: the update-vs-full-
     # re-registration ratio (same-machine, so machine-independent)
     # and the exact incremental-apply counter — one index apply per

@@ -14,10 +14,8 @@ from repro.nal.algebra import Operator
 from repro.nal.values import Tup
 from repro.xmldb.document import DocumentStore, ScanStats
 
-#: execution modes accepted by :func:`execute` (``"auto"`` resolves to
-#: :data:`DEFAULT_MODE` — or parallel, when workers are enabled and the
-#: cost model's startup-vs-speedup estimate favors it)
-MODES = ("vectorized", "reference", "auto", "parallel")
+#: execution modes accepted by :func:`execute`
+MODES = ("vectorized", "reference")
 
 #: the mode every entry point runs when none is named (``execute``,
 #: ``Database.execute``, ``CompiledQuery.run``, ``trace_query``,
@@ -25,28 +23,13 @@ MODES = ("vectorized", "reference", "auto", "parallel")
 DEFAULT_MODE = "vectorized"
 
 
-def resolve_workers(workers: int | None,
-                    explicit_parallel: bool = False) -> int | None:
-    """The effective worker count for one execution: the explicit
-    argument wins, then the ``REPRO_WORKERS`` environment override;
-    an explicit ``mode="parallel"`` with neither defaults to the
-    machine's cores, while ``mode="auto"`` leaves parallelism off
-    unless someone asked for workers."""
-    import os
-
-    from repro.engine.parallel import DEFAULT_WORKERS, WORKERS_ENV
-
-    if workers is not None:
-        return workers
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UnsupportedModeError(
-                f"{WORKERS_ENV}={env!r} is not a worker count: expected "
-                "an integer") from None
-    return DEFAULT_WORKERS if explicit_parallel else None
+def check_mode(mode: str) -> None:
+    """Raise :class:`~repro.errors.UnsupportedModeError` unless ``mode``
+    is a member of :data:`MODES`."""
+    if mode not in MODES:
+        raise UnsupportedModeError(
+            f"unknown execution mode {mode!r}: expected one of "
+            f"{', '.join(MODES)}")
 
 
 class ExecutionResult:
@@ -116,8 +99,7 @@ def execute(plan: Operator, store: DocumentStore,
             mode: str = DEFAULT_MODE,
             analyze: bool = False,
             tracer=None, metrics=None,
-            timeout: float | None = None,
-            workers: int | None = None) -> ExecutionResult:
+            timeout: float | None = None) -> ExecutionResult:
     """Execute a plan against a document store (or an already-pinned
     :class:`~repro.xmldb.document.StoreSnapshot`).
 
@@ -134,13 +116,10 @@ def execute(plan: Operator, store: DocumentStore,
     quantifier / ``exists()`` subscripts stop at the slice holding
     the first witness (:mod:`repro.engine.pipeline`) and nested plans
     in value subscripts run on the same engine, once per outer tuple;
-    ``mode="auto"`` resolves to it, or
-    to ``"parallel"`` when a worker budget is set and the cost gate
-    opens (:func:`repro.optimizer.cost.preferred_mode`);
     ``mode="reference"`` uses the definitional semantics (the oracle
     of the differential tests).
     See ``docs/execution-modes.md`` for the full decision table.
-    ``analyze=True`` (any mode but reference) additionally records
+    ``analyze=True`` (the default mode) additionally records
     per-operator invocation and row counts keyed by tree position —
     render them with :func:`~repro.engine.executor.analyze_to_string`;
     under ``mode="reference"`` it raises
@@ -168,30 +147,18 @@ def execute(plan: Operator, store: DocumentStore,
     ``mode="reference"`` only the pre-execution and the
     per-outer-tuple checks apply.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown execution mode {mode!r}")
-    workers = resolve_workers(workers,
-                              explicit_parallel=(mode == "parallel"))
+    check_mode(mode)
     # Pin a snapshot for the whole execution: every document name the
     # plan touches resolves to the version current *now*, so concurrent
     # DocumentStore.update() calls cannot tear this query across
     # versions.  (An already-pinned StoreSnapshot pins to itself.)
     store = store.snapshot()
-    if mode == "auto":
-        from repro.optimizer.cost import preferred_mode
-        mode = preferred_mode(plan, store, workers=workers)
     if analyze and mode == "reference":
         raise UnsupportedModeError(
             "analyze=True is not supported under mode='reference': the "
             "definitional evaluator has no per-operator measurement "
             "hooks, so EXPLAIN ANALYZE would silently return nothing — "
             "use mode='vectorized'")
-    if analyze and mode == "parallel":
-        raise UnsupportedModeError(
-            "analyze=True is not supported under mode='parallel': "
-            "operator counts live in the worker processes and tree "
-            "positions of plan fragments do not line up with the "
-            "original plan — use a serial mode for EXPLAIN ANALYZE")
     stats = ScanStats()
     deadline = None if timeout is None else time.monotonic() + timeout
     ctx = EvalContext(store, stats=stats, tracer=tracer, metrics=metrics,
@@ -203,10 +170,7 @@ def execute(plan: Operator, store: DocumentStore,
     span = None if tracer is None \
         else tracer.begin(f"execute[{mode}]", "lifecycle", mode=mode)
     start = time.perf_counter()
-    if mode == "parallel":
-        from repro.engine.parallel import run_parallel
-        rows = run_parallel(plan, ctx, workers or 2)
-    elif mode == "vectorized":
+    if mode == "vectorized":
         rows = run_vectorized(plan, ctx)
     else:
         rows = plan.evaluate(ctx)

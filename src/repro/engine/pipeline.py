@@ -274,13 +274,12 @@ def _path_slices(expr: PathApply, ctx, env: Tup):
                    else rows for rows in walk(arena, pre, name, stats))
 
 
-def _cut(rows) -> Iterator[list]:
+def _cut(rows: list) -> Iterator[list]:
     """``rows`` in slices: :data:`FIRST_SLICE` rows, then each slice
     twice the one before."""
     lo, size = 0, FIRST_SLICE
     while lo < len(rows):
-        # list(): a shared-memory arena's row lists are memoryviews
-        yield list(rows[lo:lo + size])
+        yield rows[lo:lo + size]
         lo, size = lo + size, 2 * size
 
 

@@ -134,7 +134,6 @@ from repro.nal.scalar import (
     In,
     Not,
     Or,
-    PartitionedPath,
     PathApply,
     TupledSeq,
 )
@@ -774,10 +773,6 @@ def _map_batch(plan: Map, batch: Batch, env: Tup, ctx) -> Batch:
 
 
 def _unnest_map(plan: UnnestMap, batch: Batch, env: Tup, ctx) -> Batch:
-    if isinstance(plan.expr, PartitionedPath):
-        fast = _attempt(_unnest_map_partitioned, plan, batch, env, ctx)
-        if fast is not None:
-            return fast
     if isinstance(plan.expr, PathApply):
         fast = _attempt(_unnest_map_fast, plan, batch, env, ctx)
         if fast is not None:
@@ -804,39 +799,6 @@ def _unnest_map_fast(plan: UnnestMap, batch: Batch, env: Tup,
     if aligned:  # one item per row: nothing moves
         return batch.with_column(plan.attr, column)
     return batch.replicate(indices, plan.attr, column)
-
-
-def _unnest_map_partitioned(plan: UnnestMap, batch: Batch, env: Tup,
-                            ctx) -> Batch | None:
-    """Υ over a :class:`PartitionedPath` (a worker's slice of the
-    parallel engine's range-partitioned driving scan): the first
-    ``descendant::tag`` step is the arena's pre-list slice, further
-    steps reuse the compiled-step walk — so parallel plan fragments
-    scan at the same columnar speed as the serial engine they shard."""
-    expr = plan.expr
-    rest = _compile_steps(Path(expr.inner.path.steps[1:],
-                               absolute=False))
-    if rest is None:
-        return None
-    indices: list[int] = []
-    parts = []
-    stats = ctx.stats
-    for i, t in enumerate(batch.to_rows()):
-        context, eff_path = expr.context_node(scalar_env(env, t), ctx)
-        arena = context.arena
-        rows = list(arena.descendants_by_tag(
-            context.pre, eff_path.steps[0].test.name)
-            [expr.start:expr.stop])
-        stats.record_scan(arena.doc_name)
-        stats.node_visits += len(rows)
-        walk = _apply_steps(arena, rows, rest, stats)
-        if walk is None:
-            return None
-        if rest:  # the slice's nodes, the contexts of one evaluation
-            stats.order_fastpath_hits += 1
-        indices.extend([i] * len(walk[1]))
-        parts.append((arena, walk[1]))
-    return batch.replicate(indices, plan.attr, _node_column(parts))
 
 
 def _unnest(plan: Unnest, batch: Batch, env: Tup, ctx) -> Batch:

@@ -146,13 +146,6 @@ class ServerSaturatedError(ReproError):
         self.queued = queued
 
 
-class ParallelExecutionError(ReproError):
-    """Raised when the multi-process engine loses a worker mid-query
-    (crash, kill, broken pipe).  The pool discards and respawns its
-    workers, so the *next* ``mode="parallel"`` execution runs on a
-    healthy pool — callers see one clean error, not a hang."""
-
-
 class RewriteError(ReproError):
     """Raised when the optimizer is asked to apply an inapplicable rewrite."""
 

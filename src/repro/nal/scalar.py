@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.errors import EvaluationError, ParallelExecutionError
+from repro.errors import EvaluationError
 from repro.nal.functions import call_function
 from repro.nal.values import (
     Tup,
@@ -29,7 +29,7 @@ from repro.nal.values import (
     general_compare,
     iter_items,
 )
-from repro.xmldb.node import Node, NodeSequence
+from repro.xmldb.node import Node
 from repro.xpath.ast import Path
 from repro.xpath.evaluator import evaluate_path
 
@@ -304,39 +304,22 @@ class CollectionAccess(ScalarExpr):
     """``collection("pattern")`` — the root elements of every stored
     document whose name matches the shell-style pattern, in
     registration (``seq``) order, which is global document order over
-    roots.  An unmatched pattern yields the empty sequence.
+    roots.  An unmatched pattern yields the empty sequence."""
 
-    ``names`` restricts the collection to an explicit subset (still in
-    ``seq`` order): the parallel engine's inter-document sharding
-    rewrites one ``collection("shard-*.xml")`` leaf into per-worker
-    name subsets, so each worker scans only its shard."""
-
-    def __init__(self, pattern: str,
-                 names: tuple[str, ...] | None = None):
+    def __init__(self, pattern: str):
         self.pattern = pattern
-        self.names = names
 
     def evaluate(self, env: Tup, ctx) -> list[Node]:
-        if self.names is None:
-            documents = ctx.store.collection(self.pattern)
-        else:
-            documents = sorted((ctx.store.get(name)
-                                for name in self.names
-                                if name in ctx.store),
-                               key=lambda doc: doc.seq)
-        return [doc.root for doc in documents]
+        return [doc.root for doc in ctx.store.collection(self.pattern)]
 
     def free_attrs(self) -> frozenset[str]:
         return frozenset()
 
     def _signature(self) -> tuple:
-        return (self.pattern, self.names)
+        return (self.pattern,)
 
     def __repr__(self) -> str:
-        if self.names is None:
-            return f'collection("{self.pattern}")'
-        subset = ",".join(self.names)
-        return f'collection("{self.pattern}"[{subset}])'
+        return f'collection("{self.pattern}")'
 
 
 class PathApply(ScalarExpr):
@@ -394,70 +377,6 @@ def _path_context(expr: PathApply, env: Tup, ctx) -> tuple[list[Node],
                         for n in nodes)):
             path = Path(path.steps[1:], absolute=path.absolute)
     return nodes, path
-
-
-class PartitionedPath(ScalarExpr):
-    """One contiguous slice of a driving path scan: evaluate the first
-    ``descendant::tag`` step as ``tag_rows[start:stop]`` (both sides
-    compute the identical pre list off the identical frozen columns),
-    then apply the remaining steps from those context nodes only.
-
-    Built only by the parallel engine's range partitioner
-    (:mod:`repro.engine.parallel`); it lives here so every serial
-    engine — including the vectorized engine's columnar Υ fast path —
-    can execute worker plan fragments without importing the
-    orchestration layer.
-
-    Slices of the arena's per-tag pre list are document-ordered and
-    duplicate-free by construction; with a flat first tag and
-    downward-only continuation steps, per-slice results live in
-    disjoint subtrees — so concatenating slice results in slice order
-    reproduces the serial path evaluation exactly."""
-
-    def __init__(self, inner: PathApply, start: int, stop: int):
-        self.inner = inner
-        self.start = start
-        self.stop = stop
-
-    def context_node(self, env: Tup, ctx) -> tuple[Node, Path]:
-        """The single context node and effective path — partitioning
-        is only sound against one frozen arena."""
-        nodes, path = _path_context(self.inner, env, ctx)
-        if len(nodes) != 1:
-            raise ParallelExecutionError(
-                f"partitioned path expected one context node, got "
-                f"{len(nodes)}")
-        return nodes[0], path
-
-    def evaluate(self, env: Tup, ctx):
-        context, path = self.context_node(env, ctx)
-        arena = context.arena
-        first = path.steps[0]
-        rows = arena.descendants_by_tag(context.pre, first.test.name)
-        rows = rows[self.start:self.stop]
-        if ctx.stats is not None:
-            ctx.stats.record_scan(arena.doc_name)
-            ctx.stats.record_visits(len(rows))
-        context_nodes = [arena.nodes[row] for row in rows]
-        rest = Path(path.steps[1:], absolute=path.absolute)
-        if not rest.steps:
-            return NodeSequence(context_nodes)
-        return evaluate_path(context_nodes, rest, stats=ctx.stats)
-
-    def free_attrs(self) -> frozenset[str]:
-        return self.inner.free_attrs()
-
-    def children(self) -> tuple:
-        return (self.inner,)
-
-    def rebuild(self, children: tuple) -> "PartitionedPath":
-        return PartitionedPath(children[0], self.start, self.stop)
-
-    def _signature(self) -> tuple:
-        return (self.inner, self.start, self.stop)
-
-    def __repr__(self) -> str:
-        return f"partition[{self.start}:{self.stop}]({self.inner!r})"
 
 
 class NestedPlan(ScalarExpr):

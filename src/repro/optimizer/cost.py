@@ -36,7 +36,6 @@ from repro.nal.scalar import (
     Forall,
     FuncCall,
     NestedPlan,
-    PartitionedPath,
     PathApply,
     ScalarExpr,
 )
@@ -69,18 +68,6 @@ BATCH_SETUP_COST = 16.0
 #: still pays (tight columnar loops replace generator hops and Tup
 #: copies for the rest)
 VECTORIZED_TUPLE_DISCOUNT = 0.35
-
-#: fixed charge for entering the multi-process path at all: syncing
-#: shared-memory manifests to the pool and the scatter/gather round
-#: trips.  High on purpose — small queries must stay serial.
-PARALLEL_STARTUP_COST = 5000.0
-#: per-task charge (plan pickling, one pipe round trip per worker)
-PARALLEL_TASK_COST = 500.0
-#: per-result-tuple charge: every row the workers produce crosses the
-#: process boundary once (encode, pickle, decode, re-intern).  Must
-#: stay well below the per-tuple interpreter work, or transfer cost
-#: eats the entire parallel win on scan-shaped plans.
-PARALLEL_TUPLE_COST = 0.5
 
 
 class TagStatistics:
@@ -308,16 +295,6 @@ class CostModel:
             pred = self._scalar(expr.pred)
             per_eval = source.per_eval + source.fanout * pred.per_eval
             return ScalarCost(per_eval, 1.0)
-        if isinstance(expr, PartitionedPath):
-            # One worker's slice of a range-partitioned driving scan
-            # (see repro.engine.parallel): the inner path's estimate,
-            # scaled to the slice — the fragment's real share of the
-            # scan.
-            inner = self._path_apply(expr.inner)
-            width = max(1.0, float(expr.stop - expr.start))
-            share = min(1.0, width / max(1.0, inner.fanout))
-            return ScalarCost(max(1.0, inner.per_eval * share),
-                              max(1.0, inner.fanout * share))
         if isinstance(expr, PathApply):
             return self._path_apply(expr)
         if isinstance(expr, DocAccess):
@@ -378,8 +355,6 @@ class CostModel:
 
 
     def _collection_members(self, expr: CollectionAccess) -> list[str]:
-        if expr.names is not None:
-            return [name for name in expr.names if name in self.store]
         return self.store.collection_names(expr.pattern)
 
     def _root_document(self, expr: ScalarExpr) -> str | None:
@@ -420,36 +395,3 @@ def _collect_from_scalar(expr: ScalarExpr, out: dict[str, str]) -> None:
 def estimate(plan: Operator, store: DocumentStore) -> PlanCost:
     """Convenience wrapper: one-shot cost estimate."""
     return CostModel(store).estimate(plan)
-
-
-def preferred_mode(plan: Operator, store: DocumentStore,
-                   workers: int | None = None) -> str:
-    """What ``execute(mode="auto")`` dispatches on: the parallel gate.
-
-    Without a worker budget (``workers`` None or 1) there is one serial
-    engine and nothing to decide — the answer is ``DEFAULT_MODE`` and
-    no cost is estimated, so ``auto`` is free on the common path.  With
-    a budget, multi-process scatter/gather is chosen only when the plan
-    has a partitionable scan *and* its estimated total strictly
-    undercuts the serial one: the serial work divides across the pool,
-    but the query pays a fixed startup charge, a per-task dispatch
-    charge and a per-result-tuple transfer charge — the explicit model
-    of why small inputs must stay serial."""
-    from repro.engine.executor import DEFAULT_MODE
-    if workers is None or workers <= 1:
-        return DEFAULT_MODE
-    from repro.engine.parallel import parallelizable
-    if parallelizable(plan, store) is None:
-        return DEFAULT_MODE
-    cost = estimate(plan, store)
-    # The serial engine's estimate: every operator pays its batch setup
-    # once, the tuple-scaled work drops to the columnar loop's share —
-    # never more than the undiscounted total.
-    serial = min(cost.total,
-                 BATCH_SETUP_COST * sum(1 for _ in plan.walk())
-                 + cost.total * VECTORIZED_TUPLE_DISCOUNT)
-    parallel = (PARALLEL_STARTUP_COST
-                + workers * PARALLEL_TASK_COST
-                + serial / workers
-                + cost.cardinality * PARALLEL_TUPLE_COST)
-    return "parallel" if parallel < serial else DEFAULT_MODE

@@ -78,8 +78,8 @@ Error mapping (mirrored by the CLI's exit codes, see
 ==========================================  ======  ================
 error                                       status  kind
 ==========================================  ======  ================
-unparsable body / unknown field / XQuery    400     ``bad-query``
-parse, translation or rewrite errors
+unparsable body / unknown field or mode /   400     ``bad-query``
+XQuery parse, translation or rewrite errors
 unknown/duplicate/unparsable document       404     ``bad-document``
 admission queue full                        503     ``saturated``
 per-request deadline exceeded               504     ``deadline``
@@ -108,6 +108,7 @@ from repro.errors import (
     ServerSaturatedError,
     TranslationError,
     UnknownDocumentError,
+    UnsupportedModeError,
     XMLParseError,
     XPathError,
     XQueryParseError,
@@ -119,7 +120,7 @@ from repro.xmldb.parser import parse_document
 #: checked *after* the document errors below, which subclass some of
 #: these
 BAD_QUERY_ERRORS = (XQueryParseError, XPathError, TranslationError,
-                    RewriteError, EvaluationError)
+                    RewriteError, EvaluationError, UnsupportedModeError)
 
 #: errors that mean "a document is at fault" (HTTP 404)
 BAD_DOCUMENT_ERRORS = (UnknownDocumentError, DuplicateDocumentError,
@@ -146,12 +147,6 @@ class ServerConfig:
     #: hard cap on client-requested timeouts
     max_timeout: float = 300.0
     default_mode: str = DEFAULT_MODE
-    #: worker-process budget for ``mode="parallel"`` requests (and the
-    #: cost model's ``mode="auto"`` parallel alternative); None leaves
-    #: multi-process execution off unless ``REPRO_WORKERS`` is set.
-    #: Distinct from ``max_concurrency``, which sizes the *thread*
-    #: pool serving concurrent requests.
-    parallel_workers: int | None = None
 
 
 class AdmissionController:
@@ -427,7 +422,7 @@ class QueryServer:
             return 400, {"error": str(exc), "kind": "bad-query"}
         except KeyError as exc:  # unknown plan label
             return 400, {"error": str(exc), "kind": "bad-query"}
-        except ValueError as exc:  # unknown mode
+        except ValueError as exc:
             return 400, {"error": str(exc), "kind": "bad-query"}
         except ReproError as exc:  # pragma: no cover - defensive
             return 500, {"error": str(exc), "kind": "internal"}

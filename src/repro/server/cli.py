@@ -41,15 +41,8 @@ def build_serve_arg_parser() -> argparse.ArgumentParser:
                         help="register every *.xml file in DIR under "
                              "its file name")
     parser.add_argument("--workers", type=int, default=4,
-                        help="simultaneous executing requests "
-                             "(default 4)")
-    parser.add_argument("--parallel-workers", type=int, default=None,
-                        metavar="N",
-                        help="worker processes for mode=parallel "
-                             "execution (multi-process scatter/gather "
-                             "over shared-memory arenas; default: the "
-                             "REPRO_WORKERS environment variable, else "
-                             "off for mode=auto)")
+                        help="simultaneous executing requests: the "
+                             "server's thread-pool size (default 4)")
     parser.add_argument("--queue-depth", type=int, default=16,
                         help="admitted waiters beyond the executing "
                              "requests; past that, 503 (default 16)")
@@ -86,14 +79,12 @@ def build_server(args: argparse.Namespace) -> QueryServer:
     session = db.session(plan_cache_size=args.plan_cache,
                          result_cache_size=args.result_cache,
                          default_mode=args.mode,
-                         default_timeout=timeout,
-                         default_workers=args.parallel_workers)
+                         default_timeout=timeout)
     config = ServerConfig(host=args.host, port=args.port,
                           max_concurrency=args.workers,
                           queue_depth=args.queue_depth,
                           default_timeout=timeout,
-                          default_mode=args.mode,
-                          parallel_workers=args.parallel_workers)
+                          default_mode=args.mode)
     return QueryServer(session, config)
 
 

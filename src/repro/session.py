@@ -88,7 +88,12 @@ from collections import OrderedDict
 from fnmatch import fnmatchcase
 from typing import Callable
 
-from repro.engine.executor import DEFAULT_MODE, ExecutionResult, execute
+from repro.engine.executor import (
+    DEFAULT_MODE,
+    ExecutionResult,
+    check_mode,
+    execute,
+)
 from repro.obs.trace import maybe_span
 from repro.optimizer.binding import bind_plan, plan_slots
 from repro.optimizer.rewriter import RewriteResult
@@ -205,9 +210,6 @@ class PreparedQuery:
         self.shape = shape
         self.bindable = shape is not None and compiled.spans == shape.spans
         self._fixed: tuple[int, ...] | None = None
-        #: (digest, workers) → (store epoch, resolved mode)
-        self._auto_modes: dict[tuple, tuple[int, str]] = {}
-        self._auto_lock = threading.Lock()
 
     @property
     def fixed(self) -> tuple[int, ...]:
@@ -295,27 +297,6 @@ class PreparedQuery:
             else self.plan_named(label).plan
         return plan_to_string(plan)
 
-    def resolve_mode(self, mode: str, alt: RewriteResult,
-                     workers: int | None = None) -> str:
-        """``"auto"`` resolved once per (alternative, worker budget,
-        store epoch): the cost model's verdict is a function of the
-        frozen arenas and the parallelism on offer.  A binding shares
-        its template's verdicts (``auto`` only picks the fastest)."""
-        if mode != "auto":
-            return mode
-        template = self.template
-        store = self.session.database.store
-        key, epoch = (alt.digest(), workers), store.epoch
-        with template._auto_lock:
-            resolved = template._auto_modes.get(key)
-        if resolved is None or resolved[0] != epoch:
-            from repro.optimizer.cost import preferred_mode
-            resolved = (epoch, preferred_mode(alt.plan, store,
-                                              workers=workers))
-            with template._auto_lock:
-                template._auto_modes[key] = resolved
-        return resolved[1]
-
     # ------------------------------------------------------------------
     def lookup(self, mode: str | None = None, label: str | None = None
                ) -> tuple[tuple, ExecutionResult | None]:
@@ -325,14 +306,14 @@ class PreparedQuery:
         does — a label only a re-priced binding can have is a miss with
         a None key.  Continue a miss with ``execute(..., key=key)``."""
         session = self.session
-        _, keyed, _ = session._request(self, mode, label, _UNSET)
+        _, keyed = session._request(self, mode, label)
         key = None if keyed is None else session.result_key(self, keyed)
         return key, session._cached(key)
 
     def execute(self, mode: str | None = None, label: str | None = None,
                 analyze: bool = False, tracer=None, metrics=None,
                 timeout=_UNSET, use_result_cache: bool = True,
-                workers=_UNSET, snapshot=None,
+                snapshot=None,
                 key: tuple | None = None) -> ExecutionResult:
         """One request: execute the best plan (or the alternative named
         ``label``) with a fresh request-scoped context.
@@ -341,15 +322,14 @@ class PreparedQuery:
         ``use_result_cache=False``, ``analyze=True`` or a ``tracer`` is
         attached (observed requests always execute), or a ``key`` is
         given (the caller missed under it in :meth:`lookup`; the result
-        is stored under it).  ``timeout`` / ``workers`` default to the
-        session's.  ``snapshot`` (a
-        :class:`~repro.xmldb.document.StoreSnapshot`) pins the request
-        to captured document versions; the result key then carries the
-        *pinned* versions."""
+        is stored under it).  ``timeout`` defaults to the session's.
+        ``snapshot`` (a :class:`~repro.xmldb.document.StoreSnapshot`)
+        pins the request to captured document versions; the result key
+        then carries the *pinned* versions."""
         return self.session._execute_prepared(
             self, mode=mode, label=label, analyze=analyze,
             tracer=tracer, metrics=metrics, timeout=timeout,
-            use_result_cache=use_result_cache, workers=workers,
+            use_result_cache=use_result_cache,
             snapshot=snapshot, key=key)
 
 
@@ -456,12 +436,10 @@ class Session:
                  result_cache_size: int = 256,
                  default_mode: str = DEFAULT_MODE,
                  default_timeout: float | None = None,
-                 default_workers: int | None = None,
                  ranking: str = "heuristic"):
         self.database = database
         self.default_mode = default_mode
         self.default_timeout = default_timeout
-        self.default_workers = default_workers
         self.ranking = ranking
         self._plan_cache = LRUCache(plan_cache_size)
         self._result_cache = LRUCache(result_cache_size)
@@ -612,7 +590,7 @@ class Session:
                 tracer=None, metrics=None, timeout=_UNSET,
                 ranking: str | None = None,
                 use_result_cache: bool = True,
-                workers=_UNSET, snapshot=None) -> ExecutionResult:
+                snapshot=None) -> ExecutionResult:
         """Prepare-and-execute in one call — the server's request path."""
         prepared, plan_hit = self._prepare(text, ranking, tracer)
         if metrics is not None:
@@ -622,7 +600,7 @@ class Session:
                                 tracer=tracer, metrics=metrics,
                                 timeout=timeout,
                                 use_result_cache=use_result_cache,
-                                workers=workers, snapshot=snapshot)
+                                snapshot=snapshot)
 
     def doc_versions(self, alt: RewriteResult, resolver=None) -> tuple:
         """The referenced documents' ``(name, seq)`` pairs in sorted
@@ -645,21 +623,15 @@ class Session:
         return tuple(versions)
 
     def _request(self, prepared: PreparedQuery, mode: str | None,
-                 label: str | None, workers) -> tuple:
-        """``(mode, keyed alternative, workers)`` of one request,
+                 label: str | None) -> tuple:
+        """``(mode, keyed alternative)`` of one request,
         validated before any result-cache lookup so a bogus mode or
         label fails alike on hits and misses.  The alternative is the
         template's (the result key's), or None for a label only a
         re-priced binding may have (see :meth:`PreparedQuery.lookup`)."""
         mode = self.default_mode if mode is None else mode
-        from repro.engine.executor import MODES, resolve_workers
-        if mode not in MODES:
-            raise ValueError(f"unknown execution mode {mode!r}")
-        if workers is _UNSET:
-            workers = self.default_workers
-        workers = resolve_workers(workers,
-                                  explicit_parallel=(mode == "parallel"))
-        return mode, prepared._keyed(label), workers
+        check_mode(mode)
+        return mode, prepared._keyed(label)
 
     def result_key(self, prepared: PreparedQuery, alt: RewriteResult,
                    snapshot=None) -> tuple:
@@ -702,11 +674,10 @@ class Session:
     def _execute_prepared(self, prepared: PreparedQuery,
                           mode: str | None, label: str | None,
                           analyze: bool, tracer, metrics, timeout,
-                          use_result_cache: bool, workers=_UNSET,
+                          use_result_cache: bool,
                           snapshot=None,
                           key: tuple | None = None) -> ExecutionResult:
-        mode, keyed, workers = self._request(prepared, mode, label,
-                                             workers)
+        mode, keyed = self._request(prepared, mode, label)
         if timeout is _UNSET:
             timeout = self.default_timeout
         if not use_result_cache or analyze or tracer is not None:
@@ -720,13 +691,10 @@ class Session:
         if prepared._flipped() is not None:
             # Not the plan the key names: run it, file nothing.
             key = None
-        if mode != "reference":
-            mode = prepared.resolve_mode(
-                mode, alt if keyed is None else keyed, workers=workers)
         target = self.database.store if snapshot is None else snapshot
         result = execute(alt.plan, target, mode=mode,
                          analyze=analyze, tracer=tracer, metrics=metrics,
-                         timeout=timeout, workers=workers)
+                         timeout=timeout)
         if key is not None:
             # The result as the engine left it: the default engine's
             # column batch is immutable and stored as it is; a row list

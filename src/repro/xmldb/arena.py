@@ -64,8 +64,7 @@ them alone.  A post-update arena (``delta.apply_delta``) starts with
 its predecessor's, carried through the splice: entries of rows in the
 replaced window and on the splice point's ancestor chain (whose string
 values changed) are dropped, entries after the window move by the
-splice's row delta.  A shared-memory view in a worker starts with
-empty ones; nothing is exported.  Concurrent readers may compute and store the
+splice's row delta.  Concurrent readers may compute and store the
 same entry twice: the value is deterministic, so the race is benign.
 :meth:`Arena.string_value` stays the uncached definition.
 """
@@ -85,8 +84,8 @@ TagPath = tuple[str, ...]
 
 class LazyNodes:
     """Interned frozen :class:`Node` handles created on first access —
-    a spliced or shared-memory version allocates no per-row objects up
-    front, and identity (``is``) holds per version.
+    a spliced version allocates no per-row objects up front, and
+    identity (``is``) holds per version.
 
     While the version is pinned the table keeps every handle it made
     (``_cache``, the hot lookup).  :meth:`release` turns the table

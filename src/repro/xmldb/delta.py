@@ -1,10 +1,10 @@
 """Copy-on-write delta versions over frozen arenas.
 
 A finalized :class:`~repro.xmldb.arena.Arena` never changes — that
-immutability is what makes lock-free reads, cached string values, order
-guarantees and shared-memory exports sound.  Live updates therefore
-never mutate an arena in place: :func:`apply_delta` takes the current
-version's columns plus a list of update operations and *splices* a
+immutability is what makes lock-free reads, cached string values and
+order guarantees sound.  Live updates therefore never mutate an arena
+in place: :func:`apply_delta` takes the current version's columns plus
+a list of update operations and *splices* a
 brand-new set of columns, producing a fresh arena for the next
 ``(document.name, document.seq)`` version.  Readers that pinned the old
 version keep reading the old columns; that is the whole MVCC story.
@@ -19,16 +19,16 @@ sorted list to the window — no pass classifies every row again — and
 the arena's per-version memos carry to the new version minus the rows
 whose string values the splice changed.  Every read after
 that is exactly as fast as a freshly registered document: no per-row
-indirection, no tombstone checks on the hot axes, and the shared-memory exporter and the vectorized engine work
-on the new version unchanged.  The expensive parts of full
+indirection, no tombstone checks on the hot axes, and the vectorized
+engine works on the new version unchanged.  The expensive parts of full
 re-registration — serializing, re-parsing, rebuilding node objects and
 re-deriving the value indexes — are all skipped, which is where the
 update-latency win over ``unregister()`` + ``register_text()`` comes
 from (measured by ``benchmarks/bench_q14_updates.py``).
 
 Node handles of the *new* version are materialized lazily
-(:class:`~repro.xmldb.arena.LazyNodes`, the same tables the
-shared-memory attachment uses): an update allocates zero per-row Python
+(:class:`~repro.xmldb.arena.LazyNodes`, the same tables a registered
+version uses): an update allocates zero per-row Python
 objects up front, and a reader only pays for the rows it hands out —
 the default engine's path steps run over the int columns alone
 (:meth:`~repro.xmldb.arena.Arena.step_rows`), so that is the result

@@ -67,8 +67,7 @@ class Document:
         self.dtd = dtd
         #: process-wide registration rank; nodes of earlier-registered
         #: documents sort first in multi-document sequences.  Every
-        #: version gets a fresh ``seq`` — caches and shared-memory
-        #: exports key on ``(name, seq)``.
+        #: version gets a fresh ``seq`` — caches key on ``(name, seq)``.
         self.seq = next(_DOC_SEQ)
         self.arena = arena
         arena.document = self
@@ -268,21 +267,6 @@ class ScanStats:
         self.order_fastpath_hits += other.order_fastpath_hits
         self.order_dedup_passes += other.order_dedup_passes
 
-    def absorb_snapshot(self, snap: dict) -> None:
-        """Inverse of :meth:`snapshot` for accumulation: add counters
-        from a snapshot dict — how the parallel engine folds the
-        per-worker statistics (which cross the process boundary as
-        plain dicts) back into the request's :class:`ScanStats`."""
-        for name, count in snap.get("document_scans", {}).items():
-            self.document_scans[name] = \
-                self.document_scans.get(name, 0) + count
-        for name, count in snap.get("index_probes", {}).items():
-            self.index_probes[name] = \
-                self.index_probes.get(name, 0) + count
-        self.node_visits += snap.get("node_visits", 0)
-        self.order_fastpath_hits += snap.get("order_fastpath_hits", 0)
-        self.order_dedup_passes += snap.get("order_dedup_passes", 0)
-
     def snapshot(self) -> dict:
         return {
             "document_scans": dict(self.document_scans),
@@ -350,7 +334,7 @@ class DocumentStore:
         self.indexes = IndexManager(self, index_mode)
         #: bumped on every register/update/unregister — a monotone
         #: "something changed" counter (snapshots carry it; a session
-        #: re-asks ``mode="auto"`` after it moves)
+        #: files a priced plan only if it did not move while compiling)
         self.epoch = 0
         #: fold a document's delta chain once it reaches this many
         #: update entries (see :meth:`Document.compact`)
@@ -553,12 +537,11 @@ class StoreSnapshot:
     against the captured name→version map, so a query executing over a
     snapshot reads one consistent set of versions end to end.  Index
     probes resolve against the *pinned* versions
-    (:class:`_SnapshotIndexes`); statistics accounting and pool
-    plumbing delegate to the live store (:attr:`store`), which is
-    deliberate — counters and worker processes are process-wide, only
-    *data* is version-pinned.  ``snapshot()`` returns ``self`` so the
-    executor can pin uniformly whether handed a store or an
-    already-pinned snapshot."""
+    (:class:`_SnapshotIndexes`); statistics accounting delegates to the
+    live store (:attr:`store`), which is deliberate — counters are
+    process-wide, only *data* is version-pinned.  ``snapshot()``
+    returns ``self`` so the executor can pin uniformly whether handed a
+    store or an already-pinned snapshot."""
 
     __slots__ = ("store", "documents", "epoch", "_indexes", "__weakref__")
 

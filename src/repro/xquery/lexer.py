@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Any, NamedTuple
+from typing import Any, Iterator, NamedTuple
 
 from repro.errors import XMLParseError, XQueryParseError
 from repro.xmldb.parser import decode_references
@@ -51,10 +51,23 @@ _match_token = _TOKEN.match
 NAME, VARIABLE, NUMBER, STRING, _COMMENT = 1, 2, 3, 4, 5
 _COMMENT_MARKS = re.compile(r"\(:|:\)")
 
-#: what the pre-scan matches: a string literal, or a number token that
-#: does not start inside a name
-_LITERALS = re.compile(
-    rf"{_STRING}|[0-9](?<![A-Za-z0-9_.\-][0-9])[0-9.]*")
+#: where the pre-scan stops in expression text: a string literal, a
+#: number token that does not start inside a name (the two literal
+#: kinds), a comment, a direct constructor's ``<name`` (``<`` directly
+#: before a name is never a comparison), an enclosed expression's brace
+_EXPRESSION_STOPS = re.compile(
+    rf"({_STRING})|([0-9](?<![A-Za-z0-9_.\-][0-9])[0-9.]*)|(\(:)"
+    rf"|<({_NAME})|([{{}}])")
+_LITERAL_KINDS = 2
+#: the raw text of element content / of an attribute value in each
+#: quote, up to the next character with a meaning there
+CONTENT_RUN = re.compile(r"[^{}<]*")
+ATTRIBUTE_RUNS = {'"': re.compile(r'[^{}"]*'), "'": re.compile(r"[^{}']*")}
+#: one item of a start tag after its name: the end of an empty element,
+#: the end of the tag, or an attribute name and its value's opening quote
+_TAG_ITEM = re.compile(
+    rf"[ \t\r\n]*(?:(/>)|(>)|{_NAME}[ \t\r\n]*=[ \t\r\n]*([\"']))")
+_NAME_AT = re.compile(_NAME)
 #: the calls whose string argument names a document
 _DOCUMENT_CALLS = ("doc", "document", "collection")
 
@@ -85,17 +98,27 @@ def string_value(text: str, start: int, end: int) -> str:
     return quote.join(pieces)
 
 
-def _names_a_document(text: str, start: int) -> bool:
+def _names_a_document(text: str, start: int,
+                      comments: dict[int, int]) -> bool:
     """Whether the string literal at ``start`` is a ``doc()`` /
     ``document()`` / ``collection()`` argument (part of the shape: a
-    document name is not a value)."""
-    head = text[:start].rstrip()
+    document name is not a value).  ``comments`` maps the end of each
+    comment before ``start`` to its start."""
+    head = _before(text, start, comments)
     if not head.endswith("("):
         return False
-    head = head[:-1].rstrip()
+    head = _before(head, len(head) - 1, comments)
     return any(head.endswith(name) and
                head[-len(name) - 1:-len(name)] not in NAME_CHARS
                for name in _DOCUMENT_CALLS)
+
+
+def _before(text: str, pos: int, comments: dict[int, int]) -> str:
+    """``text[:pos]`` less its trailing whitespace and comments."""
+    head = text[:pos].rstrip()
+    while len(head) in comments:
+        head = head[:comments[len(head)]].rstrip()
+    return head
 
 
 class QueryShape(NamedTuple):
@@ -122,14 +145,12 @@ def query_shape(text: str) -> QueryShape:
     values: list = []
     spans: list[tuple[int, int]] = []
     last = 0
-    for match in _LITERALS.finditer(text):
+    for match in _expression_literals(text):
         start, end = match.span()
         if text[start] not in "\"'":
             value = number_value(match.group())
             if value is None:
                 continue        # malformed: the parser rejects it
-        elif _names_a_document(text, start):
-            continue
         else:
             try:
                 value = string_value(text, start, end)
@@ -141,6 +162,120 @@ def query_shape(text: str) -> QueryShape:
         last = end
     key.append(text[last:])
     return QueryShape(tuple(key), tuple(values), tuple(spans))
+
+
+def comment_end(text: str, pos: int) -> int | None:
+    """The end of the ``(: … :)`` comment at ``pos``, nested comments
+    included; None when it is not closed."""
+    depth = 0
+    for mark in _COMMENT_MARKS.finditer(text, pos):
+        depth += 1 if mark.group() == "(:" else -1
+        if depth == 0:
+            return mark.end()
+    return None
+
+
+def _expression_literals(text: str) -> Iterator[re.Match]:
+    """The literal tokens of ``text`` that stand in expression text —
+    not in a comment, nor in a direct constructor's attribute values or
+    content, which are raw text up to an enclosed ``{expr}`` — less the
+    document names.  Lexical only: malformed text ends in whatever
+    state the scan reached (the parser rejects it)."""
+    #: the constructor frames each open ``{`` returns to (None: a
+    #: brace that no constructor opened)
+    braces: list[list | None] = []
+    #: end → start of every comment passed
+    comments: dict[int, int] = {}
+    pos = 0
+    while True:
+        match = _EXPRESSION_STOPS.search(text, pos)
+        if match is None:
+            return
+        kind, pos = match.lastindex, match.end()
+        if kind <= _LITERAL_KINDS:
+            if kind == 2 or not _names_a_document(text, match.start(),
+                                                  comments):
+                yield match
+            continue
+        if kind == 3:
+            pos = comment_end(text, match.start())
+            if pos is None:
+                return
+            comments[pos] = match.start()
+            continue
+        if kind == 5:
+            if match.group() == "{":
+                braces.append(None)
+                continue
+            frames = braces.pop() if braces else None
+            if frames is None:
+                continue
+        else:
+            frames = ["tag"]
+        pos = _constructor_text(text, pos, frames)
+        if pos is None:
+            return
+        if frames:
+            braces.append(frames)
+
+
+def _constructor_text(text: str, pos: int, frames: list) -> int | None:
+    """Skip direct-constructor text from ``pos``: ``frames`` is the
+    stack of what encloses ``pos`` — ``"tag"`` (inside a start tag, past
+    its name), ``"content"`` (element content) or a quote (an attribute
+    value).  Returns where expression text resumes — after the
+    outermost constructor's end (``frames`` then empty), or after the
+    ``{`` of an enclosed expression (``frames`` left as its ``}``
+    resumes them) — or None at the end of the text."""
+    end = len(text)
+    while frames:
+        if pos >= end:
+            return None
+        frame = frames[-1]
+        if frame == "tag":
+            item = _TAG_ITEM.match(text, pos)
+            if item is None:  # malformed: back to expression text
+                frames.clear()
+                return pos
+            pos = item.end()
+            if item.lastindex == 1:
+                frames.pop()
+            elif item.lastindex == 2:
+                frames[-1] = "content"
+            else:
+                frames.append(item.group(3))
+            continue
+        content = frame == "content"
+        pos = (CONTENT_RUN if content else ATTRIBUTE_RUNS[frame]) \
+            .match(text, pos).end()
+        pair = text[pos:pos + 2]
+        if pair == "{{" or pair == "}}":
+            pos += 2
+        elif pair[:1] == "{":
+            return pos + 1
+        elif not content or pair[:1] == "}":
+            if pair[:1] == frame:
+                frames.pop()
+            pos += 1
+        elif pair == "</":
+            close = text.find(">", pos)
+            if close < 0:
+                return None
+            frames.pop()
+            pos = close + 1
+        elif text.startswith("<![CDATA[", pos):
+            close = text.find("]]>", pos)
+            if close < 0:
+                return None
+            pos = close + 3
+        else:
+            name = _NAME_AT.match(text, pos + 1)
+            if name is None:
+                pos += 1
+            else:
+                frames.append("tag")
+                pos = name.end()
+    return pos
 
 
 class Scanner:
@@ -172,12 +307,10 @@ class Scanner:
         self.start = end - len(tok)
 
     def _comment_end(self, pos: int) -> int:
-        depth = 0
-        for mark in _COMMENT_MARKS.finditer(self.text, pos):
-            depth += 1 if mark.group() == "(:" else -1
-            if depth == 0:
-                return mark.end()
-        raise self.error("unterminated comment", len(self.text))
+        end = comment_end(self.text, pos)
+        if end is None:
+            raise self.error("unterminated comment", len(self.text))
+        return end
 
     def error(self, message: str, pos: int | None = None
               ) -> XQueryParseError:

@@ -45,7 +45,6 @@ gets no slot.
 
 from __future__ import annotations
 
-import re
 from typing import Any, NamedTuple
 
 from repro.xmldb.serialize import escape_text
@@ -63,6 +62,8 @@ from repro.xpath.ast import (
 from repro.xpath.parser import number_value
 from repro.xquery import ast
 from repro.xquery.lexer import (
+    ATTRIBUTE_RUNS,
+    CONTENT_RUN,
     NAME,
     NAME_START,
     NUMBER,
@@ -73,10 +74,6 @@ from repro.xquery.lexer import (
 )
 
 _COMPARISON_OPS = frozenset(("!=", "<=", ">=", "=", "<", ">"))
-#: the raw text of element content / of an attribute value in each
-#: quote, up to the next character with a meaning there
-_CONTENT_RUN = re.compile(r"[^{}<]*")
-_ATTRIBUTE_RUNS = {'"': re.compile(r'[^{}"]*'), "'": re.compile(r"[^{}']*")}
 
 
 class Slot(NamedTuple):
@@ -341,19 +338,23 @@ def _parse_element_ctor(s: Scanner) -> tuple[ast.ElementCtor, int]:
 def _parse_ctor_text(s: Scanner, pos: int, close: str) -> tuple[tuple, int]:
     """Raw constructor text from ``pos`` up to ``close`` — an attribute
     value's quote, or ``</name`` (then element content, which may also
-    hold constructors and CDATA sections; whitespace-only text between
-    them is dropped): its parts, and the text position after it."""
+    hold constructors and CDATA sections; a run of whitespace only
+    between them is boundary whitespace and dropped, unless a CDATA
+    section is part of it): its parts, and the text position after it."""
     text = s.text
     content = close != '"' and close != "'"
-    run = _CONTENT_RUN if content else _ATTRIBUTE_RUNS[close]
+    run = CONTENT_RUN if content else ATTRIBUTE_RUNS[close]
     parts: list = []
     buffer: list[str] = []
+    cdata = False
 
     def flush() -> None:
+        nonlocal cdata
         joined = "".join(buffer)
-        if joined.strip() if content else joined:
+        if (joined.strip() or cdata) if content else joined:
             parts.append(ast.TextPart(joined))
         buffer.clear()
+        cdata = False
 
     while True:
         end = run.match(text, pos).end()
@@ -386,6 +387,7 @@ def _parse_ctor_text(s: Scanner, pos: int, close: str) -> tuple[tuple, int]:
             if end < 0:
                 raise s.error("unterminated CDATA section", pos)
             buffer.append(escape_text(text[pos + 9:end]))
+            cdata = True
             pos = end + 3
         elif pair[1:] in NAME_START:
             flush()

@@ -369,9 +369,7 @@ class _Translator:
 
     def _ctor_part(self, part, commands: list[Command]) -> None:
         if isinstance(part, ast.TextPart):
-            text = part.text.strip()
-            if text:
-                commands.append(Lit(text))
+            commands.append(Lit(part.text))
         elif isinstance(part, ast.ExprPart):
             commands.append(Out(self.translate_operand(part.expr)))
         else:

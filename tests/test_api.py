@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro import Database, compile_query
 from repro.datagen import BIB_DTD, generate_bib
-from repro.engine.executor import ExecutionResult
+from repro.engine.executor import MODES, ExecutionResult
 
 SIMPLE = """
 let $d1 := doc("bib.xml")
@@ -197,7 +203,8 @@ def test_every_entry_point_defaults_to_default_mode():
     from repro.server.app import ServerConfig
     from repro.server.cli import build_serve_arg_parser
 
-    assert DEFAULT_MODE in MODES and len(MODES) == 4
+    assert MODES == ("vectorized", "reference")
+    assert DEFAULT_MODE in MODES
     for parser in (build_arg_parser(), build_trace_arg_parser(),
                    build_serve_arg_parser()):
         assert parser.get_default("mode") == DEFAULT_MODE
@@ -225,3 +232,119 @@ def test_default_request_matches_reference_on_paper_queries(key):
         assert not reference.cached
         assert default.output == reference.output, (key, label)
         assert default.rows == reference.rows, (key, label)
+
+
+def test_a_session_query_imports_no_multiprocessing():
+    """Execution is one process: neither compiling nor running a
+    session request loads :mod:`multiprocessing` (checked in a fresh
+    interpreter, since the test runner's own imports would mask it)."""
+    script = textwrap.dedent("""
+        import sys
+        from repro import Database
+        db = Database()
+        db.register_text("a.xml", "<a><b>1</b><b>2</b></a>")
+        with db.session() as session:
+            result = session.execute('for $b in doc("a.xml")//b return $b')
+        assert result.output == "<b>1</b><b>2</b>", result.output
+        print(sorted(name for name in sys.modules
+                     if name.split(".")[0] == "multiprocessing"))
+    """)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+# ----------------------------------------------------------------------
+# collection() surface
+# ----------------------------------------------------------------------
+def shard_xml(shard: int, items: int) -> str:
+    rows = "".join(
+        f"<item id='i{shard}-{j}'><name>n{shard}-{j}</name>"
+        f"<price>{(j * 7 + shard) % 13}</price></item>"
+        for j in range(items))
+    return f"<items>{rows}</items>"
+
+
+@pytest.fixture(scope="module")
+def shards() -> Database:
+    database = Database()
+    for shard in range(8):
+        database.register_text(f"shard-{shard}.xml", shard_xml(shard, 30))
+    return database
+
+
+#: one FLWOR shape over every shard, and the same over one document
+SHARD_QUERIES = {
+    "scan": 'for $i in {src}//item return $i/name',
+    "where": 'for $i in {src}//item where $i/price > 6 return $i/name',
+    "sorted": ('for $i in {src}//item '
+               'order by $i/price return <r>{{$i/name}}</r>'),
+}
+
+
+def best_plan(db: Database, query: str):
+    return compile_query(query, db).best().plan
+
+
+@pytest.mark.parametrize("source", ('collection("shard-*.xml")',
+                                    'doc("shard-0.xml")'),
+                         ids=("collection", "doc"))
+@pytest.mark.parametrize("name", sorted(SHARD_QUERIES))
+def test_shard_queries_match_reference(shards, name, source):
+    plan = best_plan(shards, SHARD_QUERIES[name].format(src=source))
+    default = shards.execute(plan)
+    reference = shards.execute(plan, mode="reference")
+    assert default.output == reference.output
+    assert default.rows == reference.rows
+
+
+def test_collection_matches_in_registration_order():
+    db = Database()
+    db.register_text("b.xml", "<d><v>2</v></d>")
+    db.register_text("a.xml", "<d><v>1</v></d>")
+    query = 'for $v in collection("*.xml")//v return $v'
+    result = db.execute(best_plan(db, query))
+    assert result.output == "<v>2</v><v>1</v>", \
+        "collection order is registration (seq) order, not name order"
+
+
+def test_collection_unmatched_pattern_is_empty(shards):
+    query = 'for $i in collection("nope-*.xml")//item return $i'
+    result = shards.execute(best_plan(shards, query))
+    assert result.rows == []
+    assert result.output == ""
+
+
+def test_collection_differential_across_engines(shards):
+    query = ('for $i in collection("shard-*.xml")//item '
+             'where $i/price = 7 return <hit>{$i/name}</hit>')
+    plan = best_plan(shards, query)
+    outputs = {mode: shards.execute(plan, mode=mode).output
+               for mode in MODES}
+    assert len(set(outputs.values())) == 1, outputs
+
+
+def test_collection_in_nested_flwor(shards):
+    query = ('for $i in collection("shard-[0-3]*.xml")//item '
+             'where $i/price > 9 return <r>{$i/name}</r>')
+    plan = best_plan(shards, query)
+    outputs = {mode: shards.execute(plan, mode=mode).output
+               for mode in MODES}
+    assert len(set(outputs.values())) == 1, outputs
+
+
+def test_result_cache_invalidates_on_membership_change():
+    db = Database()
+    db.register_text("shard-0.xml", shard_xml(0, 5))
+    session = db.session()
+    query = 'for $i in collection("shard-*.xml")//item return $i/name'
+    first = session.execute(query)
+    assert session.execute(query).cached
+    db.register_text("shard-1.xml", shard_xml(1, 5))
+    fresh = session.execute(query)
+    assert not fresh.cached
+    assert len(fresh.rows) == len(first.rows) * 2
+    session.close()

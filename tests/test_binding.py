@@ -25,6 +25,7 @@ from repro.datagen import (
     generate_prices,
     generate_reviews,
 )
+from repro.engine.executor import MODES
 from repro.errors import TranslationError
 from repro.nal.pretty import plan_to_string
 from repro.optimizer.access_paths import ProbeChoice
@@ -180,6 +181,25 @@ def test_literals_the_parser_does_not_read_as_values_fix_the_text(
                 db.execute(compile_query(text, db).best().plan).output
         # The same text again is still one template.
         assert _templates(session, texts[0]) == [first]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_constructor_attribute_keeps_the_text_bindable(mode):
+    """A quoted attribute value is constructor text, not a literal: a
+    text with one (Q2's ``title="{ $t1 }"``) binds its constants like
+    any other."""
+    template = ('for $t in distinct-values(doc("bib.xml")//book'
+                '[@year > {}]/title) return <r title="{{ $t }}"/>')
+    db = DATABASES["off"]
+    texts = [template.format(1990), template.format(1995)]
+    with db.session() as session:
+        first, second = _templates(session, *texts)
+        assert first is second and first.bindable
+        assert session.cache_stats()["plan_cache"]["bindings"] == 1
+        for text in texts:
+            assert session.execute(text, mode=mode).output == \
+                db.execute(compile_query(text, db).best().plan,
+                           mode=mode).output
 
 
 def test_integer_and_decimal_literals_are_different_shapes():

@@ -147,15 +147,6 @@ def test_vectorized_mode(data_dir, query_file, capsys):
     assert "<author>" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("budget", ([], ["--workers", "2"]),
-                         ids=("no-budget", "workers-2"))
-def test_auto_mode(data_dir, query_file, capsys, budget):
-    code = main([str(query_file), "--docs", str(data_dir),
-                 "--mode", "auto", *budget])
-    assert code == 0
-    assert "<author>" in capsys.readouterr().out
-
-
 def test_timing_flag_stream_split(data_dir, query_file, capsys):
     """The --timing contract: query output on stdout (pipeable),
     trace and metrics on stderr — never interleaved into the result."""
@@ -280,30 +271,6 @@ def test_bad_character_reference_exit_code(tmp_path, capsys):
                  "--docs", str(tmp_path)])
     assert code == EXIT_BAD_DOCUMENT
     assert "character reference &#xZZ;" in capsys.readouterr().err
-
-
-def test_malformed_workers_env_fails_loudly(data_dir, capsys,
-                                           monkeypatch):
-    """``REPRO_WORKERS=two`` used to run serial without a word; it is
-    now a typed error naming the variable and the value — from the
-    library entry point and as a non-zero CLI exit."""
-    from repro.engine.executor import execute
-    from repro.errors import UnsupportedModeError
-    from repro.nal import Singleton
-    from repro.xmldb.document import DocumentStore
-
-    monkeypatch.setenv("REPRO_WORKERS", "two")
-    with pytest.raises(UnsupportedModeError,
-                       match="REPRO_WORKERS='two'"):
-        execute(Singleton(), DocumentStore())
-    code = main(["--query",
-                 'for $t in doc("bib.xml")//title return $t',
-                 "--docs", str(data_dir)])
-    assert code == 1
-    assert "REPRO_WORKERS='two'" in capsys.readouterr().err
-    # a well-formed value still parses
-    monkeypatch.setenv("REPRO_WORKERS", "2")
-    assert execute(Singleton(), DocumentStore()).rows
 
 
 def test_exit_codes_are_distinct_and_stable():

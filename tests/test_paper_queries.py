@@ -5,10 +5,8 @@ import pytest
 
 from repro.api import Database, compile_query
 from repro.bench.queries import PAPER_QUERIES
-from repro.obs.metrics import MetricsRegistry
 from repro.xmldb.delta import Replace
 from repro.xmldb.node import element
-from repro.xmldb.shm import attach_document, export_document
 from tests.conftest import ledger, ledger_query, output_blocks
 
 #: plans whose output may be a reordering of the nested plan's groups
@@ -313,18 +311,16 @@ def _ledger_db() -> Database:
     return db
 
 
-def _assert_counts_match_reference(db, where="", target=None):
-    """Every alternative of every ledger shape (compiled against
-    ``db``, executed on ``target``): the default engine's output and
-    scan statistics against the definitional evaluator's (see
-    :func:`_assert_scan_statistics`) — the columnar kernels count the
-    children a child step scans and the hits of a descendant step
+def _assert_counts_match_reference(db, where=""):
+    """Every alternative of every ledger shape: the default engine's
+    output and scan statistics against the definitional evaluator's
+    (see :func:`_assert_scan_statistics`) — the columnar kernels count
+    the children a child step scans and the hits of a descendant step
     without ever building a child list."""
-    target = target or db
     for shape, text in LEDGER_SHAPES.items():
         for alt in compile_query(text, db).plans():
-            default = target.execute(alt.plan)
-            reference = target.execute(alt.plan, mode="reference")
+            default = db.execute(alt.plan)
+            reference = db.execute(alt.plan, mode="reference")
             tag = f"{where}{shape}/{alt.label}"
             assert default.output == reference.output, tag
             _assert_scan_statistics(default, reference, alt.plan, tag)
@@ -347,51 +343,3 @@ def test_scan_statistics_exact_on_ledger_shapes():
         element("itemno", "I00003"), element("bid", "990"),
         element("biddate", "2000-01-01"))))
     _assert_counts_match_reference(db, where="updated:")
-
-
-def test_scan_statistics_exact_through_shared_memory():
-    """The same columns as memoryviews: a store of ``ShmArena`` twins
-    (what a parallel worker executes against) counts exactly like the
-    reference evaluator over it.  ``mode="parallel"`` itself returns
-    the same output and charges scans per task: a split driving scan
-    opens its document once per task and reads every row once; what a
-    task does not share with the others (⋉'s right operand) it scans
-    for itself, never more than once per task."""
-    db = _ledger_db()
-    exports = [export_document(db.store.get(name))
-               for name in db.store.names()]
-    twins = Database()
-    try:
-        for export in exports:
-            twin = attach_document(export.manifest)
-            twins.store._documents[twin.name] = twin
-        _assert_counts_match_reference(db, where="shm:", target=twins)
-        for shape, text in LEDGER_SHAPES.items():
-            for alt in compile_query(text, db).plans():
-                reference = db.execute(alt.plan, mode="reference")
-                metrics = MetricsRegistry()
-                parallel = db.execute(alt.plan, mode="parallel",
-                                      workers=2, metrics=metrics)
-                tasks = metrics.snapshot()["counters"].get(
-                    "parallel.tasks", 1)
-                tag = f"parallel:{shape}/{alt.label}"
-                assert parallel.output == reference.output, tag
-                expected = reference.stats["document_scans"]
-                scans = parallel.stats["document_scans"]
-                if shape.endswith("-scan"):
-                    assert tasks == 2, tag
-                    assert scans == {name: count + tasks - 1
-                                     for name, count in expected.items()}
-                    assert parallel.stats["node_visits"] == \
-                        reference.stats["node_visits"], tag
-                else:
-                    assert scans.keys() == expected.keys(), tag
-                    for name, count in expected.items():
-                        assert count <= scans[name] <= count * tasks, tag
-    finally:
-        for twin in twins.store._documents.values():
-            twin.arena.detach()
-        twins.store._documents.clear()
-        for export in exports:
-            export.close()
-        db.close()

@@ -24,9 +24,10 @@ from repro.__main__ import (
     EXIT_SERVER_SATURATED,
     main,
 )
-from repro.api import Database
+from repro.api import Database, compile_query
 from repro.datagen import BIB_DTD, generate_bib
-from repro.engine.executor import DEFAULT_MODE
+from repro.engine.executor import DEFAULT_MODE, execute
+from repro.errors import UnsupportedModeError
 from repro.server.app import AdmissionController, QueryServer, \
     ServerConfig
 
@@ -261,6 +262,47 @@ def test_unknown_mode_and_plan_are_bad_query(server):
     status, payload, _ = server.post({"query": TITLES_QUERY,
                                       "plan": "hashjoin"})
     assert (status, payload["kind"]) == (400, "bad-query")
+
+
+def _run_execute(server, mode):
+    plan = compile_query(TITLES_QUERY, server.db).best().plan
+    execute(plan, server.db.store, mode=mode)
+
+
+def _run_session(server, mode):
+    server.session.execute(TITLES_QUERY, mode=mode)
+
+
+def _run_prepared_lookup(server, mode):
+    server.session.prepare(TITLES_QUERY).lookup(mode)
+
+
+#: library entry points that take a mode, each run with one mode
+_MODE_ENTRY_POINTS = {"execute": _run_execute, "session": _run_session,
+                      "prepared-lookup": _run_prepared_lookup}
+
+
+@pytest.mark.parametrize("entry", (*_MODE_ENTRY_POINTS, "http", "cli"))
+def test_removed_and_unknown_modes_are_typed_errors(server, capsys,
+                                                    entry):
+    """``auto`` and ``parallel`` are gone: like any unknown mode they
+    are an :class:`UnsupportedModeError` in the library, a 400
+    ``bad-query`` over HTTP and an argparse refusal in the CLI."""
+    for mode in ("auto", "parallel", "turbo"):
+        if entry == "http":
+            status, payload, _ = server.post({"query": TITLES_QUERY,
+                                              "mode": mode})
+            assert (status, payload["kind"]) == (400, "bad-query")
+            assert "unknown execution mode" in payload["error"]
+        elif entry == "cli":
+            with pytest.raises(SystemExit) as exc:
+                main(["--query", TITLES_QUERY, "--mode", mode])
+            assert exc.value.code == EXIT_BAD_QUERY
+            assert "invalid choice" in capsys.readouterr().err
+        else:
+            with pytest.raises(UnsupportedModeError,
+                               match="unknown execution mode"):
+                _MODE_ENTRY_POINTS[entry](server, mode)
 
 
 def test_deadline_is_gateway_timeout(server):

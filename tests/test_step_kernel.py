@@ -5,8 +5,8 @@ types built on them, against the XPath evaluator and ``canonical_key``.
 step, so it is checked where the engine cannot hide a mistake: on
 generated trees, for context columns that are sorted antichains (the
 one-pass lane), unsorted, duplicated and nested (the per-context lane),
-on registered arenas, delta versions and shared-memory views alike —
-result rows *and* the visit counts the scan statistics are built from.
+on registered arenas and delta versions alike — result rows *and*
+the visit counts the scan statistics are built from.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.xmldb.delta import Delete, Insert
 from repro.xmldb.document import ScanStats
 from repro.xmldb.node import NodeKind, element
 from repro.xmldb.serialize import serialize
-from repro.xmldb.shm import attach_document, export_document
 from repro.xpath.ast import NameTest, Path, Step
 from repro.xpath.evaluator import evaluate_path
 from tests.test_xml_roundtrip import trees
@@ -82,10 +81,9 @@ def _auction(items: int = 12) -> str:
         + "</itemtuple>" for k in range(items)) + "</items>"
 
 
-def test_step_rows_lanes_on_delta_and_shm_arenas():
-    """The same answers from a registered arena, a delta version (lazy
-    handle tables, spliced ``child_counts``) and a shared-memory view
-    (memoryview columns)."""
+def test_step_rows_lanes_on_delta_arenas():
+    """The same answers from a registered arena and a delta version
+    (lazy handle tables, spliced ``child_counts``)."""
     db = Database()
     db.register_text("items.xml", _auction())
     db.update("items.xml", Insert(0, 3, element(
@@ -96,23 +94,14 @@ def test_step_rows_lanes_on_delta_and_shm_arenas():
     scratch = Database()
     fresh = scratch.register_text("items.xml", serialize(updated.root))
     assert updated.arena.child_counts == fresh.arena.child_counts
-    export = export_document(updated)
-    try:
-        twin = attach_document(export.manifest)
-        assert list(twin.arena.child_counts) == fresh.arena.child_counts
-        for arena in (fresh.arena, updated.arena, twin.arena):
-            tuples = list(arena.tag_rows("itemtuple"))
-            _check_column(arena, tuples)                 # one-pass lane
-            _check_column(arena, tuples[::-1])           # unsorted
-            _check_column(arena, [0, tuples[2], 0])      # nested, dups
-            owners, rows, _ = arena.step_rows(tuples, "child", "itemno")
-            assert owners is None, \
-                "one itemno per itemtuple is the identity"
-            assert arena.string_values(list(rows))[:2] == ["I000", "I001"]
-        twin.arena.detach()
-    finally:
-        export.close()
-        db.close()
+    for arena in (fresh.arena, updated.arena):
+        tuples = list(arena.tag_rows("itemtuple"))
+        _check_column(arena, tuples)                 # one-pass lane
+        _check_column(arena, tuples[::-1])           # unsorted
+        _check_column(arena, [0, tuples[2], 0])      # nested, dups
+        owners, rows, _ = arena.step_rows(tuples, "child", "itemno")
+        assert owners is None, "one itemno per itemtuple is the identity"
+        assert arena.string_values(list(rows))[:2] == ["I000", "I001"]
 
 
 def test_sparse_and_dense_antichains_give_the_same_answers():

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Database
-from repro.engine import vectorized
+from repro.engine import pipeline, vectorized
 from repro.engine.pipeline import FIRST_SLICE as S
 from repro.index import IndexProbe
 from repro.nal import (
@@ -53,7 +53,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.xmldb.delta import Delete, Insert, Replace
 from repro.xmldb.node import element
 from repro.xmldb.serialize import serialize
-from repro.xmldb.shm import attach_document, export_document
 from repro.xpath.ast import Path
 from repro.xpath.parser import parse_path
 
@@ -212,24 +211,27 @@ def test_slices_agree_with_the_definition(count, leaf, store, chain,
     _chain_check(db, _leaf(leaf, db), chain, consumer, count)
 
 
-@settings(max_examples=30, deadline=None)
-@given(count=st.sampled_from(SIZES),
-       leaf=st.sampled_from(("child", "descendant", "table")),
-       chain=st.sampled_from(sorted(CHAINS)),
-       consumer=st.sampled_from(sorted(CONSUMERS)))
-def test_slices_agree_over_shared_memory(count, leaf, chain, consumer):
-    """The arena as memoryviews over a shared segment (what a parallel
-    worker executes against): the per-tag row list is a memoryview."""
-    export = export_document(_database("tree", count).store.get("t.xml"))
-    twin = attach_document(export.manifest)
-    db = Database()
-    db.store._documents[twin.name] = twin
-    try:
-        _chain_check(db, _leaf(leaf, db), chain, consumer, count)
-    finally:
-        db.store._documents.clear()
-        twin.arena.detach()
-        export.close()
+@pytest.mark.parametrize("store", ("tree", "parsed", "insert", "delete",
+                                   "replace"))
+@pytest.mark.parametrize("leaf", ("descendant", "table", "index"))
+def test_slices_cut_lists(monkeypatch, leaf, store):
+    """Every row sequence the driving leaves hand to the slicer — a
+    table's rows, an index probe's rows, a descendant step's per-tag
+    rows, on parsed, built and updated arenas — is a ``list``, so a
+    slice of it is a list of its own with no copy.  (The child walk
+    builds its slices itself.)"""
+    seen = []
+    cut = pipeline._cut
+
+    def spy(rows):
+        seen.append(type(rows))
+        return cut(rows)
+
+    monkeypatch.setattr(pipeline, "_cut", spy)
+    count = 3 * S + 1
+    db = _database(store, count)
+    _chain_check(db, _leaf(leaf, db), "χ", "∃", count)
+    assert seen and set(seen) == {list}, (leaf, store, seen)
 
 
 @pytest.mark.parametrize("count", SIZES)

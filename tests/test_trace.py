@@ -208,18 +208,12 @@ def data_dir(tmp_path: pathlib.Path) -> pathlib.Path:
     return tmp_path
 
 
-@pytest.mark.parametrize("workers", (None, "2"))
-def test_cli_trace_subcommand(data_dir, tmp_path, capsys, monkeypatch,
-                              workers):
-    """``trace --mode`` takes every member of ``MODES`` (``auto`` here,
-    which it used to reject) and nothing else; with a worker budget in
-    the environment the cost gate still keeps this small input on the
-    serial engine."""
-    if workers is not None:
-        monkeypatch.setenv("REPRO_WORKERS", workers)
+def test_cli_trace_subcommand(data_dir, tmp_path, capsys):
+    """``trace --mode`` takes a member of ``MODES``; a removed mode is
+    an argparse error."""
     out_json = tmp_path / "trace.json"
     status = main(["trace", "--query", SIMPLE, "--docs", str(data_dir),
-                   "--mode", "auto", "--out", str(out_json)])
+                   "--mode", DEFAULT_MODE, "--out", str(out_json)])
     assert status == 0
     out = capsys.readouterr().out
     assert f"execute[{DEFAULT_MODE}]" in out
@@ -228,10 +222,11 @@ def test_cli_trace_subcommand(data_dir, tmp_path, capsys, monkeypatch,
     payload = json.loads(out_json.read_text())
     assert any(e["name"] == f"execute[{DEFAULT_MODE}]"
                for e in payload["traceEvents"])
-    with pytest.raises(SystemExit) as exit_info:
-        main(["trace", "--query", SIMPLE, "--docs", str(data_dir),
-              "--mode", "pipelined"])
-    assert exit_info.value.code == 2
+    for removed in ("pipelined", "auto", "parallel"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "--query", SIMPLE, "--docs", str(data_dir),
+                  "--mode", removed])
+        assert exit_info.value.code == 2
 
 
 def test_cli_timing_flag(data_dir, capsys):

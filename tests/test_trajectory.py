@@ -114,17 +114,14 @@ def test_ungated_queries_are_ignored(tmp_path):
 def test_near_unity_speedups_are_not_gated(tmp_path):
     # A 1.2x baseline ratio is timing noise; a ±20% band around it
     # would flake, so the gate skips it (counters are still gated).
-    base = artifact(tmp_path, "base.json", {"q13_parallel": [
-        {"query": "docs-shards", "items": 4800, "parallel_tasks": 4,
-         "speedup": 1.2}]})
+    base = artifact(tmp_path, "base.json", {"q14_updates": [
+        q14_record(update_speedup=1.2)]})
     write_baselines([base], tmp_path)
-    fresh = artifact(tmp_path, "fresh.json", {"q13_parallel": [
-        {"query": "docs-shards", "items": 4800, "parallel_tasks": 4,
-         "speedup": 0.8}]})
+    fresh = artifact(tmp_path, "fresh.json", {"q14_updates": [
+        q14_record(update_speedup=0.8)]})
     assert check([fresh], tmp_path) == []
-    slower = artifact(tmp_path, "slower.json", {"q13_parallel": [
-        {"query": "docs-shards", "items": 4800, "parallel_tasks": 8,
-         "speedup": 1.2}]})
+    slower = artifact(tmp_path, "slower.json", {"q14_updates": [
+        q14_record(update_speedup=1.2, incremental_applies=40)]})
     assert len(check([slower], tmp_path)) == 1
 
 
@@ -195,9 +192,6 @@ def test_repo_baselines_are_exactly_the_gated_ci_runs():
     assert {path.name for path in root.glob("BENCH_*.json")} \
         == {f"BENCH_{query}.json" for query in GATE_RULES}
     expectations = {
-        "BENCH_q13_parallel.json": [
-            (("query", "docs-shards"), ("items", 4800)),
-            (("query", "range-scan"), ("items", 19200))],
         "BENCH_q14_updates.json": [
             (("query", "replace-item"), ("items", 4000),
              ("updates", 20))],

@@ -3,10 +3,10 @@ incremental index maintenance and the cache/CLI/server surface.
 
 The contract under test (docs/updates.md): ``DocumentStore.update``
 publishes a brand-new immutable version per delta, readers pin the
-versions current when they start (threads and parallel worker
-processes alike), indexes are maintained incrementally yet stay
-byte-identical to scratch builds, and the session result cache evicts
-*only* superseded versions.
+versions current when they start (concurrent threads included),
+indexes are maintained incrementally yet stay byte-identical to
+scratch builds, and the session result cache evicts *only* superseded
+versions.
 """
 
 from __future__ import annotations
@@ -342,94 +342,6 @@ def test_explicit_snapshot_pins_old_version():
     new = session.execute(query)
     assert "TCP/IP" not in new.output
     session.close()
-
-
-def test_parallel_workers_execute_pinned_snapshot():
-    """A pinned snapshot must reach worker processes: parallel
-    execution against an old StoreSnapshot re-exports the superseded
-    version and returns pre-update rows."""
-    from repro.api import compile_query
-
-    db = Database()
-    db.register_tree("items.xml", generate_items(400, seed=3),
-                     dtd_text=ITEMS_DTD)
-    plan = compile_query(
-        'let $d := doc("items.xml") '
-        'for $i in $d//itemtuple return $i/itemno', db).best().plan
-    snap = db.snapshot()
-    before = execute(plan, snap).output
-    # replace every itemtuple's itemno in a few sweeps of updates
-    doc = db.store.get("items.xml")
-    for k in range(3):
-        target = db.store.get("items.xml").arena.tag_rows("itemtuple")[k]
-        db.update("items.xml",
-                  Replace(target, element("itemtuple",
-                                          element("itemno", "CHANGED"),
-                                          element("description", "x"),
-                                          element("offered_by", "u0"))))
-    try:
-        pinned = execute(plan, snap, mode="parallel", workers=2)
-        assert pinned.output == before
-        assert "CHANGED" not in pinned.output
-        current = execute(plan, db.store, mode="parallel", workers=2)
-        assert current.output.count("CHANGED") == 3
-        assert current.output == execute(plan, db.store).output
-    finally:
-        db.close()
-    assert serialize(doc.root) == serialize(snap.get("items.xml").root)
-
-
-def test_parallel_reads_race_atomic_multi_op_updates():
-    """Workers must never see half an update: every itemno is rewritten
-    to the same generation tag in one multi-op update, so any snapshot
-    a parallel query pins is uniform."""
-    from repro.api import compile_query
-
-    db = Database()
-    db.register_tree("flat.xml", generate_items(60, seed=11),
-                     dtd_text=ITEMS_DTD)
-    plan = compile_query(
-        'let $d := doc("flat.xml") '
-        'for $i in $d//itemtuple return $i/itemno', db).best().plan
-
-    def rewrite_all(k: int) -> None:
-        arena = db.store.get("flat.xml").arena
-        # replace back-to-front: every patch has the same row count as
-        # the window it replaces, and the windows are disjoint, so each
-        # recorded pre id stays valid in the intermediate coordinates
-        db.update("flat.xml",
-                  [Replace(pre, element("itemno", f"gen-{k}"))
-                   for pre in reversed(arena.tag_rows("itemno"))])
-
-    stop = threading.Event()
-    mixed: list[set] = []
-
-    def writer() -> None:
-        k = 1
-        while not stop.is_set():
-            rewrite_all(k)
-            k += 1
-
-    def reader() -> None:
-        for _ in range(25):
-            out = execute(plan, db.store, mode="parallel",
-                          workers=2).output
-            gens = {part.split("</itemno>")[0]
-                    for part in out.split("<itemno>")[1:]}
-            if len(gens) > 1:
-                mixed.append(gens)
-                break
-
-    rewrite_all(0)
-    writer_thread = threading.Thread(target=writer)
-    reader_thread = threading.Thread(target=reader)
-    writer_thread.start()
-    reader_thread.start()
-    reader_thread.join()
-    stop.set()
-    writer_thread.join()
-    db.close()
-    assert not mixed, f"parallel reader saw a torn update: {mixed[0]}"
 
 
 # ----------------------------------------------------------------------

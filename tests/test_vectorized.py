@@ -6,8 +6,7 @@ trees; this file tests the batch machinery itself — ``Batch``
 immutability and lazy caching, the numeric-column kernel and its
 parity with ``general_compare``, the fused select-over-map pass (that it
 engages on the normalizer's ``where`` shape, bails out on
-non-reproducible data, and stays disabled under observation) and the
-``auto`` mode dispatch.
+non-reproducible data, and stays disabled under observation).
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from repro.nal.scalar import (
     PathApply,
 )
 from repro.nal.values import general_compare
-from repro.optimizer.cost import preferred_mode
 from repro.xmldb.arena import LazyNodes
 from repro.xmldb.node import NodeSequence, element
 from repro.xmldb.parser import parse_document
@@ -241,21 +239,6 @@ def test_vectorized_metrics_are_recorded(bids_db):
                   if name.startswith("vectorized.")
                   and name.endswith(".rows_per_batch")]
     assert histograms, "rows_per_batch histograms missing"
-
-
-# ----------------------------------------------------------------------
-# Mode selection
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("workers", (None, 2))
-def test_auto_mode_matches_explicit_modes(bids_db, workers):
-    plan = compile_query(BIDS_QUERY, bids_db).best().plan
-    mode = preferred_mode(plan, bids_db.store, workers=workers)
-    assert mode == DEFAULT_MODE, \
-        "no worker budget, or an input too small to pay for the pool"
-    auto = bids_db.execute(plan, mode="auto", workers=workers)
-    explicit = bids_db.execute(plan, mode=mode)
-    assert auto.rows == explicit.rows
-    assert auto.output == explicit.output
 
 
 # ----------------------------------------------------------------------

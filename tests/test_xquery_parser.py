@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Database, compile_query
+from repro.engine.executor import MODES
 from repro.errors import XQueryParseError
 from repro.xquery import ast
+from repro.xquery.lexer import query_shape
 from repro.xquery.parser import parse_query, parse_xquery
 
 #: ``repr(ast)`` and the slots of every XQuery text in
@@ -188,6 +190,17 @@ def test_golden_asts_slots_and_error_positions():
     assert len(GOLDEN) > 300 and not wrong
 
 
+def test_query_shape_spans_are_the_parser_slot_spans():
+    """The pre-scan finds exactly the literals the parser reads as
+    values: none in comments, constructor content or attribute values,
+    nor a document name, on every recorded text that parses."""
+    parsed = [record for record in GOLDEN if "error" not in record]
+    for record in parsed:
+        spans = tuple((start, end) for start, end, _ in record["slots"])
+        assert query_shape(record["text"]).spans == spans, record["text"]
+    assert len(parsed) > 250
+
+
 # ----------------------------------------------------------------------
 # Whitespace and comments between tokens
 # ----------------------------------------------------------------------
@@ -284,10 +297,32 @@ def _escapes_db() -> Database:
     ('for $x in doc("e.xml")//x where $x/c = "a&#x26;b" '
      'return <r a="{{{ $x/c/text() }}}">{{ {$x/c/text()} }}'
      '<![CDATA[<y>&]]></r>',
-     '<r a="{a&amp;b}">{a&amp;b}&lt;y&gt;&amp;</r>'),
+     '<r a="{a&amp;b}">{ a&amp;b }&lt;y&gt;&amp;</r>'),
 ])
 def test_escaped_queries_run_on_every_engine(text, output):
     db = _escapes_db()
     plan = compile_query(text, db).best().plan
     assert db.execute(plan).output == output
     assert db.execute(plan, mode="reference").output == output
+
+
+@pytest.mark.parametrize("body, output", [
+    ("{$d//x/text()} and {$d//x/text()}", "<r>12 and 12</r>"),
+    ("<![CDATA[   ]]>{$d//x/text()}", "<r>   12</r>"),
+    ("  {$d//c}  ", "<r><c>a&amp;b</c></r>"),
+    ("\n  <c/>\n  ", "<r><c></c></r>"),
+    ("\n  text\n", "<r>\n  text\n</r>"),
+    ('<s a=" x {$d//c/text()} y "/>', '<r><s a=" x a&amp;b y "></s></r>'),
+], ids=("between-expressions", "cdata", "boundary", "boundary-newlines",
+        "text-with-newlines", "attribute"))
+@pytest.mark.parametrize("mode", MODES)
+def test_constructor_text_keeps_its_non_boundary_whitespace(body, output,
+                                                            mode):
+    """Only a run of whitespace alone between constructor boundaries is
+    dropped (XQuery 1.0 §3.7.1.4): spaces next to other text, inside an
+    attribute value or in a CDATA section are content."""
+    db = Database()
+    db.register_text("d.xml", "<r><x>1</x><x>2</x><c>a&amp;b</c></r>")
+    query = f'let $d := doc("d.xml") return <r>{body}</r>'
+    plan = compile_query(query, db).best().plan
+    assert db.execute(plan, mode=mode).output == output
